@@ -167,10 +167,6 @@ def gelu_with_cache(x: np.ndarray):
     return 0.5 * x * (1.0 + t), t
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return gelu_with_cache(x)[0]
-
-
 def gelu_backward(x: np.ndarray, d_out: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     if t is None:
         t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
@@ -399,9 +395,6 @@ class ConvBNPReLU(Block):
         self.running_mean = np.zeros(dim, dtype=dtype)
         self.running_var = np.ones(dim, dtype=dtype)
         self.num_batches = 0
-        # distance of the closest pre-activation to the PReLU corner over
-        # recent forwards; finite-difference harnesses avoid probing across it
-        self.min_abs_z = math.inf
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         y = self.conv.forward(x)
@@ -425,8 +418,6 @@ class ConvBNPReLU(Block):
         yhat = (y - mu) * inv
         z = yhat * self.bn_scale.data + self.bn_shift.data
         neg = z < 0
-        if z.size:
-            self.min_abs_z = min(self.min_abs_z, float(np.abs(z).min()))
         out = np.where(neg, z * self.prelu_slope.data, z)
         self._save(yhat, inv, z, neg, training, y.shape[0])
         return out

@@ -94,12 +94,7 @@ def load_into(model: Block, path, cfg: ModelConfig) -> dict:
     if missing or extra:
         raise ValueError(f"checkpoint entries do not match the model "
                          f"(missing {missing[:5]}, extra {extra[:5]})")
-    for name, p in model.named_parameters():
-        arr = tensors[name]
-        if arr.shape != p.data.shape:
-            raise ValueError(f"shape mismatch for {name}: checkpoint "
-                             f"{arr.shape} vs model {p.data.shape}")
-        p.data[...] = arr.astype(p.data.dtype)
+    transfer(model, tensors, include_prefixes=("",))
     return manifest
 
 

@@ -5,8 +5,9 @@ Subcommands: pretrain / posttrain / finetune (stage drivers), gen-data
 shapes (dimension trace and parameter accounting), maskdump (mask
 inspection), verify (full property suite).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. Commands
-write only under their --out argument.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad
+arguments, config files, datasets or checkpoints), 3 training diverged (a
+non-finite gradient). Commands write only under their --out argument.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ def _parse_task(spec: str, geometry: str) -> SyntheticTask:
         raise UsageError(
             f"--task expects '<classes>[,<noise>]', e.g. '2' or '3,0.1'; got {spec!r}"
         ) from exc
+    if n_classes < 1:
+        raise UsageError(f"--task needs at least one class, got {n_classes}")
     vshape, ashape = cfgmod.PRESET_INPUTS[geometry]
     return SyntheticTask(n_classes=n_classes, video_shape=vshape,
                          audio_shape=ashape, noise=noise, seed=0)
@@ -210,12 +213,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except FloatingPointError as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, fields
 
 STAGES = ("pretrain", "post_pretrain", "finetune")
 
@@ -36,6 +36,9 @@ class ModelConfig:
     contrastive_weight: float
 
     def __post_init__(self):
+        for name in ("encoder_heads", "decoder_heads", "fusion_heads", "num_dier_units"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.skip_indices = list(self.skip_indices)
         self.video_region = tuple(self.video_region)
         self.audio_region = tuple(self.audio_region)
@@ -50,19 +53,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base: "ModelConfig | None" = None) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-        if base is None:
-            missing = known - set(data)
-            if missing:
-                raise ValueError(f"missing model config keys: {sorted(missing)}")
-            merged = dict(data)
-        else:
-            merged = base.to_dict()
-            merged.update(data)
-        return cls(**merged)
+        return _from_dict(cls, "model", data, base)
 
 
 @dataclass
@@ -87,25 +78,35 @@ class TrainConfig:
             raise ValueError("layer_decay must lie in [0, 1]")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must lie in [0, 1)")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        for name in ("epochs", "warmup_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict, base: "TrainConfig | None" = None) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        if base is None:
-            missing = known - set(data)
-            if missing:
-                raise ValueError(f"missing train config keys: {sorted(missing)}")
-            merged = dict(data)
-        else:
-            merged = base.to_dict()
-            merged.update(data)
-        return cls(**merged)
+        return _from_dict(cls, "train", data, base)
+
+
+def _from_dict(cls, section: str, data: dict, base):
+    """Build ``cls`` from a config-file section, optionally over ``base``."""
+    known = {f.name for f in fields(cls)}
+    unknown = set(data) - known
+    if unknown:
+        raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
+    if base is None:
+        missing = known - set(data)
+        if missing:
+            raise ValueError(f"missing {section} config keys: {sorted(missing)}")
+        merged = dict(data)
+    else:
+        merged = base.to_dict()
+        merged.update(data)
+    return cls(**merged)
 
 
 _PRESETS = {
@@ -192,8 +193,6 @@ def validate(cfg: ModelConfig, video_shape, audio_shape) -> list[str]:
     if cfg.encoder_dim % cfg.fusion_heads != 0:
         errors.append(f"encoder_dim {cfg.encoder_dim} not divisible by "
                       f"fusion_heads {cfg.fusion_heads}")
-    if cfg.num_dier_units < 1:
-        errors.append("num_dier_units must be >= 1")
     if sorted(set(cfg.skip_indices)) != cfg.skip_indices:
         errors.append(f"skip_indices {cfg.skip_indices} not strictly increasing")
     if any(i < 0 or i >= cfg.encoder_depth for i in cfg.skip_indices):
@@ -288,4 +287,8 @@ def load_config_file(path) -> tuple[dict | None, dict | None]:
     unknown = set(raw) - {"model", "train"}
     if unknown:
         raise ValueError(f"unknown top-level config keys: {sorted(unknown)}")
+    for section in ("model", "train"):
+        if not isinstance(raw.get(section, {}), dict):
+            raise ValueError(f"config section {section!r} must be a JSON object, "
+                             f"got {type(raw[section]).__name__}")
     return raw.get("model"), raw.get("train")

@@ -92,48 +92,43 @@ def audio_patches(audio: np.ndarray, patch) -> np.ndarray:
     return np.ascontiguousarray(tiles.reshape(gt * gf, pt * pf))
 
 
-class VideoEmbed(Block):
-    """Learned linear map of flattened tubelets plus fixed positional codes."""
+class PatchEmbed(Block):
+    """Learned linear map of flattened patches plus fixed positional codes.
+
+    A subclass names its modality, the config field holding its patch size,
+    the channels per grid cell, and its patchify and grid functions.
+    """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.cfg = cfg
-        tt, p, p2 = cfg.video_tubelet
-        self.patch_dim = tt * p * p2 * 3
+        self.patch = getattr(cfg, self.patch_field)
+        self.patch_dim = int(np.prod(self.patch)) * self.channels
         self.proj = Linear(self.patch_dim, cfg.encoder_dim, rng, dtype=dtype)
         self.dtype = dtype
 
-    def forward(self, video: np.ndarray) -> TokenSeq:
-        grid = video_grid(self.cfg, video.shape[:3])
-        patches = video_patches(video, self.cfg.video_tubelet).astype(self.dtype)
+    def forward(self, raw: np.ndarray) -> TokenSeq:
+        grid = self.grid(self.cfg, raw.shape[:len(self.patch)])
+        patches = self.patchify(raw, self.patch).astype(self.dtype)
         coords = grid_coords(grid)
         tokens = self.proj.forward(patches)
         tokens = tokens + positional_encoding(coords, self.cfg.encoder_dim, self.dtype)
-        return TokenSeq(tokens, coords, grid, "video")
+        return TokenSeq(tokens, coords, grid, self.modality)
 
     def backward(self, d_tokens: np.ndarray) -> None:
         self.proj.backward(d_tokens)
 
 
-class AudioEmbed(Block):
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
-        super().__init__()
-        self.cfg = cfg
-        pt, pf = cfg.audio_patch
-        self.patch_dim = pt * pf
-        self.proj = Linear(self.patch_dim, cfg.encoder_dim, rng, dtype=dtype)
-        self.dtype = dtype
+class VideoEmbed(PatchEmbed):
+    modality, patch_field, channels = "video", "video_tubelet", 3
+    patchify = staticmethod(video_patches)
+    grid = staticmethod(video_grid)
 
-    def forward(self, audio: np.ndarray) -> TokenSeq:
-        grid = audio_grid(self.cfg, audio.shape)
-        patches = audio_patches(audio, self.cfg.audio_patch).astype(self.dtype)
-        coords = grid_coords(grid)
-        tokens = self.proj.forward(patches)
-        tokens = tokens + positional_encoding(coords, self.cfg.encoder_dim, self.dtype)
-        return TokenSeq(tokens, coords, grid, "audio")
 
-    def backward(self, d_tokens: np.ndarray) -> None:
-        self.proj.backward(d_tokens)
+class AudioEmbed(PatchEmbed):
+    modality, patch_field, channels = "audio", "audio_patch", 1
+    patchify = staticmethod(audio_patches)
+    grid = staticmethod(audio_grid)
 
 
 def normalize_patches(patches: np.ndarray) -> np.ndarray:
@@ -141,16 +136,6 @@ def normalize_patches(patches: np.ndarray) -> np.ndarray:
     mean = patches.mean(axis=1, keepdims=True)
     var = patches.var(axis=1, keepdims=True)
     return (patches - mean) / np.sqrt(var + TARGET_EPS)
-
-
-def patch_statistics(patches: np.ndarray):
-    return patches.mean(axis=1, keepdims=True), np.sqrt(
-        patches.var(axis=1, keepdims=True) + TARGET_EPS)
-
-
-def denormalize_patches(targets: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Debug helper inverting normalize_patches given stored statistics."""
-    return targets * std + mean
 
 
 def normalize_targets(clip: RawClip, cfg: ModelConfig, modality: str) -> np.ndarray:

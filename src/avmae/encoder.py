@@ -6,7 +6,6 @@ Each layer runs four attention stages over region-partitioned tokens:
   II  self-attention across the K region tokens
   III per-region cross-attention, locals reading the region tokens
   IV  per-region cross-attention, each region token reading its own locals
-      (a global key/value variant is available behind ``stage4_global``)
 
 followed by a feed-forward network, shared between local and region tokens,
 with pre-norm residuals throughout. Region tokens are learnable per region
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (DEFAULT_DTYPE, Attention, Block, BlockList, FeedForward,
-                     LayerNorm, Linear, Parameter, trunc_normal)
+                     LayerNorm, Parameter, trunc_normal)
 from .config import ModelConfig
 from .embedding import TokenSeq
 
@@ -85,10 +84,9 @@ def _size_groups(members) -> list[tuple[int, list[int]]]:
 
 class LGILayer(Block):
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 stage4_global: bool = False, dtype=DEFAULT_DTYPE):
+                 dtype=DEFAULT_DTYPE):
         super().__init__()
         self.dim = dim
-        self.stage4_global = stage4_global
         self.norm1 = LayerNorm(dim, dtype=dtype)
         self.attn_local = Attention(dim, heads, rng, dtype=dtype)
         self.norm2 = LayerNorm(dim, dtype=dtype)
@@ -155,16 +153,13 @@ class LGILayer(Block):
         if k4:
             q_all = self.norm4_q.forward(s2)
             kv_all = self.norm4_kv.forward(locals2)
-            if self.stage4_global:
-                s3 = s2 + c4 * self.cross_region.forward(q_all, kv_all)
-            else:
-                for size, idxs in groups:
-                    if size == 0:
-                        continue
-                    q = q_all[idxs][:, None, :]        # [G, 1, C]
-                    kv = np.stack([kv_all[members[i]] for i in idxs])
-                    out = self.cross_region.forward(q, kv)
-                    s3[idxs] = s2[idxs] + c4 * out[:, 0, :]
+            for size, idxs in groups:
+                if size == 0:
+                    continue
+                q = q_all[idxs][:, None, :]        # [G, 1, C]
+                kv = np.stack([kv_all[members[i]] for i in idxs])
+                out = self.cross_region.forward(q, kv)
+                s3[idxs] = s2[idxs] + c4 * out[:, 0, :]
 
         # shared feed-forward on locals, then on region tokens
         if kfl:
@@ -199,19 +194,14 @@ class LGILayer(Block):
         if k4:
             d_q_all = np.zeros_like(d_s3)
             d_kv_all = np.zeros_like(d_locals2)
-            if self.stage4_global:
-                d_q, d_kv = self.cross_region.backward(c4 * d_s3)
-                d_q_all += d_q
-                d_kv_all += d_kv
-            else:
-                for size, idxs in reversed(groups):
-                    if size == 0:
-                        continue
-                    d_out = (c4 * d_s3[idxs])[:, None, :]
-                    d_q, d_kv = self.cross_region.backward(d_out)
-                    d_q_all[idxs] += d_q[:, 0, :]
-                    for g, i in enumerate(idxs):
-                        d_kv_all[members[i]] += d_kv[g]
+            for size, idxs in reversed(groups):
+                if size == 0:
+                    continue
+                d_out = (c4 * d_s3[idxs])[:, None, :]
+                d_q, d_kv = self.cross_region.backward(d_out)
+                d_q_all[idxs] += d_q[:, 0, :]
+                for g, i in enumerate(idxs):
+                    d_kv_all[members[i]] += d_kv[g]
             d_locals2 = d_locals2 + self.norm4_kv.backward(d_kv_all)
             d_s2 = d_s2 + self.norm4_q.backward(d_q_all)
 
@@ -254,15 +244,14 @@ class LGIEncoder(Block):
     """A stack of LGI layers plus the learnable region tokens."""
 
     def __init__(self, cfg: ModelConfig, n_regions: int, rng: np.random.Generator,
-                 stage4_global: bool = False, dtype=DEFAULT_DTYPE):
+                 dtype=DEFAULT_DTYPE):
         super().__init__()
         self.cfg = cfg
         self.n_regions = n_regions
         self.region_tokens = Parameter(
             trunc_normal(rng, (n_regions, cfg.encoder_dim), dtype=dtype))
         self.layers = BlockList([
-            LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng,
-                     stage4_global=stage4_global, dtype=dtype)
+            LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng, dtype=dtype)
             for _ in range(cfg.encoder_depth)
         ])
 

@@ -18,9 +18,7 @@ from .iavcl import IAVCLHead
 
 class FinetuneModel(Block):
     def __init__(self, cfg: ModelConfig, video_shape, audio_shape,
-                 num_outputs: int, rng: np.random.Generator,
-                 task: str = "classification", stage4_global: bool = False,
-                 num_units: int | None = None, dtype=DEFAULT_DTYPE):
+                 num_outputs: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.cfg = cfg
         self.video_shape = tuple(video_shape)
@@ -31,12 +29,9 @@ class FinetuneModel(Block):
             raise ValueError(f"region counts differ (video {k_v}, audio {k_a})")
         self.video_embed = VideoEmbed(cfg, rng, dtype=dtype)
         self.audio_embed = AudioEmbed(cfg, rng, dtype=dtype)
-        self.video_encoder = LGIEncoder(cfg, k_v, rng, stage4_global=stage4_global,
-                                        dtype=dtype)
-        self.audio_encoder = LGIEncoder(cfg, k_a, rng, stage4_global=stage4_global,
-                                        dtype=dtype)
-        self.iavcl = IAVCLHead(cfg, num_outputs, rng, task=task,
-                               num_units=num_units, dtype=dtype)
+        self.video_encoder = LGIEncoder(cfg, k_v, rng, dtype=dtype)
+        self.audio_encoder = LGIEncoder(cfg, k_a, rng, dtype=dtype)
+        self.iavcl = IAVCLHead(cfg, num_outputs, rng, dtype=dtype)
 
     def forward_sample(self, clip: RawClip, rng: np.random.Generator | None = None,
                        drop_path: float = 0.0, training: bool = True) -> np.ndarray:

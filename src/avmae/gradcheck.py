@@ -76,10 +76,12 @@ def grad_check(block: Block | None, forward_fn, inputs: dict[str, np.ndarray],
         value, _ = forward_fn(**inputs)
         return float(value)
 
+    # parameters first, then inputs: the probe draws come from one stream
     named = list(block.named_parameters()) if block is not None else []
-    for name, param in named:
-        analytic = param.grad
-        flat = param.data.reshape(-1)
+    targets = [(name, p.data, p.grad) for name, p in named]
+    targets += [(f"input:{name}", inputs[name], grad) for name, grad in input_grads.items()]
+    for name, values, analytic in targets:
+        flat = values.reshape(-1)
         worst = 0.0
         for idx in _probe_indices(flat.size, rng, max_probes):
             orig = flat[idx]
@@ -93,45 +95,6 @@ def grad_check(block: Block | None, forward_fn, inputs: dict[str, np.ndarray],
             worst = max(worst, _rel_err(float(analytic.reshape(-1)[idx]), numeric))
         report.max_errors[name] = worst
 
-    for name, grad in input_grads.items():
-        arr = inputs[name]
-        flat = arr.reshape(-1)
-        worst = 0.0
-        for idx in _probe_indices(flat.size, rng, max_probes):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = run()
-            flat[idx] = orig - eps
-            down = run()
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * eps)
-            worst = max(worst, _rel_err(float(grad.reshape(-1)[idx]), numeric))
-        report.max_errors[f"input:{name}"] = worst
-
     if block is not None:
         block.clear_caches()
     return report
-
-
-def weighted_sum_loss(out: np.ndarray, weights: np.ndarray):
-    """Scalar reduction plus the matching upstream gradient."""
-    return float(np.sum(out * weights)), weights
-
-
-def reset_kink_tracking(block: Block) -> None:
-    from .blocks import ConvBNPReLU
-    if isinstance(block, ConvBNPReLU):
-        block.min_abs_z = np.inf
-    for child in block._children.values():
-        reset_kink_tracking(child)
-
-
-def kink_distance(block: Block) -> float:
-    """Smallest recorded distance of any PReLU pre-activation from zero."""
-    from .blocks import ConvBNPReLU
-    dist = np.inf
-    if isinstance(block, ConvBNPReLU):
-        dist = block.min_abs_z
-    for child in block._children.values():
-        dist = min(dist, kink_distance(child))
-    return dist

@@ -166,24 +166,17 @@ class IAVCLHead(Block):
     """Full fine-tuning fusion head over per-layer region-token snapshots."""
 
     def __init__(self, cfg: ModelConfig, num_outputs: int,
-                 rng: np.random.Generator, task: str = "classification",
-                 num_units: int | None = None, dtype=DEFAULT_DTYPE):
+                 rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         super().__init__()
-        if task not in ("classification", "regression"):
-            raise ValueError(f"unknown task {task!r}")
         dim = cfg.encoder_dim
         self.cfg = cfg
-        self.task = task
         self.num_outputs = num_outputs
         self.n_layers = cfg.encoder_depth
-        n_units = cfg.num_dier_units if num_units is None else num_units
-        if n_units < 1:
-            raise ValueError("at least one DiER unit is required")
         self.layer_logits_a = Parameter(np.zeros(self.n_layers, dtype=dtype))
         self.layer_logits_v = Parameter(np.zeros(self.n_layers, dtype=dtype))
         self.units = BlockList([
             DiERUnit(dim, cfg.encoder_heads, rng, dtype=dtype)
-            for _ in range(n_units)
+            for _ in range(cfg.num_dier_units)
         ])
         self.er = RefinementLayer(dim, rng, dtype=dtype)
         self.hafe_a = HAFELayer(dim, cfg.encoder_heads, rng, dtype=dtype)
@@ -227,22 +220,16 @@ class IAVCLHead(Block):
         f4_a = self.hafe_a.forward(np.stack(preserved_a), f_av)
         f4_v = self.hafe_v.forward(np.stack(preserved_v), f_av)
         pooled = np.concatenate([f4_a.mean(axis=0), f4_v.mean(axis=0)])
-        if self.task == "regression":
-            act = np.tanh(pooled)
-        else:
-            act = pooled
-        out = self.head.forward(act[None, :])[0]
-        self._save(stack_a, stack_v, alpha_a, alpha_v, act, f4_a.shape[0])
+        out = self.head.forward(pooled[None, :])[0]
+        self._save(stack_a, stack_v, alpha_a, alpha_v, f4_a.shape[0])
         return out
 
     def backward(self, d_out: np.ndarray):
-        stack_a, stack_v, alpha_a, alpha_v, act, k = self._load()
-        d_act = self.head.backward(d_out[None, :])[0]
-        if self.task == "regression":
-            d_act = d_act * (1.0 - act * act)
-        dim = d_act.size // 2
-        d_f4_a = np.tile(d_act[:dim] / k, (k, 1))
-        d_f4_v = np.tile(d_act[dim:] / k, (k, 1))
+        stack_a, stack_v, alpha_a, alpha_v, k = self._load()
+        d_pooled = self.head.backward(d_out[None, :])[0]
+        dim = d_pooled.size // 2
+        d_f4_a = np.tile(d_pooled[:dim] / k, (k, 1))
+        d_f4_v = np.tile(d_pooled[dim:] / k, (k, 1))
 
         d_stack_pv, d_fav_v = self.hafe_v.backward(d_f4_v)
         d_stack_pa, d_fav_a = self.hafe_a.backward(d_f4_a)

@@ -91,8 +91,3 @@ def cross_entropy_ls(logits: np.ndarray, labels: np.ndarray, smoothing: float = 
     loss = float(-(q * log_probs).sum() / b)
     d_logits = (np.exp(log_probs) - q) / b
     return loss, d_logits
-
-
-def combine_pretrain_loss(mse_a: float, mse_v: float, nce_terms, weight: float):
-    """Total objective: both reconstruction terms plus weighted contrast."""
-    return mse_a + mse_v + weight * float(sum(nce_terms))

@@ -151,27 +151,24 @@ class Decoder(Block):
 
 
 def make_mask_pairs(cfg: ModelConfig, video_shape, audio_shape,
-                    rng: np.random.Generator, dual_masking: bool = True,
-                    video_ratio: float = VIDEO_ENCODER_MASK_RATIO,
-                    audio_ratio: float = AUDIO_ENCODER_MASK_RATIO,
-                    decoder_ratio: float = DECODER_MASK_RATIO):
+                    rng: np.random.Generator, dual_masking: bool = True):
     """Sample the per-clip encoder and decoder masks for both modalities.
 
     Without dual masking every encoder-masked token becomes a target
     (the full-length decoder baseline).
     """
     gt, gh, gw = video_grid(cfg, video_shape)
-    enc_v = tube_mask(gt, gh, gw, video_ratio, rng)
+    enc_v = tube_mask(gt, gh, gw, VIDEO_ENCODER_MASK_RATIO, rng)
     n_a = int(np.prod(audio_grid(cfg, audio_shape)))
-    enc_a = random_mask(n_a, audio_ratio, rng)
+    enc_a = random_mask(n_a, AUDIO_ENCODER_MASK_RATIO, rng)
     if dual_masking:
-        tgt_v = running_cell_mask(gt, gh, gw, enc_v, decoder_ratio, rng)
-        tgt_a = random_decoder_targets(n_a, enc_a, decoder_ratio, rng)
+        tgt_v = running_cell_mask(gt, gh, gw, enc_v, DECODER_MASK_RATIO, rng)
+        tgt_a = random_decoder_targets(n_a, enc_a, DECODER_MASK_RATIO, rng)
     else:
         tgt_v = enc_v.copy()
         tgt_a = enc_a.copy()
-    pair_v = MaskPair(enc_v, tgt_v, video_ratio, decoder_ratio)
-    pair_a = MaskPair(enc_a, tgt_a, audio_ratio, decoder_ratio)
+    pair_v = MaskPair(enc_v, tgt_v, VIDEO_ENCODER_MASK_RATIO, DECODER_MASK_RATIO)
+    pair_a = MaskPair(enc_a, tgt_a, AUDIO_ENCODER_MASK_RATIO, DECODER_MASK_RATIO)
     return pair_v, pair_a
 
 
@@ -179,8 +176,7 @@ class PretrainModel(Block):
     """Embed -> dual mask -> LGI encode -> fuse -> decode, both modalities."""
 
     def __init__(self, cfg: ModelConfig, video_shape, audio_shape,
-                 rng: np.random.Generator, stage4_global: bool = False,
-                 dtype=DEFAULT_DTYPE):
+                 rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.cfg = cfg
         self.video_shape = tuple(video_shape)
@@ -190,10 +186,8 @@ class PretrainModel(Block):
         k_a = region_count(audio_grid(cfg, audio_shape), cfg.audio_region)
         self.video_embed = VideoEmbed(cfg, rng, dtype=dtype)
         self.audio_embed = AudioEmbed(cfg, rng, dtype=dtype)
-        self.video_encoder = LGIEncoder(cfg, k_v, rng, stage4_global=stage4_global,
-                                        dtype=dtype)
-        self.audio_encoder = LGIEncoder(cfg, k_a, rng, stage4_global=stage4_global,
-                                        dtype=dtype)
+        self.video_encoder = LGIEncoder(cfg, k_v, rng, dtype=dtype)
+        self.audio_encoder = LGIEncoder(cfg, k_a, rng, dtype=dtype)
         self.fusion = FusionEncoder(cfg.encoder_dim, cfg.fusion_heads,
                                     cfg.fusion_depth, rng, dtype=dtype)
         self.mask_token_v = Parameter(trunc_normal(rng, (cfg.encoder_dim,), dtype=dtype))
@@ -209,16 +203,14 @@ class PretrainModel(Block):
         pooled contrastive features per skip layer for both modalities.
         """
         out = {}
-        for modality, embed, encoder, decoder, mask_token, pair, raw in (
-                ("video", self.video_embed, self.video_encoder, self.video_decoder,
-                 self.mask_token_v, pair_v, clip.video),
-                ("audio", self.audio_embed, self.audio_encoder, self.audio_decoder,
-                 self.mask_token_a, pair_a, clip.audio)):
+        for modality, embed, encoder, region, pair, raw in (
+                ("video", self.video_embed, self.video_encoder, self.cfg.video_region,
+                 pair_v, clip.video),
+                ("audio", self.audio_embed, self.audio_encoder, self.cfg.audio_region,
+                 pair_a, clip.audio)):
             seq = embed.forward(raw)
             if pair.n_tokens != seq.tokens.shape[0]:
                 raise ValueError(f"{modality} mask size does not match token count")
-            region = (self.cfg.video_region if modality == "video"
-                      else self.cfg.audio_region)
             part = partition(seq, region, visible_mask=pair.encoder_mask)
             visible = seq.tokens[pair.visible_indices]
             snaps, locals_, skip_locals, pooled = encoder.encode(
@@ -232,9 +224,9 @@ class PretrainModel(Block):
         out["audio"]["fused"] = fused_a
 
         result = {}
-        for modality, decoder, mask_token, raw in (
-                ("video", self.video_decoder, self.mask_token_v, clip.video),
-                ("audio", self.audio_decoder, self.mask_token_a, clip.audio)):
+        for modality, decoder, mask_token in (
+                ("video", self.video_decoder, self.mask_token_v),
+                ("audio", self.audio_decoder, self.mask_token_a)):
             ctx = out[modality]
             pe = positional_encoding(ctx["seq"].coords, self.cfg.encoder_dim,
                                      self.dtype)

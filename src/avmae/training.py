@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint as ckpt
 from .blocks import Block
-from .config import (DECODER_MASK_RATIO, ModelConfig, TrainConfig)
+from .config import DECODER_MASK_RATIO, ModelConfig, TrainConfig
 from .embedding import RawClip, read_clip, write_clip
 from .finetune import FinetuneModel
 from .losses import cross_entropy_ls, info_nce, masked_mse
@@ -52,14 +53,12 @@ class AdamW:
     """
 
     def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.95,
-                 eps: float = 1e-8, lr_scales: dict[str, float] | None = None,
-                 clip_norm: float | None = None):
+                 eps: float = 1e-8, lr_scales: dict[str, float] | None = None):
         self.params = list(named_params)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.lr_scales = lr_scales or {}
-        self.clip_norm = clip_norm
         self.t = 0
         self.m = {name: np.zeros_like(p.data, dtype=np.float64)
                   for name, p in self.params}
@@ -67,13 +66,6 @@ class AdamW:
                   for name, p in self.params}
 
     def step(self, lr: float, weight_decay: float) -> None:
-        if self.clip_norm is not None:
-            total = math.sqrt(sum(float(np.sum(p.grad.astype(np.float64) ** 2))
-                                  for _, p in self.params))
-            if total > self.clip_norm and total > 0:
-                scale = self.clip_norm / total
-                for _, p in self.params:
-                    p.grad *= scale
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -130,14 +122,13 @@ def layer_decay_scales(model: Block, cfg: ModelConfig, decay: float) -> dict[str
     return scales
 
 
-def optimizer_for(model: Block, cfg: ModelConfig, tcfg: TrainConfig,
-                  clip_norm: float | None = None) -> AdamW:
+def optimizer_for(model: Block, cfg: ModelConfig, tcfg: TrainConfig) -> AdamW:
     beta2 = 0.95 if tcfg.stage == "pretrain" else 0.999
     scales = None
     if tcfg.layer_decay < 1.0:
         scales = layer_decay_scales(model, cfg, tcfg.layer_decay)
     return AdamW(model.named_parameters(), beta1=0.9, beta2=beta2,
-                 lr_scales=scales, clip_norm=clip_norm)
+                 lr_scales=scales)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +231,8 @@ def load_dataset(data_dir):
             rec = json.loads(line)
             clips.append(read_clip(data_dir / rec["file"]))
             labels.append(int(rec["label"]))
+    if not clips:
+        raise ValueError(f"{manifest} lists no clips")
     return clips, labels
 
 
@@ -338,27 +331,41 @@ def pretrain_step(model: PretrainModel, clips, indices, step: int,
     return {"loss": total, "mse_a": mse_a, "mse_v": mse_v, "nce": nce_total}
 
 
-def run_pretrain(cfg: ModelConfig, tcfg: TrainConfig, clips, video_shape,
-                 audio_shape, steps: int | None = None, log: MetricsLog | None = None,
-                 dual_masking: bool = True, clip_norm: float | None = None,
-                 stage4_global: bool = False) -> tuple[PretrainModel, MetricsLog]:
-    model = PretrainModel(cfg, video_shape, audio_shape,
-                          rng=sample_rng(tcfg.seed, 0xA11CE), stage4_global=stage4_global)
-    optimizer = optimizer_for(model, cfg, tcfg, clip_norm=clip_norm)
+def _run_loop(tcfg: TrainConfig, n: int, steps: int | None, log: MetricsLog | None,
+              stage: str, step_fn) -> MetricsLog:
+    """Schedule, batching and logging shared by the training loops.
+
+    ``step_fn(step, indices, lr)`` runs one optimisation step and returns
+    ``(record, stop)``: the fields to log and whether to end the run there.
+    """
     log = log or MetricsLog()
-    n = len(clips)
     spe = max(1, math.ceil(n / tcfg.batch))
     total_steps = steps if steps is not None else tcfg.epochs * spe
     warmup_steps = tcfg.warmup_epochs * spe
     for step in range(1, total_steps + 1):
         lr = lr_at(step, tcfg.base_lr, tcfg.batch, warmup_steps, total_steps)
         idx = batch_indices(step - 1, min(tcfg.batch, n), n)
-        stats = pretrain_step(model, clips, idx, step, tcfg, optimizer, lr,
-                              dual_masking=dual_masking)
-        log.append(step=step, stage="pretrain", loss=round(stats["loss"], 10),
-                   mse_a=round(stats["mse_a"], 10), mse_v=round(stats["mse_v"], 10),
-                   nce=round(stats["nce"], 10), lr=round(lr, 12), acc=None)
-    return model, log
+        record, stop = step_fn(step, idx, lr)
+        log.append(step=step, stage=stage, lr=round(lr, 12), **record)
+        if stop:
+            break
+    return log
+
+
+def run_pretrain(cfg: ModelConfig, tcfg: TrainConfig, clips, video_shape,
+                 audio_shape, steps: int | None = None,
+                 log: MetricsLog | None = None) -> tuple[PretrainModel, MetricsLog]:
+    model = PretrainModel(cfg, video_shape, audio_shape,
+                          rng=sample_rng(tcfg.seed, 0xA11CE))
+    optimizer = optimizer_for(model, cfg, tcfg)
+
+    def step_fn(step, idx, lr):
+        stats = pretrain_step(model, clips, idx, step, tcfg, optimizer, lr)
+        return dict(loss=round(stats["loss"], 10), mse_a=round(stats["mse_a"], 10),
+                    mse_v=round(stats["mse_v"], 10), nce=round(stats["nce"], 10),
+                    acc=None), False
+
+    return model, _run_loop(tcfg, len(clips), steps, log, "pretrain", step_fn)
 
 
 def supervised_step(model: FinetuneModel, clips, labels, indices, step: int,
@@ -388,86 +395,76 @@ def train_accuracy(model: FinetuneModel, clips, labels) -> float:
 
 def run_supervised(model: FinetuneModel, tcfg: TrainConfig, clips, labels,
                    steps: int | None = None, log: MetricsLog | None = None,
-                   eval_every: int = 0, stop_at_accuracy: float | None = None,
-                   clip_norm: float | None = None):
+                   eval_every: int = 0, stop_at_accuracy: float | None = None):
     """Optimise the task loss; optionally stop once train accuracy is hit.
 
     Returns (log, steps_to_stop) where steps_to_stop is the first evaluated
     step whose full-train-set accuracy reached the threshold (None if never).
     """
-    optimizer = optimizer_for(model, model.cfg, tcfg, clip_norm=clip_norm)
-    log = log or MetricsLog()
-    n = len(clips)
-    spe = max(1, math.ceil(n / tcfg.batch))
-    total_steps = steps if steps is not None else tcfg.epochs * spe
-    warmup_steps = tcfg.warmup_epochs * spe
+    optimizer = optimizer_for(model, model.cfg, tcfg)
     reached = None
-    for step in range(1, total_steps + 1):
-        lr = lr_at(step, tcfg.base_lr, tcfg.batch, warmup_steps, total_steps)
-        idx = batch_indices(step - 1, min(tcfg.batch, n), n)
+
+    def step_fn(step, idx, lr):
+        nonlocal reached
         stats = supervised_step(model, clips, labels, idx, step, tcfg, optimizer, lr)
-        record_acc = stats["acc"]
+        acc = stats["acc"]
         if eval_every and step % eval_every == 0:
-            record_acc = train_accuracy(model, clips, labels)
-            if stop_at_accuracy is not None and record_acc >= stop_at_accuracy:
+            acc = train_accuracy(model, clips, labels)
+            if stop_at_accuracy is not None and acc >= stop_at_accuracy:
                 reached = step
-        log.append(step=step, stage=tcfg.stage, loss=round(stats["loss"], 10),
-                   mse_a=None, mse_v=None, nce=None, lr=round(lr, 12),
-                   acc=round(record_acc, 6))
-        if reached is not None:
-            break
+        return dict(loss=round(stats["loss"], 10), mse_a=None, mse_v=None,
+                    nce=None, acc=round(acc, 6)), reached is not None
+
+    log = _run_loop(tcfg, len(clips), steps, log, tcfg.stage, step_fn)
     return log, reached
+
+
+def warm_start(model: FinetuneModel, tensors: dict, source_stage: str, seed: int) -> None:
+    """Stage-transfer policy for the supervised stages.
+
+    From a pretrain checkpoint only the embeddings and modality encoders
+    carry over (fusion, decoders and mask tokens have no place here). From a
+    supervised checkpoint the IAV-CL head carries over too, except its
+    output layer, which is re-initialised for the new label set.
+    """
+    encoders = ("video_embed.", "audio_embed.", "video_encoder.", "audio_encoder.")
+    if source_stage == "pretrain":
+        ckpt.transfer(model, tensors, include_prefixes=encoders)
+        return
+    ckpt.transfer(model, tensors, include_prefixes=encoders + ("iavcl.",),
+                  exclude_prefixes=("iavcl.head.",))
+    model.iavcl.reinit_head(sample_rng(seed, 0x4EAD))
 
 
 def run_stage(stage: str, cfg: ModelConfig, tcfg: TrainConfig, data,
               video_shape, audio_shape, out_dir, checkpoint_in=None,
-              steps: int | None = None, num_outputs: int | None = None,
-              dual_masking: bool = True, clip_norm: float | None = None):
+              steps: int | None = None):
     """Drive one stage of the progressive pipeline and persist the result.
 
     data: list of RawClip for pretrain, (clips, labels) for the supervised
-    stages. Later stages require a checkpoint; decoders and the fusion
-    encoder are dropped there, and only the head is re-initialised between
-    the two supervised stages.
+    stages. Later stages require a checkpoint, which ``warm_start`` loads.
     """
-    from . import checkpoint as ckpt
-
     if tcfg.stage != stage:
         raise ValueError(f"train config is for stage {tcfg.stage!r}, not {stage!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = MetricsLog(out_dir / "metrics.jsonl")
+    ckpt_path = out_dir / "checkpoint.avck"
 
     if stage == "pretrain":
         model, _ = run_pretrain(cfg, tcfg, data, video_shape, audio_shape,
-                                steps=steps, log=log, dual_masking=dual_masking,
-                                clip_norm=clip_norm)
-        ckpt_path = out_dir / "checkpoint.avck"
+                                steps=steps, log=log)
         ckpt.save(ckpt_path, model, cfg, stage)
         return ckpt_path, log
 
     if checkpoint_in is None:
         raise ValueError(f"stage {stage!r} requires an input checkpoint")
     clips, labels = data
-    if num_outputs is None:
-        num_outputs = int(max(labels)) + 1
-    model = FinetuneModel(cfg, video_shape, audio_shape, num_outputs,
+    model = FinetuneModel(cfg, video_shape, audio_shape, int(max(labels)) + 1,
                           rng=sample_rng(tcfg.seed, 0xF1E7))
     manifest, entries = ckpt.load(checkpoint_in)
     ckpt.check_config(manifest, cfg)
-    source_stage = manifest.get("stage")
-    if source_stage == "pretrain":
-        ckpt.transfer(model, entries, include_prefixes=(
-            "video_embed.", "audio_embed.", "video_encoder.", "audio_encoder."))
-    else:
-        ckpt.transfer(model, entries,
-                      include_prefixes=("video_embed.", "audio_embed.",
-                                        "video_encoder.", "audio_encoder.",
-                                        "iavcl."),
-                      exclude_prefixes=("iavcl.head.",))
-        model.iavcl.reinit_head(sample_rng(tcfg.seed, 0x4EAD))
-    log, _ = run_supervised(model, tcfg, clips, labels, steps=steps, log=log,
-                            clip_norm=clip_norm)
-    ckpt_path = out_dir / "checkpoint.avck"
+    warm_start(model, entries, manifest.get("stage"), tcfg.seed)
+    log, _ = run_supervised(model, tcfg, clips, labels, steps=steps, log=log)
     ckpt.save(ckpt_path, model, cfg, stage)
     return ckpt_path, log

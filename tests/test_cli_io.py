@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from avmae import checkpoint as ckpt
+from avmae import verify as verifymod
 from avmae.cli import main
 from avmae.config import preset
 from avmae.finetune import FinetuneModel
@@ -178,3 +179,81 @@ class TestCLI:
         code = main(["pretrain", "--config", str(cfg_path), "--data", str(data),
                      "--out", str(tmp_path / "y"), "--steps", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("config, field", [
+        ({"model": 5}, "model"),
+        ({"train": [2]}, "train"),
+        ({"train": {"batch": 0}}, "batch"),
+        ({"train": {"batch": -2}}, "batch"),
+        ({"train": {"epochs": -1}}, "epochs"),
+        ({"train": {"warmup_epochs": -1}}, "warmup_epochs"),
+        ({"model": {"encoder_heads": 0}}, "encoder_heads"),
+        ({"model": {"decoder_heads": 0}}, "decoder_heads"),
+        ({"model": {"fusion_heads": 0}}, "fusion_heads"),
+    ])
+    def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys,
+                                                    config, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        data = tmp_path / "data"
+        main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)])
+        out = tmp_path / "run"
+        code = main(["pretrain", "--config", str(cfg_path), "--data", str(data),
+                     "--out", str(out), "--steps", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    def test_zero_classes_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = main(["gen-data", "--task", "0", "--n", "2", "--out", str(out)])
+        assert code == 2
+        assert "at least one class" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_manifest_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.jsonl").write_text("")
+        code = main(["pretrain", "--data", str(data),
+                     "--out", str(tmp_path / "run"), "--steps", "1"])
+        assert code == 2
+        assert "lists no clips" in capsys.readouterr().err
+
+    def test_non_finite_gradient_exits_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"train": {"base_lr": 1e300}}))
+        data = tmp_path / "data"
+        main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)])
+        with np.errstate(all="ignore"):
+            code = main(["pretrain", "--config", str(cfg_path), "--data", str(data),
+                         "--out", str(tmp_path / "run"), "--steps", "3"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite gradient" in err
+
+
+class TestVerifyCommand:
+    def run_with(self, monkeypatch, capsys, results):
+        monkeypatch.setattr(verifymod, "property_suite", lambda grad_probes: results)
+        code = main(["verify"])
+        return code, capsys.readouterr().out
+
+    def test_failing_check_exits_1(self, monkeypatch, capsys):
+        code, out = self.run_with(monkeypatch, capsys, [
+            verifymod.CheckResult("fine", True, "ok"),
+            verifymod.CheckResult("broken", False, "went wrong")])
+        assert code == 1
+        assert "FAIL broken: went wrong" in out
+        assert "1/2 checks passed" in out
+
+    def test_all_passing_exits_0(self, monkeypatch, capsys):
+        code, out = self.run_with(monkeypatch, capsys, [
+            verifymod.CheckResult("fine", True, "ok")])
+        assert code == 0
+        assert "PASS fine: ok" in out
+
+    def test_check_names_unique(self):
+        names = [r.name for r in verifymod.property_suite(grad_probes=1)]
+        assert len(names) == len(set(names))

@@ -7,6 +7,7 @@ import pytest
 from avmae.config import (ModelConfig, TrainConfig, PRESET_INPUTS,
                           desk_train_config, load_config_file,
                           fullscale_train_config, preset, validate)
+from avmae.verify import check_config_fidelity
 
 
 class TestPresets:
@@ -17,17 +18,8 @@ class TestPresets:
         assert preset("H").encoder_dim == 768
 
     def test_architecture_rows(self):
-        expect = {
-            "B": (512, 8, 10, 384, 6, 4, 8, 2, [3, 6, 9]),
-            "L": (640, 10, 12, 512, 8, 4, 10, 2, [3, 7, 11]),
-            "H": (768, 12, 15, 640, 8, 4, 12, 2, [4, 9, 14]),
-        }
-        for name, row in expect.items():
-            cfg = preset(name)
-            got = (cfg.encoder_dim, cfg.encoder_heads, cfg.encoder_depth,
-                   cfg.decoder_dim, cfg.decoder_heads, cfg.decoder_depth,
-                   cfg.fusion_heads, cfg.fusion_depth, cfg.skip_indices)
-            assert got == row
+        result = check_config_fidelity()
+        assert result.passed, result.detail
 
     def test_shared_settings(self):
         for name in ("B", "L", "H"):

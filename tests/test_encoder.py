@@ -133,19 +133,6 @@ class TestLGILayer:
         probs_out = s1 + oracle_attention(n2, n2, att)
         assert np.allclose(ref_n2, probs_out, atol=1e-10)
 
-    def test_stage4_global_variant_runs(self):
-        cfg = preset("Tiny")
-        rng = np.random.default_rng(15)
-        layer = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng,
-                         stage4_global=True, dtype=np.float64)
-        seq = tiny_seq(dim=cfg.encoder_dim)
-        part = partition(seq, cfg.video_region)
-        locals_ = rng.normal(size=(64, cfg.encoder_dim))
-        s = rng.normal(size=(4, cfg.encoder_dim))
-        out_l, out_s = layer.forward(locals_, s, part)
-        d_l, d_s = layer.backward(np.ones_like(out_l), np.ones_like(out_s))
-        assert d_l.shape == locals_.shape and d_s.shape == s.shape
-
     def test_grad_check(self):
         report = run_grad_check("lgi_layer", tolerance=1e-4)
         assert report.passed, "\n".join(report.lines())

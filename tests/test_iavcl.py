@@ -1,5 +1,7 @@
 """The iterative correlation head: aggregation, units, refinement, HAFE."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,10 @@ from avmae.verify import run_grad_check
 from oracles import oracle_dier_chain, oracle_hafe
 
 
-def tiny_head(seed=0, num_outputs=3, num_units=None, dtype=np.float64):
+def tiny_head(seed=0, num_outputs=3, num_units=2, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    return IAVCLHead(preset("Tiny"), num_outputs, rng, num_units=num_units,
-                     dtype=dtype)
+    cfg = dataclasses.replace(preset("Tiny"), num_dier_units=num_units)
+    return IAVCLHead(cfg, num_outputs, rng, dtype=dtype)
 
 
 def tiny_snaps(seed, k=4, dim=32, layers=4):
@@ -178,22 +180,6 @@ class TestHead:
                              [s[perm] for s in snaps_v], training=True)
         head.clear_caches()
         assert np.allclose(out, out_p, atol=1e-9)
-
-    def test_regression_head_bounded_activation(self):
-        head = tiny_head(9)
-        head.task = "regression"
-        snaps_a, snaps_v = tiny_snaps(10)
-        out = head.forward(snaps_a, snaps_v, training=True)
-        head.clear_caches()
-        assert out.shape == (3,)
-        # huge inputs cannot blow up the pooled features beyond tanh range
-        big_a = [s * 1e4 for s in snaps_a]
-        big_v = [s * 1e4 for s in snaps_v]
-        head.er.conv.num_batches = 0
-        out_big = head.forward(big_a, big_v, training=True)
-        head.clear_caches()
-        bound = np.abs(head.head.weight.data).sum(axis=0) + np.abs(head.head.bias.data)
-        assert np.all(np.abs(out_big) <= bound + 1e-9)
 
     def test_unit_count_ablation_scaffold(self):
         """The head runs with one, two or four stacked units and shape

@@ -1,12 +1,15 @@
 """Reconstruction MSE, symmetric InfoNCE, smoothed cross-entropy."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from avmae.losses import (combine_pretrain_loss, cross_entropy_ls, info_nce,
-                          masked_mse)
+from avmae.config import PRESET_INPUTS, desk_train_config, preset
+from avmae.losses import cross_entropy_ls, info_nce, masked_mse
+from avmae.pretrain import PretrainModel
+from avmae.training import AdamW, SyntheticTask, pretrain_step, sample_rng
 
 
 class TestMaskedMSE:
@@ -128,11 +131,24 @@ class TestCrossEntropy:
 
 
 class TestCombination:
+    """pretrain_step's total is mse_a + mse_v + contrastive_weight * nce."""
+
+    @staticmethod
+    def step_stats(weight):
+        cfg = dataclasses.replace(preset("Tiny"), contrastive_weight=weight)
+        vshape, ashape = PRESET_INPUTS["Tiny"]
+        task = SyntheticTask(n_classes=2, video_shape=vshape, audio_shape=ashape, seed=4)
+        clips = [task.clip(i)[0] for i in range(2)]
+        model = PretrainModel(cfg, vshape, ashape, rng=sample_rng(0))
+        return pretrain_step(model, clips, [0, 1], 1, desk_train_config("pretrain"),
+                             AdamW(model.named_parameters()), 1e-4)
+
     def test_total_recomposition(self):
-        """total = mse_a + mse_v + lambda * sum of contrast terms."""
-        total = combine_pretrain_loss(0.4, 0.6, [2.0, 3.0, 1.5], 0.0025)
-        assert abs(total - (1.0 + 0.0025 * 6.5)) < 1e-15
+        stats = self.step_stats(0.0025)
+        assert stats["nce"] > 0
+        assert stats["loss"] == stats["mse_a"] + stats["mse_v"] + 0.0025 * stats["nce"]
 
     def test_zero_weight_degenerates(self):
-        total = combine_pretrain_loss(0.4, 0.6, [9.0, 9.0], 0.0)
-        assert total == 1.0
+        stats = self.step_stats(0.0)
+        assert stats["nce"] > 0
+        assert stats["loss"] == stats["mse_a"] + stats["mse_v"]

@@ -61,13 +61,6 @@ class TestAdamW:
         assert np.array_equal(p1[0].data, p2[0].data)
         assert np.array_equal(p1[1].data, p2[1].data)
 
-    def test_clip_norm_scales_gradients(self):
-        p = Parameter(np.zeros(4))
-        opt = AdamW([("p", p)], clip_norm=0.7)
-        p.grad[...] = np.array([3.0, 4.0, 0.0, 0.0])  # norm 5
-        opt.step(lr=0.0, weight_decay=0.0)
-        assert abs(np.linalg.norm(p.grad) - 0.7) < 1e-9
-
 
 class TestSchedule:
     def test_warmup_boundary_values(self):
