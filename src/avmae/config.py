@@ -78,6 +78,13 @@ class TrainConfig:
             raise ValueError("layer_decay must lie in [0, 1]")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must lie in [0, 1)")
+        if not 0.0 <= self.drop_path < 1.0:
+            raise ValueError(f"drop_path must lie in [0, 1), got {self.drop_path}")
+        if not 0.0 < self.base_lr < float("inf"):
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if self.stage == "pretrain" and (self.drop_path or self.label_smoothing):
+            # the reconstruction objective has neither, so a value would be ignored
+            raise ValueError("drop_path and label_smoothing must be 0 for the pretrain stage")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         for name in ("epochs", "warmup_epochs"):
@@ -92,14 +99,27 @@ class TrainConfig:
         return _from_dict(cls, "train", data, base)
 
 
+def _fits(annotation: str, value) -> bool:
+    """Whether a config-file (JSON) value has the type a field is annotated with."""
+    if annotation.startswith(("list", "tuple")):
+        return (isinstance(value, list) and all(_fits("int", v) for v in value)
+                and (annotation == "list[int]" or len(value) == annotation.count("int")))
+    kinds = {"int": int, "float": (int, float), "str": str}[annotation]
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _from_dict(cls, section: str, data: dict, base):
     """Build ``cls`` from a config-file section, optionally over ``base``."""
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
+    for name, value in data.items():
+        if not _fits(types[name], value):
+            raise ValueError(f"{section}.{name} must be {types[name]}, "
+                             f"got {json.dumps(value)}")
     if base is None:
-        missing = known - set(data)
+        missing = set(types) - set(data)
         if missing:
             raise ValueError(f"missing {section} config keys: {sorted(missing)}")
         merged = dict(data)

@@ -28,11 +28,16 @@ from .embedding import TokenSeq
 
 @dataclass
 class RegionPartition:
-    """Disjoint assignment of present tokens to spatial(-temporal) regions."""
+    """Disjoint assignment of present tokens to spatial(-temporal) regions.
 
-    members: list[np.ndarray]   # per region: indices into the present-token array
-    region_shape: tuple[int, ...]
-    grid: tuple[int, ...]
+    ``members[i]``: region i's indices into the present-token array, ascending.
+    ``groups``: one ``(size, ids [G], index [G, size])`` per distinct region
+    size, ascending, with ``index[g] == members[ids[g]]``, so one fancy index
+    gathers or scatters every region of that size.
+    """
+
+    members: list[np.ndarray]
+    groups: list[tuple[int, np.ndarray, np.ndarray]]
 
     @property
     def n_regions(self) -> int:
@@ -61,25 +66,21 @@ def partition(seq: TokenSeq, region_shape, visible_mask: np.ndarray | None = Non
     if visible_mask is not None:
         coords = coords[~visible_mask]
     region_coord = coords // np.asarray(region_shape, dtype=np.int64)
-    flat = np.zeros(region_coord.shape[0], dtype=np.int64)
-    for axis, rg in enumerate(region_grid):
-        flat = flat * rg + region_coord[:, axis]
+    flat = np.ravel_multi_index(tuple(region_coord.T), region_grid)
     n_regions = int(np.prod(region_grid))
-    members = [np.flatnonzero(flat == i) for i in range(n_regions)]
-    return RegionPartition(members, tuple(region_shape), grid)
+    # region i owns order[starts[i]:starts[i] + counts[i]], ascending
+    order = np.argsort(flat, kind="stable").astype(np.int64)
+    counts = np.bincount(flat, minlength=n_regions)
+    starts = np.cumsum(counts) - counts
+    members = np.split(order, starts[1:])
+    groups = [(int(n), np.flatnonzero(counts == n)) for n in np.unique(counts)]
+    groups = [(n, ids, order[starts[ids, None] + np.arange(n)]) for n, ids in groups]
+    return RegionPartition(members, groups)
 
 
 def score_entries_stage12(part: RegionPartition) -> int:
     """Attention score-matrix entries spent by stages I and II of one layer."""
     return sum((m.size + 1) ** 2 for m in part.members) + part.n_regions ** 2
-
-
-def _size_groups(members) -> list[tuple[int, list[int]]]:
-    """Regions bucketed by member count so equal-size regions batch."""
-    buckets: dict[int, list[int]] = {}
-    for i, m in enumerate(members):
-        buckets.setdefault(m.size, []).append(i)
-    return sorted(buckets.items())
 
 
 class LGILayer(Block):
@@ -114,20 +115,16 @@ class LGILayer(Block):
                 rng: np.random.Generator | None = None, drop_path: float = 0.0):
         keeps = [self._keep(rng, drop_path) for _ in range(6)]
         (k1, c1), (k2, c2), (k3, c3), (k4, c4), (kfl, cfl), (kfs, cfs) = keeps
-        groups = _size_groups(part.members)
-        members = part.members
 
         # stage I: aggregate local information into each region token
         locals1 = locals_.copy()
         s1 = np.empty_like(s)
-        for size, idxs in groups:
-            x = np.stack([np.concatenate([s[i:i + 1], locals_[members[i]]])
-                          for i in idxs])             # [G, size+1, C]
+        for size, ids, m in part.groups:
+            x = np.concatenate([s[ids][:, None], locals_[m]], axis=1)  # [G, size+1, C]
             if k1:
                 x = x + c1 * self.attn_local.forward(self.norm1.forward(x))
-            for g, i in enumerate(idxs):
-                s1[i] = x[g, 0]
-                locals1[members[i]] = x[g, 1:]
+            s1[ids] = x[:, 0]
+            locals1[m] = x[:, 1:]
 
         # stage II: exchange information across region tokens
         if k2:
@@ -135,31 +132,28 @@ class LGILayer(Block):
         else:
             s2 = s1
 
-        # stage III: locals read the globally-aware region tokens
+        # stage III: locals read the globally-aware region tokens; empty
+        # regions have no queries (and in stage IV no keys), so they skip
         locals2 = locals1.copy()
         if k3:
             q_all = self.norm3_q.forward(locals1)
             kv = self.norm3_kv.forward(s2)
-            for size, idxs in groups:
+            for size, ids, m in part.groups:
                 if size == 0:
                     continue
-                q = np.stack([q_all[members[i]] for i in idxs])
-                out = self.cross_local.forward(q, kv)  # shared kv broadcast
-                for g, i in enumerate(idxs):
-                    locals2[members[i]] = locals1[members[i]] + c3 * out[g]
+                out = self.cross_local.forward(q_all[m], kv)  # shared kv broadcast
+                locals2[m] = locals1[m] + c3 * out
 
         # stage IV: region tokens read local tokens back
         s3 = s2.copy()
         if k4:
             q_all = self.norm4_q.forward(s2)
             kv_all = self.norm4_kv.forward(locals2)
-            for size, idxs in groups:
+            for size, ids, m in part.groups:
                 if size == 0:
                     continue
-                q = q_all[idxs][:, None, :]        # [G, 1, C]
-                kv = np.stack([kv_all[members[i]] for i in idxs])
-                out = self.cross_region.forward(q, kv)
-                s3[idxs] = s2[idxs] + c4 * out[:, 0, :]
+                out = self.cross_region.forward(q_all[ids][:, None], kv_all[m])
+                s3[ids] = s2[ids] + c4 * out[:, 0]
 
         # shared feed-forward on locals, then on region tokens
         if kfl:
@@ -171,13 +165,12 @@ class LGILayer(Block):
         else:
             s4 = s3
 
-        self._save(part, groups, keeps)
+        self._save(part.groups, keeps)
         return locals3, s4
 
     def backward(self, d_locals3: np.ndarray, d_s4: np.ndarray):
-        part, groups, keeps = self._load()
+        groups, keeps = self._load()
         (k1, c1), (k2, c2), (k3, c3), (k4, c4), (kfl, cfl), (kfs, cfs) = keeps
-        members = part.members
 
         if kfs:
             d_h = self.ffn.backward(cfs * d_s4)
@@ -194,14 +187,12 @@ class LGILayer(Block):
         if k4:
             d_q_all = np.zeros_like(d_s3)
             d_kv_all = np.zeros_like(d_locals2)
-            for size, idxs in reversed(groups):
+            for size, ids, m in reversed(groups):
                 if size == 0:
                     continue
-                d_out = (c4 * d_s3[idxs])[:, None, :]
-                d_q, d_kv = self.cross_region.backward(d_out)
-                d_q_all[idxs] += d_q[:, 0, :]
-                for g, i in enumerate(idxs):
-                    d_kv_all[members[i]] += d_kv[g]
+                d_q, d_kv = self.cross_region.backward((c4 * d_s3[ids])[:, None])
+                d_q_all[ids] += d_q[:, 0]
+                d_kv_all[m] += d_kv
             d_locals2 = d_locals2 + self.norm4_kv.backward(d_kv_all)
             d_s2 = d_s2 + self.norm4_q.backward(d_q_all)
 
@@ -209,13 +200,11 @@ class LGILayer(Block):
         if k3:
             d_q_all = np.zeros_like(d_locals2)
             d_kv_total = np.zeros_like(d_s2)
-            for size, idxs in reversed(groups):
+            for size, ids, m in reversed(groups):
                 if size == 0:
                     continue
-                d_out = np.stack([c3 * d_locals2[members[i]] for i in idxs])
-                d_q, d_kv = self.cross_local.backward(d_out)
-                for g, i in enumerate(idxs):
-                    d_q_all[members[i]] += d_q[g]
+                d_q, d_kv = self.cross_local.backward(c3 * d_locals2[m])
+                d_q_all[m] += d_q
                 d_kv_total += d_kv
             d_s2 = d_s2 + self.norm3_kv.backward(d_kv_total)
             d_locals1 = d_locals1 + self.norm3_q.backward(d_q_all)
@@ -228,15 +217,13 @@ class LGILayer(Block):
 
         d_locals = np.zeros_like(d_locals1)
         d_s = np.zeros_like(d_s1)
-        for size, idxs in reversed(groups):
-            d_x = np.stack([np.concatenate([d_s1[i:i + 1], d_locals1[members[i]]])
-                            for i in idxs])
+        for size, ids, m in reversed(groups):
+            d_x = np.concatenate([d_s1[ids][:, None], d_locals1[m]], axis=1)
             if k1:
                 d_q, d_kv = self.attn_local.backward(c1 * d_x)
                 d_x = d_x + self.norm1.backward(d_q + d_kv)
-            for g, i in enumerate(idxs):
-                d_s[i] = d_x[g, 0]
-                d_locals[members[i]] = d_x[g, 1:]
+            d_s[ids] = d_x[:, 0]
+            d_locals[m] = d_x[:, 1:]
         return d_locals, d_s
 
 
@@ -277,28 +264,19 @@ class LGIEncoder(Block):
             if idx in self.cfg.skip_indices:
                 skip_locals[idx] = locals_
                 pooled[idx] = s.mean(axis=0)
-        self._save(part.n_regions,)
         return snapshots, locals_, skip_locals, pooled
 
     def backward(self, d_locals: np.ndarray,
-                 d_snapshots: list[np.ndarray | None] | None = None,
+                 d_snapshots: list[np.ndarray] | None = None,
                  d_skip_locals: dict[int, np.ndarray] | None = None,
                  d_pooled: dict[int, np.ndarray] | None = None) -> np.ndarray:
-        (k,) = self._load()
-        d_s = None
-        d_locals = d_locals.copy()
+        k = self.n_regions
+        d_s = np.zeros((k, d_locals.shape[1]), dtype=d_locals.dtype)
         for idx in reversed(range(len(self.layers))):
-            extra = None
-            if d_snapshots is not None and d_snapshots[idx] is not None:
-                extra = d_snapshots[idx].copy()
+            if d_snapshots is not None:
+                d_s = d_s + d_snapshots[idx]
             if d_pooled is not None and idx in d_pooled:
-                spread = np.tile(d_pooled[idx] / k, (k, 1))
-                extra = spread if extra is None else extra + spread
-            if d_s is None:
-                d_s = extra if extra is not None else np.zeros(
-                    (k, d_locals.shape[1]), dtype=d_locals.dtype)
-            elif extra is not None:
-                d_s = d_s + extra
+                d_s = d_s + d_pooled[idx] / k
             if d_skip_locals is not None and idx in d_skip_locals:
                 d_locals = d_locals + d_skip_locals[idx]
             d_locals, d_s = self.layers[idx].backward(d_locals, d_s)

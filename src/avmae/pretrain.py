@@ -195,8 +195,7 @@ class PretrainModel(Block):
         self.video_decoder = Decoder(cfg, self.video_embed.patch_dim, rng, dtype=dtype)
         self.audio_decoder = Decoder(cfg, self.audio_embed.patch_dim, rng, dtype=dtype)
 
-    def forward_sample(self, clip: RawClip, pair_v: MaskPair, pair_a: MaskPair,
-                       rng: np.random.Generator | None = None, drop_path: float = 0.0):
+    def forward_sample(self, clip: RawClip, pair_v: MaskPair, pair_a: MaskPair):
         """One clip through the full reconstruction graph.
 
         Returns predictions, normalised targets at the target positions, and
@@ -213,8 +212,7 @@ class PretrainModel(Block):
                 raise ValueError(f"{modality} mask size does not match token count")
             part = partition(seq, region, visible_mask=pair.encoder_mask)
             visible = seq.tokens[pair.visible_indices]
-            snaps, locals_, skip_locals, pooled = encoder.encode(
-                visible, part, rng=rng, drop_path=drop_path)
+            _, locals_, skip_locals, pooled = encoder.encode(visible, part)
             out[modality] = dict(seq=seq, pair=pair, part=part, locals=locals_,
                                  skip_locals=skip_locals, pooled=pooled)
 

@@ -305,9 +305,8 @@ def pretrain_step(model: PretrainModel, clips, indices, step: int,
     mse_a = float(np.mean(mse_terms["audio"]))
 
     nce_total = 0.0
-    d_pooled = [(None, None)] * b
+    d_pooled = {"video": [{} for _ in range(b)], "audio": [{} for _ in range(b)]}
     if b >= 2:
-        d_pooled = [({}, {}) for _ in range(b)]
         for skip_idx in cfg.skip_indices:
             feats_a = np.stack([res["audio"]["pooled"][skip_idx] for res in results])
             feats_v = np.stack([res["video"]["pooled"][skip_idx] for res in results])
@@ -317,15 +316,14 @@ def pretrain_step(model: PretrainModel, clips, indices, step: int,
             nce_total += nce
             lam = cfg.contrastive_weight
             for j in range(b):
-                d_pooled[j][0][skip_idx] = (lam * d_a[j]).astype(d_preds["video"][j].dtype)
-                d_pooled[j][1][skip_idx] = (lam * d_v[j]).astype(d_preds["video"][j].dtype)
+                d_pooled["audio"][j][skip_idx] = (lam * d_a[j]).astype(d_preds["video"][j].dtype)
+                d_pooled["video"][j][skip_idx] = (lam * d_v[j]).astype(d_preds["video"][j].dtype)
 
     total = mse_a + mse_v + cfg.contrastive_weight * nce_total
 
     for j in reversed(range(b)):
-        pooled_a, pooled_v = d_pooled[j]
         model.backward_sample(d_preds["video"][j], d_preds["audio"][j],
-                              pooled_v, pooled_a)
+                              d_pooled["video"][j], d_pooled["audio"][j])
     optimizer.step(lr, tcfg.weight_decay)
     model.zero_grad()
     return {"loss": total, "mse_a": mse_a, "mse_v": mse_v, "nce": nce_total}

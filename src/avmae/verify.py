@@ -131,11 +131,11 @@ def _tiny_video_partition(masked: bool):
     mask = None
     if masked:
         mask = tube_mask(*grid, VIDEO_ENCODER_MASK_RATIO, np.random.default_rng(11))
-    return cfg, partition(seq, cfg.video_region, visible_mask=mask), mask
+    return cfg, partition(seq, cfg.video_region, visible_mask=mask)
 
 
 def _check_lgi_layer(tol, probes):
-    cfg, part, mask = _tiny_video_partition(masked=True)
+    cfg, part = _tiny_video_partition(masked=True)
     rng = np.random.default_rng(4)
     block = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng, dtype=np.float64)
     n = sum(part.sizes())
@@ -450,10 +450,13 @@ def check_preset_validation() -> CheckResult:
     return CheckResult("preset_validation", True, "all presets validate")
 
 
+def _b_mask_pairs():
+    """The B-preset mask pair the mask-arithmetic and decoder-cost checks read."""
+    return make_mask_pairs(preset("B"), *PRESET_INPUTS["B"], np.random.default_rng(0))
+
+
 def check_mask_arithmetic() -> CheckResult:
-    cfg = preset("B")
-    rng = np.random.default_rng(0)
-    pair_v, pair_a = make_mask_pairs(cfg, *PRESET_INPUTS["B"], rng)
+    pair_v, pair_a = _b_mask_pairs()
     vis_v = int((~pair_v.encoder_mask).sum())
     vis_a = int((~pair_a.encoder_mask).sum())
     tgt_v = int(pair_v.decoder_targets.sum())
@@ -464,8 +467,9 @@ def check_mask_arithmetic() -> CheckResult:
 
 
 def check_decoder_cost() -> CheckResult:
-    dual = (80 + 400) ** 2
-    full = 800 ** 2
+    pair_v, _ = _b_mask_pairs()  # decoder length: visible + target tokens
+    dual = (pair_v.visible_indices.size + pair_v.target_indices.size) ** 2
+    full = pair_v.n_tokens ** 2
     return CheckResult("decoder_cost_ratio", dual <= 0.36 * full,
                        f"{dual} <= 0.36 * {full}")
 
@@ -578,7 +582,7 @@ def check_encoder_identity() -> CheckResult:
             att.b_o.data[...] = 0.0
         layer.ffn.fc2.weight.data[...] = 0.0
         layer.ffn.fc2.bias.data[...] = 0.0
-    _, part, _ = _tiny_video_partition(masked=False)
+    _, part = _tiny_video_partition(masked=False)
     tokens = rng.normal(size=(64, cfg.encoder_dim))
     _, locals_, _, _ = enc.encode(tokens, part)
     enc.clear_caches()
@@ -588,7 +592,7 @@ def check_encoder_identity() -> CheckResult:
 
 
 def check_complexity_bound() -> CheckResult:
-    _, part, _ = _tiny_video_partition(masked=False)
+    _, part = _tiny_video_partition(masked=False)
     n = sum(part.sizes())
     k = part.n_regions
     entries = score_entries_stage12(part)

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 complete. The training-based criteria use the desk-scale Tiny recipes.
 """
 
+import functools
 import math
 import time
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from avmae import checkpoint as ckpt
+from avmae import verify
 from avmae.config import PRESET_INPUTS, desk_train_config, preset
 from avmae.finetune import FinetuneModel
 from avmae.iavcl import DiERUnit, HAFELayer
@@ -44,6 +46,15 @@ class TestA2DecoderCost:
     def test_a2_arithmetic(self):
         result = check_decoder_cost()
         report("A2 decoder score entries", result.passed, result.detail)
+
+    def test_a2_arithmetic_fails_for_full_length_targets(self, monkeypatch):
+        """Without dual masking every masked token is a decoder target, so
+        the decoder runs at full length and the cost bound must fail."""
+        monkeypatch.setattr(verify, "make_mask_pairs",
+                            functools.partial(make_mask_pairs, dual_masking=False))
+        result = check_decoder_cost()
+        assert not result.passed
+        assert result.detail == "640000 <= 0.36 * 640000"
 
     def test_a2_wall_clock(self):
         result = check_dual_masking_speed()

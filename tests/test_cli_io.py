@@ -190,6 +190,24 @@ class TestCLI:
         ({"model": {"encoder_heads": 0}}, "encoder_heads"),
         ({"model": {"decoder_heads": 0}}, "decoder_heads"),
         ({"model": {"fusion_heads": 0}}, "fusion_heads"),
+        ({"train": {"batch": "x"}}, "batch"),
+        ({"train": {"batch": 1.5}}, "batch"),
+        ({"train": {"batch": True}}, "batch"),
+        ({"train": {"seed": 1.5}}, "seed"),
+        ({"train": {"stage": 1}}, "stage"),
+        ({"train": {"base_lr": True}}, "base_lr"),
+        ({"model": {"encoder_heads": "4"}}, "encoder_heads"),
+        ({"model": {"skip_indices": 3}}, "skip_indices"),
+        ({"model": {"skip_indices": [1.0, 3]}}, "skip_indices"),
+        ({"model": {"video_region": [2, 2]}}, "video_region"),
+        ({"model": {"contrastive_temperature": "0.07"}}, "contrastive_temperature"),
+        ({"train": {"drop_path": 1.5}}, "drop_path"),
+        ({"train": {"drop_path": -1}}, "drop_path"),
+        ({"train": {"base_lr": -1}}, "base_lr"),
+        ({"train": {"base_lr": 0}}, "base_lr"),
+        ({"train": {"base_lr": float("inf")}}, "base_lr"),
+        ({"train": {"drop_path": 0.1}}, "drop_path"),
+        ({"train": {"label_smoothing": 0.1}}, "label_smoothing"),
     ])
     def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys,
                                                     config, field):

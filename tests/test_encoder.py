@@ -50,6 +50,21 @@ class TestPartition:
         assert len(joined) == 64
         assert len(np.unique(joined)) == 64
 
+    @pytest.mark.parametrize("mask_seed", [None, 0, 11])
+    def test_groups_list_each_region_once_by_size(self, mask_seed):
+        seq = tiny_seq()
+        mask = (None if mask_seed is None
+                else tube_mask(4, 4, 4, 0.9, np.random.default_rng(mask_seed)))
+        part = partition(seq, (2, 2, 4), visible_mask=mask)
+        sizes = [size for size, _, _ in part.groups]
+        assert sizes == sorted(set(part.sizes()))
+        ids = np.concatenate([ids for _, ids, _ in part.groups])
+        assert sorted(ids.tolist()) == list(range(part.n_regions))
+        for size, ids, index in part.groups:
+            assert index.shape == (ids.size, size)
+            for region, row in zip(ids, index):
+                assert np.array_equal(row, part.members[region])
+
     def test_members_follow_grid_coordinates(self):
         seq = tiny_seq(grid=(2, 4, 4), dim=8)
         part = partition(seq, (2, 2, 2))
@@ -59,14 +74,24 @@ class TestPartition:
         assert flat_111 in part.members[0]
 
 
+def ragged_mask(sizes, seed=0):
+    """A visible mask on the 4x4x4 grid keeping ``sizes[r]`` random tokens
+    of each Tiny video region r."""
+    full = partition(tiny_seq(), preset("Tiny").video_region)
+    rng = np.random.default_rng(seed)
+    keep = np.concatenate([rng.choice(m, n, replace=False)
+                           for m, n in zip(full.members, sizes)])
+    mask = np.ones(64, dtype=bool)
+    mask[keep] = False
+    return mask
+
+
 class TestLGILayer:
-    def build(self, seed=11, masked=False, dtype=np.float64):
+    def build(self, seed=11, mask=None, dtype=np.float64):
         cfg = preset("Tiny")
         rng = np.random.default_rng(seed)
         layer = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng, dtype=dtype)
         seq = tiny_seq(dim=cfg.encoder_dim)
-        mask = (tube_mask(4, 4, 4, 0.9, np.random.default_rng(0))
-                if masked else None)
         part = partition(seq, cfg.video_region, visible_mask=mask)
         n = sum(part.sizes())
         locals_ = rng.normal(size=(n, cfg.encoder_dim))
@@ -81,8 +106,14 @@ class TestLGILayer:
         assert np.max(np.abs(out_l - ref_l)) < 1e-5
         assert np.max(np.abs(out_s - ref_s)) < 1e-5
 
-    def test_matches_oracle_under_masking(self):
-        layer, locals_, s, part = self.build(seed=12, masked=True)
+    @pytest.mark.parametrize("mask, sizes", [
+        (tube_mask(4, 4, 4, 0.9, np.random.default_rng(0)), [2, 2, 2, 2]),
+        (tube_mask(4, 4, 4, 0.9, np.random.default_rng(11)), [0, 4, 0, 4]),
+        (ragged_mask([3, 1, 5, 1]), [3, 1, 5, 1]),
+    ], ids=["equal", "empty", "ragged"])
+    def test_matches_oracle_under_masking(self, mask, sizes):
+        layer, locals_, s, part = self.build(seed=12, mask=mask)
+        assert part.sizes() == sizes
         out_l, out_s = layer.forward(locals_, s, part)
         layer.clear_caches()
         ref_l, ref_s = oracle_lgi_layer(locals_, s, part.members, layer)
