@@ -10,6 +10,14 @@ as long as the composite backward runs in exact reverse order.
 
 There is no taping of arbitrary graphs: composite modules chain these
 backwards by hand.
+
+A parameter's ``data`` and ``grad`` may be views into one flat buffer shared
+by the whole model (the optimizer packs them), so they are written in place
+(``[...] =``, ``+=``) and never rebound.
+
+Reductions call the ufunc reductions (``np.add.reduce``, ``np.maximum.reduce``)
+and divide in place: that is what ``np.mean``/``np.var`` do, bit for bit,
+without their Python wrappers.
 """
 
 from __future__ import annotations
@@ -89,12 +97,19 @@ class Block:
             yield from child.named_parameters(prefix + name + ".")
 
     def parameters(self):
-        for _, p in self.named_parameters():
-            yield p
+        yield from self._params.values()
+        for child in self._children.values():
+            yield from child.parameters()
 
     def zero_grad(self):
-        for p in self.parameters():
-            p.grad.fill(0.0)
+        grads = [p.grad for p in self.parameters()]
+        arena = grads[0].base if grads else None
+        if (arena is not None and arena.size == sum(g.size for g in grads)
+                and all(g.base is arena for g in grads)):
+            arena.fill(0.0)  # the grads tile one packed buffer
+            return
+        for g in grads:
+            g.fill(0.0)
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -147,14 +162,30 @@ class BlockList(Block):
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Row-max-subtracted softmax; rows sum to one."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 def softmax_backward(out: np.ndarray, d_out: np.ndarray, axis: int = -1) -> np.ndarray:
-    dot = np.sum(d_out * out, axis=axis, keepdims=True)
-    return out * (d_out - dot)
+    d_in = d_out - np.add.reduce(d_out * out, axis=axis, keepdims=True)
+    d_in *= out
+    return d_in
+
+
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``, bit for bit."""
+    out = np.add.reduce(x, axis=-1, keepdims=True)
+    out /= x.shape[-1]
+    return out
+
+
+def _mean_rows(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=0)``, bit for bit."""
+    out = np.add.reduce(x, axis=0)
+    out /= x.shape[0]
+    return out
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -218,7 +249,7 @@ class Linear(Block):
         flat_d = d_out.reshape(-1, self.d_out)
         self.weight.grad += flat_x.T @ flat_d
         if self.bias is not None:
-            self.bias.grad += flat_d.sum(axis=0)
+            self.bias.grad += np.add.reduce(flat_d, axis=0)
         return (flat_d @ self.weight.data.T).reshape(x.shape)
 
 
@@ -233,23 +264,28 @@ class LayerNorm(Block):
         self.shift = Parameter(np.zeros(dim, dtype=dtype))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = np.mean(xc * xc, axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = xc * inv
+        xhat = x - _mean_last(x)
+        inv = _mean_last(xhat * xhat)
+        inv += self.eps
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        xhat *= inv
         self._save(xhat, inv)
-        return xhat * self.scale.data + self.shift.data
+        out = xhat * self.scale.data
+        out += self.shift.data
+        return out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         xhat, inv = self._load()
         red = tuple(range(d_out.ndim - 1))
-        self.scale.grad += (d_out * xhat).sum(axis=red)
-        self.shift.grad += d_out.sum(axis=red)
+        self.scale.grad += np.add.reduce(d_out * xhat, axis=red)
+        self.shift.grad += np.add.reduce(d_out, axis=red)
         d_xhat = d_out * self.scale.data
-        return inv * (d_xhat
-                      - d_xhat.mean(axis=-1, keepdims=True)
-                      - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True))
+        d_in = d_xhat - _mean_last(d_xhat)
+        d_xhat *= xhat
+        d_in -= xhat * _mean_last(d_xhat)
+        d_in *= inv
+        return d_in
 
 
 class Attention(Block):
@@ -299,7 +335,8 @@ class Attention(Block):
         k = self._split(kv3 @ self.w_k.data + self.b_k.data)
         v = self._split(kv3 @ self.w_v.data + self.b_v.data)
         # a 2D kv alongside batched queries broadcasts as shared keys/values
-        scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.head_dim)
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores /= math.sqrt(self.head_dim)
         probs = softmax(scores, axis=-1)
         ctx = probs @ v                       # [B, H, Tq, d]
         merged = self._merge(ctx)
@@ -319,11 +356,12 @@ class Attention(Block):
         q3, kv3, q, k, v, probs, merged, squeeze, kv_2d = self._load()
         d3 = d_out[None] if squeeze else d_out
         self.w_o.grad += merged.reshape(-1, self.dim).T @ d3.reshape(-1, self.dim)
-        self.b_o.grad += d3.reshape(-1, self.dim).sum(axis=0)
+        self.b_o.grad += np.add.reduce(d3.reshape(-1, self.dim), axis=0)
         d_ctx = self._split(d3 @ self.w_o.data.T)
         d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
         d_v = probs.transpose(0, 1, 3, 2) @ d_ctx
-        d_scores = softmax_backward(probs, d_probs) / math.sqrt(self.head_dim)
+        d_scores = softmax_backward(probs, d_probs)
+        d_scores /= math.sqrt(self.head_dim)
         d_q = d_scores @ k
         d_k = d_scores.transpose(0, 1, 3, 2) @ q
         d_qf, d_kf, d_vf = self._merge(d_q), self._merge(d_k), self._merge(d_v)
@@ -332,23 +370,23 @@ class Attention(Block):
             return a.reshape(-1, self.dim)
 
         self.w_q.grad += flat(q3).T @ flat(d_qf)
-        self.b_q.grad += flat(d_qf).sum(axis=0)
+        self.b_q.grad += np.add.reduce(flat(d_qf), axis=0)
         d_q_in = d_qf @ self.w_q.data.T
         if kv_2d:
             # shared keys/values: reduce the batch axis before the projections
-            d_kf2 = d_kf.sum(axis=0)
-            d_vf2 = d_vf.sum(axis=0)
+            d_kf2 = np.add.reduce(d_kf, axis=0)
+            d_vf2 = np.add.reduce(d_vf, axis=0)
             kv2 = kv3[0]
             self.w_k.grad += kv2.T @ d_kf2
-            self.b_k.grad += d_kf2.sum(axis=0)
+            self.b_k.grad += np.add.reduce(d_kf2, axis=0)
             self.w_v.grad += kv2.T @ d_vf2
-            self.b_v.grad += d_vf2.sum(axis=0)
+            self.b_v.grad += np.add.reduce(d_vf2, axis=0)
             d_kv_in = d_kf2 @ self.w_k.data.T + d_vf2 @ self.w_v.data.T
         else:
             self.w_k.grad += flat(kv3).T @ flat(d_kf)
-            self.b_k.grad += flat(d_kf).sum(axis=0)
+            self.b_k.grad += np.add.reduce(flat(d_kf), axis=0)
             self.w_v.grad += flat(kv3).T @ flat(d_vf)
-            self.b_v.grad += flat(d_vf).sum(axis=0)
+            self.b_v.grad += np.add.reduce(flat(d_vf), axis=0)
             d_kv_in = d_kf @ self.w_k.data.T + d_vf @ self.w_v.data.T
         if squeeze:
             return d_q_in[0], d_kv_in
@@ -399,8 +437,9 @@ class ConvBNPReLU(Block):
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         y = self.conv.forward(x)
         if training:
-            mu = y.mean(axis=0)
-            var = y.var(axis=0)
+            mu = _mean_rows(y)
+            yc = y - mu
+            var = _mean_rows(yc * yc)
             if self.num_batches == 0:
                 self.running_mean = mu.astype(self.running_mean.dtype)
                 self.running_var = var.astype(self.running_var.dtype)
@@ -412,10 +451,10 @@ class ConvBNPReLU(Block):
         else:
             if self.num_batches == 0:
                 raise RuntimeError("eval mode before any statistics accumulated")
-            mu = self.running_mean
+            yc = y - self.running_mean
             var = self.running_var
         inv = 1.0 / np.sqrt(var + BATCHNORM_EPS)
-        yhat = (y - mu) * inv
+        yhat = yc * inv
         z = yhat * self.bn_scale.data + self.bn_shift.data
         neg = z < 0
         out = np.where(neg, z * self.prelu_slope.data, z)
@@ -425,14 +464,15 @@ class ConvBNPReLU(Block):
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         yhat, inv, z, neg, training, n = self._load()
         d_z = np.where(neg, d_out * self.prelu_slope.data, d_out)
-        self.prelu_slope.grad += np.where(neg, d_out * z, 0.0).sum(axis=0)
-        self.bn_scale.grad += (d_z * yhat).sum(axis=0)
-        self.bn_shift.grad += d_z.sum(axis=0)
+        self.prelu_slope.grad += np.add.reduce(np.where(neg, d_out * z, 0.0), axis=0)
+        self.bn_scale.grad += np.add.reduce(d_z * yhat, axis=0)
+        self.bn_shift.grad += np.add.reduce(d_z, axis=0)
         d_yhat = d_z * self.bn_scale.data
         if training:
-            d_y = inv * (d_yhat
-                         - d_yhat.mean(axis=0)
-                         - yhat * (d_yhat * yhat).mean(axis=0))
+            d_y = d_yhat - _mean_rows(d_yhat)
+            d_yhat *= yhat
+            d_y -= yhat * _mean_rows(d_yhat)
+            d_y *= inv
         else:
             d_y = d_yhat * inv
         return self.conv.backward(d_y)

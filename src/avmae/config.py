@@ -36,9 +36,16 @@ class ModelConfig:
     contrastive_weight: float
 
     def __post_init__(self):
-        for name in ("encoder_heads", "decoder_heads", "fusion_heads", "num_dier_units"):
+        for name in ("encoder_dim", "decoder_dim", "encoder_heads", "decoder_heads",
+                     "fusion_heads", "num_dier_units"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.contrastive_temperature < float("inf"):
+            raise ValueError("contrastive_temperature must be positive and finite, "
+                             f"got {self.contrastive_temperature}")
+        if not 0.0 <= self.contrastive_weight < float("inf"):
+            raise ValueError("contrastive_weight must be >= 0 and finite, "
+                             f"got {self.contrastive_weight}")
         self.skip_indices = list(self.skip_indices)
         self.video_region = tuple(self.video_region)
         self.audio_region = tuple(self.audio_region)
@@ -82,6 +89,8 @@ class TrainConfig:
             raise ValueError(f"drop_path must lie in [0, 1), got {self.drop_path}")
         if not 0.0 < self.base_lr < float("inf"):
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if not 0.0 <= self.weight_decay < float("inf"):
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.stage == "pretrain" and (self.drop_path or self.label_smoothing):
             # the reconstruction objective has neither, so a value would be ignored
             raise ValueError("drop_path and label_smoothing must be 0 for the pretrain stage")

@@ -37,6 +37,7 @@ class TokenSeq:
     coords: np.ndarray        # [N, ndim] integer grid coordinates
     grid: tuple[int, ...]
     modality: str
+    positions: np.ndarray | None = None  # [N, C] the positional codes added
 
     def __post_init__(self):
         n = int(np.prod(self.grid))
@@ -106,14 +107,21 @@ class PatchEmbed(Block):
         self.patch_dim = int(np.prod(self.patch)) * self.channels
         self.proj = Linear(self.patch_dim, cfg.encoder_dim, rng, dtype=dtype)
         self.dtype = dtype
+        self._codes = {}  # grid -> (coords, positional codes), read-only and shared
 
     def forward(self, raw: np.ndarray) -> TokenSeq:
         grid = self.grid(self.cfg, raw.shape[:len(self.patch)])
         patches = self.patchify(raw, self.patch).astype(self.dtype)
-        coords = grid_coords(grid)
+        if grid not in self._codes:
+            coords = grid_coords(grid)
+            codes = (coords, positional_encoding(coords, self.cfg.encoder_dim, self.dtype))
+            for arr in codes:
+                arr.flags.writeable = False
+            self._codes[grid] = codes
+        coords, positions = self._codes[grid]
         tokens = self.proj.forward(patches)
-        tokens = tokens + positional_encoding(coords, self.cfg.encoder_dim, self.dtype)
-        return TokenSeq(tokens, coords, grid, self.modality)
+        tokens = tokens + positions
+        return TokenSeq(tokens, coords, grid, self.modality, positions)
 
     def backward(self, d_tokens: np.ndarray) -> None:
         self.proj.backward(d_tokens)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .blocks import Block
+from .blocks import DEFAULT_DTYPE, Block
 from .config import DECODER_MASK_RATIO, ModelConfig, TrainConfig
 from .embedding import RawClip, read_clip, write_clip
 from .finetune import FinetuneModel
@@ -26,6 +26,7 @@ from .losses import cross_entropy_ls, info_nce, masked_mse
 from .pretrain import PretrainModel, make_mask_pairs
 
 LR_FLOOR = 1e-6
+_ADAMW_CHUNK = 1 << 14  # elements per AdamW pass; sizes its scratch buffers
 
 
 def worker_count() -> int:
@@ -50,6 +51,13 @@ class AdamW:
     Decay multiplies parameters by (1 - lr * wd) independently of the
     gradient path; per-parameter learning-rate multipliers implement
     layer-wise decay.
+
+    The parameters are packed into one flat ``data`` and one flat ``grad``
+    buffer, and each ``Parameter.data``/``.grad`` becomes a view of its
+    slice, so a step is a few vector operations over the whole model. It
+    runs in chunks through scratch buffers allocated here, so it allocates
+    nothing; the arithmetic per element is that of an update of each
+    parameter on its own.
     """
 
     def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.95,
@@ -58,31 +66,77 @@ class AdamW:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.lr_scales = lr_scales or {}
         self.t = 0
-        self.m = {name: np.zeros_like(p.data, dtype=np.float64)
-                  for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data, dtype=np.float64)
-                  for name, p in self.params}
+        dtypes = {p.data.dtype for _, p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError("AdamW needs parameters of one dtype, got "
+                             + ", ".join(sorted(str(d) for d in dtypes)))
+        dtype = dtypes.pop() if dtypes else DEFAULT_DTYPE
+        sizes = [p.size for _, p in self.params]
+        offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        total = int(offsets[-1])
+        self.data = np.empty(total, dtype=dtype)
+        self.grad = np.empty(total, dtype=dtype)
+        scales = lr_scales or {}
+        self.lr_scales = np.empty(total, dtype=np.float64)
+        for (name, p), start, stop in zip(self.params, offsets[:-1], offsets[1:]):
+            shape = p.shape
+            self.data[start:stop] = p.data.ravel()
+            self.grad[start:stop] = p.grad.ravel()
+            p.data = self.data[start:stop].reshape(shape)
+            p.grad = self.grad[start:stop].reshape(shape)
+            self.lr_scales[start:stop] = scales.get(name, 1.0)
+        self.m = np.zeros(total, dtype=np.float64)
+        self.v = np.zeros(total, dtype=np.float64)
+        n = min(total, _ADAMW_CHUNK)
+        self._wide = [np.empty(n, dtype=np.float64) for _ in range(3)]
+        self._narrow = np.empty(n, dtype=dtype)
+        self._finite = np.empty(n, dtype=bool)
+
+    def _chunks(self):
+        total = self.data.size
+        for start in range(0, total, _ADAMW_CHUNK):
+            stop = min(start + _ADAMW_CHUNK, total)
+            yield slice(start, stop), stop - start
 
     def step(self, lr: float, weight_decay: float) -> None:
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params:
-            if not np.all(np.isfinite(p.grad)):
+        for sl, n in self._chunks():
+            if not np.isfinite(self.grad[sl], out=self._finite[:n]).all():
+                name = next(name for name, p in self.params if not np.isfinite(p.grad).all())
                 raise FloatingPointError(f"non-finite gradient in parameter {name}")
-            g = p.grad.astype(np.float64)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            eff_lr = lr * self.lr_scales.get(name, 1.0)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data *= 1.0 - eff_lr * weight_decay
-            p.data -= (eff_lr * update).astype(p.data.dtype)
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for sl, n in self._chunks():
+            g, tmp, update = (w[:n] for w in self._wide)
+            narrow = self._narrow[:n]
+            m, v = self.m[sl], self.v[sl]
+            np.copyto(g, self.grad[sl])
+            m *= b1
+            np.multiply(1.0 - b1, g, out=tmp)
+            m += tmp
+            v *= b2
+            np.multiply(1.0 - b2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            # update = (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(m, bc1, out=update)
+            update /= tmp
+            # eff_lr = lr * scale; data *= 1 - eff_lr * wd, cast to the data
+            # dtype as a Python-float factor would be; data -= eff_lr * update
+            eff_lr = np.multiply(lr, self.lr_scales[sl], out=g)
+            np.multiply(eff_lr, weight_decay, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.copyto(narrow, tmp, casting="same_kind")
+            data = self.data[sl]
+            data *= narrow
+            update *= eff_lr
+            np.copyto(narrow, update, casting="same_kind")
+            data -= narrow
 
 
 def lr_at(step: int, base_lr: float, batch: int, warmup_steps: int,

@@ -181,3 +181,105 @@ def oracle_hafe(stack, f_av, hafe):
     f4 = f3 + oracle_attention(oracle_layernorm(f3, hafe.norm_fq),
                                oracle_layernorm(f_av, hafe.norm_fkv), hafe.cross)
     return f4 + oracle_ffn(oracle_layernorm(f4, hafe.norm_ffn2), hafe.ffn2)
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact references: the kernels written with np.mean / np.var / np.sum /
+# np.max, and AdamW as a loop over parameters. The library's versions must
+# match these byte for byte, not within a tolerance.
+# ---------------------------------------------------------------------------
+
+
+def oracle_softmax(x, axis=-1):
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def oracle_softmax_backward(out, d_out, axis=-1):
+    dot = np.sum(d_out * out, axis=axis, keepdims=True)
+    return out * (d_out - dot)
+
+
+def oracle_layernorm_forward(x, scale, shift, eps):
+    """Returns (out, xhat, inv)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * scale + shift, xhat, inv
+
+
+def oracle_layernorm_backward(d_out, xhat, inv, scale):
+    """Returns (d_x, d_scale, d_shift)."""
+    red = tuple(range(d_out.ndim - 1))
+    d_scale = (d_out * xhat).sum(axis=red)
+    d_shift = d_out.sum(axis=red)
+    d_xhat = d_out * scale
+    d_x = inv * (d_xhat
+                 - d_xhat.mean(axis=-1, keepdims=True)
+                 - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True))
+    return d_x, d_scale, d_shift
+
+
+def oracle_batchnorm_prelu_forward(y, scale, shift, slope, eps):
+    """Training-mode batch norm over axis 0 plus PReLU, after the 1x1 conv.
+
+    Returns (out, mu, var, yhat, inv, z).
+    """
+    mu = y.mean(axis=0)
+    var = y.var(axis=0)
+    inv = 1.0 / np.sqrt(var + eps)
+    yhat = (y - mu) * inv
+    z = yhat * scale + shift
+    return np.where(z < 0, z * slope, z), mu, var, yhat, inv, z
+
+
+def oracle_batchnorm_prelu_backward(d_out, yhat, inv, z, scale, slope):
+    """Returns (d_y, d_scale, d_shift, d_slope)."""
+    neg = z < 0
+    d_z = np.where(neg, d_out * slope, d_out)
+    d_slope = np.where(neg, d_out * z, 0.0).sum(axis=0)
+    d_scale = (d_z * yhat).sum(axis=0)
+    d_shift = d_z.sum(axis=0)
+    d_yhat = d_z * scale
+    d_y = inv * (d_yhat
+                 - d_yhat.mean(axis=0)
+                 - yhat * (d_yhat * yhat).mean(axis=0))
+    return d_y, d_scale, d_shift, d_slope
+
+
+class OracleAdamW:
+    """AdamW updating one parameter at a time with its own moment arrays."""
+
+    def __init__(self, named_params, beta1=0.9, beta2=0.95, eps=1e-8, lr_scales=None):
+        self.params = list(named_params)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.lr_scales = lr_scales or {}
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data, dtype=np.float64)
+                  for name, p in self.params}
+        self.v = {name: np.zeros_like(p.data, dtype=np.float64)
+                  for name, p in self.params}
+
+    def step(self, lr, weight_decay):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params:
+            if not np.all(np.isfinite(p.grad)):
+                raise FloatingPointError(f"non-finite gradient in parameter {name}")
+            g = p.grad.astype(np.float64)
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            eff_lr = lr * self.lr_scales.get(name, 1.0)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data *= 1.0 - eff_lr * weight_decay
+            p.data -= (eff_lr * update).astype(p.data.dtype)

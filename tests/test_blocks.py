@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from avmae.blocks import (Attention, ConvBNPReLU, FeedForward, GradientStateError,
-                          LayerNorm, Linear, softmax)
+from avmae.blocks import (BATCHNORM_EPS, Attention, ConvBNPReLU, FeedForward,
+                          GradientStateError, LayerNorm, Linear, softmax,
+                          softmax_backward)
 from avmae.gradcheck import grad_check
 from avmae.verify import run_grad_check
 
-from oracles import oracle_attention
+from oracles import (oracle_attention, oracle_batchnorm_prelu_backward,
+                     oracle_batchnorm_prelu_forward, oracle_layernorm_backward,
+                     oracle_layernorm_forward, oracle_softmax,
+                     oracle_softmax_backward)
 
 
 class TestAttentionForward:
@@ -244,3 +248,74 @@ class TestPurity:
         for shape in ((3, 5), (2, 4, 6), (1, 1)):
             s = softmax(rng.normal(size=shape) * 10)
             assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+KERNEL_SHAPES = [lead + (c,) for c in (5, 17, 32) for lead in ((7,), (3, 6), (2, 3, 4))]
+DTYPES = [np.float32, np.float64]
+
+
+class TestKernelsMatchMeanVarReferences:
+    """The reductions are ufunc reduces plus an in-place divide: the same
+    bits as the np.mean / np.var / np.sum / np.max formulation."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+    def test_layernorm(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        c = shape[-1]
+        ln = LayerNorm(c, dtype=dtype)
+        ln.scale.data[...] = rng.normal(1.0, 0.5, c)
+        ln.shift.data[...] = rng.normal(0.0, 0.5, c)
+        x = (rng.normal(size=shape) * 3.0 + 1.5).astype(dtype)
+        d_out = rng.normal(size=shape).astype(dtype)
+        want, xhat, inv = oracle_layernorm_forward(x, ln.scale.data, ln.shift.data, ln.eps)
+        want_dx, want_dscale, want_dshift = oracle_layernorm_backward(
+            d_out, xhat, inv, ln.scale.data)
+        assert_same_bytes(ln.forward(x), want)
+        assert_same_bytes(ln.backward(d_out), want_dx)
+        assert_same_bytes(ln.scale.grad, want_dscale)
+        assert_same_bytes(ln.shift.grad, want_dshift)
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+    def test_softmax(self, shape, dtype, axis):
+        rng = np.random.default_rng(sum(shape) + 1)
+        x = (rng.normal(size=shape) * 4.0).astype(dtype)
+        d_out = rng.normal(size=shape).astype(dtype)
+        out = softmax(x, axis=axis)
+        assert_same_bytes(out, oracle_softmax(x, axis=axis))
+        assert_same_bytes(softmax_backward(out, d_out, axis=axis),
+                          oracle_softmax_backward(out, d_out, axis=axis))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", [3, 17, 64])
+    @pytest.mark.parametrize("c", [5, 17, 32])
+    def test_convbnprelu_moments(self, c, n, dtype):
+        rng = np.random.default_rng(c * n)
+        block = ConvBNPReLU(c, rng, dtype=dtype)
+        block.conv.bias.data[...] = rng.normal(0.0, 0.5, c)
+        block.bn_scale.data[...] = rng.normal(1.0, 0.5, c)
+        block.bn_shift.data[...] = rng.normal(0.0, 0.5, c)
+        x = (rng.normal(size=(n, c)) * 2.0 + 0.5).astype(dtype)
+        d_out = rng.normal(size=(n, c)).astype(dtype)
+        w = block.conv.weight.data
+        y = x @ w
+        y = y + block.conv.bias.data
+        want, mu, var, yhat, inv, z = oracle_batchnorm_prelu_forward(
+            y, block.bn_scale.data, block.bn_shift.data, block.prelu_slope.data,
+            BATCHNORM_EPS)
+        d_y, d_scale, d_shift, d_slope = oracle_batchnorm_prelu_backward(
+            d_out, yhat, inv, z, block.bn_scale.data, block.prelu_slope.data)
+        assert_same_bytes(block.forward(x, training=True), want)
+        assert_same_bytes(block.running_mean, mu)
+        assert_same_bytes(block.running_var, var)
+        assert_same_bytes(block.backward(d_out), d_y @ w.T)
+        assert_same_bytes(block.bn_scale.grad, d_scale)
+        assert_same_bytes(block.bn_shift.grad, d_shift)
+        assert_same_bytes(block.prelu_slope.grad, d_slope)

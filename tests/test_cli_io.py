@@ -1,6 +1,10 @@
 """Checkpoint format and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,15 @@ class TestCLI:
         assert "tokens 128" in out
         assert "video 480" in out          # decoder sequence
         assert "combined total" in out
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "avmae", "shapes", "--preset", "Tiny"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "tokens" in proc.stdout
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -208,6 +221,16 @@ class TestCLI:
         ({"train": {"base_lr": float("inf")}}, "base_lr"),
         ({"train": {"drop_path": 0.1}}, "drop_path"),
         ({"train": {"label_smoothing": 0.1}}, "label_smoothing"),
+        ({"train": {"weight_decay": -1}}, "weight_decay"),
+        ({"train": {"weight_decay": float("nan")}}, "weight_decay"),
+        ({"train": {"weight_decay": float("inf")}}, "weight_decay"),
+        ({"model": {"encoder_dim": 0}}, "encoder_dim"),
+        ({"model": {"decoder_dim": 0}}, "decoder_dim"),
+        ({"model": {"contrastive_temperature": -1}}, "contrastive_temperature"),
+        ({"model": {"contrastive_temperature": 0}}, "contrastive_temperature"),
+        ({"model": {"contrastive_temperature": float("nan")}}, "contrastive_temperature"),
+        ({"model": {"contrastive_weight": -1}}, "contrastive_weight"),
+        ({"model": {"contrastive_weight": float("inf")}}, "contrastive_weight"),
     ])
     def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys,
                                                     config, field):

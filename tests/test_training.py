@@ -13,6 +13,12 @@ from avmae.training import (AdamW, MetricsLog, SyntheticTask, batch_indices,
                             lr_at, run_pretrain, run_stage, run_supervised,
                             sample_rng)
 
+from oracles import OracleAdamW
+
+
+def tiny_finetune_model():
+    return FinetuneModel(preset("Tiny"), (8, 32, 32), (32, 16), 4, rng=sample_rng(0))
+
 
 class TestAdamW:
     def test_zero_grads_no_decay_leaves_params(self):
@@ -43,6 +49,73 @@ class TestAdamW:
         p.grad[1] = np.nan
         with pytest.raises(FloatingPointError, match="encoder.w"):
             opt.step(lr=1e-3, weight_decay=0.0)
+
+    def test_nonfinite_gradient_updates_nothing(self):
+        first, second = Parameter(np.ones(3)), Parameter(np.ones(2))
+        opt = AdamW([("first", first), ("second", second)])
+        first.grad[...] = 0.5
+        second.grad[1] = np.nan
+        with pytest.raises(FloatingPointError, match="second"):
+            opt.step(lr=1e-3, weight_decay=0.1)
+        assert np.array_equal(first.data, np.ones(3))
+        assert opt.t == 0
+        assert not opt.m.any() and not opt.v.any()
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ValueError, match="one dtype"):
+            AdamW([("a", Parameter(np.ones(2, dtype=np.float32))),
+                   ("b", Parameter(np.ones(2, dtype=np.float64)))])
+
+    def test_packing_keeps_values_and_makes_views(self):
+        model = tiny_finetune_model()
+        rng = np.random.default_rng(0)
+        for p in model.parameters():
+            p.grad[...] = rng.normal(size=p.shape)
+        before = [(name, p.data.copy(), p.grad.copy()) for name, p in model.named_parameters()]
+        opt = AdamW(model.named_parameters())
+        after = dict(model.named_parameters())
+        for name, data, grad in before:
+            p = after[name]
+            assert p.data.tobytes() == data.tobytes() and p.data.shape == data.shape
+            assert p.grad.tobytes() == grad.tobytes() and p.grad.shape == grad.shape
+            assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
+
+    def test_zero_grad_zeroes_every_grad_view(self):
+        model = tiny_finetune_model()
+        opt = AdamW(model.named_parameters())
+        opt.grad[...] = 1.0
+        model.zero_grad()
+        assert not opt.grad.any()
+        assert all(not p.grad.any() for p in model.parameters())
+        # only the head packed: the rest of the model keeps its own grads
+        AdamW(model.iavcl.named_parameters())
+        for p in model.parameters():
+            p.grad[...] = 1.0
+        model.zero_grad()
+        assert all(not p.grad.any() for p in model.parameters())
+
+    def test_matches_per_parameter_oracle_bitwise(self):
+        """Five layer-decayed, weight-decayed steps equal the per-parameter loop."""
+        cfg = preset("Tiny")
+        model, ref = tiny_finetune_model(), tiny_finetune_model()
+        opt = AdamW(model.named_parameters(), beta2=0.999,
+                    lr_scales=layer_decay_scales(model, cfg, 0.75))
+        oracle = OracleAdamW(ref.named_parameters(), beta2=0.999,
+                             lr_scales=layer_decay_scales(ref, cfg, 0.75))
+        rng = np.random.default_rng(3)
+        for step in range(1, 6):
+            for (_, p), (_, q) in zip(model.named_parameters(), ref.named_parameters()):
+                p.grad[...] = q.grad[...] = rng.normal(0.0, 0.1 * step, p.shape)
+            lr = 0.01 / step
+            opt.step(lr, 0.05)
+            oracle.step(lr, 0.05)
+        start = 0
+        for (name, p), (_, q) in zip(model.named_parameters(), ref.named_parameters()):
+            assert p.data.tobytes() == q.data.tobytes(), name
+            stop = start + p.size
+            assert opt.m[start:stop].tobytes() == oracle.m[name].ravel().tobytes(), name
+            assert opt.v[start:stop].tobytes() == oracle.v[name].ravel().tobytes(), name
+            start = stop
 
     def test_partition_order_invariance(self):
         """Parameter update depends only on each parameter's own state."""
