@@ -102,14 +102,8 @@ class Block:
             yield from child.parameters()
 
     def zero_grad(self):
-        grads = [p.grad for p in self.parameters()]
-        arena = grads[0].base if grads else None
-        if (arena is not None and arena.size == sum(g.size for g in grads)
-                and all(g.base is arena for g in grads)):
-            arena.fill(0.0)  # the grads tile one packed buffer
-            return
-        for g in grads:
-            g.fill(0.0)
+        for p in self.parameters():
+            p.grad.fill(0.0)
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())

@@ -8,6 +8,7 @@ grid coordinates reconstruct the flattened index bijectively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +38,6 @@ class TokenSeq:
     coords: np.ndarray        # [N, ndim] integer grid coordinates
     grid: tuple[int, ...]
     modality: str
-    positions: np.ndarray | None = None  # [N, C] the positional codes added
 
     def __post_init__(self):
         n = int(np.prod(self.grid))
@@ -69,6 +69,16 @@ def positional_encoding(coords: np.ndarray, dim: int, dtype=DEFAULT_DTYPE) -> np
     parts = [sincos_1d(coords[:, axis], chunk)
              for axis, chunk in enumerate(chunks)]
     return np.concatenate(parts, axis=1).astype(dtype)
+
+
+@lru_cache(maxsize=16)
+def grid_codes(grid: tuple[int, ...], dim: int, dtype=DEFAULT_DTYPE):
+    """(coords, positional codes) of a grid, made once and shared read-only."""
+    coords = grid_coords(grid)
+    codes = positional_encoding(coords, dim, dtype)
+    coords.flags.writeable = False
+    codes.flags.writeable = False
+    return coords, codes
 
 
 def video_patches(video: np.ndarray, tubelet) -> np.ndarray:
@@ -107,21 +117,14 @@ class PatchEmbed(Block):
         self.patch_dim = int(np.prod(self.patch)) * self.channels
         self.proj = Linear(self.patch_dim, cfg.encoder_dim, rng, dtype=dtype)
         self.dtype = dtype
-        self._codes = {}  # grid -> (coords, positional codes), read-only and shared
 
     def forward(self, raw: np.ndarray) -> TokenSeq:
         grid = self.grid(self.cfg, raw.shape[:len(self.patch)])
         patches = self.patchify(raw, self.patch).astype(self.dtype)
-        if grid not in self._codes:
-            coords = grid_coords(grid)
-            codes = (coords, positional_encoding(coords, self.cfg.encoder_dim, self.dtype))
-            for arr in codes:
-                arr.flags.writeable = False
-            self._codes[grid] = codes
-        coords, positions = self._codes[grid]
+        coords, codes = grid_codes(grid, self.cfg.encoder_dim, self.dtype)
         tokens = self.proj.forward(patches)
-        tokens = tokens + positions
-        return TokenSeq(tokens, coords, grid, self.modality, positions)
+        tokens = tokens + codes
+        return TokenSeq(tokens, coords, grid, self.modality)
 
     def backward(self, d_tokens: np.ndarray) -> None:
         self.proj.backward(d_tokens)

@@ -32,20 +32,13 @@ class FinetuneModel(Block):
         self.video_encoder = LGIEncoder(cfg, k_v, rng, dtype=dtype)
         self.audio_encoder = LGIEncoder(cfg, k_a, rng, dtype=dtype)
         self.iavcl = IAVCLHead(cfg, num_outputs, rng, dtype=dtype)
-        self._parts = {}  # (modality, grid) -> partition; nothing is masked here
-
-    def _partition(self, seq, region_shape):
-        key = (seq.modality, seq.grid)
-        if key not in self._parts:
-            self._parts[key] = partition(seq, region_shape)
-        return self._parts[key]
 
     def forward_sample(self, clip: RawClip, rng: np.random.Generator | None = None,
                        drop_path: float = 0.0, training: bool = True) -> np.ndarray:
         seq_v = self.video_embed.forward(clip.video)
         seq_a = self.audio_embed.forward(clip.audio)
-        part_v = self._partition(seq_v, self.cfg.video_region)
-        part_a = self._partition(seq_a, self.cfg.audio_region)
+        part_v = partition(seq_v, self.cfg.video_region)
+        part_a = partition(seq_a, self.cfg.audio_region)
         snaps_v, locals_v, _, _ = self.video_encoder.encode(
             seq_v.tokens, part_v, rng=rng, drop_path=drop_path)
         snaps_a, locals_a, _, _ = self.audio_encoder.encode(

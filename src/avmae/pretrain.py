@@ -17,7 +17,8 @@ from .blocks import (DEFAULT_DTYPE, Attention, Block, BlockList, FeedForward,
 from .config import (AUDIO_ENCODER_MASK_RATIO, DECODER_MASK_RATIO,
                      VIDEO_ENCODER_MASK_RATIO, ModelConfig, audio_grid,
                      region_count, video_grid)
-from .embedding import AudioEmbed, RawClip, VideoEmbed, normalize_targets
+from .embedding import (AudioEmbed, RawClip, VideoEmbed, grid_codes,
+                        normalize_targets)
 from .encoder import LGIEncoder, partition
 from .masking import (CombinedSeq, MaskPair, assemble_combined, random_mask,
                       random_decoder_targets, running_cell_mask, tube_mask)
@@ -225,8 +226,9 @@ class PretrainModel(Block):
                 ("video", self.video_decoder, self.mask_token_v),
                 ("audio", self.audio_decoder, self.mask_token_a)):
             ctx = out[modality]
+            _, codes = grid_codes(ctx["seq"].grid, self.cfg.encoder_dim, self.dtype)
             combined = assemble_combined(ctx["fused"], ctx["pair"],
-                                         mask_token.data, ctx["seq"].positions)
+                                         mask_token.data, codes)
             preds = decoder.forward(combined, ctx["skip_locals"])
             targets = normalize_targets(clip, self.cfg, modality).astype(self.dtype)
             result[modality] = dict(

@@ -58,6 +58,10 @@ class AdamW:
     runs in chunks through scratch buffers allocated here, so it allocates
     nothing; the arithmetic per element is that of an update of each
     parameter on its own.
+
+    An AdamW owns its parameters' storage from then on. Building a second
+    one over a packed parameter is a ValueError: the first would go on
+    updating a buffer the model no longer reads.
     """
 
     def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.95,
@@ -72,6 +76,10 @@ class AdamW:
             raise ValueError("AdamW needs parameters of one dtype, got "
                              + ", ".join(sorted(str(d) for d in dtypes)))
         dtype = dtypes.pop() if dtypes else DEFAULT_DTYPE
+        for name, p in self.params:
+            # a Parameter allocates its own grad; only packing makes it a view
+            if p.grad.base is not None:
+                raise ValueError(f"parameter {name} is already packed by another AdamW")
         sizes = [p.size for _, p in self.params]
         offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
         total = int(offsets[-1])

@@ -5,7 +5,7 @@ import pytest
 
 from avmae.config import preset
 from avmae.embedding import (AudioEmbed, RawClip, VideoEmbed, audio_patches,
-                             grid_coords, normalize_targets,
+                             grid_codes, grid_coords, normalize_targets,
                              positional_encoding, read_clip, video_patches,
                              write_clip)
 
@@ -83,6 +83,14 @@ class TestPositionalEncoding:
         a = positional_encoding(coords, 16)
         b = positional_encoding(coords.copy(), 16)
         assert np.array_equal(a, b)
+
+    def test_grid_codes_made_once_and_read_only(self):
+        coords, codes = grid_codes((2, 3, 4), 16, np.float32)
+        assert coords.tobytes() == grid_coords((2, 3, 4)).tobytes()
+        assert codes.tobytes() == positional_encoding(coords, 16, np.float32).tobytes()
+        assert not coords.flags.writeable and not codes.flags.writeable
+        again = grid_codes((2, 3, 4), 16, np.float32)
+        assert again[0] is coords and again[1] is codes
 
     def test_coordinates_bijective_row_major(self):
         grid = (4, 4, 4)

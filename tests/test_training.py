@@ -87,12 +87,18 @@ class TestAdamW:
         model.zero_grad()
         assert not opt.grad.any()
         assert all(not p.grad.any() for p in model.parameters())
-        # only the head packed: the rest of the model keeps its own grads
-        AdamW(model.iavcl.named_parameters())
-        for p in model.parameters():
-            p.grad[...] = 1.0
-        model.zero_grad()
-        assert all(not p.grad.any() for p in model.parameters())
+
+    def test_second_optimizer_over_packed_parameters_rejected(self):
+        first, second = Parameter(np.ones(3)), Parameter(np.ones(2))
+        opt = AdamW([("first", first)])
+        with pytest.raises(ValueError, match="first"):
+            AdamW([("second", second), ("first", first)])
+        # nothing was repacked: the first optimizer still moves the parameter
+        assert np.shares_memory(first.data, opt.data)
+        assert not np.shares_memory(second.grad, opt.grad) and second.grad.base is None
+        first.grad[...] = 1.0
+        opt.step(lr=0.1, weight_decay=0.0)
+        assert (first.data < 1.0).all()
 
     def test_matches_per_parameter_oracle_bitwise(self):
         """Five layer-decayed, weight-decayed steps equal the per-parameter loop."""
