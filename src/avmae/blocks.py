@@ -8,6 +8,12 @@ Because caches form a stack, a block may be applied several times inside one
 composite forward pass (e.g. the same attention parameters over K regions)
 as long as the composite backward runs in exact reverse order.
 
+Every input carries a leading sample axis S: ``[S, ..., C]``. Samples are
+never merged into the rows of one matmul; a matmul over the sample axis runs
+the same per-sample product a single sample would. A backward computes each
+parameter's gradient per sample, ``[S, *shape]``, and ``Block._accumulate``
+adds it in the order a loop of single-sample backwards would (see there).
+
 There is no taping of arbitrary graphs: composite modules chain these
 backwards by hand.
 
@@ -55,6 +61,21 @@ class Parameter:
         return self.data.size
 
 
+class Buffer:
+    """Marks non-trainable state that checkpoints carry (batch-norm statistics).
+
+    Assigning ``Buffer(array)`` to a block attribute registers it, as a
+    Parameter registers; the attribute then holds the array itself, and later
+    assignments to that name write into it, so the registered array stays the
+    attribute's storage.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data):
+        self.data = np.array(data)
+
+
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=DEFAULT_DTYPE) -> np.ndarray:
     """Normal(0, std) redrawn until every entry lies within two deviations."""
     out = rng.normal(0.0, std, size=shape)
@@ -74,18 +95,25 @@ def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
 
 
 class Block:
-    """Base class: parameter/child registration plus the cache stack."""
+    """Base class: parameter/buffer/child registration plus the cache stack."""
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
+        object.__setattr__(self, "_buffers", {})
         object.__setattr__(self, "_children", {})
         object.__setattr__(self, "_tape", [])
+        object.__setattr__(self, "_pending", {})   # Parameter -> waiting grads
 
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
             self._params[name] = value
+        elif isinstance(value, Buffer):
+            value = self._buffers[name] = value.data
         elif isinstance(value, Block):
             self._children[name] = value
+        elif name in self._buffers:
+            self._buffers[name][...] = value
+            return
         object.__setattr__(self, name, value)
 
     # -- parameter traversal ------------------------------------------------
@@ -101,12 +129,53 @@ class Block:
         for child in self._children.values():
             yield from child.parameters()
 
+    def named_buffers(self, prefix: str = ""):
+        for name, b in self._buffers.items():
+            yield (prefix + name, b)
+        for name, child in self._children.items():
+            yield from child.named_buffers(prefix + name + ".")
+
     def zero_grad(self):
         for p in self.parameters():
             p.grad.fill(0.0)
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
+
+    # -- gradient accumulation ----------------------------------------------
+
+    def _accumulate(self, p: Parameter, grads: np.ndarray) -> None:
+        """Add per-sample gradients ``grads`` [S, *p.shape] into ``p.grad``.
+
+        They are added in the order of a loop of single-sample backwards run
+        from the last sample to the first: sample by sample, and within a
+        sample in backward-call order. So while this block's tape still holds
+        forwards to run backward through (a block applied several times per
+        pass), a parameter's contributions wait; its last one folds them all
+        in. One sample with nothing waiting is added at once.
+        """
+        if len(grads) == 1 and p not in self._pending:
+            p.grad += grads[0]
+            return
+        self._pending.setdefault(p, []).append(grads)
+        if not self._tape:
+            self._fold(p, self._pending.pop(p))
+
+    @staticmethod
+    def _fold(p: Parameter, per_call: list[np.ndarray]) -> None:
+        n_samples, n_calls = per_call[0].shape[0], len(per_call)
+        rows = np.empty((1 + n_samples * n_calls,) + p.shape, dtype=p.grad.dtype)
+        rows[0] = p.grad
+        body = rows[1:].reshape((n_samples, n_calls) + p.shape)
+        for j, grads in enumerate(per_call):
+            body[:, j] = grads[::-1]
+        if p.size > 1:
+            # an axis-0 reduce adds the rows in order, like a += loop
+            np.add.reduce(rows, axis=0, out=p.grad)
+        else:
+            # a single element would be summed pairwise, so add row by row
+            for row in rows[1:]:
+                p.grad += row
 
     # -- cache stack --------------------------------------------------------
 
@@ -122,6 +191,7 @@ class Block:
     def clear_caches(self):
         """Drop saved activations (after inference-only forwards)."""
         self._tape.clear()
+        self._pending.clear()
         for child in self._children.values():
             child.clear_caches()
 
@@ -175,10 +245,10 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_rows(x: np.ndarray) -> np.ndarray:
-    """``x.mean(axis=0)``, bit for bit."""
-    out = np.add.reduce(x, axis=0)
-    out /= x.shape[0]
+def _mean_tokens(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=1, keepdims=True)`` of [S, K, C], bit for bit."""
+    out = np.add.reduce(x, axis=1, keepdims=True)
+    out /= x.shape[1]
     return out
 
 
@@ -218,7 +288,7 @@ def sigmoid_backward(out: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 
 
 class Linear(Block):
-    """y = x W + b over the last axis."""
+    """y = x W + b over the last axis of [S, ..., d_in]."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  bias: bool = True, dtype=DEFAULT_DTYPE):
@@ -239,11 +309,12 @@ class Linear(Block):
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         (x,) = self._load()
-        flat_x = x.reshape(-1, self.d_in)
-        flat_d = d_out.reshape(-1, self.d_out)
-        self.weight.grad += flat_x.T @ flat_d
+        n = x.shape[0]
+        flat_x = x.reshape(n, -1, self.d_in)
+        flat_d = d_out.reshape(n, -1, self.d_out)
+        self._accumulate(self.weight, flat_x.transpose(0, 2, 1) @ flat_d)
         if self.bias is not None:
-            self.bias.grad += np.add.reduce(flat_d, axis=0)
+            self._accumulate(self.bias, np.add.reduce(flat_d, axis=1))
         return (flat_d @ self.weight.data.T).reshape(x.shape)
 
 
@@ -271,9 +342,9 @@ class LayerNorm(Block):
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         xhat, inv = self._load()
-        red = tuple(range(d_out.ndim - 1))
-        self.scale.grad += np.add.reduce(d_out * xhat, axis=red)
-        self.shift.grad += np.add.reduce(d_out, axis=red)
+        red = tuple(range(1, d_out.ndim - 1))
+        self._accumulate(self.scale, np.add.reduce(d_out * xhat, axis=red))
+        self._accumulate(self.shift, np.add.reduce(d_out, axis=red))
         d_xhat = d_out * self.scale.data
         d_in = d_xhat - _mean_last(d_xhat)
         d_xhat *= xhat
@@ -286,8 +357,10 @@ class Attention(Block):
     """Multi-head scaled-dot-product attention.
 
     ``forward(q, kv)`` runs cross-attention; ``forward(x)`` self-attention.
-    Inputs may be [T, C] or batched [B, T, C]; with ``heads=1`` this is the
-    single-head cross-attention block.
+    Queries are [S, T, C] or [S, G, T, C] (G regions per sample). Keys and
+    values have the queries' rank, or one axis less, [S, T', C]: then every
+    one of the G query sets reads the same keys and values. With ``heads=1``
+    this is the single-head cross-attention block.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
@@ -307,12 +380,13 @@ class Attention(Block):
         self.b_o = Parameter(np.zeros(dim, dtype=dtype))
 
     def _split(self, x: np.ndarray) -> np.ndarray:
-        b, t, _ = x.shape
-        return x.reshape(b, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+        """[..., T, C] -> [..., H, T, d]"""
+        return x.reshape(x.shape[:-1] + (self.heads, self.head_dim)).swapaxes(-2, -3)
 
     def _merge(self, x: np.ndarray) -> np.ndarray:
-        b, h, t, d = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(b, t, h * d)
+        """[..., H, T, d] -> [..., T, C]"""
+        x = x.swapaxes(-2, -3)
+        return x.reshape(x.shape[:-2] + (self.dim,))
 
     def forward(self, q_in: np.ndarray, kv_in: np.ndarray | None = None) -> np.ndarray:
         if kv_in is None:
@@ -321,69 +395,59 @@ class Attention(Block):
             raise ValueError(
                 f"attention dim {self.dim} does not match inputs "
                 f"{q_in.shape} / {kv_in.shape}")
-        squeeze = q_in.ndim == 2
-        kv_2d = kv_in.ndim == 2
-        q3 = q_in[None] if squeeze else q_in
-        kv3 = kv_in[None] if kv_2d else kv_in
-        q = self._split(q3 @ self.w_q.data + self.b_q.data)
-        k = self._split(kv3 @ self.w_k.data + self.b_k.data)
-        v = self._split(kv3 @ self.w_v.data + self.b_v.data)
-        # a 2D kv alongside batched queries broadcasts as shared keys/values
-        scores = q @ k.transpose(0, 1, 3, 2)
+        shared = kv_in.ndim < q_in.ndim
+        q = self._split(q_in @ self.w_q.data + self.b_q.data)
+        k = self._split(kv_in @ self.w_k.data + self.b_k.data)
+        v = self._split(kv_in @ self.w_v.data + self.b_v.data)
+        if shared:   # one key/value set per sample, broadcast over the G axis
+            k, v = k[:, None], v[:, None]
+        scores = q @ k.swapaxes(-1, -2)
         scores /= math.sqrt(self.head_dim)
         probs = softmax(scores, axis=-1)
-        ctx = probs @ v                       # [B, H, Tq, d]
-        merged = self._merge(ctx)
+        merged = self._merge(probs @ v)       # [S, (G,) Tq, C]
         out = merged @ self.w_o.data + self.b_o.data
-        self._save(q3, kv3, q, k, v, probs, merged, squeeze, kv_2d)
-        return out[0] if squeeze else out
+        self._save(q_in, kv_in, q, k, v, probs, merged, shared)
+        return out
 
     def last_probs(self) -> np.ndarray:
         """Attention probabilities of the most recent forward (inspection)."""
         if not self._tape:
             raise GradientStateError("no recorded forward")
-        probs, squeeze = self._tape[-1][5], self._tape[-1][7]
-        return probs[0] if squeeze else probs
+        return self._tape[-1][5]
 
     def backward(self, d_out: np.ndarray):
         """Returns (d_q_in, d_kv_in); callers add them when q is kv."""
-        q3, kv3, q, k, v, probs, merged, squeeze, kv_2d = self._load()
-        d3 = d_out[None] if squeeze else d_out
-        self.w_o.grad += merged.reshape(-1, self.dim).T @ d3.reshape(-1, self.dim)
-        self.b_o.grad += np.add.reduce(d3.reshape(-1, self.dim), axis=0)
-        d_ctx = self._split(d3 @ self.w_o.data.T)
-        d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
-        d_v = probs.transpose(0, 1, 3, 2) @ d_ctx
+        q_in, kv_in, q, k, v, probs, merged, shared = self._load()
+        n, c = len(d_out), self.dim
+        # [S, ..., C] -> [S, rows, C]: a sample's rows, never samples merged
+        d_rows = d_out.reshape(n, -1, c)
+        self._accumulate(self.w_o, merged.reshape(n, -1, c).transpose(0, 2, 1) @ d_rows)
+        self._accumulate(self.b_o, np.add.reduce(d_rows, axis=1))
+        d_ctx = self._split(d_out @ self.w_o.data.T)
+        d_probs = d_ctx @ v.swapaxes(-1, -2)
+        d_v = probs.swapaxes(-1, -2) @ d_ctx
         d_scores = softmax_backward(probs, d_probs)
         d_scores /= math.sqrt(self.head_dim)
         d_q = d_scores @ k
-        d_k = d_scores.transpose(0, 1, 3, 2) @ q
+        d_k = d_scores.swapaxes(-1, -2) @ q
         d_qf, d_kf, d_vf = self._merge(d_q), self._merge(d_k), self._merge(d_v)
 
-        def flat(a):
-            return a.reshape(-1, self.dim)
-
-        self.w_q.grad += flat(q3).T @ flat(d_qf)
-        self.b_q.grad += np.add.reduce(flat(d_qf), axis=0)
+        d_rows = d_qf.reshape(n, -1, c)
+        self._accumulate(self.w_q, q_in.reshape(n, -1, c).transpose(0, 2, 1) @ d_rows)
+        self._accumulate(self.b_q, np.add.reduce(d_rows, axis=1))
         d_q_in = d_qf @ self.w_q.data.T
-        if kv_2d:
-            # shared keys/values: reduce the batch axis before the projections
-            d_kf2 = np.add.reduce(d_kf, axis=0)
-            d_vf2 = np.add.reduce(d_vf, axis=0)
-            kv2 = kv3[0]
-            self.w_k.grad += kv2.T @ d_kf2
-            self.b_k.grad += np.add.reduce(d_kf2, axis=0)
-            self.w_v.grad += kv2.T @ d_vf2
-            self.b_v.grad += np.add.reduce(d_vf2, axis=0)
-            d_kv_in = d_kf2 @ self.w_k.data.T + d_vf2 @ self.w_v.data.T
-        else:
-            self.w_k.grad += flat(kv3).T @ flat(d_kf)
-            self.b_k.grad += np.add.reduce(flat(d_kf), axis=0)
-            self.w_v.grad += flat(kv3).T @ flat(d_vf)
-            self.b_v.grad += np.add.reduce(flat(d_vf), axis=0)
-            d_kv_in = d_kf @ self.w_k.data.T + d_vf @ self.w_v.data.T
-        if squeeze:
-            return d_q_in[0], d_kv_in
+        if shared:
+            # shared keys/values: reduce the G axis before the projections
+            d_kf = np.add.reduce(d_kf, axis=1)
+            d_vf = np.add.reduce(d_vf, axis=1)
+        kv_t = kv_in.reshape(n, -1, c).transpose(0, 2, 1)
+        d_rows = d_kf.reshape(n, -1, c)
+        self._accumulate(self.w_k, kv_t @ d_rows)
+        self._accumulate(self.b_k, np.add.reduce(d_rows, axis=1))
+        d_rows = d_vf.reshape(n, -1, c)
+        self._accumulate(self.w_v, kv_t @ d_rows)
+        self._accumulate(self.b_v, np.add.reduce(d_rows, axis=1))
+        d_kv_in = d_kf @ self.w_k.data.T + d_vf @ self.w_v.data.T
         return d_q_in, d_kv_in
 
 
@@ -412,9 +476,14 @@ class FeedForward(Block):
 class ConvBNPReLU(Block):
     """1x1 convolution (per-token linear) + batch norm over tokens + PReLU.
 
+    Inputs are [S, K, C]; each sample is normalised over its own K tokens.
     The first training batch seeds the running statistics exactly so that an
     eval pass immediately after one batch reproduces that batch's
-    normalisation; later batches blend with momentum.
+    normalisation; later batches blend with momentum. Each sample of each
+    call is one batch, and the running statistics take them sample by
+    sample, in call order within a sample: a one-sample call updates them at
+    once, a larger one leaves its statistics pending until
+    ``update_statistics``.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
@@ -424,24 +493,20 @@ class ConvBNPReLU(Block):
         self.bn_scale = Parameter(np.ones(dim, dtype=dtype))
         self.bn_shift = Parameter(np.zeros(dim, dtype=dtype))
         self.prelu_slope = Parameter(np.full(dim, 0.25, dtype=dtype))
-        self.running_mean = np.zeros(dim, dtype=dtype)
-        self.running_var = np.ones(dim, dtype=dtype)
-        self.num_batches = 0
+        self.running_mean = Buffer(np.zeros(dim, dtype=dtype))
+        self.running_var = Buffer(np.ones(dim, dtype=dtype))
+        self.num_batches = Buffer(np.zeros((), dtype=np.int64))
+        self._stats = []   # per training call: (mean, var), each [S, C]
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         y = self.conv.forward(x)
         if training:
-            mu = _mean_rows(y)
+            mu = _mean_tokens(y)
             yc = y - mu
-            var = _mean_rows(yc * yc)
-            if self.num_batches == 0:
-                self.running_mean = mu.astype(self.running_mean.dtype)
-                self.running_var = var.astype(self.running_var.dtype)
-            else:
-                m = BATCHNORM_MOMENTUM
-                self.running_mean = (1 - m) * self.running_mean + m * mu
-                self.running_var = (1 - m) * self.running_var + m * var
-            self.num_batches += 1
+            var = _mean_tokens(yc * yc)
+            self._stats.append((mu[:, 0], var[:, 0]))
+            if len(y) == 1 and len(self._stats) == 1:
+                self.update_statistics()
         else:
             if self.num_batches == 0:
                 raise RuntimeError("eval mode before any statistics accumulated")
@@ -452,20 +517,35 @@ class ConvBNPReLU(Block):
         z = yhat * self.bn_scale.data + self.bn_shift.data
         neg = z < 0
         out = np.where(neg, z * self.prelu_slope.data, z)
-        self._save(yhat, inv, z, neg, training, y.shape[0])
+        self._save(yhat, inv, z, neg, training)
         return out
 
+    def update_statistics(self) -> None:
+        """Fold the pending batch statistics into the running ones."""
+        calls, self._stats = self._stats, []
+        m = BATCHNORM_MOMENTUM
+        for sample in range(len(calls[0][0]) if calls else 0):
+            for mu, var in calls:
+                if self.num_batches == 0:
+                    self.running_mean = mu[sample]
+                    self.running_var = var[sample]
+                else:
+                    self.running_mean = (1 - m) * self.running_mean + m * mu[sample]
+                    self.running_var = (1 - m) * self.running_var + m * var[sample]
+                self.num_batches += 1
+
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        yhat, inv, z, neg, training, n = self._load()
+        yhat, inv, z, neg, training = self._load()
         d_z = np.where(neg, d_out * self.prelu_slope.data, d_out)
-        self.prelu_slope.grad += np.add.reduce(np.where(neg, d_out * z, 0.0), axis=0)
-        self.bn_scale.grad += np.add.reduce(d_z * yhat, axis=0)
-        self.bn_shift.grad += np.add.reduce(d_z, axis=0)
+        self._accumulate(self.prelu_slope,
+                         np.add.reduce(np.where(neg, d_out * z, 0.0), axis=1))
+        self._accumulate(self.bn_scale, np.add.reduce(d_z * yhat, axis=1))
+        self._accumulate(self.bn_shift, np.add.reduce(d_z, axis=1))
         d_yhat = d_z * self.bn_scale.data
         if training:
-            d_y = d_yhat - _mean_rows(d_yhat)
+            d_y = d_yhat - _mean_tokens(d_yhat)
             d_yhat *= yhat
-            d_y -= yhat * _mean_rows(d_yhat)
+            d_y -= yhat * _mean_tokens(d_yhat)
             d_y *= inv
         else:
             d_y = d_yhat * inv

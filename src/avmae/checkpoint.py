@@ -1,6 +1,7 @@
 """Named-tensor checkpoints: a JSON manifest, a fixed sentinel, then the
-concatenated little-endian float32 payload. Round trips are bit-exact and
-loading validates the stored model config field by field.
+concatenated little-endian payload: the parameters as float32, then the
+buffers (batch-norm statistics) as float32 or int64. Round trips are
+bit-exact and loading validates the stored model config field by field.
 """
 
 from __future__ import annotations
@@ -13,24 +14,36 @@ import numpy as np
 from .blocks import Block
 from .config import ModelConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _SENTINEL = b"\n--payload--\n"
 
 
+def _buffer_dtype(arr: np.ndarray) -> str:
+    return "<i8" if arr.dtype.kind in "iu" else "<f4"
+
+
 def save(path, model: Block, cfg: ModelConfig, stage: str) -> None:
-    entries = []
     chunks = []
     offset = 0
-    for name, p in model.named_parameters():
-        raw = np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-        entries.append({"name": name, "shape": list(p.data.shape), "offset": offset})
+
+    def add(arr, dtype):
+        nonlocal offset
+        raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
         chunks.append(raw)
         offset += len(raw)
+        return offset - len(raw)
+
+    entries = [{"name": name, "shape": list(p.data.shape), "offset": add(p.data, "<f4")}
+               for name, p in model.named_parameters()]
+    buffers = [{"name": name, "shape": list(b.shape), "dtype": _buffer_dtype(b),
+                "offset": add(b, _buffer_dtype(b))}
+               for name, b in model.named_buffers()]
     manifest = {
         "format_version": FORMAT_VERSION,
         "stage": stage,
         "model_config": cfg.to_dict(),
         "entries": entries,
+        "buffers": buffers,
     }
     blob = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -41,31 +54,35 @@ def save(path, model: Block, cfg: ModelConfig, stage: str) -> None:
 
 
 def load(path):
-    """Returns (manifest, dict of name -> float32 array)."""
+    """Returns (manifest, dict of name -> array) over parameters and buffers.
+
+    ``manifest["entries"]`` lists the parameters, ``manifest["buffers"]`` the
+    buffers.
+    """
     raw = Path(path).read_bytes()
     split = raw.find(_SENTINEL)
     if split < 0:
         raise ValueError(f"{path}: missing payload sentinel; not a checkpoint")
     manifest = json.loads(raw[:split].decode("utf-8"))
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version "
-                         f"{manifest.get('format_version')}")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint format version {version} "
+                         f"(this build reads version {FORMAT_VERSION})")
     payload = raw[split + len(_SENTINEL):]
     tensors = {}
-    for entry in manifest["entries"]:
+    expected_end = 0
+    for entry in manifest["entries"] + manifest["buffers"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        dtype = np.dtype(entry.get("dtype", "<f4"))
         start = entry["offset"]
-        end = start + 4 * count
+        end = start + dtype.itemsize * int(np.prod(shape))
         if end > len(payload):
             raise ValueError(
                 f"{path}: payload truncated at entry {entry['name']!r} "
                 f"(needs bytes up to {end}, payload has {len(payload)})")
         tensors[entry["name"]] = np.frombuffer(
-            payload[start:end], dtype="<f4").reshape(shape).copy()
-    expected_end = (manifest["entries"][-1]["offset"]
-                    + 4 * int(np.prod(manifest["entries"][-1]["shape"]))
-                    if manifest["entries"] else 0)
+            payload[start:end], dtype=dtype).reshape(shape).copy()
+        expected_end = end
     if len(payload) != expected_end:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, manifest "
                          f"describes {expected_end}")
@@ -85,23 +102,31 @@ def check_config(manifest: dict, cfg: ModelConfig) -> None:
 
 
 def load_into(model: Block, path, cfg: ModelConfig) -> dict:
-    """Strict restore: configs must match and name sets must be identical."""
+    """Strict restore of parameters and buffers: configs must match and name
+    sets must be identical."""
     manifest, tensors = load(path)
     check_config(manifest, cfg)
-    model_names = [name for name, _ in model.named_parameters()]
+    buffers = dict(model.named_buffers())
+    model_names = [name for name, _ in model.named_parameters()] + list(buffers)
     missing = sorted(set(model_names) - set(tensors))
     extra = sorted(set(tensors) - set(model_names))
     if missing or extra:
         raise ValueError(f"checkpoint entries do not match the model "
                          f"(missing {missing[:5]}, extra {extra[:5]})")
     transfer(model, tensors, include_prefixes=("",))
+    for name, b in buffers.items():
+        if tensors[name].shape != b.shape:
+            raise ValueError(f"shape mismatch for buffer {name}: checkpoint "
+                             f"{tensors[name].shape} vs model {b.shape}")
+        b[...] = tensors[name]
     return manifest
 
 
 def transfer(model: Block, tensors: dict, include_prefixes,
              exclude_prefixes=()) -> list[str]:
-    """Copy the named subset into the model; every included parameter the
-    model owns must exist in the checkpoint. Returns the copied names."""
+    """Copy the named subset of parameters into the model; every included
+    parameter the model owns must exist in the checkpoint. Buffers are not
+    copied. Returns the copied names."""
     copied = []
     for name, p in model.named_parameters():
         if not name.startswith(tuple(include_prefixes)):

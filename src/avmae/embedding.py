@@ -34,14 +34,14 @@ class RawClip:
 
 @dataclass
 class TokenSeq:
-    tokens: np.ndarray        # [N, C]
+    tokens: np.ndarray        # [S, N, C]
     coords: np.ndarray        # [N, ndim] integer grid coordinates
     grid: tuple[int, ...]
     modality: str
 
     def __post_init__(self):
         n = int(np.prod(self.grid))
-        if self.tokens.shape[0] != n or self.coords.shape[0] != n:
+        if self.tokens.shape[-2] != n or self.coords.shape[0] != n:
             raise ValueError("token count must equal the grid size")
 
 
@@ -82,25 +82,32 @@ def grid_codes(grid: tuple[int, ...], dim: int, dtype=DEFAULT_DTYPE):
 
 
 def video_patches(video: np.ndarray, tubelet) -> np.ndarray:
-    """Flatten non-overlapping tubelets, row-major over (t, h, w)."""
-    t, h, w, c = video.shape
+    """Flatten non-overlapping tubelets, row-major over (t, h, w).
+
+    [..., T, H, W, 3] -> [..., tokens, patch]: leading axes carry through.
+    """
+    *lead, t, h, w, c = video.shape
     tt, p, p2 = tubelet
     if t % tt or h % p or w % p2:
         raise ValueError(f"video shape {video.shape} not divisible by tubelet {tubelet}")
     gt, gh, gw = t // tt, h // p, w // p2
-    cube = video.reshape(gt, tt, gh, p, gw, p2, c)
-    cube = cube.transpose(0, 2, 4, 1, 3, 5, 6)
-    return np.ascontiguousarray(cube.reshape(gt * gh * gw, tt * p * p2 * c))
+    cube = video.reshape(*lead, gt, tt, gh, p, gw, p2, c)
+    n = len(lead)
+    cube = cube.transpose(*range(n), *(n + a for a in (0, 2, 4, 1, 3, 5, 6)))
+    return np.ascontiguousarray(cube.reshape(*lead, gt * gh * gw, tt * p * p2 * c))
 
 
 def audio_patches(audio: np.ndarray, patch) -> np.ndarray:
-    ta, f = audio.shape
+    """[..., T_a, F] -> [..., tokens, patch]: leading axes carry through."""
+    *lead, ta, f = audio.shape
     pt, pf = patch
     if ta % pt or f % pf:
         raise ValueError(f"audio shape {audio.shape} not divisible by patch {patch}")
     gt, gf = ta // pt, f // pf
-    tiles = audio.reshape(gt, pt, gf, pf).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(tiles.reshape(gt * gf, pt * pf))
+    n = len(lead)
+    tiles = audio.reshape(*lead, gt, pt, gf, pf)
+    tiles = tiles.transpose(*range(n), *(n + a for a in (0, 2, 1, 3)))
+    return np.ascontiguousarray(tiles.reshape(*lead, gt * gf, pt * pf))
 
 
 class PatchEmbed(Block):
@@ -119,8 +126,9 @@ class PatchEmbed(Block):
         self.dtype = dtype
 
     def forward(self, raw: np.ndarray) -> TokenSeq:
-        grid = self.grid(self.cfg, raw.shape[:len(self.patch)])
-        patches = self.patchify(raw, self.patch).astype(self.dtype)
+        """raw: [S, *clip shape], one modality of S clips -> tokens [S, N, C]."""
+        grid = self.grid(self.cfg, raw.shape[1:1 + len(self.patch)])
+        patches = self.patchify(raw, self.patch).astype(self.dtype, copy=False)
         coords, codes = grid_codes(grid, self.cfg.encoder_dim, self.dtype)
         tokens = self.proj.forward(patches)
         tokens = tokens + codes
@@ -143,10 +151,20 @@ class AudioEmbed(PatchEmbed):
 
 
 def normalize_patches(patches: np.ndarray) -> np.ndarray:
-    """Standardise each patch vector to zero mean, unit variance."""
-    mean = patches.mean(axis=1, keepdims=True)
-    var = patches.var(axis=1, keepdims=True)
-    return (patches - mean) / np.sqrt(var + TARGET_EPS)
+    """Standardise each patch vector to zero mean, unit variance.
+
+    The centred patches serve both the variance and the result; this is
+    ``(p - p.mean(1)) / np.sqrt(p.var(1) + eps)``, bit for bit.
+    """
+    n = patches.shape[1]
+    mean = np.add.reduce(patches, axis=1, keepdims=True)
+    mean /= n
+    centred = patches - mean
+    var = np.add.reduce(centred * centred, axis=1, keepdims=True)
+    var /= n
+    var += TARGET_EPS
+    centred /= np.sqrt(var, out=var)
+    return centred
 
 
 def normalize_targets(clip: RawClip, cfg: ModelConfig, modality: str) -> np.ndarray:

@@ -16,6 +16,7 @@ features at the hierarchical skip layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +68,13 @@ def partition(seq: TokenSeq, region_shape, visible_mask: np.ndarray | None = Non
         coords = coords[~visible_mask]
     region_coord = coords // np.asarray(region_shape, dtype=np.int64)
     flat = np.ravel_multi_index(tuple(region_coord.T), region_grid)
-    n_regions = int(np.prod(region_grid))
+    n_regions = math.prod(region_grid)
     # region i owns order[starts[i]:starts[i] + counts[i]], ascending
     order = np.argsort(flat, kind="stable").astype(np.int64)
     counts = np.bincount(flat, minlength=n_regions)
     starts = np.cumsum(counts) - counts
-    members = np.split(order, starts[1:])
-    groups = [(int(n), np.flatnonzero(counts == n)) for n in np.unique(counts)]
+    members = [order[a:a + n] for a, n in zip(starts.tolist(), counts.tolist())]
+    groups = [(n, np.flatnonzero(counts == n)) for n in sorted(set(counts.tolist()))]
     groups = [(n, ids, order[starts[ids, None] + np.arange(n)]) for n, ids in groups]
     return RegionPartition(members, groups)
 
@@ -83,7 +84,27 @@ def score_entries_stage12(part: RegionPartition) -> int:
     return sum((m.size + 1) ** 2 for m in part.members) + part.n_regions ** 2
 
 
+def _take(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``x[:, index]``, gathering tokens after the sample axis; ``take`` skips
+    the general fancy-indexing path."""
+    return x.take(index, axis=1)
+
+
+def _scaled(scale: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """x times its per-sample stochastic-depth scale (None: no scaling)."""
+    if scale is None:
+        return x
+    return scale.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+
+
 class LGILayer(Block):
+    """One LGI layer over S samples that share one region partition.
+
+    Local tokens are [S, N, C] and region tokens [S, K, C]. A region-size
+    group's regions are gathered as [S, G, size(+1), C], one attention call
+    per group for the whole batch.
+    """
+
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  dtype=DEFAULT_DTYPE):
         super().__init__()
@@ -101,129 +122,109 @@ class LGILayer(Block):
         self.norm_ffn = LayerNorm(dim, dtype=dtype)
         self.ffn = FeedForward(dim, rng, dtype=dtype)
 
-    # Residual branches share one stochastic-depth decision per stage; the
-    # branch is skipped outright when dropped so cache stacks stay balanced.
+    # Stochastic depth: one decision per sample and residual branch (six per
+    # layer), drawn from that sample's generator. A dropped branch is scaled
+    # by 0, a kept one by 1 / (1 - rate); without generators or at rate 0
+    # nothing is drawn and nothing scaled.
     @staticmethod
-    def _keep(rng, rate: float):
-        if rng is None or rate <= 0.0:
-            return True, 1.0
-        if rng.random() < rate:
-            return False, 0.0
-        return True, 1.0 / (1.0 - rate)
+    def _branch_scales(rngs, rate: float, dtype):
+        if rngs is None or rate <= 0.0:
+            return [None] * 6
+        draws = np.array([[rng.random() for _ in range(6)] for rng in rngs])
+        scales = np.where(draws < rate, 0.0, 1.0 / (1.0 - rate)).astype(dtype)
+        return list(scales.T)
 
     def forward(self, locals_: np.ndarray, s: np.ndarray, part: RegionPartition,
-                rng: np.random.Generator | None = None, drop_path: float = 0.0):
-        keeps = [self._keep(rng, drop_path) for _ in range(6)]
-        (k1, c1), (k2, c2), (k3, c3), (k4, c4), (kfl, cfl), (kfs, cfs) = keeps
+                rngs=None, drop_path: float = 0.0):
+        """rngs: one generator per sample for stochastic depth, or None."""
+        scales = self._branch_scales(rngs, drop_path, locals_.dtype)
+        c1, c2, c3, c4, cfl, cfs = scales
 
         # stage I: aggregate local information into each region token
         locals1 = locals_.copy()
         s1 = np.empty_like(s)
         for size, ids, m in part.groups:
-            x = np.concatenate([s[ids][:, None], locals_[m]], axis=1)  # [G, size+1, C]
-            if k1:
-                x = x + c1 * self.attn_local.forward(self.norm1.forward(x))
-            s1[ids] = x[:, 0]
-            locals1[m] = x[:, 1:]
+            # [S, G, size+1, C]: each region's token, then its locals
+            x = np.concatenate([_take(s, ids)[:, :, None], _take(locals_, m)], axis=2)
+            x = x + _scaled(c1, self.attn_local.forward(self.norm1.forward(x)))
+            s1[:, ids] = x[:, :, 0]
+            locals1[:, m] = x[:, :, 1:]
 
         # stage II: exchange information across region tokens
-        if k2:
-            s2 = s1 + c2 * self.attn_region.forward(self.norm2.forward(s1))
-        else:
-            s2 = s1
+        s2 = s1 + _scaled(c2, self.attn_region.forward(self.norm2.forward(s1)))
 
         # stage III: locals read the globally-aware region tokens; empty
         # regions have no queries (and in stage IV no keys), so they skip
         locals2 = locals1.copy()
-        if k3:
-            q_all = self.norm3_q.forward(locals1)
-            kv = self.norm3_kv.forward(s2)
-            for size, ids, m in part.groups:
-                if size == 0:
-                    continue
-                out = self.cross_local.forward(q_all[m], kv)  # shared kv broadcast
-                locals2[m] = locals1[m] + c3 * out
+        q_all = self.norm3_q.forward(locals1)
+        kv = self.norm3_kv.forward(s2)
+        for size, ids, m in part.groups:
+            if size == 0:
+                continue
+            out = self.cross_local.forward(_take(q_all, m), kv)  # kv shared by the G regions
+            locals2[:, m] = _take(locals1, m) + _scaled(c3, out)
 
         # stage IV: region tokens read local tokens back
         s3 = s2.copy()
-        if k4:
-            q_all = self.norm4_q.forward(s2)
-            kv_all = self.norm4_kv.forward(locals2)
-            for size, ids, m in part.groups:
-                if size == 0:
-                    continue
-                out = self.cross_region.forward(q_all[ids][:, None], kv_all[m])
-                s3[ids] = s2[ids] + c4 * out[:, 0]
+        q_all = self.norm4_q.forward(s2)
+        kv_all = self.norm4_kv.forward(locals2)
+        for size, ids, m in part.groups:
+            if size == 0:
+                continue
+            out = self.cross_region.forward(_take(q_all, ids)[:, :, None], _take(kv_all, m))
+            s3[:, ids] = _take(s2, ids) + _scaled(c4, out[:, :, 0])
 
         # shared feed-forward on locals, then on region tokens
-        if kfl:
-            locals3 = locals2 + cfl * self.ffn.forward(self.norm_ffn.forward(locals2))
-        else:
-            locals3 = locals2
-        if kfs:
-            s4 = s3 + cfs * self.ffn.forward(self.norm_ffn.forward(s3))
-        else:
-            s4 = s3
+        locals3 = locals2 + _scaled(cfl, self.ffn.forward(self.norm_ffn.forward(locals2)))
+        s4 = s3 + _scaled(cfs, self.ffn.forward(self.norm_ffn.forward(s3)))
 
-        self._save(part.groups, keeps)
+        self._save(part.groups, scales)
         return locals3, s4
 
     def backward(self, d_locals3: np.ndarray, d_s4: np.ndarray):
-        groups, keeps = self._load()
-        (k1, c1), (k2, c2), (k3, c3), (k4, c4), (kfl, cfl), (kfs, cfs) = keeps
+        groups, scales = self._load()
+        c1, c2, c3, c4, cfl, cfs = scales
 
-        if kfs:
-            d_h = self.ffn.backward(cfs * d_s4)
-            d_s3 = d_s4 + self.norm_ffn.backward(d_h)
-        else:
-            d_s3 = d_s4
-        if kfl:
-            d_h = self.ffn.backward(cfl * d_locals3)
-            d_locals2 = d_locals3 + self.norm_ffn.backward(d_h)
-        else:
-            d_locals2 = d_locals3
+        d_h = self.ffn.backward(_scaled(cfs, d_s4))
+        d_s3 = d_s4 + self.norm_ffn.backward(d_h)
+        d_h = self.ffn.backward(_scaled(cfl, d_locals3))
+        d_locals2 = d_locals3 + self.norm_ffn.backward(d_h)
 
         d_s2 = d_s3.copy()
-        if k4:
-            d_q_all = np.zeros_like(d_s3)
-            d_kv_all = np.zeros_like(d_locals2)
-            for size, ids, m in reversed(groups):
-                if size == 0:
-                    continue
-                d_q, d_kv = self.cross_region.backward((c4 * d_s3[ids])[:, None])
-                d_q_all[ids] += d_q[:, 0]
-                d_kv_all[m] += d_kv
-            d_locals2 = d_locals2 + self.norm4_kv.backward(d_kv_all)
-            d_s2 = d_s2 + self.norm4_q.backward(d_q_all)
+        d_q_all = np.zeros_like(d_s3)
+        d_kv_all = np.zeros_like(d_locals2)
+        for size, ids, m in reversed(groups):
+            if size == 0:
+                continue
+            d_q, d_kv = self.cross_region.backward(_scaled(c4, _take(d_s3, ids))[:, :, None])
+            d_q_all[:, ids] += d_q[:, :, 0]
+            d_kv_all[:, m] += d_kv
+        d_locals2 = d_locals2 + self.norm4_kv.backward(d_kv_all)
+        d_s2 = d_s2 + self.norm4_q.backward(d_q_all)
 
         d_locals1 = d_locals2.copy()
-        if k3:
-            d_q_all = np.zeros_like(d_locals2)
-            d_kv_total = np.zeros_like(d_s2)
-            for size, ids, m in reversed(groups):
-                if size == 0:
-                    continue
-                d_q, d_kv = self.cross_local.backward(c3 * d_locals2[m])
-                d_q_all[m] += d_q
-                d_kv_total += d_kv
-            d_s2 = d_s2 + self.norm3_kv.backward(d_kv_total)
-            d_locals1 = d_locals1 + self.norm3_q.backward(d_q_all)
+        d_q_all = np.zeros_like(d_locals2)
+        d_kv_total = np.zeros_like(d_s2)
+        for size, ids, m in reversed(groups):
+            if size == 0:
+                continue
+            d_q, d_kv = self.cross_local.backward(_scaled(c3, _take(d_locals2, m)))
+            d_q_all[:, m] += d_q
+            d_kv_total += d_kv
+        d_s2 = d_s2 + self.norm3_kv.backward(d_kv_total)
+        d_locals1 = d_locals1 + self.norm3_q.backward(d_q_all)
 
-        if k2:
-            d_q, d_kv = self.attn_region.backward(c2 * d_s2)
-            d_s1 = d_s2 + self.norm2.backward(d_q + d_kv)
-        else:
-            d_s1 = d_s2
+        d_q, d_kv = self.attn_region.backward(_scaled(c2, d_s2))
+        d_s1 = d_s2 + self.norm2.backward(d_q + d_kv)
 
         d_locals = np.zeros_like(d_locals1)
         d_s = np.zeros_like(d_s1)
         for size, ids, m in reversed(groups):
-            d_x = np.concatenate([d_s1[ids][:, None], d_locals1[m]], axis=1)
-            if k1:
-                d_q, d_kv = self.attn_local.backward(c1 * d_x)
-                d_x = d_x + self.norm1.backward(d_q + d_kv)
-            d_s[ids] = d_x[:, 0]
-            d_locals[m] = d_x[:, 1:]
+            d_x = np.concatenate([_take(d_s1, ids)[:, :, None], _take(d_locals1, m)], axis=2)
+            d_q, d_kv = self.attn_local.backward(_scaled(c1, d_x))
+            d_x = d_x + self.norm1.backward(d_q + d_kv)
+            d_s[:, ids] = d_x[:, :, 0]
+            d_locals[:, m] = d_x[:, :, 1:]
         return d_locals, d_s
 
 
@@ -243,27 +244,29 @@ class LGIEncoder(Block):
         ])
 
     def encode(self, tokens: np.ndarray, part: RegionPartition,
-               rng: np.random.Generator | None = None, drop_path: float = 0.0):
-        """Returns (snapshots, final_locals, skip_locals, pooled).
+               rngs=None, drop_path: float = 0.0):
+        """Encode the tokens [S, N, C] of S samples that share ``part``.
 
-        snapshots: region tokens after every layer, [depth][K, C]
-        skip_locals: local tokens after each skip layer
-        pooled: mean over region tokens at each skip layer (sample features)
+        Returns (snapshots, final_locals, skip_locals, pooled):
+        snapshots: region tokens after every layer, [depth][S, K, C]
+        skip_locals: local tokens after each skip layer, [S, N, C]
+        pooled: mean over region tokens at each skip layer, [S, C]
+        rngs: one generator per sample for stochastic depth, or None.
         """
         if part.n_regions != self.n_regions:
             raise ValueError(
                 f"partition has {part.n_regions} regions, encoder expects {self.n_regions}")
         locals_ = tokens
-        s = self.region_tokens.data
+        s = np.repeat(self.region_tokens.data[None], len(tokens), axis=0)
         snapshots = []
         skip_locals = {}
         pooled = {}
         for idx, layer in enumerate(self.layers):
-            locals_, s = layer.forward(locals_, s, part, rng=rng, drop_path=drop_path)
+            locals_, s = layer.forward(locals_, s, part, rngs=rngs, drop_path=drop_path)
             snapshots.append(s)
             if idx in self.cfg.skip_indices:
                 skip_locals[idx] = locals_
-                pooled[idx] = s.mean(axis=0)
+                pooled[idx] = s.mean(axis=1)
         return snapshots, locals_, skip_locals, pooled
 
     def backward(self, d_locals: np.ndarray,
@@ -271,14 +274,14 @@ class LGIEncoder(Block):
                  d_skip_locals: dict[int, np.ndarray] | None = None,
                  d_pooled: dict[int, np.ndarray] | None = None) -> np.ndarray:
         k = self.n_regions
-        d_s = np.zeros((k, d_locals.shape[1]), dtype=d_locals.dtype)
+        d_s = np.zeros((len(d_locals), k, d_locals.shape[-1]), dtype=d_locals.dtype)
         for idx in reversed(range(len(self.layers))):
             if d_snapshots is not None:
                 d_s = d_s + d_snapshots[idx]
             if d_pooled is not None and idx in d_pooled:
-                d_s = d_s + d_pooled[idx] / k
+                d_s = d_s + d_pooled[idx][:, None] / k
             if d_skip_locals is not None and idx in d_skip_locals:
                 d_locals = d_locals + d_skip_locals[idx]
             d_locals, d_s = self.layers[idx].backward(d_locals, d_s)
-        self.region_tokens.grad += d_s
+        self._accumulate(self.region_tokens, d_s)
         return d_locals

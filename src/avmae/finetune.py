@@ -33,21 +33,29 @@ class FinetuneModel(Block):
         self.audio_encoder = LGIEncoder(cfg, k_a, rng, dtype=dtype)
         self.iavcl = IAVCLHead(cfg, num_outputs, rng, dtype=dtype)
 
-    def forward_sample(self, clip: RawClip, rng: np.random.Generator | None = None,
-                       drop_path: float = 0.0, training: bool = True) -> np.ndarray:
-        seq_v = self.video_embed.forward(clip.video)
-        seq_a = self.audio_embed.forward(clip.audio)
+    def forward_sample(self, clips, rngs=None, drop_path: float = 0.0,
+                       training: bool = True) -> np.ndarray:
+        """A batch of clips through the embeddings, both encoders and the
+        head in one pass; returns logits [S, outputs].
+
+        rngs: one generator per clip for stochastic depth, or None. The
+        logits, gradients and batch-norm statistics are bitwise those of the
+        clips run one at a time, forward in order and backward in reverse.
+        """
+        seq_v = self.video_embed.forward(np.stack([clip.video for clip in clips]))
+        seq_a = self.audio_embed.forward(np.stack([clip.audio for clip in clips]))
         part_v = partition(seq_v, self.cfg.video_region)
         part_a = partition(seq_a, self.cfg.audio_region)
         snaps_v, locals_v, _, _ = self.video_encoder.encode(
-            seq_v.tokens, part_v, rng=rng, drop_path=drop_path)
+            seq_v.tokens, part_v, rngs=rngs, drop_path=drop_path)
         snaps_a, locals_a, _, _ = self.audio_encoder.encode(
-            seq_a.tokens, part_a, rng=rng, drop_path=drop_path)
+            seq_a.tokens, part_a, rngs=rngs, drop_path=drop_path)
         logits = self.iavcl.forward(snaps_a, snaps_v, training=training)
         self._save(locals_v.shape, locals_a.shape)
         return logits
 
     def backward_sample(self, d_logits: np.ndarray) -> None:
+        """Backward of the last ``forward_sample``; d_logits is [S, outputs]."""
         locals_v_shape, locals_a_shape = self._load()
         d_snaps_a, d_snaps_v = self.iavcl.backward(d_logits)
         dtype = d_logits.dtype
@@ -59,7 +67,7 @@ class FinetuneModel(Block):
         self.video_embed.backward(d_tokens_v)
 
     def predict(self, clip: RawClip) -> np.ndarray:
-        """Inference forward: no stochastic depth, frozen statistics."""
-        logits = self.forward_sample(clip, rng=None, drop_path=0.0, training=False)
+        """Inference forward of one clip: no stochastic depth, frozen statistics."""
+        logits = self.forward_sample([clip], training=False)[0]
         self.clear_caches()
         return logits

@@ -9,6 +9,9 @@ pooled linear head.
 
 The refinement layer is a single block: its parameters are shared across all
 units and across both modalities.
+
+Every tensor carries a leading sample axis: the head runs a whole batch in
+one pass.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class DenseInteraction(Block):
         f_s = own + self.attn_self.forward(self.norm_self.forward(own))
         f_c = own + self.attn_cross.forward(self.norm_cq.forward(own),
                                             self.norm_ckv.forward(partner))
-        f_sc = np.concatenate([f_s, f_c], axis=1)
+        f_sc = np.concatenate([f_s, f_c], axis=-1)
         g_s = sigmoid(self.gate_self.forward(f_sc))
         g_c = sigmoid(self.gate_cross.forward(f_sc))
         out = g_s * f_s + g_c * f_c
@@ -53,8 +56,8 @@ class DenseInteraction(Block):
         d_gc = sigmoid_backward(g_c, d_out * f_c)
         d_gs = sigmoid_backward(g_s, d_out * f_s)
         d_fsc = self.gate_cross.backward(d_gc) + self.gate_self.backward(d_gs)
-        d_fs = d_fs + d_fsc[:, :self.dim]
-        d_fc = d_fc + d_fsc[:, self.dim:]
+        d_fs = d_fs + d_fsc[..., :self.dim]
+        d_fc = d_fc + d_fsc[..., self.dim:]
         d_q, d_kv = self.attn_cross.backward(d_fc)
         d_own = d_fc + self.norm_cq.backward(d_q)
         d_partner = self.norm_ckv.backward(d_kv)
@@ -130,34 +133,33 @@ class HAFELayer(Block):
         self.ffn2 = FeedForward(dim, rng, dtype=dtype)
 
     def forward(self, stack: np.ndarray, f_av: np.ndarray) -> np.ndarray:
-        """stack: [n_units, K, C]; f_av: [K, C] -> [K, C]."""
-        n_units, k, _ = stack.shape
+        """stack: [S, n_units, K, C]; f_av: [S, K, C] -> [S, K, C]."""
         normed = self.norm_units.forward(stack)
         # unit-axis attention, batched over token positions
-        att = self.attn_units.forward(normed.transpose(1, 0, 2))
-        h = stack + att.transpose(1, 0, 2)
+        att = self.attn_units.forward(normed.swapaxes(1, 2))
+        h = stack + att.swapaxes(1, 2)
         gamma = h + self.ffn1.forward(self.norm_ffn1.forward(h))
         g = sigmoid(self.gate.forward(gamma))
-        f3 = np.sum(g * gamma, axis=0)
+        f3 = np.sum(g * gamma, axis=1)
         f4 = f3 + self.cross.forward(self.norm_fq.forward(f3),
                                      self.norm_fkv.forward(f_av))
         out = f4 + self.ffn2.forward(self.norm_ffn2.forward(f4))
-        self._save(gamma, g, k)
+        self._save(gamma, g)
         return out
 
     def backward(self, d_out: np.ndarray):
-        gamma, g, k = self._load()
+        gamma, g = self._load()
         d_f4 = d_out + self.norm_ffn2.backward(self.ffn2.backward(d_out))
         d_q, d_kv = self.cross.backward(d_f4)
         d_f3 = d_f4 + self.norm_fq.backward(d_q)
         d_fav = self.norm_fkv.backward(d_kv)
-        d_gamma = g * d_f3[None, :, :]
-        d_g = sigmoid_backward(g, gamma * d_f3[None, :, :])
+        d_gamma = g * d_f3[:, None]
+        d_g = sigmoid_backward(g, gamma * d_f3[:, None])
         d_gamma = d_gamma + self.gate.backward(d_g)
         d_h = d_gamma + self.norm_ffn1.backward(self.ffn1.backward(d_gamma))
         d_stack = d_h.copy()
-        d_aq, d_akv = self.attn_units.backward(d_h.transpose(1, 0, 2))
-        d_normed = (d_aq + d_akv).transpose(1, 0, 2)
+        d_aq, d_akv = self.attn_units.backward(d_h.swapaxes(1, 2))
+        d_normed = (d_aq + d_akv).swapaxes(1, 2)
         d_stack += self.norm_units.backward(d_normed)
         return d_stack, d_fav
 
@@ -195,18 +197,20 @@ class IAVCLHead(Block):
 
     def forward(self, snaps_a: list[np.ndarray], snaps_v: list[np.ndarray],
                 training: bool = True) -> np.ndarray:
+        """Per-layer snapshots [S, K, C] of each modality -> logits [S, outputs]."""
         if len(snaps_a) != self.n_layers or len(snaps_v) != self.n_layers:
             raise ValueError(
                 f"expected {self.n_layers} snapshots per modality, got "
                 f"{len(snaps_a)}/{len(snaps_v)}")
-        stack_a = np.stack(snaps_a)          # [N_l, K, C]
-        stack_v = np.stack(snaps_v)
+        stack_a = np.stack(snaps_a, axis=1)          # [S, N_l, K, C]
+        stack_v = np.stack(snaps_v, axis=1)
         alpha_a, alpha_v = self.layer_weights()
-        agg_a = np.tensordot(alpha_a, stack_a, axes=(0, 0))
-        agg_v = np.tensordot(alpha_v, stack_v, axes=(0, 0))
-        f_av0 = np.concatenate([agg_a, agg_v], axis=1)
-        f1_a = stack_a.mean(axis=0)
-        f1_v = stack_v.mean(axis=0)
+        n, n_l, k, c = stack_a.shape
+        agg_a = (alpha_a @ stack_a.reshape(n, n_l, k * c)).reshape(n, k, c)
+        agg_v = (alpha_v @ stack_v.reshape(n, n_l, k * c)).reshape(n, k, c)
+        f_av0 = np.concatenate([agg_a, agg_v], axis=-1)
+        f1_a = stack_a.mean(axis=1)
+        f1_v = stack_v.mean(axis=1)
 
         f_av = self.er.input_linear.forward(f_av0)
         preserved_a, preserved_v = [], []
@@ -216,20 +220,21 @@ class IAVCLHead(Block):
             preserved_a.append(f2_a)
             preserved_v.append(f2_v)
             f1_a, f1_v = f2_a, f2_v
+        self.er.conv.update_statistics()
 
-        f4_a = self.hafe_a.forward(np.stack(preserved_a), f_av)
-        f4_v = self.hafe_v.forward(np.stack(preserved_v), f_av)
-        pooled = np.concatenate([f4_a.mean(axis=0), f4_v.mean(axis=0)])
-        out = self.head.forward(pooled[None, :])[0]
-        self._save(stack_a, stack_v, alpha_a, alpha_v, f4_a.shape[0])
+        f4_a = self.hafe_a.forward(np.stack(preserved_a, axis=1), f_av)
+        f4_v = self.hafe_v.forward(np.stack(preserved_v, axis=1), f_av)
+        pooled = np.concatenate([f4_a.mean(axis=1), f4_v.mean(axis=1)], axis=-1)
+        out = self.head.forward(pooled[:, None])[:, 0]
+        self._save(stack_a, stack_v, alpha_a, alpha_v, k)
         return out
 
     def backward(self, d_out: np.ndarray):
         stack_a, stack_v, alpha_a, alpha_v, k = self._load()
-        d_pooled = self.head.backward(d_out[None, :])[0]
-        dim = d_pooled.size // 2
-        d_f4_a = np.tile(d_pooled[:dim] / k, (k, 1))
-        d_f4_v = np.tile(d_pooled[dim:] / k, (k, 1))
+        d_pooled = self.head.backward(d_out[:, None])[:, 0]
+        dim = d_pooled.shape[-1] // 2
+        d_f4_a = np.repeat(d_pooled[:, None, :dim] / k, k, axis=1)
+        d_f4_v = np.repeat(d_pooled[:, None, dim:] / k, k, axis=1)
 
         d_stack_pv, d_fav_v = self.hafe_v.backward(d_f4_v)
         d_stack_pa, d_fav_a = self.hafe_a.backward(d_f4_a)
@@ -241,8 +246,8 @@ class IAVCLHead(Block):
         d_f1_a = d_f1_v = None
         for idx in reversed(range(n_units)):
             d_fav, d_f2_a, d_f2_v = self.er.refine_backward(d_fav)
-            d_f2_a = d_f2_a + d_stack_pa[idx] + d_next_a
-            d_f2_v = d_f2_v + d_stack_pv[idx] + d_next_v
+            d_f2_a = d_f2_a + d_stack_pa[:, idx] + d_next_a
+            d_f2_v = d_f2_v + d_stack_pv[:, idx] + d_next_v
             d_in_a, d_in_v = self.units[idx].backward(d_f2_a, d_f2_v)
             if idx == 0:
                 d_f1_a, d_f1_v = d_in_a, d_in_v
@@ -250,17 +255,18 @@ class IAVCLHead(Block):
                 d_next_a, d_next_v = d_in_a, d_in_v
 
         d_f_av0 = self.er.input_linear.backward(d_fav)
-        d_agg_a = d_f_av0[:, :dim]
-        d_agg_v = d_f_av0[:, dim:]
+        d_agg_a = d_f_av0[..., :dim]
+        d_agg_v = d_f_av0[..., dim:]
 
         d_snaps_a = [alpha_a[l] * d_agg_a + d_f1_a / self.n_layers
                      for l in range(self.n_layers)]
         d_snaps_v = [alpha_v[l] * d_agg_v + d_f1_v / self.n_layers
                      for l in range(self.n_layers)]
-        d_alpha_a = np.array([np.sum(d_agg_a * stack_a[l]) for l in range(self.n_layers)],
-                             dtype=alpha_a.dtype)
-        d_alpha_v = np.array([np.sum(d_agg_v * stack_v[l]) for l in range(self.n_layers)],
-                             dtype=alpha_v.dtype)
-        self.layer_logits_a.grad += softmax_backward(alpha_a, d_alpha_a)
-        self.layer_logits_v.grad += softmax_backward(alpha_v, d_alpha_v)
+        n = len(d_out)
+        d_alpha_a = np.add.reduce((d_agg_a[:, None] * stack_a).reshape(n, self.n_layers, -1),
+                                  axis=-1)
+        d_alpha_v = np.add.reduce((d_agg_v[:, None] * stack_v).reshape(n, self.n_layers, -1),
+                                  axis=-1)
+        self._accumulate(self.layer_logits_a, softmax_backward(alpha_a, d_alpha_a))
+        self._accumulate(self.layer_logits_v, softmax_backward(alpha_v, d_alpha_v))
         return d_snaps_a, d_snaps_v

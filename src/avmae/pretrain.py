@@ -6,6 +6,9 @@ The decoders consume the combined sequence of fused visible latents plus
 positioned mask tokens; skip features from the configured encoder layers are
 linearly projected and added at the visible slots only, before the first
 decoder block. Predictions are emitted only at decoder-target positions.
+
+Masks make every clip's layout its own, so the model runs one clip at a
+time: its blocks see a sample axis of one.
 """
 
 from __future__ import annotations
@@ -117,35 +120,37 @@ class Decoder(Block):
         self.head = Linear(cfg.decoder_dim, patch_dim, rng, dtype=dtype)
 
     def forward(self, combined: CombinedSeq, skip_locals: dict[int, np.ndarray]) -> np.ndarray:
-        x = self.input_proj.forward(combined.tokens)
+        """One clip's combined sequence; skip features [1, n_visible, C]
+        -> predictions [1, targets, patch]."""
+        x = self.input_proj.forward(combined.tokens[None])
         n_vis = combined.n_visible
         for j, idx in enumerate(self.cfg.skip_indices):
             feats = skip_locals[idx]
-            if feats.shape[0] != n_vis:
+            if feats.shape[1] != n_vis:
                 raise ValueError(
-                    f"skip features for layer {idx} have {feats.shape[0]} rows, "
+                    f"skip features for layer {idx} have {feats.shape[1]} rows, "
                     f"expected {n_vis} visible tokens")
             if n_vis:
                 add = self.skip_projs[j].forward(feats)
-                x = np.concatenate([x[:n_vis] + add, x[n_vis:]], axis=0)
+                x = np.concatenate([x[:, :n_vis] + add, x[:, n_vis:]], axis=1)
         for block in self.blocks:
             x = block.forward(x)
         x = self.norm.forward(x)
-        preds = self.head.forward(x[n_vis:])
+        preds = self.head.forward(x[:, n_vis:])
         self._save(n_vis, x.shape)
         return preds
 
     def backward(self, d_preds: np.ndarray):
         n_vis, x_shape = self._load()
         d_x = np.zeros(x_shape, dtype=d_preds.dtype)
-        d_x[n_vis:] = self.head.backward(d_preds)
+        d_x[:, n_vis:] = self.head.backward(d_preds)
         d_x = self.norm.backward(d_x)
         for block in reversed(list(self.blocks)):
             d_x = block.backward(d_x)
         d_skips = {}
         for j in reversed(range(len(self.cfg.skip_indices))):
             if n_vis:
-                d_skips[self.cfg.skip_indices[j]] = self.skip_projs[j].backward(d_x[:n_vis])
+                d_skips[self.cfg.skip_indices[j]] = self.skip_projs[j].backward(d_x[:, :n_vis])
         d_tokens = self.input_proj.backward(d_x)
         return d_tokens, d_skips
 
@@ -207,14 +212,15 @@ class PretrainModel(Block):
                  pair_v, clip.video),
                 ("audio", self.audio_embed, self.audio_encoder, self.cfg.audio_region,
                  pair_a, clip.audio)):
-            seq = embed.forward(raw)
-            if pair.n_tokens != seq.tokens.shape[0]:
+            seq = embed.forward(raw[None])
+            if pair.n_tokens != seq.tokens.shape[1]:
                 raise ValueError(f"{modality} mask size does not match token count")
             part = partition(seq, region, visible_mask=pair.encoder_mask)
-            visible = seq.tokens[pair.visible_indices]
+            visible = seq.tokens[:, pair.visible_indices]
             _, locals_, skip_locals, pooled = encoder.encode(visible, part)
             out[modality] = dict(seq=seq, pair=pair, part=part, locals=locals_,
-                                 skip_locals=skip_locals, pooled=pooled)
+                                 skip_locals=skip_locals,
+                                 pooled={idx: p[0] for idx, p in pooled.items()})
 
         fused_v, fused_a = self.fusion.forward(out["video"]["locals"],
                                                out["audio"]["locals"])
@@ -227,9 +233,9 @@ class PretrainModel(Block):
                 ("audio", self.audio_decoder, self.mask_token_a)):
             ctx = out[modality]
             _, codes = grid_codes(ctx["seq"].grid, self.cfg.encoder_dim, self.dtype)
-            combined = assemble_combined(ctx["fused"], ctx["pair"],
+            combined = assemble_combined(ctx["fused"][0], ctx["pair"],
                                          mask_token.data, codes)
-            preds = decoder.forward(combined, ctx["skip_locals"])
+            preds = decoder.forward(combined, ctx["skip_locals"])[0]
             targets = normalize_targets(clip, self.cfg, modality).astype(self.dtype)
             result[modality] = dict(
                 predictions=preds,
@@ -249,10 +255,10 @@ class PretrainModel(Block):
         for modality, decoder, mask_token, d_preds, pair in (
                 ("audio", self.audio_decoder, self.mask_token_a, d_preds_a, pair_a),
                 ("video", self.video_decoder, self.mask_token_v, d_preds_v, pair_v)):
-            d_tokens, d_skips = decoder.backward(d_preds)
+            d_tokens, d_skips = decoder.backward(d_preds[None])
             n_vis = pair.visible_indices.size
-            mask_token.grad += d_tokens[n_vis:].sum(axis=0)
-            d_fused[modality] = (d_tokens[:n_vis], d_skips)
+            mask_token.grad += d_tokens[0, n_vis:].sum(axis=0)
+            d_fused[modality] = (d_tokens[:, :n_vis], d_skips)
 
         d_locals_v, d_locals_a = self.fusion.backward(d_fused["video"][0],
                                                       d_fused["audio"][0])
@@ -262,7 +268,9 @@ class PretrainModel(Block):
                  d_fused["audio"][1], pair_a, d_pooled_a),
                 ("video", self.video_embed, self.video_encoder, d_locals_v,
                  d_fused["video"][1], pair_v, d_pooled_v)):
+            if d_pooled is not None:
+                d_pooled = {idx: d[None] for idx, d in d_pooled.items()}
             d_visible = encoder.backward(d_locals, None, d_skips, d_pooled)
-            full = np.zeros((pair.n_tokens, d_visible.shape[1]), dtype=d_visible.dtype)
-            full[pair.visible_indices] = d_visible
+            full = np.zeros((1, pair.n_tokens, d_visible.shape[-1]), dtype=d_visible.dtype)
+            full[:, pair.visible_indices] = d_visible
             embed.backward(full)

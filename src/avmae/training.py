@@ -27,6 +27,7 @@ from .pretrain import PretrainModel, make_mask_pairs
 
 LR_FLOOR = 1e-6
 _ADAMW_CHUNK = 1 << 14  # elements per AdamW pass; sizes its scratch buffers
+_EVAL_CHUNK = 16        # clips per forward in train_accuracy
 
 
 def worker_count() -> int:
@@ -430,16 +431,12 @@ def run_pretrain(cfg: ModelConfig, tcfg: TrainConfig, clips, video_shape,
 
 def supervised_step(model: FinetuneModel, clips, labels, indices, step: int,
                     tcfg: TrainConfig, optimizer: AdamW, lr: float) -> dict:
-    logits = []
-    for clip_idx in indices:
-        rng = sample_rng(tcfg.seed, step, clip_idx)
-        logits.append(model.forward_sample(clips[clip_idx], rng=rng,
-                                           drop_path=tcfg.drop_path, training=True))
-    logits = np.stack(logits)
+    rngs = [sample_rng(tcfg.seed, step, clip_idx) for clip_idx in indices]
+    logits = model.forward_sample([clips[i] for i in indices], rngs=rngs,
+                                  drop_path=tcfg.drop_path, training=True)
     batch_labels = np.asarray([labels[i] for i in indices])
     loss, d_logits = cross_entropy_ls(logits, batch_labels, tcfg.label_smoothing)
-    for j in reversed(range(len(indices))):
-        model.backward_sample(d_logits[j])
+    model.backward_sample(d_logits)
     optimizer.step(lr, tcfg.weight_decay)
     model.zero_grad()
     acc = float(np.mean(np.argmax(logits, axis=1) == batch_labels))
@@ -447,9 +444,13 @@ def supervised_step(model: FinetuneModel, clips, labels, indices, step: int,
 
 
 def train_accuracy(model: FinetuneModel, clips, labels) -> float:
+    """Eval-mode accuracy, in chunks; each clip's logits are its ``predict``'s."""
     hits = 0
-    for clip, label in zip(clips, labels):
-        hits += int(np.argmax(model.predict(clip)) == label)
+    for start in range(0, len(clips), _EVAL_CHUNK):
+        logits = model.forward_sample(clips[start:start + _EVAL_CHUNK], training=False)
+        model.clear_caches()
+        chunk_labels = np.asarray(labels[start:start + _EVAL_CHUNK])
+        hits += int(np.sum(np.argmax(logits, axis=1) == chunk_labels))
     return hits / len(clips)
 
 

@@ -2,10 +2,10 @@
 block, analytic parameter accounting, and the structural property suite
 behind the ``verify`` command.
 
-All gradient checks run in 64-bit mode. Harnesses containing the PReLU pick
-probe points away from its corner or, for the deep composite, a slope of
-exactly one where the activation is smooth while the slope gradient stays
-live.
+All gradient checks run in 64-bit mode on one sample (a leading sample axis
+of one). Harnesses containing the PReLU pick probe points away from its
+corner or, for the deep composite, a slope of exactly one where the
+activation is smooth while the slope gradient stays live.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ def _single_input_check(seed, build, x_shape, out_dim, tol, probes):
     """Harness for a block with one input; draws the block, then x, then w."""
     rng = np.random.default_rng(seed)
     block = build(rng)
-    x = rng.normal(size=x_shape)
-    w = rng.normal(size=(x_shape[0], out_dim))
+    x = rng.normal(size=x_shape)[None]
+    w = rng.normal(size=(x_shape[0], out_dim))[None]
 
     def fwd(x):
         out = block.forward(x)
@@ -63,9 +63,9 @@ def _check_layernorm(tol, probes):
 def _attention_harness(tol, probes, cross: bool):
     rng = np.random.default_rng(2)
     block = Attention(8, 2, rng, dtype=np.float64)
-    q = rng.normal(size=(3, 8))
-    kv = rng.normal(size=(5, 8)) if cross else q
-    w = rng.normal(size=(3, 8))
+    q = rng.normal(size=(3, 8))[None]
+    kv = rng.normal(size=(5, 8))[None] if cross else q
+    w = rng.normal(size=(3, 8))[None]
     inputs = {"q": q, "kv": kv} if cross else {"q": q}
 
     def fwd(q, kv=None):
@@ -97,8 +97,8 @@ def _conv_harness(seed):
     block = ConvBNPReLU(8, rng, dtype=np.float64)
     # O(1) conv outputs keep the batch-norm curvature benign for probing
     block.conv.weight.data *= 25.0
-    x = rng.normal(size=(6, 8)) * 2.0
-    w = rng.normal(size=(6, 8))
+    x = rng.normal(size=(6, 8))[None] * 2.0
+    w = rng.normal(size=(6, 8))[None]
     return block, x, w
 
 
@@ -109,7 +109,7 @@ def _check_conv_bn_prelu(tol, probes):
     for seed in range(64):
         block, x, _ = _conv_harness(seed)
         block.forward(x, training=True)
-        z = block._tape[-1][2]   # cache entry: (yhat, inv, z, neg, training, n)
+        z = block._tape[-1][2]   # cache entry: (yhat, inv, z, neg, training)
         block.clear_caches()
         if np.abs(z).min() > 0.05:
             chosen = seed
@@ -139,8 +139,8 @@ def _check_lgi_layer(tol, probes):
     rng = np.random.default_rng(4)
     block = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng, dtype=np.float64)
     n = sum(part.sizes())
-    locals_ = rng.normal(size=(n, cfg.encoder_dim))
-    s = rng.normal(size=(part.n_regions, cfg.encoder_dim))
+    locals_ = rng.normal(size=(n, cfg.encoder_dim))[None]
+    s = rng.normal(size=(part.n_regions, cfg.encoder_dim))[None]
     w_l = rng.normal(size=locals_.shape)
     w_s = rng.normal(size=s.shape)
 
@@ -159,8 +159,8 @@ def _check_lgi_layer(tol, probes):
 def _check_fusion_block(tol, probes):
     rng = np.random.default_rng(5)
     block = FusionBlock(16, 4, rng, dtype=np.float64)
-    v = rng.normal(size=(6, 16))
-    a = rng.normal(size=(3, 16))
+    v = rng.normal(size=(6, 16))[None]
+    a = rng.normal(size=(3, 16))[None]
     wv = rng.normal(size=v.shape)
     wa = rng.normal(size=a.shape)
 
@@ -187,9 +187,9 @@ def _check_iavcl(tol, probes):
     # probe at the smooth PReLU point; the slope gradient path stays active
     block.er.conv.prelu_slope.data[:] = 1.0
     k = 4
-    snaps_a = rng.normal(size=(cfg.encoder_depth, k, cfg.encoder_dim))
-    snaps_v = rng.normal(size=(cfg.encoder_depth, k, cfg.encoder_dim))
-    w = rng.normal(size=3)
+    snaps_a = rng.normal(size=(cfg.encoder_depth, k, cfg.encoder_dim))[:, None]
+    snaps_v = rng.normal(size=(cfg.encoder_depth, k, cfg.encoder_dim))[:, None]
+    w = rng.normal(size=3)[None]
 
     def fwd(snaps_a, snaps_v):
         out = block.forward(list(snaps_a), list(snaps_v), training=True)
@@ -518,7 +518,7 @@ def check_attention_rows() -> CheckResult:
     rng = np.random.default_rng(1)
     for t, c, h in ((1, 8, 2), (5, 8, 4), (9, 16, 2)):
         att = Attention(c, h, rng, dtype=np.float64)
-        att.forward(rng.normal(size=(t, c)) * 3)
+        att.forward(rng.normal(size=(t, c))[None] * 3)
         probs = att.last_probs()
         if not np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6):
             return CheckResult("softmax_rows", False, f"shape ({t},{c},{h})")
@@ -529,7 +529,7 @@ def check_attention_rows() -> CheckResult:
 def check_mhca_degenerates() -> CheckResult:
     rng = np.random.default_rng(2)
     att = Attention(8, 2, rng, dtype=np.float64)
-    x = rng.normal(size=(4, 8))
+    x = rng.normal(size=(4, 8))[None]
     self_out = att.forward(x)
     cross_out = att.forward(x, x.copy())
     att.clear_caches()
@@ -583,7 +583,7 @@ def check_encoder_identity() -> CheckResult:
         layer.ffn.fc2.weight.data[...] = 0.0
         layer.ffn.fc2.bias.data[...] = 0.0
     _, part = _tiny_video_partition(masked=False)
-    tokens = rng.normal(size=(64, cfg.encoder_dim))
+    tokens = rng.normal(size=(64, cfg.encoder_dim))[None]
     _, locals_, _, _ = enc.encode(tokens, part)
     enc.clear_caches()
     ok = np.allclose(locals_, tokens, atol=1e-12)

@@ -283,3 +283,41 @@ class OracleAdamW:
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data *= 1.0 - eff_lr * weight_decay
             p.data -= (eff_lr * update).astype(p.data.dtype)
+
+
+# ---------------------------------------------------------------------------
+# The per-sample fine-tune path: FinetuneModel fed one clip per call (a batch
+# of one), forward in sample order and backward in reverse, with a
+# generator per sample. The batched path must match it byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def per_sample_forward(model, clips, rngs=None, drop_path=0.0, training=True):
+    rngs = [None] * len(clips) if rngs is None else rngs
+    return np.stack([
+        model.forward_sample([clip], rngs=None if rng is None else [rng],
+                             drop_path=drop_path, training=training)[0]
+        for clip, rng in zip(clips, rngs)])
+
+
+def per_sample_backward(model, d_logits):
+    for j in reversed(range(len(d_logits))):
+        model.backward_sample(d_logits[j:j + 1])
+
+
+def per_sample_supervised_step(model, clips, labels, indices, step, tcfg,
+                               optimizer, lr):
+    """``training.supervised_step`` on the per-sample path."""
+    from avmae.losses import cross_entropy_ls
+    from avmae.training import sample_rng
+
+    rngs = [sample_rng(tcfg.seed, step, i) for i in indices]
+    logits = per_sample_forward(model, [clips[i] for i in indices], rngs,
+                                tcfg.drop_path, training=True)
+    batch_labels = np.asarray([labels[i] for i in indices])
+    loss, d_logits = cross_entropy_ls(logits, batch_labels, tcfg.label_smoothing)
+    per_sample_backward(model, d_logits)
+    optimizer.step(lr, tcfg.weight_decay)
+    model.zero_grad()
+    acc = float(np.mean(np.argmax(logits, axis=1) == batch_labels))
+    return {"loss": loss, "acc": acc}

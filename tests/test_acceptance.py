@@ -232,38 +232,38 @@ class TestA10OracleEquivalence:
             layer = LGILayer(dim, heads, rng, dtype=np.float64)
             locals_ = rng.normal(size=(64, dim))
             s = rng.normal(size=(4, dim))
-            out_l, out_s = layer.forward(locals_, s, part)
+            out_l, out_s = layer.forward(locals_[None], s[None], part)
             layer.clear_caches()
             ref_l, ref_s = oracle_lgi_layer(locals_, s, part.members, layer)
             worst["lgi"] = max(worst["lgi"],
-                               float(np.max(np.abs(out_l - ref_l))),
-                               float(np.max(np.abs(out_s - ref_s))))
+                               float(np.max(np.abs(out_l[0] - ref_l))),
+                               float(np.max(np.abs(out_s[0] - ref_s))))
 
             block = FusionBlock(dim, heads, rng, dtype=np.float64)
             v = rng.normal(size=(8, dim))
             a = rng.normal(size=(4, dim))
-            ov, oa = block.forward(v, a)
+            ov, oa = block.forward(v[None], a[None])
             block.clear_caches()
             rv, ra = oracle_fusion_block(v, a, block)
             worst["fusion"] = max(worst["fusion"],
-                                  float(np.max(np.abs(ov - rv))),
-                                  float(np.max(np.abs(oa - ra))))
+                                  float(np.max(np.abs(ov[0] - rv))),
+                                  float(np.max(np.abs(oa[0] - ra))))
 
             unit = DiERUnit(dim, heads, rng, dtype=np.float64)
             f1a = rng.normal(size=(4, dim))
             f1v = rng.normal(size=(4, dim))
-            f2a, f2v = unit.forward(f1a, f1v)
+            f2a, f2v = unit.forward(f1a[None], f1v[None])
             unit.clear_caches()
             ra_ = oracle_dense_interaction(f1a, f1v, unit.dense_a)
             rv_ = oracle_dense_interaction(f1v, f1a, unit.dense_v)
             worst["dier"] = max(worst["dier"],
-                                float(np.max(np.abs(f2a - ra_))),
-                                float(np.max(np.abs(f2v - rv_))))
+                                float(np.max(np.abs(f2a[0] - ra_))),
+                                float(np.max(np.abs(f2v[0] - rv_))))
 
             hafe = HAFELayer(dim, heads, rng, dtype=np.float64)
             stack = rng.normal(size=(2, 4, dim))
             fav = rng.normal(size=(4, dim))
-            out = hafe.forward(stack, fav)
+            out = hafe.forward(stack[None], fav[None])[0]
             hafe.clear_caches()
             worst["hafe"] = max(worst["hafe"],
                                 float(np.max(np.abs(out - oracle_hafe(stack, fav, hafe)))))

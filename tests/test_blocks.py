@@ -20,7 +20,7 @@ class TestAttentionForward:
         """Constant logits: every attention row is the uniform distribution."""
         rng = np.random.default_rng(0)
         att = Attention(8, 2, rng)
-        att.forward(np.zeros((4, 8), dtype=np.float32))
+        att.forward(np.zeros((1, 4, 8), dtype=np.float32))
         probs = att.last_probs()
         assert np.allclose(probs, 0.25, atol=1e-7)
         att.clear_caches()
@@ -29,7 +29,7 @@ class TestAttentionForward:
         """T=1: softmax over one element is 1, so out = x Wv Wo + biases."""
         rng = np.random.default_rng(1)
         att = Attention(8, 2, rng, dtype=np.float64)
-        x = rng.normal(size=(1, 8))
+        x = rng.normal(size=(1, 8))[None]
         out = att.forward(x)
         v = x @ att.w_v.data + att.b_v.data
         expected = v @ att.w_o.data + att.b_o.data
@@ -40,7 +40,7 @@ class TestAttentionForward:
         rng = np.random.default_rng(2)
         for t, c, h in ((1, 8, 1), (3, 8, 2), (7, 16, 4), (2, 12, 3)):
             att = Attention(c, h, rng, dtype=np.float64)
-            att.forward(rng.normal(size=(t, c)) * 5)
+            att.forward(rng.normal(size=(t, c))[None] * 5)
             assert np.allclose(att.last_probs().sum(axis=-1), 1.0, atol=1e-6)
             att.clear_caches()
 
@@ -48,7 +48,7 @@ class TestAttentionForward:
         rng = np.random.default_rng(7)
         att = Attention(8, 2, rng, dtype=np.float64)
         x = rng.normal(size=(3, 8))
-        out = att.forward(x)
+        out = att.forward(x[None])[0]
         att.clear_caches()
         assert np.max(np.abs(out - oracle_attention(x, x, att))) < 1e-6
 
@@ -57,14 +57,14 @@ class TestAttentionForward:
         att = Attention(8, 2, rng, dtype=np.float64)
         q = rng.normal(size=(2, 8))
         kv = rng.normal(size=(5, 8))
-        out = att.forward(q, kv)
+        out = att.forward(q[None], kv[None])[0]
         att.clear_caches()
         assert np.max(np.abs(out - oracle_attention(q, kv, att))) < 1e-6
 
     def test_cross_equals_self_bitwise(self):
         rng = np.random.default_rng(4)
         att = Attention(8, 4, rng)
-        x = rng.normal(size=(5, 8)).astype(np.float32)
+        x = rng.normal(size=(5, 8)).astype(np.float32)[None]
         self_out = att.forward(x)
         cross_out = att.forward(x, x.copy())
         att.clear_caches()
@@ -74,7 +74,7 @@ class TestAttentionForward:
         """Tk=1: every query sees the single key with weight one."""
         rng = np.random.default_rng(5)
         att = Attention(8, 2, rng, dtype=np.float64)
-        att.forward(rng.normal(size=(4, 8)), rng.normal(size=(1, 8)))
+        att.forward(rng.normal(size=(4, 8))[None], rng.normal(size=(1, 8))[None])
         assert np.allclose(att.last_probs(), 1.0)
         att.clear_caches()
 
@@ -86,14 +86,14 @@ class TestAttentionForward:
         att.clear_caches()
         singles = []
         for b in range(3):
-            singles.append(att.forward(x[b]))
+            singles.append(att.forward(x[b][None])[0])
             att.clear_caches()
         assert np.allclose(batched, np.stack(singles), atol=1e-12)
 
     def test_dim_mismatch_raises(self):
         att = Attention(8, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            att.forward(np.zeros((3, 6), dtype=np.float32))
+            att.forward(np.zeros((1, 3, 6), dtype=np.float32))
 
     def test_bad_head_count_raises(self):
         with pytest.raises(ValueError):
@@ -106,9 +106,9 @@ class TestBackwardProtocol:
         rng = np.random.default_rng(0)
         lin = Linear(4, 3, rng, dtype=np.float64)
         x = rng.normal(size=(5, 4))
-        lin.forward(x)
+        lin.forward(x[None])
         ones = np.ones((5, 3))
-        lin.backward(ones)
+        lin.backward(ones[None])
         assert np.allclose(lin.weight.grad, x.T @ ones)
         assert np.allclose(lin.bias.grad, ones.sum(axis=0))
 
@@ -116,14 +116,14 @@ class TestBackwardProtocol:
         """Per-row-constant input: gradient orthogonal to the ones direction."""
         ln = LayerNorm(8, dtype=np.float64)
         x = np.tile(np.random.default_rng(1).normal(size=(4, 1)), (1, 8))
-        ln.forward(x)
-        d_x = ln.backward(np.random.default_rng(2).normal(size=(4, 8)))
+        ln.forward(x[None])
+        d_x = ln.backward(np.random.default_rng(2).normal(size=(4, 8))[None])
         assert np.all(np.abs(d_x.sum(axis=-1)) < 1e-6)
 
     def test_backward_before_forward_raises(self):
         lin = Linear(3, 3, np.random.default_rng(0))
         with pytest.raises(GradientStateError):
-            lin.backward(np.ones((2, 3), dtype=np.float32))
+            lin.backward(np.ones((1, 2, 3), dtype=np.float32))
 
     def test_cache_stack_handles_repeated_application(self):
         """Two forwards, then backwards in reverse order, accumulate both."""
@@ -131,12 +131,12 @@ class TestBackwardProtocol:
         lin = Linear(3, 3, rng, dtype=np.float64)
         x1 = rng.normal(size=(2, 3))
         x2 = rng.normal(size=(4, 3))
-        lin.forward(x1)
-        lin.forward(x2)
+        lin.forward(x1[None])
+        lin.forward(x2[None])
         g2 = np.ones((4, 3))
         g1 = np.ones((2, 3))
-        lin.backward(g2)
-        lin.backward(g1)
+        lin.backward(g2[None])
+        lin.backward(g1[None])
         assert np.allclose(lin.weight.grad, x1.T @ g1 + x2.T @ g2)
 
     def test_deterministic_given_inputs(self):
@@ -147,8 +147,8 @@ class TestBackwardProtocol:
         outs = []
         for _ in range(2):
             att.zero_grad()
-            att.forward(x)
-            outs.append(att.backward(g.copy()))
+            att.forward(x[None])
+            outs.append(att.backward(g.copy()[None]))
         assert np.array_equal(outs[0][0], outs[1][0])
 
 
@@ -171,8 +171,8 @@ class TestGradChecks:
         """Negative control: a sign-flipped weight gradient must be caught."""
         rng = np.random.default_rng(0)
         lin = Linear(4, 3, rng, dtype=np.float64)
-        x = rng.normal(size=(5, 4))
-        w = rng.normal(size=(5, 3))
+        x = rng.normal(size=(5, 4))[None]
+        w = rng.normal(size=(5, 3))[None]
 
         def fwd(x):
             out = lin.forward(x)
@@ -198,7 +198,7 @@ class TestConvBNPReLU:
         block.conv.bias.data[...] = 0.0
         block.prelu_slope.data[...] = 1.0
         x = rng.normal(size=(8, 6))
-        out = block.forward(x, training=True)
+        out = block.forward(x[None], training=True)
         block.clear_caches()
         expected = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + 1e-5)
         assert np.allclose(out, expected, atol=1e-12)
@@ -208,7 +208,7 @@ class TestConvBNPReLU:
         block = ConvBNPReLU(6, rng, dtype=np.float64)
         block.bn_shift.data[...] = 0.0
         x = np.tile(rng.normal(size=(1, 6)), (5, 1))
-        out = block.forward(x, training=True)
+        out = block.forward(x[None], training=True)
         block.clear_caches()
         assert np.allclose(out, 0.0, atol=1e-12)
 
@@ -216,9 +216,9 @@ class TestConvBNPReLU:
         rng = np.random.default_rng(2)
         block = ConvBNPReLU(6, rng, dtype=np.float64)
         x = rng.normal(size=(16, 6))
-        train_out = block.forward(x, training=True)
+        train_out = block.forward(x[None], training=True)
         block.clear_caches()
-        eval_out = block.forward(x, training=False)
+        eval_out = block.forward(x[None], training=False)
         block.clear_caches()
         assert np.max(np.abs(train_out - eval_out)) < 1e-5
         # statistics recomputed by hand
@@ -229,7 +229,7 @@ class TestConvBNPReLU:
     def test_eval_before_any_batch_raises(self):
         block = ConvBNPReLU(6, np.random.default_rng(0))
         with pytest.raises(RuntimeError):
-            block.forward(np.zeros((3, 6), dtype=np.float32), training=False)
+            block.forward(np.zeros((1, 3, 6), dtype=np.float32), training=False)
 
 
 class TestPurity:
@@ -237,7 +237,7 @@ class TestPurity:
         """Same inputs and parameters give identical outputs across calls."""
         rng = np.random.default_rng(5)
         ffn = FeedForward(8, rng, dtype=np.float64)
-        x = rng.normal(size=(4, 8))
+        x = rng.normal(size=(4, 8))[None]
         a = ffn.forward(x.copy())
         b = ffn.forward(x.copy())
         ffn.clear_caches()
@@ -276,8 +276,8 @@ class TestKernelsMatchMeanVarReferences:
         want, xhat, inv = oracle_layernorm_forward(x, ln.scale.data, ln.shift.data, ln.eps)
         want_dx, want_dscale, want_dshift = oracle_layernorm_backward(
             d_out, xhat, inv, ln.scale.data)
-        assert_same_bytes(ln.forward(x), want)
-        assert_same_bytes(ln.backward(d_out), want_dx)
+        assert_same_bytes(ln.forward(x[None])[0], want)
+        assert_same_bytes(ln.backward(d_out[None])[0], want_dx)
         assert_same_bytes(ln.scale.grad, want_dscale)
         assert_same_bytes(ln.shift.grad, want_dshift)
 
@@ -312,10 +312,10 @@ class TestKernelsMatchMeanVarReferences:
             BATCHNORM_EPS)
         d_y, d_scale, d_shift, d_slope = oracle_batchnorm_prelu_backward(
             d_out, yhat, inv, z, block.bn_scale.data, block.prelu_slope.data)
-        assert_same_bytes(block.forward(x, training=True), want)
+        assert_same_bytes(block.forward(x[None], training=True)[0], want)
         assert_same_bytes(block.running_mean, mu)
         assert_same_bytes(block.running_var, var)
-        assert_same_bytes(block.backward(d_out), d_y @ w.T)
+        assert_same_bytes(block.backward(d_out[None])[0], d_y @ w.T)
         assert_same_bytes(block.bn_scale.grad, d_scale)
         assert_same_bytes(block.bn_shift.grad, d_shift)
         assert_same_bytes(block.prelu_slope.grad, d_slope)

@@ -12,9 +12,9 @@ import pytest
 from avmae import checkpoint as ckpt
 from avmae import verify as verifymod
 from avmae.cli import main
-from avmae.config import preset
+from avmae.config import desk_train_config, preset
 from avmae.finetune import FinetuneModel
-from avmae.training import sample_rng
+from avmae.training import SyntheticTask, gen_synthetic, run_supervised, sample_rng
 
 
 def tiny_model(seed=0, outputs=2):
@@ -84,6 +84,39 @@ class TestCheckpoint:
         fresh = tiny_model(3)
         with pytest.raises(ValueError, match="lacks parameter"):
             ckpt.transfer(fresh, tensors, include_prefixes=("video_encoder.",))
+
+    def test_restored_model_predicts_bitwise(self, tmp_path):
+        """Batch-norm running statistics travel with the checkpoint: a fresh
+        model restored from it predicts exactly what the trained one does."""
+        cfg = preset("Tiny")
+        model = tiny_model(outputs=3)
+        task = SyntheticTask(3, (8, 32, 32), (32, 16), noise=0.1, seed=4)
+        clips, labels = gen_synthetic(task, 8)
+        run_supervised(model, desk_train_config("finetune", seed=4), clips, labels,
+                       steps=2)
+        path = tmp_path / "trained.avck"
+        ckpt.save(path, model, cfg, "finetune")
+        fresh = tiny_model(seed=5, outputs=3)
+        ckpt.load_into(fresh, path, cfg)
+        for clip in clips[:3]:
+            assert fresh.predict(clip).tobytes() == model.predict(clip).tobytes()
+        assert int(fresh.iavcl.er.conv.num_batches) == int(model.iavcl.er.conv.num_batches) > 0
+
+    def test_old_format_version_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = preset("Tiny")
+        path = tmp_path / "v1.avck"
+        ckpt.save(path, tiny_model(), cfg, "post_pretrain")
+        raw = path.read_bytes()
+        head, payload = raw.split(b"\n--payload--\n", 1)
+        manifest = json.loads(head)
+        manifest["format_version"] = 1
+        path.write_bytes(json.dumps(manifest).encode() + b"\n--payload--\n" + payload)
+        data = tmp_path / "data"
+        main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)])
+        code = main(["finetune", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--init", str(path), "--steps", "1"])
+        assert code == 2
+        assert "format version 1" in capsys.readouterr().err
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.avck"

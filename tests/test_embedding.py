@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from avmae.config import preset
-from avmae.embedding import (AudioEmbed, RawClip, VideoEmbed, audio_patches,
-                             grid_codes, grid_coords, normalize_targets,
+from avmae.embedding import (TARGET_EPS, AudioEmbed, RawClip, VideoEmbed,
+                             audio_patches, grid_codes, grid_coords,
+                             normalize_patches, normalize_targets,
                              positional_encoding, read_clip, video_patches,
                              write_clip)
 
@@ -20,26 +21,26 @@ class TestTokenCounts:
         rng = np.random.default_rng(0)
         embed = VideoEmbed(preset("B"), rng)
         video = rng.random((16, 160, 160, 3)).astype(np.float32)
-        seq = embed.forward(video)
+        seq = embed.forward(video[None])
         embed.clear_caches()
-        assert seq.tokens.shape == (800, 512)
+        assert seq.tokens.shape == (1, 800, 512)
         assert seq.grid == (8, 10, 10)
 
     def test_b_audio_token_count(self):
         rng = np.random.default_rng(1)
         embed = AudioEmbed(preset("B"), rng)
-        seq = embed.forward(rng.random((256, 128)).astype(np.float32))
+        seq = embed.forward(rng.random((256, 128)).astype(np.float32)[None])
         embed.clear_caches()
-        assert seq.tokens.shape == (128, 512)
+        assert seq.tokens.shape == (1, 128, 512)
         assert seq.grid == (16, 8)
 
     def test_tiny_counts(self):
         cfg = preset("Tiny")
         rng = np.random.default_rng(2)
-        vseq = VideoEmbed(cfg, rng).forward(rng.random((8, 32, 32, 3)).astype(np.float32))
-        aseq = AudioEmbed(cfg, rng).forward(rng.random((32, 16)).astype(np.float32))
-        assert vseq.tokens.shape[0] == 64
-        assert aseq.tokens.shape[0] == 8
+        vseq = VideoEmbed(cfg, rng).forward(rng.random((8, 32, 32, 3)).astype(np.float32)[None])
+        aseq = AudioEmbed(cfg, rng).forward(rng.random((32, 16)).astype(np.float32)[None])
+        assert vseq.tokens.shape[1] == 64
+        assert aseq.tokens.shape[1] == 8
 
     def test_tiny_video_count_by_enumeration(self):
         """Count tubelets directly instead of using the formula."""
@@ -53,7 +54,7 @@ class TestTokenCounts:
         rng = np.random.default_rng(3)
         embed = VideoEmbed(preset("B"), rng)
         with pytest.raises(ValueError):
-            embed.forward(np.zeros((16, 150, 150, 3), dtype=np.float32))
+            embed.forward(np.zeros((1, 16, 150, 150, 3), dtype=np.float32))
 
 
 class TestPositionalEncoding:
@@ -62,7 +63,7 @@ class TestPositionalEncoding:
         rng = np.random.default_rng(4)
         embed = VideoEmbed(cfg, rng)
         embed.proj.bias.data[...] = 0.0
-        seq = embed.forward(np.zeros((8, 32, 32, 3), dtype=np.float32))
+        seq = embed.forward(np.zeros((1, 8, 32, 32, 3), dtype=np.float32))
         embed.clear_caches()
         expected = positional_encoding(seq.coords, cfg.encoder_dim)
         assert np.allclose(seq.tokens, expected, atol=1e-7)
@@ -72,9 +73,9 @@ class TestPositionalEncoding:
         rng = np.random.default_rng(5)
         embed = AudioEmbed(cfg, rng)
         embed.proj.bias.data[...] = 0.0
-        seq = embed.forward(np.zeros((8, 8), dtype=np.float32))
+        seq = embed.forward(np.zeros((1, 8, 8), dtype=np.float32))
         embed.clear_caches()
-        assert seq.tokens.shape[0] == 1
+        assert seq.tokens.shape[1] == 1
         origin = positional_encoding(np.array([[0, 0]]), cfg.encoder_dim)
         assert np.allclose(seq.tokens, origin, atol=1e-7)
 
@@ -132,6 +133,14 @@ class TestTargets:
         targets = normalize_targets(self.clip(), preset("Tiny"), "video")
         assert np.max(np.abs(targets.mean(axis=1))) < 1e-5
         assert np.max(np.abs(targets.std(axis=1) - 1.0)) < 1e-5
+
+    @pytest.mark.parametrize("shape", [(64, 384), (8, 64), (5, 7), (1, 1)])
+    def test_matches_mean_var_formulation_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        patches = rng.normal(2.0, 3.0, size=shape)
+        want = ((patches - patches.mean(axis=1, keepdims=True))
+                / np.sqrt(patches.var(axis=1, keepdims=True) + TARGET_EPS))
+        assert normalize_patches(patches).tobytes() == want.tobytes()
 
 
 class TestClipFiles:

@@ -100,11 +100,11 @@ class TestLGILayer:
 
     def test_matches_loop_oracle(self):
         layer, locals_, s, part = self.build(seed=11)
-        out_l, out_s = layer.forward(locals_, s, part)
+        out_l, out_s = layer.forward(locals_[None], s[None], part)
         layer.clear_caches()
         ref_l, ref_s = oracle_lgi_layer(locals_, s, part.members, layer)
-        assert np.max(np.abs(out_l - ref_l)) < 1e-5
-        assert np.max(np.abs(out_s - ref_s)) < 1e-5
+        assert np.max(np.abs(out_l[0] - ref_l)) < 1e-5
+        assert np.max(np.abs(out_s[0] - ref_s)) < 1e-5
 
     @pytest.mark.parametrize("mask, sizes", [
         (tube_mask(4, 4, 4, 0.9, np.random.default_rng(0)), [2, 2, 2, 2]),
@@ -114,11 +114,11 @@ class TestLGILayer:
     def test_matches_oracle_under_masking(self, mask, sizes):
         layer, locals_, s, part = self.build(seed=12, mask=mask)
         assert part.sizes() == sizes
-        out_l, out_s = layer.forward(locals_, s, part)
+        out_l, out_s = layer.forward(locals_[None], s[None], part)
         layer.clear_caches()
         ref_l, ref_s = oracle_lgi_layer(locals_, s, part.members, layer)
-        assert np.max(np.abs(out_l - ref_l)) < 1e-5
-        assert np.max(np.abs(out_s - ref_s)) < 1e-5
+        assert np.max(np.abs(out_l[0] - ref_l)) < 1e-5
+        assert np.max(np.abs(out_s[0] - ref_s)) < 1e-5
 
     def test_zeroed_projections_leave_locals_untouched(self):
         """Residual identity: zero output projections reduce the layer to
@@ -130,10 +130,10 @@ class TestLGILayer:
             att.b_o.data[...] = 0.0
         layer.ffn.fc2.weight.data[...] = 0.0
         layer.ffn.fc2.bias.data[...] = 0.0
-        out_l, out_s = layer.forward(locals_, s, part)
+        out_l, out_s = layer.forward(locals_[None], s[None], part)
         layer.clear_caches()
-        assert np.allclose(out_l, locals_, atol=1e-12)
-        assert np.allclose(out_s, s, atol=1e-12)
+        assert np.allclose(out_l[0], locals_, atol=1e-12)
+        assert np.allclose(out_s[0], s, atol=1e-12)
 
     def test_single_region_stage2_value_path(self):
         """K=1: stage II attention over one token reduces to the value
@@ -146,10 +146,10 @@ class TestLGILayer:
         assert part.n_regions == 1
         locals_ = rng.normal(size=(64, cfg.encoder_dim))
         s = rng.normal(size=(1, cfg.encoder_dim))
-        out_l, out_s = layer.forward(locals_, s, part)
+        out_l, out_s = layer.forward(locals_[None], s[None], part)
         layer.clear_caches()
         ref_l, ref_s = oracle_lgi_layer(locals_, s, part.members, layer)
-        assert np.max(np.abs(out_s - ref_s)) < 1e-8
+        assert np.max(np.abs(out_s[0] - ref_s)) < 1e-8
         # explicit value-path form of stage II on the post-stage-I token
         x = np.concatenate([s, locals_], axis=0)
         y = x + oracle_attention(oracle_layernorm(x, layer.norm1),
@@ -170,19 +170,19 @@ class TestLGILayer:
 
     def test_drop_path_disabled_when_rng_none(self):
         layer, locals_, s, part = self.build(seed=16)
-        a = layer.forward(locals_, s, part, rng=None, drop_path=0.5)
+        a = layer.forward(locals_[None], s[None], part, rngs=None, drop_path=0.5)
         layer.clear_caches()
-        b = layer.forward(locals_, s, part, rng=None, drop_path=0.5)
+        b = layer.forward(locals_[None], s[None], part, rngs=None, drop_path=0.5)
         layer.clear_caches()
         assert np.array_equal(a[0], b[0])
 
     def test_drop_path_skips_branches(self):
         layer, locals_, s, part = self.build(seed=17)
         rng = np.random.default_rng(0)
-        out_l, out_s = layer.forward(locals_, s, part, rng=rng, drop_path=0.999)
+        out_l, out_s = layer.forward(locals_[None], s[None], part, rngs=[rng], drop_path=0.999)
         layer.clear_caches()
-        assert np.allclose(out_l, locals_)
-        assert np.allclose(out_s, s)
+        assert np.allclose(out_l[0], locals_)
+        assert np.allclose(out_s[0], s)
 
 
 class TestLGIEncoder:
@@ -193,14 +193,14 @@ class TestLGIEncoder:
         seq = tiny_seq(dim=cfg.encoder_dim)
         mask = tube_mask(4, 4, 4, 0.9, np.random.default_rng(1))
         part = partition(seq, cfg.video_region, visible_mask=mask)
-        tokens = rng.normal(size=(8, cfg.encoder_dim)).astype(np.float32)
+        tokens = rng.normal(size=(8, cfg.encoder_dim)).astype(np.float32)[None]
         snaps, locals_, skip_locals, pooled = enc.encode(tokens, part)
         enc.clear_caches()
         assert len(snaps) == 4
-        assert all(s.shape == (4, 32) for s in snaps)
-        assert locals_.shape == (8, 32)
+        assert all(s.shape == (1, 4, 32) for s in snaps)
+        assert locals_.shape == (1, 8, 32)
         assert sorted(skip_locals) == cfg.skip_indices
-        assert all(p.shape == (32,) for p in pooled.values())
+        assert all(p.shape == (1, 32) for p in pooled.values())
 
     def test_token_counts_layer_invariant(self):
         cfg = preset("Tiny")
@@ -208,11 +208,11 @@ class TestLGIEncoder:
         enc = LGIEncoder(cfg, 4, rng)
         seq = tiny_seq(dim=cfg.encoder_dim)
         part = partition(seq, cfg.video_region)
-        tokens = rng.normal(size=(64, cfg.encoder_dim)).astype(np.float32)
+        tokens = rng.normal(size=(64, cfg.encoder_dim)).astype(np.float32)[None]
         snaps, locals_, _, _ = enc.encode(tokens, part)
         enc.clear_caches()
-        assert locals_.shape[0] == 64
-        assert all(s.shape[0] == 4 for s in snaps)
+        assert locals_.shape[1] == 64
+        assert all(s.shape[1] == 4 for s in snaps)
 
     def test_modality_agnostic_given_same_geometry(self):
         """Identical inputs and parameters give identical snapshots."""
@@ -221,7 +221,7 @@ class TestLGIEncoder:
         enc = LGIEncoder(cfg, 4, rng)
         seq = tiny_seq(dim=cfg.encoder_dim)
         part = partition(seq, cfg.video_region)
-        tokens = rng.normal(size=(64, cfg.encoder_dim)).astype(np.float32)
+        tokens = rng.normal(size=(64, cfg.encoder_dim)).astype(np.float32)[None]
         a, _, _, _ = enc.encode(tokens, part)
         enc.clear_caches()
         b, _, _, _ = enc.encode(tokens.copy(), part)
@@ -242,8 +242,8 @@ class TestLGIEncoder:
         enc = LGIEncoder(cfg, 4, rng)
         seq = tiny_seq(dim=cfg.encoder_dim)
         part = partition(seq, cfg.video_region)
-        tokens = rng.normal(size=(64, cfg.encoder_dim)).astype(np.float32)
+        tokens = rng.normal(size=(64, cfg.encoder_dim)).astype(np.float32)[None]
         snaps, _, _, pooled = enc.encode(tokens, part)
         enc.clear_caches()
         for idx in cfg.skip_indices:
-            assert np.allclose(pooled[idx], snaps[idx].mean(axis=0), atol=1e-7)
+            assert np.allclose(pooled[idx], snaps[idx].mean(axis=1), atol=1e-7)

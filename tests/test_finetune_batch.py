@@ -1,0 +1,117 @@
+"""The batch-first fine-tune path against the per-sample path, byte for byte."""
+
+import numpy as np
+
+from avmae import training
+from avmae.config import PRESET_INPUTS, desk_train_config, preset
+from avmae.finetune import FinetuneModel
+from avmae.losses import cross_entropy_ls
+from avmae.training import SyntheticTask, gen_synthetic, sample_rng, train_accuracy
+
+from oracles import (per_sample_backward, per_sample_forward,
+                     per_sample_supervised_step)
+
+TINY_V, TINY_A = PRESET_INPUTS["Tiny"]
+N_CLASSES = 3
+
+
+def tiny_model(seed=0):
+    return FinetuneModel(preset("Tiny"), TINY_V, TINY_A, N_CLASSES,
+                         rng=sample_rng(seed, 0xF1E7))
+
+
+def tiny_data(n, seed=0):
+    task = SyntheticTask(N_CLASSES, TINY_V, TINY_A, noise=0.1, seed=seed)
+    return gen_synthetic(task, n)
+
+
+def assert_same_bytes(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def bn_state(model):
+    return dict(model.named_buffers())
+
+
+class TestBatchMatchesPerSample:
+    def test_training_step_bytes(self):
+        """S=4, float32, training mode, drop-path 0.5: logits, every
+        parameter gradient and the batch-norm running statistics equal the
+        per-sample loop's."""
+        clips, labels = tiny_data(4)
+        rate, step = 0.5, 7
+        # six branch decisions per layer, video layers then audio layers
+        n_draws = 6 * 2 * preset("Tiny").encoder_depth
+        draws = np.array([[sample_rng(0, step, i).random() for _ in range(n_draws)]
+                          for i in range(4)])
+        assert (draws < rate).any() and (draws >= rate).any()  # some branches drop
+
+        batched, single = tiny_model(), tiny_model()
+        for model in (batched, single):   # non-empty running statistics
+            model.forward_sample(clips[:2], training=True)
+            model.clear_caches()
+        rngs = [sample_rng(0, step, i) for i in range(4)]
+        logits = batched.forward_sample(clips, rngs=rngs, drop_path=rate)
+        rngs = [sample_rng(0, step, i) for i in range(4)]
+        want = per_sample_forward(single, clips, rngs, drop_path=rate)
+        assert_same_bytes(logits, want, "logits")
+        assert logits.dtype == np.float32
+
+        _, d_logits = cross_entropy_ls(logits, np.asarray(labels), 0.1)
+        batched.backward_sample(d_logits)
+        per_sample_backward(single, d_logits)
+        for (name, p), (_, q) in zip(batched.named_parameters(),
+                                     single.named_parameters()):
+            assert_same_bytes(p.grad, q.grad, name)
+        want_bn = bn_state(single)
+        for name, b in bn_state(batched).items():
+            assert_same_bytes(b, want_bn[name], name)
+        # one count per sample and call: 2 modalities per unit, 2 + 4 samples
+        assert int(batched.iavcl.er.conv.num_batches) == (2 + 4) * 2 * 2
+
+    def test_adamw_arena_after_three_steps(self, monkeypatch):
+        clips, labels = tiny_data(8)
+        tcfg = desk_train_config("finetune", seed=0)
+        tcfg.batch = 4
+        tcfg.drop_path = 0.5
+        optimizers = []
+        built = training.optimizer_for
+        monkeypatch.setattr(training, "optimizer_for",
+                            lambda *a: optimizers.append(built(*a)) or optimizers[-1])
+        batched = tiny_model()
+        training.run_supervised(batched, tcfg, clips, labels, steps=3)
+        monkeypatch.setattr(training, "supervised_step", per_sample_supervised_step)
+        single = tiny_model()
+        training.run_supervised(single, tcfg, clips, labels, steps=3)
+        got, want = optimizers
+        assert got.t == want.t == 3
+        for field in ("data", "grad", "m", "v"):
+            assert_same_bytes(getattr(got, field), getattr(want, field), field)
+        want_bn = bn_state(single)
+        for name, b in bn_state(batched).items():
+            assert_same_bytes(b, want_bn[name], name)
+
+
+class TestTrainAccuracy:
+    def test_chunked_predictions_equal_per_clip_predict(self):
+        n = training._EVAL_CHUNK + 3
+        clips, labels = tiny_data(n, seed=1)
+        model = tiny_model(1)
+        tcfg = desk_train_config("finetune", seed=1)
+        training.run_supervised(model, tcfg, clips, labels, steps=2)
+
+        chunks = []
+        forward = model.forward_sample
+
+        def spy(batch, **kwargs):
+            chunks.append(forward(batch, **kwargs))
+            return chunks[-1]
+
+        model.forward_sample = spy
+        acc = train_accuracy(model, clips, labels)
+        del model.forward_sample
+        assert [len(c) for c in chunks] == [training._EVAL_CHUNK, 3]
+        want = np.stack([model.predict(clip) for clip in clips])
+        assert_same_bytes(np.concatenate(chunks), want, "eval logits")
+        assert acc == np.mean(np.argmax(want, axis=1) == labels)

@@ -25,6 +25,11 @@ def tiny_snaps(seed, k=4, dim=32, layers=4):
             [rng.normal(size=(k, dim)) for _ in range(layers)])
 
 
+def one_sample(snaps):
+    """Per-layer snapshots [K, C] as a batch of one sample, [1, K, C]."""
+    return [s[None] for s in snaps]
+
+
 class TestLayerAggregation:
     def test_weights_normalised(self):
         head = tiny_head()
@@ -66,7 +71,7 @@ class TestDiERUnit:
         for dense in (unit.dense_a, unit.dense_v):
             dense.gate_self.bias.data[...] = -50.0
             dense.gate_cross.bias.data[...] = -50.0
-        f1 = rng.normal(size=(4, 32))
+        f1 = rng.normal(size=(4, 32))[None]
         f2_a, f2_v = unit.forward(f1, f1.copy())
         unit.clear_caches()
         assert np.max(np.abs(f2_a)) < 1e-12
@@ -82,11 +87,11 @@ class TestDiERUnit:
         video_params = dict(unit.dense_v.named_parameters())
         for name, p in unit.dense_a.named_parameters():
             p.data[...] = video_params[name].data
-        f1 = rng.normal(size=(4, 32))
+        f1 = rng.normal(size=(4, 32))[None]
         f2_a, f2_v = unit.forward(f1.copy(), f1.copy())
         unit.clear_caches()
         assert np.array_equal(f2_a, f2_v)
-        f_av = rng.normal(size=(4, 32))
+        f_av = rng.normal(size=(4, 32))[None]
         r_a = er.conv.forward(er.shca.forward(f_av, f2_a), training=True)
         er.clear_caches()
         er.conv.num_batches = 0
@@ -108,7 +113,7 @@ class TestDiERUnit:
         """Two-unit chain against the straight-line reference (seeded)."""
         head = tiny_head(13)
         snaps_a, snaps_v = tiny_snaps(13)
-        out = head.forward(snaps_a, snaps_v, training=True)
+        out = head.forward(one_sample(snaps_a), one_sample(snaps_v), training=True)[0]
         head.clear_caches()
         preserved, f_av = oracle_dier_chain(snaps_a, snaps_v, head)
         # reproduce the full head output path from the oracle chain
@@ -127,7 +132,7 @@ class TestHAFE:
         hafe = HAFELayer(32, 4, rng, dtype=np.float64)
         stack = rng.normal(size=(1, 4, 32))
         f_av = rng.normal(size=(4, 32))
-        out = hafe.forward(stack, f_av)
+        out = hafe.forward(stack[None], f_av[None])[0]
         hafe.clear_caches()
         ref = oracle_hafe(stack, f_av, hafe)
         assert np.max(np.abs(out - ref)) < 1e-8
@@ -139,7 +144,7 @@ class TestHAFE:
         hafe.gate.weight.data[...] = 0.0
         stack = rng.normal(size=(3, 4, 32))
         f_av = rng.normal(size=(4, 32))
-        out = hafe.forward(stack, f_av)
+        out = hafe.forward(stack[None], f_av[None])[0]
         hafe.clear_caches()
         # with unit gates, f3 is the plain sum over granularity levels
         ref = oracle_hafe(stack, f_av, hafe)
@@ -150,7 +155,7 @@ class TestHAFE:
         hafe = HAFELayer(32, 4, rng, dtype=np.float64)
         stack = rng.normal(size=(2, 4, 32))
         f_av = rng.normal(size=(4, 32))
-        out = hafe.forward(stack, f_av)
+        out = hafe.forward(stack[None], f_av[None])[0]
         hafe.clear_caches()
         ref = oracle_hafe(stack, f_av, hafe)
         assert np.max(np.abs(out - ref)) < 1e-5
@@ -162,7 +167,7 @@ class TestHead:
         head.head.weight.data[...] = 0.0
         head.head.bias.data[...] = 0.0
         snaps_a, snaps_v = tiny_snaps(5)
-        out = head.forward(snaps_a, snaps_v, training=True)
+        out = head.forward(one_sample(snaps_a), one_sample(snaps_v), training=True)
         head.clear_caches()
         assert np.allclose(out, 0.0)
         assert np.allclose(softmax(out), 1.0 / 3.0)
@@ -172,12 +177,12 @@ class TestHead:
         snapshot leaves the output unchanged."""
         head = tiny_head(6)
         snaps_a, snaps_v = tiny_snaps(7)
-        out = head.forward(snaps_a, snaps_v, training=True)
+        out = head.forward(one_sample(snaps_a), one_sample(snaps_v), training=True)
         head.clear_caches()
         head.er.conv.num_batches = 0
         perm = np.random.default_rng(8).permutation(4)
-        out_p = head.forward([s[perm] for s in snaps_a],
-                             [s[perm] for s in snaps_v], training=True)
+        out_p = head.forward(one_sample([s[perm] for s in snaps_a]),
+                             one_sample([s[perm] for s in snaps_v]), training=True)
         head.clear_caches()
         assert np.allclose(out, out_p, atol=1e-9)
 
@@ -187,9 +192,9 @@ class TestHead:
         for n_units in (1, 2, 4):
             head = tiny_head(11, num_units=n_units)
             snaps_a, snaps_v = tiny_snaps(12)
-            out = head.forward(snaps_a, snaps_v, training=True)
+            out = head.forward(one_sample(snaps_a), one_sample(snaps_v), training=True)
             head.clear_caches()
-            assert out.shape == (3,)
+            assert out.shape == (1, 3)
 
     def test_snapshot_count_mismatch_rejected(self):
         head = tiny_head(13)

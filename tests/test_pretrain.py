@@ -32,7 +32,7 @@ class TestFusion:
                 att.b_o.data[...] = 0.0
         v = rng.normal(size=(6, 32))
         a = rng.normal(size=(3, 32))
-        out_v, out_a = fusion.forward(v, a)
+        out_v, out_a = fusion.forward(v[None], a[None])
         fusion.clear_caches()
         # recompute the pure-FFN path
         ref_v, ref_a = v, a
@@ -43,7 +43,7 @@ class TestFusion:
         assert np.allclose(out_v, ref_v, atol=1e-10)
         assert np.allclose(out_a, ref_a, atol=1e-10)
         # changing audio must not change the video stream
-        out_v2, _ = fusion.forward(v, a + 1.0)
+        out_v2, _ = fusion.forward(v[None], a[None] + 1.0)
         fusion.clear_caches()
         assert np.allclose(out_v, out_v2, atol=1e-12)
 
@@ -57,11 +57,11 @@ class TestFusion:
         block = FusionBlock(32, 4, rng, dtype=np.float64)
         v = rng.normal(size=(6, 32))
         a = rng.normal(size=(3, 32))
-        out_v, out_a = block.forward(v, a)
+        out_v, out_a = block.forward(v[None], a[None])
         block.clear_caches()
         ref_v, ref_a = oracle_fusion_block(v, a, block)
-        assert np.max(np.abs(out_v - ref_v)) < 1e-5
-        assert np.max(np.abs(out_a - ref_a)) < 1e-5
+        assert np.max(np.abs(out_v[0] - ref_v)) < 1e-5
+        assert np.max(np.abs(out_a[0] - ref_a)) < 1e-5
 
     def test_grad_check(self):
         report = run_grad_check("fusion_block", tolerance=1e-4)
@@ -74,7 +74,7 @@ class TestDecoder:
         from avmae.pretrain import DecoderBlock
         block = DecoderBlock(16, 2, rng, dtype=np.float64)
         x = rng.normal(size=(10, 16))
-        out = block.forward(x)
+        out = block.forward(x[None])[0]
         block.clear_caches()
         assert np.max(np.abs(out - oracle_decoder_block(x, block))) < 1e-5
 
@@ -117,7 +117,7 @@ class TestDecoder:
         from avmae.masking import CombinedSeq
         comb = CombinedSeq(np.zeros((12, 32), dtype=np.float32),
                            np.arange(12), 8, 4)
-        bad_skips = {idx: np.zeros((5, 32), dtype=np.float32)
+        bad_skips = {idx: np.zeros((1, 5, 32), dtype=np.float32)
                      for idx in cfg.skip_indices}
         with pytest.raises(ValueError, match="skip features"):
             decoder.forward(comb, bad_skips)
@@ -194,8 +194,8 @@ class TestPretrainForward:
         from avmae.masking import CombinedSeq
         tokens = rng.normal(size=(12, 32))
         comb = CombinedSeq(tokens, np.arange(12), 8, 4)
-        skips = {idx: rng.normal(size=(8, 32)) for idx in cfg.skip_indices}
-        zero_skips = {idx: np.zeros((8, 32)) for idx in cfg.skip_indices}
+        skips = {idx: rng.normal(size=(8, 32))[None] for idx in cfg.skip_indices}
+        zero_skips = {idx: np.zeros((1, 8, 32)) for idx in cfg.skip_indices}
         out_with = decoder.forward(comb, skips)
         decoder.clear_caches()
         # zero the skip projections: mask-token rows must be identical
@@ -205,11 +205,11 @@ class TestPretrainForward:
         # rerunning with identical tokens: visible rows differ, targets
         # differ only through attention mixing, so instead check the direct
         # injection: input projection of mask rows is unchanged
-        x_with = decoder.input_proj.forward(comb.tokens)
+        x_with = decoder.input_proj.forward(comb.tokens[None])
         decoder.input_proj.clear_caches()
         add = decoder.skip_projs[0].forward(skips[cfg.skip_indices[0]])
         decoder.skip_projs[0].clear_caches()
-        assert add.shape[0] == 8  # never broadcast into the 4 mask slots
+        assert add.shape[1] == 8  # never broadcast into the 4 mask slots
 
     def test_b_preset_traces_end_to_end(self):
         """Full-scale dimensions flow through the whole graph: 800/128
@@ -246,11 +246,11 @@ class TestPretrainForward:
         from avmae.masking import tube_mask
         mask = tube_mask(8, 10, 10, 0.9, rng)
         part = partition(seq, cfg.video_region, visible_mask=mask)
-        tokens = rng.normal(size=(80, 512)).astype(np.float32)
+        tokens = rng.normal(size=(80, 512)).astype(np.float32)[None]
         snaps, locals_, _, pooled = enc.encode(tokens, part)
         enc.clear_caches()
         assert len(snaps) == 10
-        assert all(s.shape == (8, 512) for s in snaps)
+        assert all(s.shape == (1, 8, 512) for s in snaps)
         assert len(pooled) == 3
 
     def test_backward_runs_and_fills_gradients(self):
