@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .blocks import Block
 from .config import ModelConfig
 
@@ -46,11 +47,7 @@ def save(path, model: Block, cfg: ModelConfig, stage: str) -> None:
         "buffers": buffers,
     }
     blob = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(_SENTINEL)
-        for chunk in chunks:
-            fh.write(chunk)
+    write_atomic(path, [blob, _SENTINEL, *chunks])
 
 
 def load(path):

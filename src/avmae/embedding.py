@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .atomic import write_atomic
 from .blocks import DEFAULT_DTYPE, Block, Linear
 from .config import ModelConfig, audio_grid, video_grid
 
@@ -190,10 +191,9 @@ def write_clip(path, clip: RawClip) -> None:
     t, h, w, _ = clip.video.shape
     ta, f = clip.audio.shape
     header = f"AVCLIP 1 video {t} {h} {w} 3 audio {ta} {f} float32\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(clip.video, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(clip.audio, dtype="<f4").tobytes())
+    write_atomic(path, (header.encode("ascii"),
+                        np.ascontiguousarray(clip.video, dtype="<f4").tobytes(),
+                        np.ascontiguousarray(clip.audio, dtype="<f4").tobytes()))
 
 
 def read_clip(path) -> RawClip:

@@ -33,8 +33,7 @@ class RegionPartition:
 
     ``members[i]``: region i's indices into the present-token array, ascending.
     ``groups``: one ``(size, ids [G], index [G, size])`` per distinct region
-    size, ascending, with ``index[g] == members[ids[g]]``, so one fancy index
-    gathers or scatters every region of that size.
+    size, ascending, with ``index[g] == members[ids[g]]``.
     """
 
     members: list[np.ndarray]
@@ -84,10 +83,98 @@ def score_entries_stage12(part: RegionPartition) -> int:
     return sum((m.size + 1) ** 2 for m in part.members) + part.n_regions ** 2
 
 
-def _take(x: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``x[:, index]``, gathering tokens after the sample axis; ``take`` skips
-    the general fancy-indexing path."""
-    return x.take(index, axis=1)
+@dataclass
+class SizeGroup:
+    """Every region of one size in a batch, as G slots per sample.
+
+    ``ids`` [S, G] are rows of the region tokens flattened to [S*K, C] and
+    ``index`` [S, G, size] rows of the local tokens flattened to [S*N, C];
+    a sample's real regions come first, in ascending region order. A sample
+    with fewer than G regions of this size fills the rest with padding
+    slots (``pad`` [S, G] is True there, or None if there are none): they
+    read row 0, their gradients are zero and nothing is written back from
+    them.
+    """
+
+    size: int
+    ids: np.ndarray
+    index: np.ndarray
+    pad: np.ndarray | None
+
+
+@dataclass
+class BatchPartition:
+    """The region partitions of S samples with N tokens each, and their
+    regions bucketed by size across the batch: one ``SizeGroup`` per size
+    any sample has, ascending."""
+
+    parts: list[RegionPartition]
+    n_tokens: int
+    groups: list[SizeGroup]
+
+    @property
+    def members(self) -> list[np.ndarray]:
+        """The batch as one partition of its S*N token rows into S*K
+        regions: sample j's region i is ``members[j*K + i]``, as rows
+        ``j*N + m`` of the flattened tokens."""
+        return [m + j * self.n_tokens for j, part in enumerate(self.parts)
+                for m in part.members]
+
+
+def stack_partitions(parts: list[RegionPartition]) -> BatchPartition:
+    """One batch layout from per-sample partitions with equal token counts."""
+    n_samples, k = len(parts), parts[0].n_regions
+    n_tokens = sum(parts[0].sizes())
+    for part in parts:
+        if part.n_regions != k or sum(part.sizes()) != n_tokens:
+            raise ValueError("stacked partitions need equal region and token counts")
+    by_size = {}   # size -> [S] (ids, index) at flat rows, None if absent
+    for j, part in enumerate(parts):
+        for size, ids, index in part.groups:
+            by_size.setdefault(size, [None] * n_samples)[j] = (ids + j * k,
+                                                               index + j * n_tokens)
+    groups = []
+    for size in sorted(by_size):
+        rows = by_size[size]
+        width = max(len(r[0]) for r in rows if r is not None)
+        if all(r is not None and len(r[0]) == width for r in rows):
+            groups.append(SizeGroup(size, np.stack([r[0] for r in rows]),
+                                    np.stack([r[1] for r in rows]), None))
+            continue
+        ids = np.zeros((n_samples, width), dtype=np.int64)
+        index = np.zeros((n_samples, width, size), dtype=np.int64)
+        pad = np.ones((n_samples, width), dtype=bool)
+        for j, r in enumerate(rows):
+            if r is not None:
+                count = len(r[0])
+                ids[j, :count], index[j, :count], pad[j, :count] = r[0], r[1], False
+        groups.append(SizeGroup(size, ids, index, pad))
+    return BatchPartition(parts, n_tokens, groups)
+
+
+def _rows(x: np.ndarray, index: np.ndarray, pad: np.ndarray | None = None) -> np.ndarray:
+    """Rows of x [S, M, C] at flat indices ``s*M + m``: index.shape + (C,),
+    zero at the padding slots ``pad`` if given (for gradients). ``take``
+    skips the general fancy-indexing path."""
+    out = x.reshape(-1, x.shape[-1]).take(index, axis=0)
+    if pad is not None:
+        out[pad] = 0.0
+    return out
+
+
+def _put(x: np.ndarray, index: np.ndarray, values: np.ndarray,
+         pad: np.ndarray | None, add: bool = False) -> None:
+    """Write (or add) values at x's flat rows ``index``, skipping padding.
+    x is one of the layer's own C-contiguous buffers, so the reshape is a
+    view of it."""
+    flat = x.reshape(-1, x.shape[-1])
+    if pad is not None:
+        real = ~pad
+        index, values = index[real], values[real]
+    if add:
+        flat[index] += values
+    else:
+        flat[index] = values
 
 
 def _scaled(scale: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -98,11 +185,14 @@ def _scaled(scale: np.ndarray | None, x: np.ndarray) -> np.ndarray:
 
 
 class LGILayer(Block):
-    """One LGI layer over S samples that share one region partition.
+    """One LGI layer over S samples, each with its own region partition.
 
     Local tokens are [S, N, C] and region tokens [S, K, C]. A region-size
     group's regions are gathered as [S, G, size(+1), C], one attention call
-    per group for the whole batch.
+    per group for the whole batch. Padding slots are whole regions, so a
+    real region's rows never mix with them; their gradients are zero, and
+    a parameter gradient over a sample's G slots sums its real rows and
+    then zeros, which adds exactly.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -134,21 +224,25 @@ class LGILayer(Block):
         scales = np.where(draws < rate, 0.0, 1.0 / (1.0 - rate)).astype(dtype)
         return list(scales.T)
 
-    def forward(self, locals_: np.ndarray, s: np.ndarray, part: RegionPartition,
-                rngs=None, drop_path: float = 0.0):
-        """rngs: one generator per sample for stochastic depth, or None."""
+    def forward(self, locals_: np.ndarray, s: np.ndarray,
+                part: RegionPartition | BatchPartition, rngs=None,
+                drop_path: float = 0.0):
+        """part: one partition shared by the S samples, or their batch layout.
+        rngs: one generator per sample for stochastic depth, or None."""
+        if isinstance(part, RegionPartition):
+            part = stack_partitions([part] * len(locals_))
         scales = self._branch_scales(rngs, drop_path, locals_.dtype)
         c1, c2, c3, c4, cfl, cfs = scales
 
         # stage I: aggregate local information into each region token
         locals1 = locals_.copy()
         s1 = np.empty_like(s)
-        for size, ids, m in part.groups:
+        for g in part.groups:
             # [S, G, size+1, C]: each region's token, then its locals
-            x = np.concatenate([_take(s, ids)[:, :, None], _take(locals_, m)], axis=2)
+            x = np.concatenate([_rows(s, g.ids)[:, :, None], _rows(locals_, g.index)], axis=2)
             x = x + _scaled(c1, self.attn_local.forward(self.norm1.forward(x)))
-            s1[:, ids] = x[:, :, 0]
-            locals1[:, m] = x[:, :, 1:]
+            _put(s1, g.ids, x[:, :, 0], g.pad)
+            _put(locals1, g.index, x[:, :, 1:], g.pad)
 
         # stage II: exchange information across region tokens
         s2 = s1 + _scaled(c2, self.attn_region.forward(self.norm2.forward(s1)))
@@ -158,21 +252,22 @@ class LGILayer(Block):
         locals2 = locals1.copy()
         q_all = self.norm3_q.forward(locals1)
         kv = self.norm3_kv.forward(s2)
-        for size, ids, m in part.groups:
-            if size == 0:
+        for g in part.groups:
+            if g.size == 0:
                 continue
-            out = self.cross_local.forward(_take(q_all, m), kv)  # kv shared by the G regions
-            locals2[:, m] = _take(locals1, m) + _scaled(c3, out)
+            out = self.cross_local.forward(_rows(q_all, g.index), kv)  # kv shared by the G regions
+            _put(locals2, g.index, _rows(locals1, g.index) + _scaled(c3, out), g.pad)
 
         # stage IV: region tokens read local tokens back
         s3 = s2.copy()
         q_all = self.norm4_q.forward(s2)
         kv_all = self.norm4_kv.forward(locals2)
-        for size, ids, m in part.groups:
-            if size == 0:
+        for g in part.groups:
+            if g.size == 0:
                 continue
-            out = self.cross_region.forward(_take(q_all, ids)[:, :, None], _take(kv_all, m))
-            s3[:, ids] = _take(s2, ids) + _scaled(c4, out[:, :, 0])
+            out = self.cross_region.forward(_rows(q_all, g.ids)[:, :, None],
+                                            _rows(kv_all, g.index))
+            _put(s3, g.ids, _rows(s2, g.ids) + _scaled(c4, out[:, :, 0]), g.pad)
 
         # shared feed-forward on locals, then on region tokens
         locals3 = locals2 + _scaled(cfl, self.ffn.forward(self.norm_ffn.forward(locals2)))
@@ -193,23 +288,25 @@ class LGILayer(Block):
         d_s2 = d_s3.copy()
         d_q_all = np.zeros_like(d_s3)
         d_kv_all = np.zeros_like(d_locals2)
-        for size, ids, m in reversed(groups):
-            if size == 0:
+        for g in reversed(groups):
+            if g.size == 0:
                 continue
-            d_q, d_kv = self.cross_region.backward(_scaled(c4, _take(d_s3, ids))[:, :, None])
-            d_q_all[:, ids] += d_q[:, :, 0]
-            d_kv_all[:, m] += d_kv
+            d_q, d_kv = self.cross_region.backward(
+                _scaled(c4, _rows(d_s3, g.ids, g.pad))[:, :, None])
+            _put(d_q_all, g.ids, d_q[:, :, 0], g.pad, add=True)
+            _put(d_kv_all, g.index, d_kv, g.pad, add=True)
         d_locals2 = d_locals2 + self.norm4_kv.backward(d_kv_all)
         d_s2 = d_s2 + self.norm4_q.backward(d_q_all)
 
         d_locals1 = d_locals2.copy()
         d_q_all = np.zeros_like(d_locals2)
         d_kv_total = np.zeros_like(d_s2)
-        for size, ids, m in reversed(groups):
-            if size == 0:
+        for g in reversed(groups):
+            if g.size == 0:
                 continue
-            d_q, d_kv = self.cross_local.backward(_scaled(c3, _take(d_locals2, m)))
-            d_q_all[:, m] += d_q
+            d_q, d_kv = self.cross_local.backward(
+                _scaled(c3, _rows(d_locals2, g.index, g.pad)))
+            _put(d_q_all, g.index, d_q, g.pad, add=True)
             d_kv_total += d_kv
         d_s2 = d_s2 + self.norm3_kv.backward(d_kv_total)
         d_locals1 = d_locals1 + self.norm3_q.backward(d_q_all)
@@ -219,12 +316,13 @@ class LGILayer(Block):
 
         d_locals = np.zeros_like(d_locals1)
         d_s = np.zeros_like(d_s1)
-        for size, ids, m in reversed(groups):
-            d_x = np.concatenate([_take(d_s1, ids)[:, :, None], _take(d_locals1, m)], axis=2)
+        for g in reversed(groups):
+            d_x = np.concatenate([_rows(d_s1, g.ids, g.pad)[:, :, None],
+                                  _rows(d_locals1, g.index, g.pad)], axis=2)
             d_q, d_kv = self.attn_local.backward(_scaled(c1, d_x))
             d_x = d_x + self.norm1.backward(d_q + d_kv)
-            d_s[:, ids] = d_x[:, :, 0]
-            d_locals[:, m] = d_x[:, :, 1:]
+            _put(d_s, g.ids, d_x[:, :, 0], g.pad)
+            _put(d_locals, g.index, d_x[:, :, 1:], g.pad)
         return d_locals, d_s
 
 
@@ -243,9 +341,12 @@ class LGIEncoder(Block):
             for _ in range(cfg.encoder_depth)
         ])
 
-    def encode(self, tokens: np.ndarray, part: RegionPartition,
+    def encode(self, tokens: np.ndarray,
+               part: RegionPartition | list[RegionPartition],
                rngs=None, drop_path: float = 0.0):
-        """Encode the tokens [S, N, C] of S samples that share ``part``.
+        """Encode the tokens [S, N, C] of S samples.
+
+        part: one partition shared by the samples, or one per sample.
 
         Returns (snapshots, final_locals, skip_locals, pooled):
         snapshots: region tokens after every layer, [depth][S, K, C]
@@ -253,16 +354,19 @@ class LGIEncoder(Block):
         pooled: mean over region tokens at each skip layer, [S, C]
         rngs: one generator per sample for stochastic depth, or None.
         """
-        if part.n_regions != self.n_regions:
-            raise ValueError(
-                f"partition has {part.n_regions} regions, encoder expects {self.n_regions}")
+        parts = part if isinstance(part, list) else [part] * len(tokens)
+        for p in parts:
+            if p.n_regions != self.n_regions:
+                raise ValueError(f"partition has {p.n_regions} regions, "
+                                 f"encoder expects {self.n_regions}")
+        layout = stack_partitions(parts)
         locals_ = tokens
         s = np.repeat(self.region_tokens.data[None], len(tokens), axis=0)
         snapshots = []
         skip_locals = {}
         pooled = {}
         for idx, layer in enumerate(self.layers):
-            locals_, s = layer.forward(locals_, s, part, rngs=rngs, drop_path=drop_path)
+            locals_, s = layer.forward(locals_, s, layout, rngs=rngs, drop_path=drop_path)
             snapshots.append(s)
             if idx in self.cfg.skip_indices:
                 skip_locals[idx] = locals_

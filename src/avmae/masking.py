@@ -47,15 +47,17 @@ class MaskPair:
 
 @dataclass
 class CombinedSeq:
-    """Visible latents followed by mask tokens at decoder-target positions."""
+    """Visible latents followed by mask tokens at decoder-target positions,
+    for S samples with equal visible and target counts."""
 
-    tokens: np.ndarray          # [(n_visible + n_targets), C]
-    source_indices: np.ndarray  # original token index per slot
+    tokens: np.ndarray          # [S, n_visible + n_targets, C]
+    source_indices: np.ndarray  # [S, n_visible + n_targets] original token index per slot
     n_visible: int
     n_targets: int
 
     def __post_init__(self):
-        if len(np.unique(self.source_indices)) != self.source_indices.size:
+        ordered = np.sort(self.source_indices, axis=-1)
+        if (ordered[..., 1:] == ordered[..., :-1]).any():
             raise ValueError("combined-sequence slots must map to unique tokens")
 
 
@@ -159,19 +161,24 @@ def _fit_targets(candidates: np.ndarray, encoder_mask: np.ndarray,
     return targets
 
 
-def assemble_combined(latents: np.ndarray, pair: MaskPair,
+def assemble_combined(latents: np.ndarray, pairs: list[MaskPair],
                       mask_token: np.ndarray,
                       positions: np.ndarray) -> CombinedSeq:
-    """Build the decoder input: visible latents then positioned mask tokens."""
-    visible = pair.visible_indices
-    targets = pair.target_indices
-    if latents.shape[0] != visible.size:
+    """Build the decoder input of S samples: visible latents [S, n_visible, C]
+    then mask tokens at each sample's target positions.
+
+    The pairs must agree in their visible and in their target counts.
+    """
+    visible = np.stack([pair.visible_indices for pair in pairs])
+    targets = np.stack([pair.target_indices for pair in pairs])
+    if latents.shape[:2] != visible.shape:
         raise ValueError(
-            f"latent count {latents.shape[0]} does not match visible count {visible.size}")
-    filled = mask_token[None, :] + positions[targets]
-    tokens = np.concatenate([latents, filled], axis=0) if latents.size else filled
-    source = np.concatenate([visible, targets])
-    return CombinedSeq(tokens, source, int(visible.size), int(targets.size))
+            f"latents {latents.shape[:2]} do not match the visible count "
+            f"{visible.shape[1]} of {len(pairs)} samples")
+    filled = mask_token + positions[targets]
+    tokens = np.concatenate([latents, filled], axis=1) if latents.size else filled
+    source = np.concatenate([visible, targets], axis=1)
+    return CombinedSeq(tokens, source, visible.shape[1], targets.shape[1])
 
 
 # ---------------------------------------------------------------------------

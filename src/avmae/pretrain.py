@@ -7,8 +7,11 @@ positioned mask tokens; skip features from the configured encoder layers are
 linearly projected and added at the visible slots only, before the first
 decoder block. Predictions are emitted only at decoder-target positions.
 
-Masks make every clip's layout its own, so the model runs one clip at a
-time: its blocks see a sample axis of one.
+The model runs a batch in one pass. Mask counts are exact, so every clip
+of a batch has as many visible tokens and as many targets as the others:
+embeddings, fusion, decoders and the contrastive features are uniform
+[S, ...] arrays. Only region membership differs from clip to clip; the LGI
+encoders bucket each clip's regions by size across the batch.
 """
 
 from __future__ import annotations
@@ -120,9 +123,9 @@ class Decoder(Block):
         self.head = Linear(cfg.decoder_dim, patch_dim, rng, dtype=dtype)
 
     def forward(self, combined: CombinedSeq, skip_locals: dict[int, np.ndarray]) -> np.ndarray:
-        """One clip's combined sequence; skip features [1, n_visible, C]
-        -> predictions [1, targets, patch]."""
-        x = self.input_proj.forward(combined.tokens[None])
+        """Combined sequences [S, L, C]; skip features [S, n_visible, C]
+        -> predictions [S, targets, patch]."""
+        x = self.input_proj.forward(combined.tokens)
         n_vis = combined.n_visible
         for j, idx in enumerate(self.cfg.skip_indices):
             feats = skip_locals[idx]
@@ -200,27 +203,42 @@ class PretrainModel(Block):
         self.video_decoder = Decoder(cfg, self.video_embed.patch_dim, rng, dtype=dtype)
         self.audio_decoder = Decoder(cfg, self.audio_embed.patch_dim, rng, dtype=dtype)
 
-    def forward_sample(self, clip: RawClip, pair_v: MaskPair, pair_a: MaskPair):
-        """One clip through the full reconstruction graph.
+    def targets(self, clip: RawClip) -> tuple[np.ndarray, np.ndarray]:
+        """A clip's normalised reconstruction targets in the model dtype:
+        video [N_v, patch_v], then audio [N_a, patch_a]."""
+        return tuple(normalize_targets(clip, self.cfg, modality).astype(self.dtype)
+                     for modality in ("video", "audio"))
 
-        Returns predictions, normalised targets at the target positions, and
-        pooled contrastive features per skip layer for both modalities.
+    def forward_sample(self, clips: list[RawClip], pairs_v: list[MaskPair],
+                       pairs_a: list[MaskPair], targets=None):
+        """S clips, each with its own mask pairs, through the full
+        reconstruction graph in one pass.
+
+        targets: each clip's ``targets(clip)``, or None to compute them.
+        Returns per modality the predictions and the normalised targets at
+        the target positions, [S, targets, patch], and the pooled
+        contrastive features per skip layer, [S, C]. Outputs and the
+        gradients of ``backward_sample`` are bitwise those of the clips run
+        one at a time, forward in order and backward in reverse.
         """
+        for modality, pairs in (("video", pairs_v), ("audio", pairs_a)):
+            _check_counts(modality, pairs)
+        if targets is None:
+            targets = [self.targets(clip) for clip in clips]
         out = {}
-        for modality, embed, encoder, region, pair, raw in (
-                ("video", self.video_embed, self.video_encoder, self.cfg.video_region,
-                 pair_v, clip.video),
-                ("audio", self.audio_embed, self.audio_encoder, self.cfg.audio_region,
-                 pair_a, clip.audio)):
-            seq = embed.forward(raw[None])
-            if pair.n_tokens != seq.tokens.shape[1]:
+        for modality, embed, encoder, region, pairs in (
+                ("video", self.video_embed, self.video_encoder, self.cfg.video_region, pairs_v),
+                ("audio", self.audio_embed, self.audio_encoder, self.cfg.audio_region, pairs_a)):
+            seq = embed.forward(np.stack([getattr(clip, modality) for clip in clips]))
+            n_tokens = seq.tokens.shape[1]
+            if any(pair.n_tokens != n_tokens for pair in pairs):
                 raise ValueError(f"{modality} mask size does not match token count")
-            part = partition(seq, region, visible_mask=pair.encoder_mask)
-            visible = seq.tokens[:, pair.visible_indices]
-            _, locals_, skip_locals, pooled = encoder.encode(visible, part)
-            out[modality] = dict(seq=seq, pair=pair, part=part, locals=locals_,
-                                 skip_locals=skip_locals,
-                                 pooled={idx: p[0] for idx, p in pooled.items()})
+            parts = [partition(seq, region, visible_mask=pair.encoder_mask) for pair in pairs]
+            visible = np.stack([pair.visible_indices for pair in pairs])[:, :, None]
+            _, locals_, skip_locals, pooled = encoder.encode(
+                np.take_along_axis(seq.tokens, visible, axis=1), parts)
+            out[modality] = dict(seq=seq, visible=visible, locals=locals_,
+                                 skip_locals=skip_locals, pooled=pooled)
 
         fused_v, fused_a = self.fusion.forward(out["video"]["locals"],
                                                out["audio"]["locals"])
@@ -228,49 +246,62 @@ class PretrainModel(Block):
         out["audio"]["fused"] = fused_a
 
         result = {}
-        for modality, decoder, mask_token in (
-                ("video", self.video_decoder, self.mask_token_v),
-                ("audio", self.audio_decoder, self.mask_token_a)):
+        for i, (modality, decoder, mask_token, pairs) in enumerate((
+                ("video", self.video_decoder, self.mask_token_v, pairs_v),
+                ("audio", self.audio_decoder, self.mask_token_a, pairs_a))):
             ctx = out[modality]
             _, codes = grid_codes(ctx["seq"].grid, self.cfg.encoder_dim, self.dtype)
-            combined = assemble_combined(ctx["fused"][0], ctx["pair"],
-                                         mask_token.data, codes)
-            preds = decoder.forward(combined, ctx["skip_locals"])[0]
-            targets = normalize_targets(clip, self.cfg, modality).astype(self.dtype)
+            combined = assemble_combined(ctx["fused"], pairs, mask_token.data, codes)
+            preds = decoder.forward(combined, ctx["skip_locals"])
+            full = np.stack([clip_targets[i] for clip_targets in targets])
+            target_rows = combined.source_indices[:, combined.n_visible:, None]
             result[modality] = dict(
                 predictions=preds,
-                targets=targets[ctx["pair"].target_indices],
+                targets=np.take_along_axis(full, target_rows, axis=1),
                 pooled=ctx["pooled"],
-                n_tokens=ctx["pair"].n_tokens,
-                combined_len=combined.tokens.shape[0],
+                n_tokens=pairs[0].n_tokens,
+                combined_len=combined.tokens.shape[1],
             )
-        self._save(out["video"]["pair"], out["audio"]["pair"])
+        self._save(out["video"]["visible"], out["audio"]["visible"],
+                   pairs_v[0].n_tokens, pairs_a[0].n_tokens)
         return result
 
     def backward_sample(self, d_preds_v: np.ndarray, d_preds_a: np.ndarray,
                         d_pooled_v: dict[int, np.ndarray] | None,
                         d_pooled_a: dict[int, np.ndarray] | None):
-        pair_v, pair_a = self._load()
+        """Backward of the last ``forward_sample``: prediction gradients
+        [S, targets, patch], pooled-feature gradients {skip layer: [S, C]}."""
+        visible_v, visible_a, n_tokens_v, n_tokens_a = self._load()
         d_fused = {}
-        for modality, decoder, mask_token, d_preds, pair in (
-                ("audio", self.audio_decoder, self.mask_token_a, d_preds_a, pair_a),
-                ("video", self.video_decoder, self.mask_token_v, d_preds_v, pair_v)):
-            d_tokens, d_skips = decoder.backward(d_preds[None])
-            n_vis = pair.visible_indices.size
-            mask_token.grad += d_tokens[0, n_vis:].sum(axis=0)
+        for modality, decoder, mask_token, d_preds, visible in (
+                ("audio", self.audio_decoder, self.mask_token_a, d_preds_a, visible_a),
+                ("video", self.video_decoder, self.mask_token_v, d_preds_v, visible_v)):
+            d_tokens, d_skips = decoder.backward(d_preds)
+            n_vis = visible.shape[1]
+            self._accumulate(mask_token, np.add.reduce(d_tokens[:, n_vis:], axis=1))
             d_fused[modality] = (d_tokens[:, :n_vis], d_skips)
 
         d_locals_v, d_locals_a = self.fusion.backward(d_fused["video"][0],
                                                       d_fused["audio"][0])
 
-        for modality, embed, encoder, d_locals, d_skips, pair, d_pooled in (
+        for modality, embed, encoder, d_locals, visible, n_tokens, d_pooled in (
                 ("audio", self.audio_embed, self.audio_encoder, d_locals_a,
-                 d_fused["audio"][1], pair_a, d_pooled_a),
+                 visible_a, n_tokens_a, d_pooled_a),
                 ("video", self.video_embed, self.video_encoder, d_locals_v,
-                 d_fused["video"][1], pair_v, d_pooled_v)):
-            if d_pooled is not None:
-                d_pooled = {idx: d[None] for idx, d in d_pooled.items()}
-            d_visible = encoder.backward(d_locals, None, d_skips, d_pooled)
-            full = np.zeros((1, pair.n_tokens, d_visible.shape[-1]), dtype=d_visible.dtype)
-            full[:, pair.visible_indices] = d_visible
+                 visible_v, n_tokens_v, d_pooled_v)):
+            d_visible = encoder.backward(d_locals, None, d_fused[modality][1], d_pooled)
+            full = np.zeros((len(d_visible), n_tokens, d_visible.shape[-1]),
+                            dtype=d_visible.dtype)
+            np.put_along_axis(full, visible, d_visible, axis=1)
             embed.backward(full)
+
+
+def _check_counts(modality: str, pairs: list[MaskPair]) -> None:
+    """The mask pairs of one batch must agree in their visible and target counts."""
+    for what, counts in (
+            ("visible", [pair.n_tokens - int(pair.encoder_mask.sum()) for pair in pairs]),
+            ("target", [int(pair.decoder_targets.sum()) for pair in pairs])):
+        other = [n for n in counts if n != counts[0]]
+        if other:
+            raise ValueError(f"{modality} mask pairs differ in {what} count: "
+                             f"{counts[0]} and {other[0]}")

@@ -342,54 +342,60 @@ def batch_indices(step: int, batch: int, n: int) -> list[int]:
 
 def pretrain_step(model: PretrainModel, clips, indices, step: int,
                   tcfg: TrainConfig, optimizer: AdamW, lr: float,
-                  dual_masking: bool = True) -> dict:
-    """One optimisation step of the reconstruction + contrast objective."""
+                  dual_masking: bool = True, targets: dict | None = None) -> dict:
+    """One optimisation step of the reconstruction + contrast objective.
+
+    The batch runs through the model in one forward and one backward pass;
+    each clip draws its masks from ``sample_rng(seed, step, clip index)``.
+    targets: clip index -> ``model.targets(clip)``, filled on first use, so
+    a run that passes one dict normalises each clip once.
+    """
     cfg = model.cfg
-    results = []
-    for j, clip_idx in enumerate(indices):
+    targets = {} if targets is None else targets
+    pairs_v, pairs_a = [], []
+    for clip_idx in indices:
         rng = sample_rng(tcfg.seed, step, clip_idx)
         pair_v, pair_a = make_mask_pairs(cfg, model.video_shape, model.audio_shape,
                                          rng, dual_masking=dual_masking)
-        results.append(model.forward_sample(clips[clip_idx], pair_v, pair_a))
+        pairs_v.append(pair_v)
+        pairs_a.append(pair_a)
+        if clip_idx not in targets:
+            targets[clip_idx] = model.targets(clips[clip_idx])
+    res = model.forward_sample([clips[i] for i in indices], pairs_v, pairs_a,
+                               targets=[targets[i] for i in indices])
 
-    b = len(results)
-    mse_terms = {"video": [], "audio": []}
-    d_preds = {"video": [], "audio": []}
-    for res in results:
-        for modality in ("video", "audio"):
-            r = res[modality]
-            ratio = (DECODER_MASK_RATIO if dual_masking
-                     else 1.0 - r["predictions"].shape[0] / r["n_tokens"])
-            loss, d_pred = masked_mse(r["predictions"], r["targets"], ratio,
-                                      r["n_tokens"])
-            mse_terms[modality].append(loss)
-            d_preds[modality].append(d_pred / b)
-    mse_v = float(np.mean(mse_terms["video"]))
-    mse_a = float(np.mean(mse_terms["audio"]))
+    b = len(indices)
+    mse = {}
+    d_preds = {}
+    for modality in ("video", "audio"):
+        r = res[modality]
+        ratio = (DECODER_MASK_RATIO if dual_masking
+                 else 1.0 - r["predictions"].shape[1] / r["n_tokens"])
+        terms = [masked_mse(p, t, ratio, r["n_tokens"])
+                 for p, t in zip(r["predictions"], r["targets"])]
+        mse[modality] = float(np.mean([loss for loss, _ in terms]))
+        d_preds[modality] = np.stack([d_pred for _, d_pred in terms]) / b
 
     nce_total = 0.0
-    d_pooled = {"video": [{} for _ in range(b)], "audio": [{} for _ in range(b)]}
+    d_pooled = {"video": {}, "audio": {}}
     if b >= 2:
+        dtype = d_preds["video"].dtype
         for skip_idx in cfg.skip_indices:
-            feats_a = np.stack([res["audio"]["pooled"][skip_idx] for res in results])
-            feats_v = np.stack([res["video"]["pooled"][skip_idx] for res in results])
-            nce, d_a, d_v = info_nce(feats_a.astype(np.float64),
-                                     feats_v.astype(np.float64),
+            nce, d_a, d_v = info_nce(res["audio"]["pooled"][skip_idx].astype(np.float64),
+                                     res["video"]["pooled"][skip_idx].astype(np.float64),
                                      cfg.contrastive_temperature)
             nce_total += nce
             lam = cfg.contrastive_weight
-            for j in range(b):
-                d_pooled["audio"][j][skip_idx] = (lam * d_a[j]).astype(d_preds["video"][j].dtype)
-                d_pooled["video"][j][skip_idx] = (lam * d_v[j]).astype(d_preds["video"][j].dtype)
+            d_pooled["audio"][skip_idx] = (lam * d_a).astype(dtype)
+            d_pooled["video"][skip_idx] = (lam * d_v).astype(dtype)
 
-    total = mse_a + mse_v + cfg.contrastive_weight * nce_total
+    total = mse["audio"] + mse["video"] + cfg.contrastive_weight * nce_total
 
-    for j in reversed(range(b)):
-        model.backward_sample(d_preds["video"][j], d_preds["audio"][j],
-                              d_pooled["video"][j], d_pooled["audio"][j])
+    model.backward_sample(d_preds["video"], d_preds["audio"],
+                          d_pooled["video"], d_pooled["audio"])
     optimizer.step(lr, tcfg.weight_decay)
     model.zero_grad()
-    return {"loss": total, "mse_a": mse_a, "mse_v": mse_v, "nce": nce_total}
+    return {"loss": total, "mse_a": mse["audio"], "mse_v": mse["video"], "nce": nce_total}
 
 
 def _run_loop(tcfg: TrainConfig, n: int, steps: int | None, log: MetricsLog | None,
@@ -419,9 +425,11 @@ def run_pretrain(cfg: ModelConfig, tcfg: TrainConfig, clips, video_shape,
     model = PretrainModel(cfg, video_shape, audio_shape,
                           rng=sample_rng(tcfg.seed, 0xA11CE))
     optimizer = optimizer_for(model, cfg, tcfg)
+    targets = {}   # each clip's normalised targets, made on its first step
 
     def step_fn(step, idx, lr):
-        stats = pretrain_step(model, clips, idx, step, tcfg, optimizer, lr)
+        stats = pretrain_step(model, clips, idx, step, tcfg, optimizer, lr,
+                              targets=targets)
         return dict(loss=round(stats["loss"], 10), mse_a=round(stats["mse_a"], 10),
                     mse_v=round(stats["mse_v"], 10), nce=round(stats["nce"], 10),
                     acc=None), False

@@ -559,10 +559,10 @@ def check_masking_properties() -> CheckResult:
         return CheckResult("masking_properties", False, "sweep does not cover grid")
     # exact count identity for the combined sequence
     pair = MaskPair(mask, targets, 0.9, 0.5)
-    latents = np.zeros((80, 8))
+    latents = np.zeros((1, 80, 8))
     pe = np.zeros((800, 8))
-    comb = assemble_combined(latents, pair, np.zeros(8), pe)
-    if comb.tokens.shape[0] != 480:
+    comb = assemble_combined(latents, [pair], np.zeros(8), pe)
+    if comb.tokens.shape[1] != 480:
         return CheckResult("masking_properties", False, "combined length != 480")
     return CheckResult("masking_properties", True,
                        "tube/running-cell/combined-length invariants hold")

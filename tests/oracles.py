@@ -321,3 +321,72 @@ def per_sample_supervised_step(model, clips, labels, indices, step, tcfg,
     model.zero_grad()
     acc = float(np.mean(np.argmax(logits, axis=1) == batch_labels))
     return {"loss": loss, "acc": acc}
+
+
+# ---------------------------------------------------------------------------
+# The per-sample pretrain path: PretrainModel fed one clip per call (a batch
+# of one), forward in sample order and backward in reverse, with the losses
+# taken clip by clip. The batched pretrain step must match it byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def per_sample_pretrain_step(model, clips, indices, step, tcfg, optimizer, lr,
+                             dual_masking=True, targets=None):
+    """``training.pretrain_step`` on the per-sample path (``targets`` unused:
+    each call normalises its clip)."""
+    from avmae.config import DECODER_MASK_RATIO
+    from avmae.losses import info_nce, masked_mse
+    from avmae.pretrain import make_mask_pairs
+    from avmae.training import sample_rng
+
+    cfg = model.cfg
+    results = []
+    for clip_idx in indices:
+        rng = sample_rng(tcfg.seed, step, clip_idx)
+        pair_v, pair_a = make_mask_pairs(cfg, model.video_shape, model.audio_shape,
+                                         rng, dual_masking=dual_masking)
+        res = model.forward_sample([clips[clip_idx]], [pair_v], [pair_a])
+        for r in res.values():
+            r["predictions"], r["targets"] = r["predictions"][0], r["targets"][0]
+            r["pooled"] = {idx: p[0] for idx, p in r["pooled"].items()}
+        results.append(res)
+
+    b = len(results)
+    mse_terms = {"video": [], "audio": []}
+    d_preds = {"video": [], "audio": []}
+    for res in results:
+        for modality in ("video", "audio"):
+            r = res[modality]
+            ratio = (DECODER_MASK_RATIO if dual_masking
+                     else 1.0 - r["predictions"].shape[0] / r["n_tokens"])
+            loss, d_pred = masked_mse(r["predictions"], r["targets"], ratio,
+                                      r["n_tokens"])
+            mse_terms[modality].append(loss)
+            d_preds[modality].append(d_pred / b)
+    mse_v = float(np.mean(mse_terms["video"]))
+    mse_a = float(np.mean(mse_terms["audio"]))
+
+    nce_total = 0.0
+    d_pooled = {"video": [{} for _ in range(b)], "audio": [{} for _ in range(b)]}
+    if b >= 2:
+        for skip_idx in cfg.skip_indices:
+            feats_a = np.stack([res["audio"]["pooled"][skip_idx] for res in results])
+            feats_v = np.stack([res["video"]["pooled"][skip_idx] for res in results])
+            nce, d_a, d_v = info_nce(feats_a.astype(np.float64),
+                                     feats_v.astype(np.float64),
+                                     cfg.contrastive_temperature)
+            nce_total += nce
+            lam = cfg.contrastive_weight
+            for j in range(b):
+                dtype = d_preds["video"][j].dtype
+                d_pooled["audio"][j][skip_idx] = (lam * d_a[j]).astype(dtype)[None]
+                d_pooled["video"][j][skip_idx] = (lam * d_v[j]).astype(dtype)[None]
+
+    total = mse_a + mse_v + cfg.contrastive_weight * nce_total
+
+    for j in reversed(range(b)):
+        model.backward_sample(d_preds["video"][j][None], d_preds["audio"][j][None],
+                              d_pooled["video"][j], d_pooled["audio"][j])
+    optimizer.step(lr, tcfg.weight_decay)
+    model.zero_grad()
+    return {"loss": total, "mse_a": mse_a, "mse_v": mse_v, "nce": nce_total}

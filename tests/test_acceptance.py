@@ -89,19 +89,14 @@ class TestA4PretrainingSanity:
         fresh = PretrainModel(cfg, TINY_V, TINY_A, rng=sample_rng(7, 0xA11CE))
         batch_task = SyntheticTask(n_classes=2, video_shape=TINY_V,
                                    audio_shape=TINY_A, seed=5)
-        feats_a = {k: [] for k in cfg.skip_indices}
-        feats_v = {k: [] for k in cfg.skip_indices}
-        for i in range(16):
-            pair_v, pair_a = make_mask_pairs(cfg, TINY_V, TINY_A, sample_rng(9, i))
-            res = fresh.forward_sample(batch_task.clip(i)[0], pair_v, pair_a)
-            fresh.clear_caches()
-            for k in cfg.skip_indices:
-                feats_a[k].append(res["audio"]["pooled"][k])
-                feats_v[k].append(res["video"]["pooled"][k])
+        pairs = [make_mask_pairs(cfg, TINY_V, TINY_A, sample_rng(9, i)) for i in range(16)]
+        res = fresh.forward_sample([batch_task.clip(i)[0] for i in range(16)],
+                                   [p[0] for p in pairs], [p[1] for p in pairs])
+        fresh.clear_caches()
         nce_vals = []
         for k in cfg.skip_indices:
-            nce, _, _ = info_nce(np.stack(feats_a[k]).astype(np.float64),
-                                 np.stack(feats_v[k]).astype(np.float64),
+            nce, _, _ = info_nce(res["audio"]["pooled"][k].astype(np.float64),
+                                 res["video"]["pooled"][k].astype(np.float64),
                                  cfg.contrastive_temperature)
             nce_vals.append(nce)
         ln_b = math.log(16)

@@ -1,5 +1,7 @@
 """Checkpoint format and the command-line surface."""
 
+import builtins
+import errno
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from avmae import checkpoint as ckpt
 from avmae import verify as verifymod
 from avmae.cli import main
 from avmae.config import desk_train_config, preset
+from avmae.embedding import read_clip, write_clip
 from avmae.finetune import FinetuneModel
 from avmae.training import SyntheticTask, gen_synthetic, run_supervised, sample_rng
 
@@ -123,6 +126,72 @@ class TestCheckpoint:
         path.write_bytes(b"hello world")
         with pytest.raises(ValueError, match="sentinel"):
             ckpt.load(path)
+
+
+class _DiskFull:
+    """A binary file that takes ``limit`` bytes, then fails like a full disk."""
+
+    def __init__(self, fh, limit):
+        self._fh, self._left = fh, limit
+
+    def write(self, data):
+        if len(data) > self._left:
+            self._fh.write(bytes(data[:self._left]))
+            self._left = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._left -= len(data)
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestAtomicWrites:
+    """A write that fails partway leaves the old file whole and no
+    temporary file behind."""
+
+    @staticmethod
+    def fill_disk_after(monkeypatch, directory, limit):
+        real_open = builtins.open
+
+        def limited_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "b" in mode and ("w" in mode or "x" in mode) \
+                    and Path(file).parent == directory:
+                return _DiskFull(fh, limit)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", limited_open)
+
+    def test_failed_checkpoint_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.avck"
+        ckpt.save(path, tiny_model(seed=0), preset("Tiny"), "finetune")
+        old = path.read_bytes()
+        self.fill_disk_after(monkeypatch, tmp_path, len(old) // 2)
+        with pytest.raises(OSError, match="No space left"):
+            ckpt.save(path, tiny_model(seed=1), preset("Tiny"), "finetune")
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.avck"]
+
+    def test_failed_clip_write_keeps_old_file(self, tmp_path, monkeypatch):
+        task = SyntheticTask(2, (8, 32, 32), (32, 16), seed=0)
+        path = tmp_path / "clip.avclip"
+        write_clip(path, task.clip(0)[0])
+        old = path.read_bytes()
+        self.fill_disk_after(monkeypatch, tmp_path, len(old) // 2)
+        with pytest.raises(OSError, match="No space left"):
+            write_clip(path, task.clip(1)[0])
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert np.array_equal(read_clip(path).video, task.clip(0)[0].video)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.avclip"]
 
 
 class TestCLI:

@@ -6,7 +6,7 @@ import pytest
 from avmae.config import preset
 from avmae.embedding import TokenSeq, grid_coords
 from avmae.encoder import (LGIEncoder, LGILayer, partition,
-                           score_entries_stage12)
+                           score_entries_stage12, stack_partitions)
 from avmae.masking import tube_mask
 from avmae.verify import run_grad_check
 
@@ -64,6 +64,29 @@ class TestPartition:
             assert index.shape == (ids.size, size)
             for region, row in zip(ids, index):
                 assert np.array_equal(row, part.members[region])
+
+    def test_stacked_groups_pad_samples_with_fewer_regions(self):
+        """Sizes [0, 4, 0, 4] and [2, 2, 2, 2]: each size group holds every
+        sample's regions of that size, in region order, at flat rows, with
+        padding where a sample has fewer."""
+        parts = [partition(tiny_seq(), (2, 2, 4), visible_mask=ragged_mask(sizes))
+                 for sizes in ([0, 4, 0, 4], [2, 2, 2, 2])]
+        layout = stack_partitions(parts)
+        assert len(layout.members) == 8
+        assert [g.size for g in layout.groups] == [0, 2, 4]
+        by_size = {g.size: g for g in layout.groups}
+        assert by_size[0].ids.tolist() == [[0, 2], [0, 0]]
+        assert by_size[2].ids.tolist() == [[0, 0, 0, 0], [4, 5, 6, 7]]
+        assert by_size[4].ids.tolist() == [[1, 3], [0, 0]]
+        assert by_size[0].pad.tolist() == [[False, False], [True, True]]
+        assert by_size[2].pad.tolist() == [[True] * 4, [False] * 4]
+        for g in layout.groups:
+            for j, region in zip(*np.nonzero(~g.pad)):
+                flat = g.ids[j, region]
+                assert flat // 4 == j
+                assert np.array_equal(g.index[j, region], layout.members[flat])
+                assert np.array_equal(layout.members[flat],
+                                      parts[j].members[flat % 4] + 8 * j)
 
     def test_members_follow_grid_coordinates(self):
         seq = tiny_seq(grid=(2, 4, 4), dim=8)

@@ -138,22 +138,22 @@ class TestAssembleCombined:
         latents = rng.normal(size=(80, 16)).astype(np.float32)
         pe = rng.normal(size=(800, 16)).astype(np.float32)
         token = rng.normal(size=16).astype(np.float32)
-        comb = assemble_combined(latents, pair, token, pe)
-        assert comb.tokens.shape == (480, 16)
+        comb = assemble_combined(latents[None], [pair], token, pe)
+        assert comb.tokens.shape == (1, 480, 16)
         assert comb.n_visible == 80 and comb.n_targets == 400
         # mask slots carry the learned token plus their own position code
         first_target = pair.target_indices[0]
-        assert np.allclose(comb.tokens[80], token + pe[first_target])
+        assert np.allclose(comb.tokens[0, 80], token + pe[first_target])
 
     def test_bijection(self):
         rng = np.random.default_rng(1)
         enc = tube_mask(4, 4, 4, 0.9, rng)
         tgt = running_cell_mask(4, 4, 4, enc, 0.5, rng)
         pair = MaskPair(enc, tgt, 0.9, 0.5)
-        comb = assemble_combined(np.zeros((8, 4), dtype=np.float32), pair,
+        comb = assemble_combined(np.zeros((1, 8, 4), dtype=np.float32), [pair],
                                  np.zeros(4, dtype=np.float32),
                                  np.zeros((64, 4), dtype=np.float32))
-        assert len(set(comb.source_indices.tolist())) == comb.tokens.shape[0]
+        assert len(set(comb.source_indices[0].tolist())) == comb.tokens.shape[1]
 
     def test_count_mismatch_rejected(self):
         rng = np.random.default_rng(2)
@@ -161,7 +161,7 @@ class TestAssembleCombined:
         tgt = running_cell_mask(4, 4, 4, enc, 0.5, rng)
         pair = MaskPair(enc, tgt, 0.9, 0.5)
         with pytest.raises(ValueError, match="visible count"):
-            assemble_combined(np.zeros((5, 4), dtype=np.float32), pair,
+            assemble_combined(np.zeros((1, 5, 4), dtype=np.float32), [pair],
                               np.zeros(4, dtype=np.float32),
                               np.zeros((64, 4), dtype=np.float32))
 
@@ -171,10 +171,10 @@ class TestAssembleCombined:
         tgt = np.zeros(8, dtype=bool)
         tgt[[0, 3, 5, 7]] = True
         pair = MaskPair(enc, tgt, 0.99, 0.5)
-        comb = assemble_combined(np.zeros((0, 4), dtype=np.float32), pair,
+        comb = assemble_combined(np.zeros((1, 0, 4), dtype=np.float32), [pair],
                                  np.ones(4, dtype=np.float32),
                                  np.zeros((8, 4), dtype=np.float32))
-        assert comb.tokens.shape == (4, 4)
+        assert comb.tokens.shape == (1, 4, 4)
         assert comb.n_visible == 0
 
 

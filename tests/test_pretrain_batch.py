@@ -1,0 +1,123 @@
+"""The batch-first pretrain step against the per-sample path, byte for byte."""
+
+import numpy as np
+import pytest
+
+from avmae import training
+from avmae.config import PRESET_INPUTS, desk_train_config, preset
+from avmae.embedding import TokenSeq, grid_coords
+from avmae.encoder import partition
+from avmae.masking import MaskPair
+from avmae.pretrain import PretrainModel, make_mask_pairs
+from avmae.training import AdamW, SyntheticTask, gen_synthetic, sample_rng
+
+from oracles import per_sample_pretrain_step
+
+TINY_V, TINY_A = PRESET_INPUTS["Tiny"]
+
+
+def tiny_model(seed=0):
+    return PretrainModel(preset("Tiny"), TINY_V, TINY_A, rng=sample_rng(seed, 0xA11CE))
+
+
+def tiny_clips(n, seed=0):
+    return gen_synthetic(SyntheticTask(4, TINY_V, TINY_A, noise=0.1, seed=seed), n)[0]
+
+
+def assert_same_bytes(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+class RecordingAdamW(AdamW):
+    """AdamW that keeps a copy of every parameter gradient it steps with."""
+
+    def step(self, lr, weight_decay):
+        self.seen = {name: p.grad.copy() for name, p in self.params}
+        super().step(lr, weight_decay)
+
+
+def video_size_sets(step, indices):
+    cfg = preset("Tiny")
+    grid = (4, 4, 4)
+    seq = TokenSeq(np.zeros((1, 64, 1)), grid_coords(grid), grid, "video")
+    sets = []
+    for i in indices:
+        pair_v, _ = make_mask_pairs(cfg, TINY_V, TINY_A, sample_rng(0, step, i))
+        part = partition(seq, cfg.video_region, visible_mask=pair_v.encoder_mask)
+        sets.append(set(part.sizes()))
+    return sets
+
+
+class TestBatchMatchesPerSample:
+    @pytest.mark.parametrize("indices, dual_masking", [
+        (list(range(8)), True),
+        (list(range(8)), False),
+        ([5], True),
+    ], ids=["ragged", "no-dual-masking", "one-clip"])
+    def test_step_bytes(self, indices, dual_masking):
+        """Losses, every parameter gradient and the AdamW state after one
+        step equal the per-sample loop's."""
+        step = 1
+        if len(indices) > 1:   # region sizes {2} and {0, 4} in one batch
+            sets = video_size_sets(step, indices)
+            assert {2} in sets and {0, 4} in sets
+        clips = tiny_clips(8)
+        tcfg = desk_train_config("pretrain", seed=0)
+        runs = []
+        for step_fn in (training.pretrain_step, per_sample_pretrain_step):
+            model = tiny_model()
+            optimizer = RecordingAdamW(model.named_parameters(), beta2=0.95)
+            stats = step_fn(model, clips, indices, step, tcfg, optimizer, 0.01,
+                            dual_masking=dual_masking)
+            runs.append((stats, optimizer))
+        (got, opt), (want, ref) = runs
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_same_bytes(np.float64(got[key]), np.float64(want[key]), key)
+        for name, grad in ref.seen.items():
+            assert_same_bytes(opt.seen[name], grad, name)
+        for field in ("data", "m", "v"):
+            assert_same_bytes(getattr(opt, field), getattr(ref, field), field)
+
+    def test_adamw_arena_after_three_steps(self, monkeypatch):
+        clips = tiny_clips(16)
+        tcfg = desk_train_config("pretrain", seed=0)
+        optimizers = []
+        built = training.optimizer_for
+        monkeypatch.setattr(training, "optimizer_for",
+                            lambda *a: optimizers.append(built(*a)) or optimizers[-1])
+        cfg = preset("Tiny")
+        _, log = training.run_pretrain(cfg, tcfg, clips, TINY_V, TINY_A, steps=3)
+        monkeypatch.setattr(training, "pretrain_step", per_sample_pretrain_step)
+        _, ref_log = training.run_pretrain(cfg, tcfg, clips, TINY_V, TINY_A, steps=3)
+        assert log.lines() == ref_log.lines()
+        got, want = optimizers
+        assert got.t == want.t == 3
+        for field in ("data", "grad", "m", "v"):
+            assert_same_bytes(getattr(got, field), getattr(want, field), field)
+
+
+class TestBatchBoundary:
+    @pytest.mark.parametrize("modality, field", [
+        ("video", "visible"), ("video", "target"), ("audio", "visible")])
+    def test_mask_pairs_with_different_counts_rejected(self, modality, field):
+        cfg = preset("Tiny")
+        pairs = [make_mask_pairs(cfg, TINY_V, TINY_A, sample_rng(0, 1, i)) for i in range(2)]
+        slot = 0 if modality == "video" else 1
+        pair = pairs[1][slot]
+        enc, tgt = pair.encoder_mask.copy(), pair.decoder_targets.copy()
+        if field == "visible":   # one masked, untargeted token becomes visible
+            enc[np.flatnonzero(enc & ~tgt)[0]] = False
+        else:                    # one more target inside the encoder mask
+            tgt[np.flatnonzero(enc & ~tgt)[0]] = True
+        odd = list(pairs[1])
+        odd[slot] = MaskPair(enc, tgt, pair.encoder_ratio, pair.decoder_ratio)
+        pairs[1] = tuple(odd)
+        n = (pairs[0][slot].n_tokens - int(pairs[0][slot].encoder_mask.sum())
+             if field == "visible" else int(pairs[0][slot].decoder_targets.sum()))
+        with pytest.raises(ValueError, match=f"{modality} mask pairs differ in "
+                                             f"{field} count: {n} and {n + 1}"):
+            tiny_model().forward_sample(tiny_clips(2), [p[0] for p in pairs],
+                                        [p[1] for p in pairs])
