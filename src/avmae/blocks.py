@@ -15,7 +15,8 @@ parameter's gradient per sample, ``[S, *shape]``, and ``Block._accumulate``
 adds it in the order a loop of single-sample backwards would (see there).
 
 There is no taping of arbitrary graphs: composite modules chain these
-backwards by hand.
+backwards by hand. Forwards run inside ``no_tape()`` record nothing, for
+evaluation: they leave any tape already pushed as it was.
 
 A parameter's ``data`` and ``grad`` may be views into one flat buffer shared
 by the whole model (the optimizer packs them), so they are written in place
@@ -29,6 +30,8 @@ without their Python wrappers.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -41,6 +44,24 @@ BATCHNORM_MOMENTUM = 0.1
 
 class GradientStateError(RuntimeError):
     """Raised when backward is called without a matching forward."""
+
+
+class _Taping(threading.local):
+    on = True
+
+
+_taping = _Taping()
+
+
+@contextmanager
+def no_tape():
+    """Forwards inside, in this thread, save no activations: nothing to run
+    backward through, and any tape pushed before stays as it was."""
+    previous, _taping.on = _taping.on, False
+    try:
+        yield
+    finally:
+        _taping.on = previous
 
 
 class Parameter:
@@ -180,7 +201,8 @@ class Block:
     # -- cache stack --------------------------------------------------------
 
     def _save(self, *values):
-        self._tape.append(values)
+        if _taping.on:
+            self._tape.append(values)
 
     def _load(self):
         if not self._tape:
@@ -270,12 +292,11 @@ def gelu_backward(x: np.ndarray, d_out: np.ndarray, t: np.ndarray | None = None)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so
+    no exp overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid_backward(out: np.ndarray, d_out: np.ndarray) -> np.ndarray:

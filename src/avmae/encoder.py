@@ -53,7 +53,12 @@ def partition(seq: TokenSeq, region_shape, visible_mask: np.ndarray | None = Non
     Under masking only visible tokens are kept, so regions may be ragged or
     empty; member indices point into the visible-token array.
     """
-    grid = seq.grid
+    coords = seq.coords if visible_mask is None else seq.coords[~visible_mask]
+    return grid_partition(seq.grid, coords, region_shape)
+
+
+def grid_partition(grid, coords: np.ndarray, region_shape) -> RegionPartition:
+    """``partition`` of the tokens at ``coords`` [N, ndim] of ``grid``."""
     if len(region_shape) != len(grid):
         raise ValueError("region rank must match grid rank")
     region_grid = []
@@ -62,9 +67,6 @@ def partition(seq: TokenSeq, region_shape, visible_mask: np.ndarray | None = Non
             raise ValueError(f"region shape {region_shape} does not tile grid {grid}")
         region_grid.append(g // r)
 
-    coords = seq.coords
-    if visible_mask is not None:
-        coords = coords[~visible_mask]
     region_coord = coords // np.asarray(region_shape, dtype=np.int64)
     flat = np.ravel_multi_index(tuple(region_coord.T), region_grid)
     n_regions = math.prod(region_grid)
@@ -226,9 +228,12 @@ class LGILayer(Block):
 
     def forward(self, locals_: np.ndarray, s: np.ndarray,
                 part: RegionPartition | BatchPartition, rngs=None,
-                drop_path: float = 0.0):
+                drop_path: float = 0.0, local_ffn: bool = True):
         """part: one partition shared by the S samples, or their batch layout.
-        rngs: one generator per sample for stochastic depth, or None."""
+        rngs: one generator per sample for stochastic depth, or None.
+        local_ffn=False: the caller reads neither the output locals nor their
+        gradient, so the feed-forward skips them and they return as None;
+        the backward then takes a zero ``d_locals3`` as ``d_locals2``."""
         if isinstance(part, RegionPartition):
             part = stack_partitions([part] * len(locals_))
         scales = self._branch_scales(rngs, drop_path, locals_.dtype)
@@ -270,20 +275,24 @@ class LGILayer(Block):
             _put(s3, g.ids, _rows(s2, g.ids) + _scaled(c4, out[:, :, 0]), g.pad)
 
         # shared feed-forward on locals, then on region tokens
-        locals3 = locals2 + _scaled(cfl, self.ffn.forward(self.norm_ffn.forward(locals2)))
+        locals3 = None
+        if local_ffn:
+            locals3 = locals2 + _scaled(cfl, self.ffn.forward(self.norm_ffn.forward(locals2)))
         s4 = s3 + _scaled(cfs, self.ffn.forward(self.norm_ffn.forward(s3)))
 
-        self._save(part.groups, scales)
+        self._save(part.groups, scales, local_ffn)
         return locals3, s4
 
     def backward(self, d_locals3: np.ndarray, d_s4: np.ndarray):
-        groups, scales = self._load()
+        groups, scales, local_ffn = self._load()
         c1, c2, c3, c4, cfl, cfs = scales
 
         d_h = self.ffn.backward(_scaled(cfs, d_s4))
         d_s3 = d_s4 + self.norm_ffn.backward(d_h)
-        d_h = self.ffn.backward(_scaled(cfl, d_locals3))
-        d_locals2 = d_locals3 + self.norm_ffn.backward(d_h)
+        d_locals2 = d_locals3
+        if local_ffn:
+            d_h = self.ffn.backward(_scaled(cfl, d_locals3))
+            d_locals2 = d_locals3 + self.norm_ffn.backward(d_h)
 
         d_s2 = d_s3.copy()
         d_q_all = np.zeros_like(d_s3)
@@ -342,31 +351,41 @@ class LGIEncoder(Block):
         ])
 
     def encode(self, tokens: np.ndarray,
-               part: RegionPartition | list[RegionPartition],
-               rngs=None, drop_path: float = 0.0):
+               part: RegionPartition | list[RegionPartition] | BatchPartition,
+               rngs=None, drop_path: float = 0.0, keep_locals: bool = True):
         """Encode the tokens [S, N, C] of S samples.
 
-        part: one partition shared by the samples, or one per sample.
+        part: one partition shared by the samples, one per sample, or their
+        stacked batch layout.
 
         Returns (snapshots, final_locals, skip_locals, pooled):
         snapshots: region tokens after every layer, [depth][S, K, C]
         skip_locals: local tokens after each skip layer, [S, N, C]
         pooled: mean over region tokens at each skip layer, [S, C]
         rngs: one generator per sample for stochastic depth, or None.
+        keep_locals=False: the caller reads no local tokens after the last
+        layer (final_locals, and skip_locals at the last layer, are None)
+        and its backward passes a zero gradient for them; the last layer
+        then skips its feed-forward on the locals. Snapshots and gradients
+        are bitwise unchanged: the skipped gradients are exact zeros.
         """
-        parts = part if isinstance(part, list) else [part] * len(tokens)
-        for p in parts:
-            if p.n_regions != self.n_regions:
-                raise ValueError(f"partition has {p.n_regions} regions, "
-                                 f"encoder expects {self.n_regions}")
-        layout = stack_partitions(parts)
+        layout = part
+        if not isinstance(part, BatchPartition):
+            layout = stack_partitions(part if isinstance(part, list)
+                                      else [part] * len(tokens))
+        k = layout.parts[0].n_regions   # equal across the stacked parts
+        if k != self.n_regions:
+            raise ValueError(f"partition has {k} regions, "
+                             f"encoder expects {self.n_regions}")
         locals_ = tokens
         s = np.repeat(self.region_tokens.data[None], len(tokens), axis=0)
         snapshots = []
         skip_locals = {}
         pooled = {}
+        last = len(self.layers) - 1
         for idx, layer in enumerate(self.layers):
-            locals_, s = layer.forward(locals_, s, layout, rngs=rngs, drop_path=drop_path)
+            locals_, s = layer.forward(locals_, s, layout, rngs=rngs, drop_path=drop_path,
+                                       local_ffn=keep_locals or idx < last)
             snapshots.append(s)
             if idx in self.cfg.skip_indices:
                 skip_locals[idx] = locals_

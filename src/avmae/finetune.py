@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import DEFAULT_DTYPE, Block
+from .blocks import DEFAULT_DTYPE, Block, no_tape
 from .config import ModelConfig, audio_grid, region_count, video_grid
-from .embedding import AudioEmbed, RawClip, VideoEmbed
-from .encoder import LGIEncoder, partition
+from .embedding import AudioEmbed, RawClip, VideoEmbed, grid_coords
+from .encoder import LGIEncoder, grid_partition, stack_partitions
 from .iavcl import IAVCLHead
 
 
@@ -23,10 +23,16 @@ class FinetuneModel(Block):
         self.cfg = cfg
         self.video_shape = tuple(video_shape)
         self.audio_shape = tuple(audio_shape)
-        k_v = region_count(video_grid(cfg, video_shape), cfg.video_region)
-        k_a = region_count(audio_grid(cfg, audio_shape), cfg.audio_region)
+        grid_v, grid_a = video_grid(cfg, video_shape), audio_grid(cfg, audio_shape)
+        k_v = region_count(grid_v, cfg.video_region)
+        k_a = region_count(grid_a, cfg.audio_region)
         if k_v != k_a:
             raise ValueError(f"region counts differ (video {k_v}, audio {k_a})")
+        # every clip has the model's shapes, so one full-grid partition per
+        # modality serves every call, stacked once per batch size
+        self._parts = (grid_partition(grid_v, grid_coords(grid_v), cfg.video_region),
+                       grid_partition(grid_a, grid_coords(grid_a), cfg.audio_region))
+        self._layouts = {}
         self.video_embed = VideoEmbed(cfg, rng, dtype=dtype)
         self.audio_embed = AudioEmbed(cfg, rng, dtype=dtype)
         self.video_encoder = LGIEncoder(cfg, k_v, rng, dtype=dtype)
@@ -41,18 +47,31 @@ class FinetuneModel(Block):
         rngs: one generator per clip for stochastic depth, or None. The
         logits, gradients and batch-norm statistics are bitwise those of the
         clips run one at a time, forward in order and backward in reverse.
+        The head reads only region tokens, so the encoders skip the final
+        local tokens (``keep_locals=False``).
         """
+        for clip in clips:
+            for modality, shape, want in (("video", clip.video.shape[:-1], self.video_shape),
+                                          ("audio", clip.audio.shape, self.audio_shape)):
+                if shape != want:
+                    raise ValueError(f"{modality} clip shape {shape} differs from "
+                                     f"the model's {want}")
+        layout_v, layout_a = self._layout(len(clips))
         seq_v = self.video_embed.forward(np.stack([clip.video for clip in clips]))
         seq_a = self.audio_embed.forward(np.stack([clip.audio for clip in clips]))
-        part_v = partition(seq_v, self.cfg.video_region)
-        part_a = partition(seq_a, self.cfg.audio_region)
-        snaps_v, locals_v, _, _ = self.video_encoder.encode(
-            seq_v.tokens, part_v, rngs=rngs, drop_path=drop_path)
-        snaps_a, locals_a, _, _ = self.audio_encoder.encode(
-            seq_a.tokens, part_a, rngs=rngs, drop_path=drop_path)
+        snaps_v, _, _, _ = self.video_encoder.encode(
+            seq_v.tokens, layout_v, rngs=rngs, drop_path=drop_path, keep_locals=False)
+        snaps_a, _, _, _ = self.audio_encoder.encode(
+            seq_a.tokens, layout_a, rngs=rngs, drop_path=drop_path, keep_locals=False)
         logits = self.iavcl.forward(snaps_a, snaps_v, training=training)
-        self._save(locals_v.shape, locals_a.shape)
+        self._save(seq_v.tokens.shape, seq_a.tokens.shape)
         return logits
+
+    def _layout(self, n: int):
+        """The video and audio batch layouts for n clips, stacked on first use."""
+        if n not in self._layouts:
+            self._layouts[n] = tuple(stack_partitions([part] * n) for part in self._parts)
+        return self._layouts[n]
 
     def backward_sample(self, d_logits: np.ndarray) -> None:
         """Backward of the last ``forward_sample``; d_logits is [S, outputs]."""
@@ -67,7 +86,7 @@ class FinetuneModel(Block):
         self.video_embed.backward(d_tokens_v)
 
     def predict(self, clip: RawClip) -> np.ndarray:
-        """Inference forward of one clip: no stochastic depth, frozen statistics."""
-        logits = self.forward_sample([clip], training=False)[0]
-        self.clear_caches()
-        return logits
+        """Inference forward of one clip: no stochastic depth, frozen
+        statistics, no tape (a pending training tape stays as it was)."""
+        with no_tape():
+            return self.forward_sample([clip], training=False)[0]

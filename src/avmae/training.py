@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .blocks import DEFAULT_DTYPE, Block
+from .blocks import DEFAULT_DTYPE, Block, no_tape
 from .config import DECODER_MASK_RATIO, ModelConfig, TrainConfig
 from .embedding import RawClip, read_clip, write_clip
 from .finetune import FinetuneModel
@@ -28,6 +28,7 @@ from .pretrain import PretrainModel, make_mask_pairs
 LR_FLOOR = 1e-6
 _ADAMW_CHUNK = 1 << 14  # elements per AdamW pass; sizes its scratch buffers
 _EVAL_CHUNK = 16        # clips per forward in train_accuracy
+_TARGETS_BUDGET = 256 << 20  # bytes of normalised targets a pretrain run keeps
 
 
 def worker_count() -> int:
@@ -347,22 +348,28 @@ def pretrain_step(model: PretrainModel, clips, indices, step: int,
 
     The batch runs through the model in one forward and one backward pass;
     each clip draws its masks from ``sample_rng(seed, step, clip index)``.
-    targets: clip index -> ``model.targets(clip)``, filled on first use, so
-    a run that passes one dict normalises each clip once.
+    targets: clip index -> ``model.targets(clip)``, filled on first use
+    while it holds at most ``_TARGETS_BUDGET`` bytes, so a run that passes
+    one dict normalises each clip once, or per step beyond the budget.
     """
     cfg = model.cfg
     targets = {} if targets is None else targets
-    pairs_v, pairs_a = [], []
+    pairs_v, pairs_a, batch_targets = [], [], []
     for clip_idx in indices:
         rng = sample_rng(tcfg.seed, step, clip_idx)
         pair_v, pair_a = make_mask_pairs(cfg, model.video_shape, model.audio_shape,
                                          rng, dual_masking=dual_masking)
         pairs_v.append(pair_v)
         pairs_a.append(pair_a)
-        if clip_idx not in targets:
-            targets[clip_idx] = model.targets(clips[clip_idx])
+        clip_targets = targets.get(clip_idx)
+        if clip_targets is None:
+            clip_targets = model.targets(clips[clip_idx])
+            # every clip's targets have the model's shapes, so one size
+            if (len(targets) + 1) * sum(t.nbytes for t in clip_targets) <= _TARGETS_BUDGET:
+                targets[clip_idx] = clip_targets
+        batch_targets.append(clip_targets)
     res = model.forward_sample([clips[i] for i in indices], pairs_v, pairs_a,
-                               targets=[targets[i] for i in indices])
+                               targets=batch_targets)
 
     b = len(indices)
     mse = {}
@@ -455,8 +462,8 @@ def train_accuracy(model: FinetuneModel, clips, labels) -> float:
     """Eval-mode accuracy, in chunks; each clip's logits are its ``predict``'s."""
     hits = 0
     for start in range(0, len(clips), _EVAL_CHUNK):
-        logits = model.forward_sample(clips[start:start + _EVAL_CHUNK], training=False)
-        model.clear_caches()
+        with no_tape():
+            logits = model.forward_sample(clips[start:start + _EVAL_CHUNK], training=False)
         chunk_labels = np.asarray(labels[start:start + _EVAL_CHUNK])
         hits += int(np.sum(np.argmax(logits, axis=1) == chunk_labels))
     return hits / len(clips)

@@ -190,6 +190,16 @@ def oracle_hafe(stack, f_av, hafe):
 # ---------------------------------------------------------------------------
 
 
+def oracle_sigmoid_split(x):
+    """Sigmoid evaluated separately on each sign, scattered by boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def oracle_softmax(x, axis=-1):
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from avmae.blocks import (BATCHNORM_EPS, Attention, ConvBNPReLU, FeedForward,
-                          GradientStateError, LayerNorm, Linear, softmax,
-                          softmax_backward)
+                          GradientStateError, LayerNorm, Linear, no_tape,
+                          sigmoid, softmax, softmax_backward)
 from avmae.gradcheck import grad_check
 from avmae.verify import run_grad_check
 
 from oracles import (oracle_attention, oracle_batchnorm_prelu_backward,
                      oracle_batchnorm_prelu_forward, oracle_layernorm_backward,
-                     oracle_layernorm_forward, oracle_softmax,
-                     oracle_softmax_backward)
+                     oracle_layernorm_forward, oracle_sigmoid_split,
+                     oracle_softmax, oracle_softmax_backward)
 
 
 class TestAttentionForward:
@@ -138,6 +138,34 @@ class TestBackwardProtocol:
         lin.backward(g2[None])
         lin.backward(g1[None])
         assert np.allclose(lin.weight.grad, x1.T @ g1 + x2.T @ g2)
+
+    def test_no_tape_forward_leaves_pending_tape(self):
+        """A forward inside ``no_tape`` records nothing: the backward runs
+        through the taped forward before it, and then there is none left."""
+        rng = np.random.default_rng(5)
+        lin = Linear(3, 2, rng, dtype=np.float64)
+        x, y = rng.normal(size=(1, 4, 3)), rng.normal(size=(1, 5, 3))
+        lin.forward(y)
+        with no_tape():
+            out = lin.forward(x)
+        assert np.array_equal(out, x @ lin.weight.data + lin.bias.data)
+        lin.backward(np.ones((1, 5, 2)))
+        assert np.array_equal(lin.weight.grad, y[0].T @ np.ones((5, 2)))
+        with pytest.raises(GradientStateError):
+            lin.backward(np.ones((1, 4, 2)))
+
+    def test_no_tape_restores_taping_on_exit_and_error(self):
+        lin = Linear(3, 3, np.random.default_rng(0))
+        x = np.ones((1, 2, 3), dtype=np.float32)
+        with pytest.raises(ValueError):
+            with no_tape():
+                with no_tape():
+                    lin.forward(x)
+                lin.forward(x)
+                raise ValueError
+        assert not lin._tape
+        lin.forward(x)
+        assert len(lin._tape) == 1
 
     def test_deterministic_given_inputs(self):
         rng = np.random.default_rng(4)
@@ -319,3 +347,23 @@ class TestKernelsMatchMeanVarReferences:
         assert_same_bytes(block.bn_scale.grad, d_scale)
         assert_same_bytes(block.bn_shift.grad, d_shift)
         assert_same_bytes(block.prelu_slope.grad, d_slope)
+
+
+class TestSigmoidMatchesSplitReference:
+    """One exp of -|x| and a select: the bits of evaluating each sign
+    separately and scattering by boolean masks."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_bytes(self, dtype):
+        rng = np.random.default_rng(7)
+        info = np.finfo(dtype)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, info.tiny, -info.tiny,
+                            info.smallest_subnormal, -info.smallest_subnormal,
+                            info.max, -info.max, 88.0, -88.0, 104.0, -104.0],
+                           dtype=dtype)
+        x = np.concatenate([special,
+                            (rng.normal(size=200_000) * 30.0).astype(dtype),
+                            (rng.standard_cauchy(size=200_000)).astype(dtype)])
+        assert_same_bytes(sigmoid(x), oracle_sigmoid_split(x))
+        batch = x[:16 * 4 * 32].reshape(16, 4, 32)
+        assert_same_bytes(sigmoid(batch), oracle_sigmoid_split(batch))

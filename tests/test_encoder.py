@@ -270,3 +270,46 @@ class TestLGIEncoder:
         enc.clear_caches()
         for idx in cfg.skip_indices:
             assert np.allclose(pooled[idx], snaps[idx].mean(axis=1), atol=1e-7)
+
+
+class TestFinalLocalsSkip:
+    """``encode(keep_locals=False)`` against ``keep_locals=True``: the last
+    layer's local feed-forward only feeds tokens nobody reads, so skipping it
+    must change no bit of the snapshots or of any gradient."""
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["shared", "ragged"])
+    def test_snapshots_and_gradients_bytes(self, masked):
+        cfg = preset("Tiny")
+        n_samples, rate = 3, 0.1
+        seq = tiny_seq(dim=cfg.encoder_dim)
+        if masked:
+            part = [partition(seq, cfg.video_region, visible_mask=tube_mask(
+                4, 4, 4, 0.75, np.random.default_rng(20 + j))) for j in range(n_samples)]
+            n_tokens = 16
+        else:
+            part, n_tokens = partition(seq, cfg.video_region), 64
+        rng = np.random.default_rng(9)
+        tokens = rng.normal(size=(n_samples, n_tokens, cfg.encoder_dim)).astype(np.float32)
+        d_snaps = [rng.normal(size=(n_samples, 4, cfg.encoder_dim)).astype(np.float32)
+                   for _ in range(cfg.encoder_depth)]
+        results = []
+        for keep in (True, False):
+            enc = LGIEncoder(cfg, 4, np.random.default_rng(5))
+            rngs = [np.random.default_rng(100 + j) for j in range(n_samples)]
+            snaps, locals_, skip_locals, _ = enc.encode(tokens, part, rngs=rngs,
+                                                        drop_path=rate, keep_locals=keep)
+            d_tokens = enc.backward(np.zeros_like(tokens), d_snapshots=d_snaps)
+            assert not any(layer._tape for layer in enc.layers)
+            results.append((snaps, locals_, d_tokens, dict(enc.named_parameters()),
+                            [r.random() for r in rngs]))
+        (snaps, locals_, d_tokens, params, after), (s_snaps, s_locals, s_d_tokens,
+                                                    s_params, s_after) = results
+        assert locals_.shape == tokens.shape and s_locals is None
+        assert after == s_after   # the same drop-path draws were made
+        for j, (a, b) in enumerate(zip(snaps, s_snaps)):
+            assert a.tobytes() == b.tobytes(), f"snapshot {j}"
+        assert d_tokens.tobytes() == s_d_tokens.tobytes()
+        for name, p in params.items():
+            assert p.grad.tobytes() == s_params[name].grad.tobytes(), name
+        last_ffn = f"layers.{cfg.encoder_depth - 1}.ffn.fc1.weight"
+        assert np.any(params[last_ffn].grad != 0)   # the region branch still trains it

@@ -1,9 +1,12 @@
 """The batch-first fine-tune path against the per-sample path, byte for byte."""
 
 import numpy as np
+import pytest
 
-from avmae import training
+from avmae import encoder, finetune, training
+from avmae.blocks import GradientStateError
 from avmae.config import PRESET_INPUTS, desk_train_config, preset
+from avmae.embedding import RawClip
 from avmae.finetune import FinetuneModel
 from avmae.losses import cross_entropy_ls
 from avmae.training import SyntheticTask, gen_synthetic, sample_rng, train_accuracy
@@ -115,3 +118,75 @@ class TestTrainAccuracy:
         want = np.stack([model.predict(clip) for clip in clips])
         assert_same_bytes(np.concatenate(chunks), want, "eval logits")
         assert acc == np.mean(np.argmax(want, axis=1) == labels)
+
+
+class TestTapeFreeEvaluation:
+    def test_predict_between_forward_and_backward_keeps_the_step(self):
+        """A predict between a training forward and its backward leaves the
+        logits and every parameter gradient those of the uninterrupted step."""
+        clips, labels = tiny_data(5)
+        grads = []
+        for interrupt in (False, True):
+            model = tiny_model()
+            rngs = [sample_rng(0, 3, i) for i in range(4)]
+            logits = model.forward_sample(clips[:4], rngs=rngs, drop_path=0.5)
+            _, d_logits = cross_entropy_ls(logits, np.asarray(labels[:4]), 0.1)
+            if interrupt:
+                model.predict(clips[4])
+                train_accuracy(model, clips, labels)
+            model.backward_sample(d_logits)
+            grads.append((logits, dict(model.named_parameters())))
+        (want_logits, want), (got_logits, got) = grads
+        assert_same_bytes(got_logits, want_logits, "logits")
+        for name, p in got.items():
+            assert_same_bytes(p.grad, want[name].grad, name)
+
+    def test_backward_after_tape_free_forward_raises(self):
+        clips, labels = tiny_data(2)
+        model = tiny_model()
+        model.forward_sample(clips, training=True)   # running statistics
+        model.clear_caches()
+        d_logits = np.ones((1, N_CLASSES), dtype=np.float32)
+        model.predict(clips[0])
+        with pytest.raises(GradientStateError):
+            model.backward_sample(d_logits)
+        train_accuracy(model, clips, labels)
+        with pytest.raises(GradientStateError):
+            model.backward_sample(d_logits)
+
+    def test_layouts_built_once_per_batch_size(self, monkeypatch):
+        model = tiny_model()
+        clips, labels = tiny_data(3)
+        stacked = []
+        stack = encoder.stack_partitions
+        monkeypatch.setattr(finetune, "stack_partitions",
+                            lambda parts: stacked.append(len(parts)) or stack(parts))
+        monkeypatch.setattr(encoder, "stack_partitions", None)   # encode must not stack
+        monkeypatch.setattr(encoder, "grid_partition", None)
+        for _ in range(2):
+            model.forward_sample(clips, training=True)
+            model.clear_caches()
+            model.predict(clips[0])
+        assert stacked == [3, 3, 1, 1]   # video and audio, once per size
+
+
+class TestClipShapeBoundary:
+    @pytest.mark.parametrize("modality", ["video", "audio"])
+    def test_mismatched_clip_rejected_before_any_work(self, modality):
+        clips, _ = tiny_data(2)
+        good = clips[1]
+        if modality == "video":
+            odd = RawClip(np.zeros((4,) + TINY_V[1:] + (3,), dtype=np.float32), good.audio)
+            got, want = (4,) + TINY_V[1:], TINY_V
+        else:
+            odd = RawClip(good.video, np.zeros((16, TINY_A[1]), dtype=np.float32))
+            got, want = (16, TINY_A[1]), TINY_A
+        model = tiny_model()
+        with pytest.raises(ValueError, match=(
+                rf"{modality} clip shape \({got[0]}, .*\) differs from "
+                rf"the model's \({want[0]}, .*\)")):
+            model.forward_sample([good, odd], training=True)
+        assert all(not block._tape for block in (model.video_embed.proj,
+                                                 model.audio_embed.proj))
+        with pytest.raises(ValueError, match=f"{modality} clip shape"):
+            model.predict(odd)

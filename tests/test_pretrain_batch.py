@@ -99,6 +99,37 @@ class TestBatchMatchesPerSample:
             assert_same_bytes(getattr(got, field), getattr(want, field), field)
 
 
+class TestTargetsBudget:
+    def test_uncached_run_bytes_equal_cached(self, monkeypatch, tmp_path):
+        """Past the targets budget each step normalises its clips again; the
+        metrics and the final parameters do not change."""
+        clips = tiny_clips(12)
+        tcfg = desk_train_config("pretrain", seed=0)
+        cfg = preset("Tiny")
+        made = []
+        normalise = PretrainModel.targets
+        monkeypatch.setattr(PretrainModel, "targets",
+                            lambda self, clip: made.append(1) or normalise(self, clip))
+        runs = []
+        for budget in (training._TARGETS_BUDGET, 0):
+            monkeypatch.setattr(training, "_TARGETS_BUDGET", budget)
+            made.clear()
+            path = tmp_path / f"{budget}.jsonl"
+            model, _ = training.run_pretrain(cfg, tcfg, clips, TINY_V, TINY_A, steps=3,
+                                             log=training.MetricsLog(path))
+            runs.append((path.read_bytes(), dict(model.named_parameters()), len(made)))
+        (metrics, params, n_cached), (u_metrics, u_params, n_uncached) = runs
+        assert (n_cached, n_uncached) == (len(clips), 3 * tcfg.batch)
+        assert metrics == u_metrics
+        for name, p in params.items():
+            assert_same_bytes(u_params[name].data, p.data, name)
+
+    def test_tiny_pretrain_corpus_fits_the_budget(self):
+        """The 32 Tiny clips of a desk pretrain run (about 3.2 MB) stay cached."""
+        clip_bytes = sum(t.nbytes for t in tiny_model().targets(tiny_clips(1)[0]))
+        assert 32 * clip_bytes <= training._TARGETS_BUDGET
+
+
 class TestBatchBoundary:
     @pytest.mark.parametrize("modality, field", [
         ("video", "visible"), ("video", "target"), ("audio", "visible")])
