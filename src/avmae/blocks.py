@@ -160,9 +160,6 @@ class Block:
         for p in self.parameters():
             p.grad.fill(0.0)
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     # -- gradient accumulation ----------------------------------------------
 
     def _accumulate(self, p: Parameter, grads: np.ndarray) -> None:

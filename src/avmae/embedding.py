@@ -36,13 +36,10 @@ class RawClip:
 @dataclass
 class TokenSeq:
     tokens: np.ndarray        # [S, N, C]
-    coords: np.ndarray        # [N, ndim] integer grid coordinates
     grid: tuple[int, ...]
-    modality: str
 
     def __post_init__(self):
-        n = int(np.prod(self.grid))
-        if self.tokens.shape[-2] != n or self.coords.shape[0] != n:
+        if self.tokens.shape[-2] != int(np.prod(self.grid)):
             raise ValueError("token count must equal the grid size")
 
 
@@ -74,12 +71,10 @@ def positional_encoding(coords: np.ndarray, dim: int, dtype=DEFAULT_DTYPE) -> np
 
 @lru_cache(maxsize=16)
 def grid_codes(grid: tuple[int, ...], dim: int, dtype=DEFAULT_DTYPE):
-    """(coords, positional codes) of a grid, made once and shared read-only."""
-    coords = grid_coords(grid)
-    codes = positional_encoding(coords, dim, dtype)
-    coords.flags.writeable = False
+    """The positional codes of a grid, made once and shared read-only."""
+    codes = positional_encoding(grid_coords(grid), dim, dtype)
     codes.flags.writeable = False
-    return coords, codes
+    return codes
 
 
 def video_patches(video: np.ndarray, tubelet) -> np.ndarray:
@@ -114,8 +109,8 @@ def audio_patches(audio: np.ndarray, patch) -> np.ndarray:
 class PatchEmbed(Block):
     """Learned linear map of flattened patches plus fixed positional codes.
 
-    A subclass names its modality, the config field holding its patch size,
-    the channels per grid cell, and its patchify and grid functions.
+    A subclass names the config field holding its patch size, the channels
+    per grid cell, and its patchify and grid functions.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
@@ -130,23 +125,23 @@ class PatchEmbed(Block):
         """raw: [S, *clip shape], one modality of S clips -> tokens [S, N, C]."""
         grid = self.grid(self.cfg, raw.shape[1:1 + len(self.patch)])
         patches = self.patchify(raw, self.patch).astype(self.dtype, copy=False)
-        coords, codes = grid_codes(grid, self.cfg.encoder_dim, self.dtype)
+        codes = grid_codes(grid, self.cfg.encoder_dim, self.dtype)
         tokens = self.proj.forward(patches)
         tokens = tokens + codes
-        return TokenSeq(tokens, coords, grid, self.modality)
+        return TokenSeq(tokens, grid)
 
     def backward(self, d_tokens: np.ndarray) -> None:
         self.proj.backward(d_tokens)
 
 
 class VideoEmbed(PatchEmbed):
-    modality, patch_field, channels = "video", "video_tubelet", 3
+    patch_field, channels = "video_tubelet", 3
     patchify = staticmethod(video_patches)
     grid = staticmethod(video_grid)
 
 
 class AudioEmbed(PatchEmbed):
-    modality, patch_field, channels = "audio", "audio_patch", 1
+    patch_field, channels = "audio_patch", 1
     patchify = staticmethod(audio_patches)
     grid = staticmethod(audio_grid)
 

@@ -24,65 +24,6 @@ import numpy as np
 from .blocks import (DEFAULT_DTYPE, Attention, Block, BlockList, FeedForward,
                      LayerNorm, Parameter, trunc_normal)
 from .config import ModelConfig
-from .embedding import TokenSeq
-
-
-@dataclass
-class RegionPartition:
-    """Disjoint assignment of present tokens to spatial(-temporal) regions.
-
-    ``members[i]``: region i's indices into the present-token array, ascending.
-    ``groups``: one ``(size, ids [G], index [G, size])`` per distinct region
-    size, ascending, with ``index[g] == members[ids[g]]``.
-    """
-
-    members: list[np.ndarray]
-    groups: list[tuple[int, np.ndarray, np.ndarray]]
-
-    @property
-    def n_regions(self) -> int:
-        return len(self.members)
-
-    def sizes(self) -> list[int]:
-        return [m.size for m in self.members]
-
-
-def partition(seq: TokenSeq, region_shape, visible_mask: np.ndarray | None = None) -> RegionPartition:
-    """Assign tokens to the region containing their grid coordinate.
-
-    Under masking only visible tokens are kept, so regions may be ragged or
-    empty; member indices point into the visible-token array.
-    """
-    coords = seq.coords if visible_mask is None else seq.coords[~visible_mask]
-    return grid_partition(seq.grid, coords, region_shape)
-
-
-def grid_partition(grid, coords: np.ndarray, region_shape) -> RegionPartition:
-    """``partition`` of the tokens at ``coords`` [N, ndim] of ``grid``."""
-    if len(region_shape) != len(grid):
-        raise ValueError("region rank must match grid rank")
-    region_grid = []
-    for g, r in zip(grid, region_shape):
-        if g % r != 0:
-            raise ValueError(f"region shape {region_shape} does not tile grid {grid}")
-        region_grid.append(g // r)
-
-    region_coord = coords // np.asarray(region_shape, dtype=np.int64)
-    flat = np.ravel_multi_index(tuple(region_coord.T), region_grid)
-    n_regions = math.prod(region_grid)
-    # region i owns order[starts[i]:starts[i] + counts[i]], ascending
-    order = np.argsort(flat, kind="stable").astype(np.int64)
-    counts = np.bincount(flat, minlength=n_regions)
-    starts = np.cumsum(counts) - counts
-    members = [order[a:a + n] for a, n in zip(starts.tolist(), counts.tolist())]
-    groups = [(n, np.flatnonzero(counts == n)) for n in sorted(set(counts.tolist()))]
-    groups = [(n, ids, order[starts[ids, None] + np.arange(n)]) for n, ids in groups]
-    return RegionPartition(members, groups)
-
-
-def score_entries_stage12(part: RegionPartition) -> int:
-    """Attention score-matrix entries spent by stages I and II of one layer."""
-    return sum((m.size + 1) ** 2 for m in part.members) + part.n_regions ** 2
 
 
 @dataclass
@@ -90,7 +31,7 @@ class SizeGroup:
     """Every region of one size in a batch, as G slots per sample.
 
     ``ids`` [S, G] are rows of the region tokens flattened to [S*K, C] and
-    ``index`` [S, G, size] rows of the local tokens flattened to [S*N, C];
+    ``index`` [S, G, size] rows of the local tokens flattened to [S*V, C];
     a sample's real regions come first, in ascending region order. A sample
     with fewer than G regions of this size fills the rest with padding
     slots (``pad`` [S, G] is True there, or None if there are none): they
@@ -105,53 +46,75 @@ class SizeGroup:
 
 
 @dataclass
-class BatchPartition:
-    """The region partitions of S samples with N tokens each, and their
-    regions bucketed by size across the batch: one ``SizeGroup`` per size
-    any sample has, ascending."""
+class RegionLayout:
+    """The regions of S samples with V visible tokens each, bucketed by size
+    across the batch: one ``SizeGroup`` per size any region has, ascending.
 
-    parts: list[RegionPartition]
-    n_tokens: int
+    ``counts`` [S, K]: tokens per region. ``order`` [S*V]: the flat token
+    rows ``j*V + m``, by sample, then region, ascending within a region.
+    """
+
+    counts: np.ndarray
+    order: np.ndarray
     groups: list[SizeGroup]
 
     @property
+    def n_regions(self) -> int:
+        return self.counts.shape[1]
+
+    @property
     def members(self) -> list[np.ndarray]:
-        """The batch as one partition of its S*N token rows into S*K
+        """The batch as one partition of its S*V token rows into S*K
         regions: sample j's region i is ``members[j*K + i]``, as rows
-        ``j*N + m`` of the flattened tokens."""
-        return [m + j * self.n_tokens for j, part in enumerate(self.parts)
-                for m in part.members]
+        ``j*V + m`` of the flattened tokens."""
+        return np.split(self.order, np.cumsum(self.counts.ravel())[:-1])
 
 
-def stack_partitions(parts: list[RegionPartition]) -> BatchPartition:
-    """One batch layout from per-sample partitions with equal token counts."""
-    n_samples, k = len(parts), parts[0].n_regions
-    n_tokens = sum(parts[0].sizes())
-    for part in parts:
-        if part.n_regions != k or sum(part.sizes()) != n_tokens:
-            raise ValueError("stacked partitions need equal region and token counts")
-    by_size = {}   # size -> [S] (ids, index) at flat rows, None if absent
-    for j, part in enumerate(parts):
-        for size, ids, index in part.groups:
-            by_size.setdefault(size, [None] * n_samples)[j] = (ids + j * k,
-                                                               index + j * n_tokens)
+def partition(grid, region_shape, visible: np.ndarray) -> RegionLayout:
+    """Assign the visible tokens of S samples to the region containing their
+    grid coordinate.
+
+    visible: [S, V] ascending indices into each sample's row-major token
+    ``grid``. Under masking regions may be ragged or empty; the layout's
+    rows index the visible tokens.
+    """
+    if len(region_shape) != len(grid):
+        raise ValueError("region rank must match grid rank")
+    if any(g % r for g, r in zip(grid, region_shape)):
+        raise ValueError(f"region shape {region_shape} does not tile grid {grid}")
+    region_grid = [g // r for g, r in zip(grid, region_shape)]
+    k, n_samples = math.prod(region_grid), len(visible)
+    coords = np.unravel_index(visible, grid)
+    region = np.ravel_multi_index(tuple(c // r for c, r in zip(coords, region_shape)),
+                                  region_grid)
+    key = (region + k * np.arange(n_samples)[:, None]).ravel()
+    # region j*K + i owns order[starts[j*K + i]:][:counts[j*K + i]], ascending
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=n_samples * k)
+    starts = np.cumsum(counts) - counts
     groups = []
-    for size in sorted(by_size):
-        rows = by_size[size]
-        width = max(len(r[0]) for r in rows if r is not None)
-        if all(r is not None and len(r[0]) == width for r in rows):
-            groups.append(SizeGroup(size, np.stack([r[0] for r in rows]),
-                                    np.stack([r[1] for r in rows]), None))
-            continue
+    for size in np.unique(counts).tolist():
+        # this size's regions as rows j*K + i; slot: a region's rank in its sample
+        flat = np.flatnonzero(counts == size)
+        sample = flat // k
+        per_sample = np.bincount(sample, minlength=n_samples)
+        width = int(per_sample.max())
+        slot = np.arange(flat.size) - (np.cumsum(per_sample) - per_sample)[sample]
         ids = np.zeros((n_samples, width), dtype=np.int64)
         index = np.zeros((n_samples, width, size), dtype=np.int64)
-        pad = np.ones((n_samples, width), dtype=bool)
-        for j, r in enumerate(rows):
-            if r is not None:
-                count = len(r[0])
-                ids[j, :count], index[j, :count], pad[j, :count] = r[0], r[1], False
+        ids[sample, slot] = flat
+        index[sample, slot] = order[starts[flat, None] + np.arange(size)]
+        pad = None
+        if per_sample.min() < width:
+            pad = np.ones((n_samples, width), dtype=bool)
+            pad[sample, slot] = False
         groups.append(SizeGroup(size, ids, index, pad))
-    return BatchPartition(parts, n_tokens, groups)
+    return RegionLayout(counts.reshape(n_samples, k), order, groups)
+
+
+def score_entries_stage12(layout: RegionLayout) -> int:
+    """Attention score-matrix entries spent by stages I and II of one layer."""
+    return int(((layout.counts + 1) ** 2).sum()) + layout.counts.size * layout.n_regions
 
 
 def _rows(x: np.ndarray, index: np.ndarray, pad: np.ndarray | None = None) -> np.ndarray:
@@ -187,7 +150,7 @@ def _scaled(scale: np.ndarray | None, x: np.ndarray) -> np.ndarray:
 
 
 class LGILayer(Block):
-    """One LGI layer over S samples, each with its own region partition.
+    """One LGI layer over S samples, each with its own regions.
 
     Local tokens are [S, N, C] and region tokens [S, K, C]. A region-size
     group's regions are gathered as [S, G, size(+1), C], one attention call
@@ -226,16 +189,13 @@ class LGILayer(Block):
         scales = np.where(draws < rate, 0.0, 1.0 / (1.0 - rate)).astype(dtype)
         return list(scales.T)
 
-    def forward(self, locals_: np.ndarray, s: np.ndarray,
-                part: RegionPartition | BatchPartition, rngs=None,
-                drop_path: float = 0.0, local_ffn: bool = True):
-        """part: one partition shared by the S samples, or their batch layout.
+    def forward(self, locals_: np.ndarray, s: np.ndarray, part: RegionLayout,
+                rngs=None, drop_path: float = 0.0, local_ffn: bool = True):
+        """part: the S samples' region layout.
         rngs: one generator per sample for stochastic depth, or None.
         local_ffn=False: the caller reads neither the output locals nor their
         gradient, so the feed-forward skips them and they return as None;
         the backward then takes a zero ``d_locals3`` as ``d_locals2``."""
-        if isinstance(part, RegionPartition):
-            part = stack_partitions([part] * len(locals_))
         scales = self._branch_scales(rngs, drop_path, locals_.dtype)
         c1, c2, c3, c4, cfl, cfs = scales
 
@@ -350,13 +310,9 @@ class LGIEncoder(Block):
             for _ in range(cfg.encoder_depth)
         ])
 
-    def encode(self, tokens: np.ndarray,
-               part: RegionPartition | list[RegionPartition] | BatchPartition,
+    def encode(self, tokens: np.ndarray, layout: RegionLayout,
                rngs=None, drop_path: float = 0.0, keep_locals: bool = True):
-        """Encode the tokens [S, N, C] of S samples.
-
-        part: one partition shared by the samples, one per sample, or their
-        stacked batch layout.
+        """Encode the tokens [S, N, C] of S samples, laid out by ``layout``.
 
         Returns (snapshots, final_locals, skip_locals, pooled):
         snapshots: region tokens after every layer, [depth][S, K, C]
@@ -369,14 +325,10 @@ class LGIEncoder(Block):
         then skips its feed-forward on the locals. Snapshots and gradients
         are bitwise unchanged: the skipped gradients are exact zeros.
         """
-        layout = part
-        if not isinstance(part, BatchPartition):
-            layout = stack_partitions(part if isinstance(part, list)
-                                      else [part] * len(tokens))
-        k = layout.parts[0].n_regions   # equal across the stacked parts
-        if k != self.n_regions:
-            raise ValueError(f"partition has {k} regions, "
-                             f"encoder expects {self.n_regions}")
+        if (layout.counts.shape != (len(tokens), self.n_regions)
+                or layout.order.size != len(tokens) * tokens.shape[1]):
+            raise ValueError(f"layout {layout.counts.shape} over {layout.order.size} tokens "
+                             f"does not fit {self.n_regions} regions of tokens {tokens.shape}")
         locals_ = tokens
         s = np.repeat(self.region_tokens.data[None], len(tokens), axis=0)
         snapshots = []

@@ -11,8 +11,8 @@ import numpy as np
 
 from .blocks import DEFAULT_DTYPE, Block, no_tape
 from .config import ModelConfig, audio_grid, region_count, video_grid
-from .embedding import AudioEmbed, RawClip, VideoEmbed, grid_coords
-from .encoder import LGIEncoder, grid_partition, stack_partitions
+from .embedding import AudioEmbed, RawClip, VideoEmbed
+from .encoder import LGIEncoder, partition
 from .iavcl import IAVCLHead
 
 
@@ -28,10 +28,9 @@ class FinetuneModel(Block):
         k_a = region_count(grid_a, cfg.audio_region)
         if k_v != k_a:
             raise ValueError(f"region counts differ (video {k_v}, audio {k_a})")
-        # every clip has the model's shapes, so one full-grid partition per
-        # modality serves every call, stacked once per batch size
-        self._parts = (grid_partition(grid_v, grid_coords(grid_v), cfg.video_region),
-                       grid_partition(grid_a, grid_coords(grid_a), cfg.audio_region))
+        # every clip has the model's shapes, so one full-grid layout per
+        # modality and batch size serves every call
+        self._grids = ((grid_v, cfg.video_region), (grid_a, cfg.audio_region))
         self._layouts = {}
         self.video_embed = VideoEmbed(cfg, rng, dtype=dtype)
         self.audio_embed = AudioEmbed(cfg, rng, dtype=dtype)
@@ -68,9 +67,11 @@ class FinetuneModel(Block):
         return logits
 
     def _layout(self, n: int):
-        """The video and audio batch layouts for n clips, stacked on first use."""
+        """The video and audio batch layouts for n clips, built on first use."""
         if n not in self._layouts:
-            self._layouts[n] = tuple(stack_partitions([part] * n) for part in self._parts)
+            self._layouts[n] = tuple(
+                partition(grid, region, np.tile(np.arange(np.prod(grid)), (n, 1)))
+                for grid, region in self._grids)
         return self._layouts[n]
 
     def backward_sample(self, d_logits: np.ndarray) -> None:

@@ -233,10 +233,10 @@ class PretrainModel(Block):
             n_tokens = seq.tokens.shape[1]
             if any(pair.n_tokens != n_tokens for pair in pairs):
                 raise ValueError(f"{modality} mask size does not match token count")
-            parts = [partition(seq, region, visible_mask=pair.encoder_mask) for pair in pairs]
             visible = np.stack([pair.visible_indices for pair in pairs])[:, :, None]
             _, locals_, skip_locals, pooled = encoder.encode(
-                np.take_along_axis(seq.tokens, visible, axis=1), parts)
+                np.take_along_axis(seq.tokens, visible, axis=1),
+                partition(seq.grid, region, visible[:, :, 0]))
             out[modality] = dict(seq=seq, visible=visible, locals=locals_,
                                  skip_locals=skip_locals, pooled=pooled)
 
@@ -250,7 +250,7 @@ class PretrainModel(Block):
                 ("video", self.video_decoder, self.mask_token_v, pairs_v),
                 ("audio", self.audio_decoder, self.mask_token_a, pairs_a))):
             ctx = out[modality]
-            _, codes = grid_codes(ctx["seq"].grid, self.cfg.encoder_dim, self.dtype)
+            codes = grid_codes(ctx["seq"].grid, self.cfg.encoder_dim, self.dtype)
             combined = assemble_combined(ctx["fused"], pairs, mask_token.data, codes)
             preds = decoder.forward(combined, ctx["skip_locals"])
             full = np.stack([clip_targets[i] for clip_targets in targets])

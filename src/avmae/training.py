@@ -3,21 +3,20 @@ schedule with warmup, layer-wise learning-rate decay, the three-stage
 progressive training driver, and the deterministic synthetic data generator.
 
 Per-sample RNG streams derive from (seed, step, sample index), so runs are
-bitwise reproducible regardless of worker-thread count.
+bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint as ckpt
+from .atomic import write_atomic
 from .blocks import DEFAULT_DTYPE, Block, no_tape
 from .config import DECODER_MASK_RATIO, ModelConfig, TrainConfig
 from .embedding import RawClip, read_clip, write_clip
@@ -29,13 +28,6 @@ LR_FLOOR = 1e-6
 _ADAMW_CHUNK = 1 << 14  # elements per AdamW pass; sizes its scratch buffers
 _EVAL_CHUNK = 16        # clips per forward in train_accuracy
 _TARGETS_BUDGET = 256 << 20  # bytes of normalised targets a pretrain run keeps
-
-
-def worker_count() -> int:
-    value = os.environ.get("AVMAE_THREADS", "")
-    if value.strip():
-        return max(1, int(value))
-    return max(1, os.cpu_count() or 1)
 
 
 def sample_rng(*key: int) -> np.random.Generator:
@@ -265,9 +257,7 @@ class SyntheticTask:
 
 def gen_synthetic(task: SyntheticTask, n: int, out_dir=None):
     """Produce n clips (optionally written as clip files plus a manifest)."""
-    indices = list(range(n))
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        made = list(pool.map(task.clip, indices))
+    made = [task.clip(i) for i in range(n)]
     clips = [clip for clip, _ in made]
     labels = [label for _, label in made]
     if out_dir is not None:
@@ -278,9 +268,8 @@ def gen_synthetic(task: SyntheticTask, n: int, out_dir=None):
             name = f"clip_{i:05d}.avclip"
             write_clip(out / name, clip)
             records.append({"index": i, "file": name, "label": labels[i]})
-        with open(out / "manifest.jsonl", "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
+        write_atomic(out / "manifest.jsonl",
+                     [(json.dumps(rec) + "\n").encode("utf-8") for rec in records])
     return clips, labels
 
 
@@ -291,13 +280,31 @@ def load_dataset(data_dir):
         raise FileNotFoundError(f"no manifest.jsonl under {data_dir}")
     clips, labels = [], []
     with open(manifest, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            clips.append(read_clip(data_dir / rec["file"]))
-            labels.append(int(rec["label"]))
+        for number, line in enumerate(fh, start=1):
+            name, label = _manifest_record(line, f"{manifest} line {number}")
+            clips.append(read_clip(data_dir / name))
+            labels.append(label)
     if not clips:
         raise ValueError(f"{manifest} lists no clips")
     return clips, labels
+
+
+def _manifest_record(line: str, where: str) -> tuple[str, int]:
+    """The clip file name and label of one manifest line, which must be a
+    JSON object with a string ``file`` and an integer ``label`` >= 0; a
+    ValueError names ``where`` and the field otherwise."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not JSON ({exc})") from None
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    name, label = rec.get("file"), rec.get("label")
+    if not isinstance(name, str):
+        raise ValueError(f"{where}: field 'file' must be a string, got {name!r}")
+    if type(label) is not int or label < 0:
+        raise ValueError(f"{where}: field 'label' must be an integer >= 0, got {label!r}")
+    return name, label
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .blocks import Attention, ConvBNPReLU, FeedForward, LayerNorm, Linear
 from .config import (AUDIO_ENCODER_MASK_RATIO, DECODER_MASK_RATIO,
                      VIDEO_ENCODER_MASK_RATIO, PRESET_INPUTS, ModelConfig,
                      audio_grid, preset, region_count, validate, video_grid)
-from .embedding import TokenSeq, grid_coords
 from .encoder import LGILayer, partition, score_entries_stage12
 from .finetune import FinetuneModel
 from .gradcheck import GradCheckReport, grad_check
@@ -126,19 +125,18 @@ def _check_conv_bn_prelu(tol, probes):
 def _tiny_video_partition(masked: bool):
     cfg = preset("Tiny")
     grid = video_grid(cfg, PRESET_INPUTS["Tiny"][0])
-    coords = grid_coords(grid)
-    seq = TokenSeq(np.zeros((coords.shape[0], cfg.encoder_dim)), coords, grid, "video")
-    mask = None
+    visible = np.arange(np.prod(grid))
     if masked:
         mask = tube_mask(*grid, VIDEO_ENCODER_MASK_RATIO, np.random.default_rng(11))
-    return cfg, partition(seq, cfg.video_region, visible_mask=mask)
+        visible = np.flatnonzero(~mask)
+    return cfg, partition(grid, cfg.video_region, visible[None])
 
 
 def _check_lgi_layer(tol, probes):
     cfg, part = _tiny_video_partition(masked=True)
     rng = np.random.default_rng(4)
     block = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng, dtype=np.float64)
-    n = sum(part.sizes())
+    n = part.order.size
     locals_ = rng.normal(size=(n, cfg.encoder_dim))[None]
     s = rng.normal(size=(part.n_regions, cfg.encoder_dim))[None]
     w_l = rng.normal(size=locals_.shape)
@@ -593,7 +591,7 @@ def check_encoder_identity() -> CheckResult:
 
 def check_complexity_bound() -> CheckResult:
     _, part = _tiny_video_partition(masked=False)
-    n = sum(part.sizes())
+    n = part.order.size
     k = part.n_regions
     entries = score_entries_stage12(part)
     ok = k > 1 and entries <= (n + k) ** 2

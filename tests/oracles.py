@@ -7,8 +7,11 @@ grouping, no cache machinery.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from avmae.encoder import SizeGroup
 
 
 def oracle_softmax_row(row):
@@ -400,3 +403,102 @@ def per_sample_pretrain_step(model, clips, indices, step, tcfg, optimizer, lr,
     optimizer.step(lr, tcfg.weight_decay)
     model.zero_grad()
     return {"loss": total, "mse_a": mse_a, "mse_v": mse_v, "nce": nce_total}
+
+
+# ---------------------------------------------------------------------------
+# The per-sample region layout: one partition per sample, stacked into the
+# batch's size groups. ``encoder.partition`` must build exactly these arrays.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RegionPartition:
+    """Disjoint assignment of present tokens to spatial(-temporal) regions.
+
+    ``members[i]``: region i's indices into the present-token array, ascending.
+    ``groups``: one ``(size, ids [G], index [G, size])`` per distinct region
+    size, ascending, with ``index[g] == members[ids[g]]``.
+    """
+
+    members: list[np.ndarray]
+    groups: list[tuple[int, np.ndarray, np.ndarray]]
+
+    @property
+    def n_regions(self) -> int:
+        return len(self.members)
+
+    def sizes(self) -> list[int]:
+        return [m.size for m in self.members]
+
+
+def grid_partition(grid, coords: np.ndarray, region_shape) -> RegionPartition:
+    """``partition`` of the tokens at ``coords`` [N, ndim] of ``grid``."""
+    if len(region_shape) != len(grid):
+        raise ValueError("region rank must match grid rank")
+    region_grid = []
+    for g, r in zip(grid, region_shape):
+        if g % r != 0:
+            raise ValueError(f"region shape {region_shape} does not tile grid {grid}")
+        region_grid.append(g // r)
+
+    region_coord = coords // np.asarray(region_shape, dtype=np.int64)
+    flat = np.ravel_multi_index(tuple(region_coord.T), region_grid)
+    n_regions = math.prod(region_grid)
+    # region i owns order[starts[i]:starts[i] + counts[i]], ascending
+    order = np.argsort(flat, kind="stable").astype(np.int64)
+    counts = np.bincount(flat, minlength=n_regions)
+    starts = np.cumsum(counts) - counts
+    members = [order[a:a + n] for a, n in zip(starts.tolist(), counts.tolist())]
+    groups = [(n, np.flatnonzero(counts == n)) for n in sorted(set(counts.tolist()))]
+    groups = [(n, ids, order[starts[ids, None] + np.arange(n)]) for n, ids in groups]
+    return RegionPartition(members, groups)
+
+
+@dataclass
+class BatchPartition:
+    """The region partitions of S samples with N tokens each, and their
+    regions bucketed by size across the batch: one ``SizeGroup`` per size
+    any sample has, ascending."""
+
+    parts: list[RegionPartition]
+    n_tokens: int
+    groups: list[SizeGroup]
+
+    @property
+    def members(self) -> list[np.ndarray]:
+        """The batch as one partition of its S*N token rows into S*K
+        regions: sample j's region i is ``members[j*K + i]``, as rows
+        ``j*N + m`` of the flattened tokens."""
+        return [m + j * self.n_tokens for j, part in enumerate(self.parts)
+                for m in part.members]
+
+
+def stack_partitions(parts: list[RegionPartition]) -> BatchPartition:
+    """One batch layout from per-sample partitions with equal token counts."""
+    n_samples, k = len(parts), parts[0].n_regions
+    n_tokens = sum(parts[0].sizes())
+    for part in parts:
+        if part.n_regions != k or sum(part.sizes()) != n_tokens:
+            raise ValueError("stacked partitions need equal region and token counts")
+    by_size = {}   # size -> [S] (ids, index) at flat rows, None if absent
+    for j, part in enumerate(parts):
+        for size, ids, index in part.groups:
+            by_size.setdefault(size, [None] * n_samples)[j] = (ids + j * k,
+                                                               index + j * n_tokens)
+    groups = []
+    for size in sorted(by_size):
+        rows = by_size[size]
+        width = max(len(r[0]) for r in rows if r is not None)
+        if all(r is not None and len(r[0]) == width for r in rows):
+            groups.append(SizeGroup(size, np.stack([r[0] for r in rows]),
+                                    np.stack([r[1] for r in rows]), None))
+            continue
+        ids = np.zeros((n_samples, width), dtype=np.int64)
+        index = np.zeros((n_samples, width, size), dtype=np.int64)
+        pad = np.ones((n_samples, width), dtype=bool)
+        for j, r in enumerate(rows):
+            if r is not None:
+                count = len(r[0])
+                ids[j, :count], index[j, :count], pad[j, :count] = r[0], r[1], False
+        groups.append(SizeGroup(size, ids, index, pad))
+    return BatchPartition(parts, n_tokens, groups)

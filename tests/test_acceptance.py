@@ -18,8 +18,9 @@ from avmae.finetune import FinetuneModel
 from avmae.iavcl import DiERUnit, HAFELayer
 from avmae.losses import info_nce
 from avmae.pretrain import (FusionBlock, PretrainModel, make_mask_pairs)
-from avmae.training import (SyntheticTask, run_pretrain, run_supervised,
-                            sample_rng, train_accuracy, warm_start)
+from avmae.training import (SyntheticTask, gen_synthetic, run_pretrain,
+                            run_supervised, sample_rng, train_accuracy,
+                            warm_start)
 from avmae.verify import (check_checkpoint_roundtrip, check_config_fidelity,
                           check_decoder_cost, check_dual_masking_speed,
                           check_mask_arithmetic, check_param_totals,
@@ -179,8 +180,8 @@ class TestA7ParameterCounts:
         counts = param_counts(cfg, TINY_V, TINY_A, num_outputs=2)
         pm = PretrainModel(cfg, TINY_V, TINY_A, rng=sample_rng(0))
         fm = FinetuneModel(cfg, TINY_V, TINY_A, 2, rng=sample_rng(0))
-        assert counts["pretrain_total"] == pm.num_parameters()
-        assert counts["finetune_total"] == fm.num_parameters()
+        assert counts["pretrain_total"] == sum(p.size for p in pm.parameters())
+        assert counts["finetune_total"] == sum(p.size for p in fm.parameters())
 
 
 class TestA8ArchitectureTable:
@@ -190,8 +191,8 @@ class TestA8ArchitectureTable:
 
 
 class TestA9Determinism:
-    def test_a9(self, tmp_path, monkeypatch):
-        """Thread-count invariance here; persistence via the verify check."""
+    def test_a9(self, tmp_path):
+        """Repeated runs give identical logs; persistence via the verify check."""
         cfg = preset("Tiny")
         task = SyntheticTask(n_classes=2, video_shape=TINY_V, audio_shape=TINY_A,
                              noise=0.1, seed=2)
@@ -199,9 +200,7 @@ class TestA9Determinism:
         tcfg.batch = 4
 
         logs = []
-        for threads in ("1", "4", "1"):
-            monkeypatch.setenv("AVMAE_THREADS", threads)
-            from avmae.training import gen_synthetic
+        for _ in range(3):
             clips, _ = gen_synthetic(task, 4)
             _, log = run_pretrain(cfg, tcfg, clips, TINY_V, TINY_A, steps=3)
             logs.append(log.lines())
@@ -209,7 +208,7 @@ class TestA9Determinism:
 
         roundtrip = check_checkpoint_roundtrip(tmp_path)
         report("A9 determinism and persistence", logs_ok and roundtrip.passed,
-               f"identical logs across seeds/threads: {logs_ok}; {roundtrip.detail}")
+               f"identical logs across repeated runs: {logs_ok}; {roundtrip.detail}")
 
 
 class TestA10OracleEquivalence:
@@ -217,11 +216,8 @@ class TestA10OracleEquivalence:
         cfg = preset("Tiny")
         dim, heads = cfg.encoder_dim, cfg.encoder_heads
         worst = {"lgi": 0.0, "fusion": 0.0, "dier": 0.0, "hafe": 0.0}
-        from avmae.embedding import TokenSeq, grid_coords
         from avmae.encoder import LGILayer, partition
-        coords = grid_coords((4, 4, 4))
-        seq = TokenSeq(np.zeros((64, dim)), coords, (4, 4, 4), "video")
-        part = partition(seq, cfg.video_region)
+        part = partition((4, 4, 4), cfg.video_region, np.arange(64)[None])
         for trial in range(20):
             rng = np.random.default_rng(1000 + trial)
             layer = LGILayer(dim, heads, rng, dtype=np.float64)

@@ -193,6 +193,29 @@ class TestAtomicWrites:
         assert np.array_equal(read_clip(path).video, task.clip(0)[0].video)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.avclip"]
 
+    def test_failed_manifest_write_keeps_old_file(self, tmp_path, monkeypatch):
+        task = SyntheticTask(2, (8, 32, 32), (32, 16), seed=0)
+        gen_synthetic(task, 2, out_dir=tmp_path)
+        manifest = tmp_path / "manifest.jsonl"
+        old = manifest.read_bytes()
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "manifest.jsonl":
+                raise OSError(errno.EIO, "Input/output error")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="Input/output"):
+            gen_synthetic(task, 3, out_dir=tmp_path)
+        monkeypatch.undo()
+        assert manifest.read_bytes() == old
+        assert [json.loads(line)["file"] for line in old.decode().splitlines()] == \
+            ["clip_00000.avclip", "clip_00001.avclip"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clip_00000.avclip", "clip_00001.avclip", "clip_00002.avclip",
+            "manifest.jsonl"]
+
 
 class TestCLI:
     def test_shapes_reports_token_trace(self, capsys):
@@ -363,6 +386,30 @@ class TestCLI:
                      "--out", str(tmp_path / "run"), "--steps", "1"])
         assert code == 2
         assert "lists no clips" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record, field", [
+        ([1, 2], "not a JSON object"),
+        ({"file": "clip_00001.avclip", "label": 1.7}, "label"),
+        ({"file": "clip_00001.avclip"}, "label"),
+        ({"file": "clip_00001.avclip", "label": True}, "label"),
+        ({"file": "clip_00001.avclip", "label": -1}, "label"),
+        ({"file": 1, "label": 1}, "file"),
+    ], ids=["not-object", "float-label", "missing-label", "bool-label",
+            "negative-label", "non-string-file"])
+    def test_malformed_manifest_line_exits_2_naming_it(self, tmp_path, capsys,
+                                                        record, field):
+        data = tmp_path / "data"
+        main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)])
+        manifest = data / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[1] = json.dumps(record)
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        code = main(["pretrain", "--data", str(data), "--out", str(out), "--steps", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest} line 2: ") and field in err
+        assert not out.exists()
 
     def test_non_finite_gradient_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

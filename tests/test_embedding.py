@@ -65,7 +65,7 @@ class TestPositionalEncoding:
         embed.proj.bias.data[...] = 0.0
         seq = embed.forward(np.zeros((1, 8, 32, 32, 3), dtype=np.float32))
         embed.clear_caches()
-        expected = positional_encoding(seq.coords, cfg.encoder_dim)
+        expected = positional_encoding(grid_coords(seq.grid), cfg.encoder_dim)
         assert np.allclose(seq.tokens, expected, atol=1e-7)
 
     def test_single_patch_gets_origin_encoding(self):
@@ -86,12 +86,11 @@ class TestPositionalEncoding:
         assert np.array_equal(a, b)
 
     def test_grid_codes_made_once_and_read_only(self):
-        coords, codes = grid_codes((2, 3, 4), 16, np.float32)
-        assert coords.tobytes() == grid_coords((2, 3, 4)).tobytes()
-        assert codes.tobytes() == positional_encoding(coords, 16, np.float32).tobytes()
-        assert not coords.flags.writeable and not codes.flags.writeable
-        again = grid_codes((2, 3, 4), 16, np.float32)
-        assert again[0] is coords and again[1] is codes
+        codes = grid_codes((2, 3, 4), 16, np.float32)
+        want = positional_encoding(grid_coords((2, 3, 4)), 16, np.float32)
+        assert codes.tobytes() == want.tobytes()
+        assert not codes.flags.writeable
+        assert grid_codes((2, 3, 4), 16, np.float32) is codes
 
     def test_coordinates_bijective_row_major(self):
         grid = (4, 4, 4)

@@ -1,77 +1,79 @@
 """Region partition and the local-global interaction layers."""
 
+import math
+
 import numpy as np
 import pytest
 
-from avmae.config import preset
-from avmae.embedding import TokenSeq, grid_coords
+from avmae.config import (AUDIO_ENCODER_MASK_RATIO, PRESET_INPUTS,
+                          VIDEO_ENCODER_MASK_RATIO, audio_grid, preset,
+                          video_grid)
+from avmae.embedding import grid_coords
 from avmae.encoder import (LGIEncoder, LGILayer, partition,
-                           score_entries_stage12, stack_partitions)
-from avmae.masking import tube_mask
+                           score_entries_stage12)
+from avmae.masking import random_mask, tube_mask
 from avmae.verify import run_grad_check
 
-from oracles import oracle_attention, oracle_layernorm, oracle_lgi_layer
+from oracles import (grid_partition, oracle_attention, oracle_layernorm,
+                     oracle_lgi_layer, stack_partitions)
 
 
-def tiny_seq(grid=(4, 4, 4), dim=32):
-    coords = grid_coords(grid)
-    return TokenSeq(np.zeros((coords.shape[0], dim), dtype=np.float32),
-                    coords, grid, "video")
+def tiny_part(region, mask=None, grid=(4, 4, 4)):
+    """The layout of one clip on ``grid``: the tokens ``mask`` does not
+    hide (every token if None)."""
+    visible = np.arange(math.prod(grid)) if mask is None else np.flatnonzero(~mask)
+    return partition(grid, region, visible[None])
 
 
 class TestPartition:
     def test_b_video_partition(self):
-        seq = tiny_seq(grid=(8, 10, 10), dim=512)
-        part = partition(seq, (2, 5, 10))
+        part = tiny_part((2, 5, 10), grid=(8, 10, 10))
         assert part.n_regions == 8
-        assert part.sizes() == [100] * 8
+        assert part.counts[0].tolist() == [100] * 8
 
     def test_masked_partition_sums_to_visible(self):
-        seq = tiny_seq(grid=(8, 10, 10), dim=512)
         mask = tube_mask(8, 10, 10, 0.9, np.random.default_rng(0))
-        part = partition(seq, (2, 5, 10), visible_mask=mask)
+        part = tiny_part((2, 5, 10), mask, grid=(8, 10, 10))
         assert part.n_regions == 8
-        assert sum(part.sizes()) == 80
+        assert part.counts.sum() == 80
 
     def test_full_grid_single_region(self):
-        seq = tiny_seq()
-        part = partition(seq, (4, 4, 4))
+        part = tiny_part((4, 4, 4))
         assert part.n_regions == 1
-        assert part.sizes() == [64]
+        assert part.counts[0].tolist() == [64]
 
     def test_non_tiling_region_rejected(self):
         with pytest.raises(ValueError, match="tile"):
-            partition(tiny_seq(), (3, 4, 4))
+            tiny_part((3, 4, 4))
 
     def test_members_disjoint_and_complete(self):
-        seq = tiny_seq()
-        part = partition(seq, (2, 2, 4))
+        part = tiny_part((2, 2, 4))
         joined = np.concatenate(part.members)
         assert len(joined) == 64
         assert len(np.unique(joined)) == 64
 
     @pytest.mark.parametrize("mask_seed", [None, 0, 11])
     def test_groups_list_each_region_once_by_size(self, mask_seed):
-        seq = tiny_seq()
         mask = (None if mask_seed is None
                 else tube_mask(4, 4, 4, 0.9, np.random.default_rng(mask_seed)))
-        part = partition(seq, (2, 2, 4), visible_mask=mask)
-        sizes = [size for size, _, _ in part.groups]
-        assert sizes == sorted(set(part.sizes()))
-        ids = np.concatenate([ids for _, ids, _ in part.groups])
+        part = tiny_part((2, 2, 4), mask)
+        sizes = [g.size for g in part.groups]
+        assert sizes == sorted(set(part.counts[0].tolist()))
+        ids = np.concatenate([g.ids[0] for g in part.groups])
         assert sorted(ids.tolist()) == list(range(part.n_regions))
-        for size, ids, index in part.groups:
-            assert index.shape == (ids.size, size)
-            for region, row in zip(ids, index):
+        for g in part.groups:
+            assert g.index.shape == (1, g.ids.size, g.size)
+            for region, row in zip(g.ids[0], g.index[0]):
                 assert np.array_equal(row, part.members[region])
 
     def test_stacked_groups_pad_samples_with_fewer_regions(self):
         """Sizes [0, 4, 0, 4] and [2, 2, 2, 2]: each size group holds every
         sample's regions of that size, in region order, at flat rows, with
         padding where a sample has fewer."""
-        parts = [partition(tiny_seq(), (2, 2, 4), visible_mask=ragged_mask(sizes))
-                 for sizes in ([0, 4, 0, 4], [2, 2, 2, 2])]
-        layout = stack_partitions(parts)
+        masks = [ragged_mask(sizes) for sizes in ([0, 4, 0, 4], [2, 2, 2, 2])]
+        parts = [tiny_part((2, 2, 4), mask) for mask in masks]
+        layout = partition((4, 4, 4), (2, 2, 4),
+                           np.stack([np.flatnonzero(~mask) for mask in masks]))
         assert len(layout.members) == 8
         assert [g.size for g in layout.groups] == [0, 2, 4]
         by_size = {g.size: g for g in layout.groups}
@@ -89,18 +91,78 @@ class TestPartition:
                                       parts[j].members[flat % 4] + 8 * j)
 
     def test_members_follow_grid_coordinates(self):
-        seq = tiny_seq(grid=(2, 4, 4), dim=8)
-        part = partition(seq, (2, 2, 2))
+        part = tiny_part((2, 2, 2), grid=(2, 4, 4))
         # token (0, 0, 0) and (1, 1, 1) share region 0
         assert 0 in part.members[0]
         flat_111 = 1 * 16 + 1 * 4 + 1
         assert flat_111 in part.members[0]
 
 
+class TestPartitionMatchesStackedOracle:
+    """``partition`` builds, array for array and dtype for dtype, the layout
+    that stacking one ``grid_partition`` per sample builds."""
+
+    @staticmethod
+    def assert_same_bytes(got, want, what):
+        assert got.dtype == want.dtype and got.shape == want.shape, what
+        assert got.tobytes() == want.tobytes(), what
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["video_tube", "video_random", "audio_random",
+                                      "video_full", "audio_full", "b_video_tube"])
+    def test_arrays_match(self, kind, seed):
+        cfg = preset("Tiny")
+        if kind.startswith("video"):
+            grid, region = video_grid(cfg, PRESET_INPUTS["Tiny"][0]), cfg.video_region
+        elif kind.startswith("audio"):
+            grid, region = audio_grid(cfg, PRESET_INPUTS["Tiny"][1]), cfg.audio_region
+        else:
+            grid, region = (8, 10, 10), preset("B").video_region
+        n_tokens = math.prod(grid)
+        coords = grid_coords(grid)
+        rng = np.random.default_rng(seed)
+        for n_samples in range(1, 10):
+            ratio = rng.uniform(0.1, 0.9)
+            if kind.endswith("tube"):
+                masks = [tube_mask(*grid, VIDEO_ENCODER_MASK_RATIO, rng)
+                         for _ in range(n_samples)]
+            elif kind == "audio_random":
+                masks = [random_mask(n_tokens, AUDIO_ENCODER_MASK_RATIO, rng)
+                         for _ in range(n_samples)]
+            elif kind == "video_random":
+                masks = [random_mask(n_tokens, ratio, rng) for _ in range(n_samples)]
+            else:
+                masks = [np.zeros(n_tokens, dtype=bool)] * n_samples
+            visible = np.stack([np.flatnonzero(~mask) for mask in masks])
+            layout = partition(grid, region, visible)
+            want = stack_partitions([grid_partition(grid, coords[v], region)
+                                     for v in visible])
+            what = f"{kind} S={n_samples}"
+            assert [g.size for g in layout.groups] == [g.size for g in want.groups], what
+            for got_g, want_g in zip(layout.groups, want.groups):
+                self.assert_same_bytes(got_g.ids, want_g.ids, f"{what} ids")
+                self.assert_same_bytes(got_g.index, want_g.index, f"{what} index")
+                assert (got_g.pad is None) == (want_g.pad is None), f"{what} pad"
+                if want_g.pad is not None:
+                    self.assert_same_bytes(got_g.pad, want_g.pad, f"{what} pad")
+            assert len(layout.members) == len(want.members), what
+            for got_m, want_m in zip(layout.members, want.members):
+                self.assert_same_bytes(got_m, want_m, f"{what} members")
+
+    def test_encoder_rejects_a_layout_for_other_tokens(self):
+        cfg = preset("Tiny")
+        enc = LGIEncoder(cfg, 4, np.random.default_rng(0))
+        layout = partition((4, 4, 4), cfg.video_region,
+                           np.broadcast_to(np.arange(64), (2, 64)))
+        tokens = np.zeros((3, 64, cfg.encoder_dim), dtype=np.float32)
+        with pytest.raises(ValueError, match="does not fit"):
+            enc.encode(tokens, layout)
+
+
 def ragged_mask(sizes, seed=0):
     """A visible mask on the 4x4x4 grid keeping ``sizes[r]`` random tokens
     of each Tiny video region r."""
-    full = partition(tiny_seq(), preset("Tiny").video_region)
+    full = tiny_part(preset("Tiny").video_region)
     rng = np.random.default_rng(seed)
     keep = np.concatenate([rng.choice(m, n, replace=False)
                            for m, n in zip(full.members, sizes)])
@@ -114,9 +176,8 @@ class TestLGILayer:
         cfg = preset("Tiny")
         rng = np.random.default_rng(seed)
         layer = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng, dtype=dtype)
-        seq = tiny_seq(dim=cfg.encoder_dim)
-        part = partition(seq, cfg.video_region, visible_mask=mask)
-        n = sum(part.sizes())
+        part = tiny_part(cfg.video_region, mask)
+        n = part.order.size
         locals_ = rng.normal(size=(n, cfg.encoder_dim))
         s = rng.normal(size=(part.n_regions, cfg.encoder_dim))
         return layer, locals_, s, part
@@ -136,7 +197,7 @@ class TestLGILayer:
     ], ids=["equal", "empty", "ragged"])
     def test_matches_oracle_under_masking(self, mask, sizes):
         layer, locals_, s, part = self.build(seed=12, mask=mask)
-        assert part.sizes() == sizes
+        assert part.counts[0].tolist() == sizes
         out_l, out_s = layer.forward(locals_[None], s[None], part)
         layer.clear_caches()
         ref_l, ref_s = oracle_lgi_layer(locals_, s, part.members, layer)
@@ -164,8 +225,7 @@ class TestLGILayer:
         cfg = preset("Tiny")
         rng = np.random.default_rng(14)
         layer = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng, dtype=np.float64)
-        seq = tiny_seq(dim=cfg.encoder_dim)
-        part = partition(seq, (4, 4, 4))
+        part = tiny_part((4, 4, 4))
         assert part.n_regions == 1
         locals_ = rng.normal(size=(64, cfg.encoder_dim))
         s = rng.normal(size=(1, cfg.encoder_dim))
@@ -213,9 +273,8 @@ class TestLGIEncoder:
         cfg = preset("Tiny")
         rng = np.random.default_rng(0)
         enc = LGIEncoder(cfg, 4, rng)
-        seq = tiny_seq(dim=cfg.encoder_dim)
         mask = tube_mask(4, 4, 4, 0.9, np.random.default_rng(1))
-        part = partition(seq, cfg.video_region, visible_mask=mask)
+        part = tiny_part(cfg.video_region, mask)
         tokens = rng.normal(size=(8, cfg.encoder_dim)).astype(np.float32)[None]
         snaps, locals_, skip_locals, pooled = enc.encode(tokens, part)
         enc.clear_caches()
@@ -229,8 +288,7 @@ class TestLGIEncoder:
         cfg = preset("Tiny")
         rng = np.random.default_rng(2)
         enc = LGIEncoder(cfg, 4, rng)
-        seq = tiny_seq(dim=cfg.encoder_dim)
-        part = partition(seq, cfg.video_region)
+        part = tiny_part(cfg.video_region)
         tokens = rng.normal(size=(64, cfg.encoder_dim)).astype(np.float32)[None]
         snaps, locals_, _, _ = enc.encode(tokens, part)
         enc.clear_caches()
@@ -242,8 +300,7 @@ class TestLGIEncoder:
         cfg = preset("Tiny")
         rng = np.random.default_rng(3)
         enc = LGIEncoder(cfg, 4, rng)
-        seq = tiny_seq(dim=cfg.encoder_dim)
-        part = partition(seq, cfg.video_region)
+        part = tiny_part(cfg.video_region)
         tokens = rng.normal(size=(64, cfg.encoder_dim)).astype(np.float32)[None]
         a, _, _, _ = enc.encode(tokens, part)
         enc.clear_caches()
@@ -253,8 +310,7 @@ class TestLGIEncoder:
 
     def test_complexity_bound(self):
         """Stage I+II score entries never exceed the dense budget."""
-        seq = tiny_seq()
-        part = partition(seq, (2, 2, 4))
+        part = tiny_part((2, 2, 4))
         n, k = 64, part.n_regions
         assert k > 1
         assert score_entries_stage12(part) <= (n + k) ** 2
@@ -263,8 +319,7 @@ class TestLGIEncoder:
         cfg = preset("Tiny")
         rng = np.random.default_rng(4)
         enc = LGIEncoder(cfg, 4, rng)
-        seq = tiny_seq(dim=cfg.encoder_dim)
-        part = partition(seq, cfg.video_region)
+        part = tiny_part(cfg.video_region)
         tokens = rng.normal(size=(64, cfg.encoder_dim)).astype(np.float32)[None]
         snaps, _, _, pooled = enc.encode(tokens, part)
         enc.clear_caches()
@@ -281,13 +336,13 @@ class TestFinalLocalsSkip:
     def test_snapshots_and_gradients_bytes(self, masked):
         cfg = preset("Tiny")
         n_samples, rate = 3, 0.1
-        seq = tiny_seq(dim=cfg.encoder_dim)
         if masked:
-            part = [partition(seq, cfg.video_region, visible_mask=tube_mask(
-                4, 4, 4, 0.75, np.random.default_rng(20 + j))) for j in range(n_samples)]
-            n_tokens = 16
+            visible = np.stack([np.flatnonzero(~tube_mask(
+                4, 4, 4, 0.75, np.random.default_rng(20 + j))) for j in range(n_samples)])
         else:
-            part, n_tokens = partition(seq, cfg.video_region), 64
+            visible = np.broadcast_to(np.arange(64), (n_samples, 64))
+        part = partition((4, 4, 4), cfg.video_region, visible)
+        n_tokens = visible.shape[1]
         rng = np.random.default_rng(9)
         tokens = rng.normal(size=(n_samples, n_tokens, cfg.encoder_dim)).astype(np.float32)
         d_snaps = [rng.normal(size=(n_samples, 4, cfg.encoder_dim)).astype(np.float32)

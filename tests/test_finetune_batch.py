@@ -157,17 +157,16 @@ class TestTapeFreeEvaluation:
     def test_layouts_built_once_per_batch_size(self, monkeypatch):
         model = tiny_model()
         clips, labels = tiny_data(3)
-        stacked = []
-        stack = encoder.stack_partitions
-        monkeypatch.setattr(finetune, "stack_partitions",
-                            lambda parts: stacked.append(len(parts)) or stack(parts))
-        monkeypatch.setattr(encoder, "stack_partitions", None)   # encode must not stack
-        monkeypatch.setattr(encoder, "grid_partition", None)
+        built = []
+        build = encoder.partition
+        monkeypatch.setattr(finetune, "partition", lambda grid, region, visible:
+                            built.append(len(visible)) or build(grid, region, visible))
+        monkeypatch.setattr(encoder, "partition", None)   # encode must not partition
         for _ in range(2):
             model.forward_sample(clips, training=True)
             model.clear_caches()
             model.predict(clips[0])
-        assert stacked == [3, 3, 1, 1]   # video and audio, once per size
+        assert built == [3, 3, 1, 1]   # video and audio, once per size
 
 
 class TestClipShapeBoundary:

@@ -5,7 +5,6 @@ import pytest
 
 from avmae import training
 from avmae.config import PRESET_INPUTS, desk_train_config, preset
-from avmae.embedding import TokenSeq, grid_coords
 from avmae.encoder import partition
 from avmae.masking import MaskPair
 from avmae.pretrain import PretrainModel, make_mask_pairs
@@ -40,13 +39,11 @@ class RecordingAdamW(AdamW):
 
 def video_size_sets(step, indices):
     cfg = preset("Tiny")
-    grid = (4, 4, 4)
-    seq = TokenSeq(np.zeros((1, 64, 1)), grid_coords(grid), grid, "video")
     sets = []
     for i in indices:
         pair_v, _ = make_mask_pairs(cfg, TINY_V, TINY_A, sample_rng(0, step, i))
-        part = partition(seq, cfg.video_region, visible_mask=pair_v.encoder_mask)
-        sets.append(set(part.sizes()))
+        part = partition((4, 4, 4), cfg.video_region, pair_v.visible_indices[None])
+        sets.append(set(part.counts[0].tolist()))
     return sets
 
 

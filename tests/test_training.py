@@ -343,13 +343,3 @@ class TestRunStage:
         _, lb = run_pretrain(cfg, b, clips, (8, 32, 32), (32, 16), steps=2)
         assert la.lines() != lb.lines()
 
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        """Per-sample RNG streams: worker count cannot alter the data."""
-        task = SyntheticTask(n_classes=2, noise=0.2, seed=13)
-        monkeypatch.setenv("AVMAE_THREADS", "1")
-        a, _ = gen_synthetic(task, 6)
-        monkeypatch.setenv("AVMAE_THREADS", "4")
-        b, _ = gen_synthetic(task, 6)
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.video, cb.video)
-            assert np.array_equal(ca.audio, cb.audio)
