@@ -498,10 +498,9 @@ class ConvBNPReLU(Block):
     The first training batch seeds the running statistics exactly so that an
     eval pass immediately after one batch reproduces that batch's
     normalisation; later batches blend with momentum. Each sample of each
-    call is one batch, and the running statistics take them sample by
-    sample, in call order within a sample: a one-sample call updates them at
-    once, a larger one leaves its statistics pending until
-    ``update_statistics``.
+    call is one batch. A training call leaves its statistics pending until
+    ``update_statistics``, which folds them in sample by sample, in call
+    order within a sample.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
@@ -523,8 +522,6 @@ class ConvBNPReLU(Block):
             yc = y - mu
             var = _mean_tokens(yc * yc)
             self._stats.append((mu[:, 0], var[:, 0]))
-            if len(y) == 1 and len(self._stats) == 1:
-                self.update_statistics()
         else:
             if self.num_batches == 0:
                 raise RuntimeError("eval mode before any statistics accumulated")

@@ -193,8 +193,8 @@ def preset_names():
 
 def video_grid(cfg: ModelConfig, video_shape) -> tuple[int, int, int]:
     t, h, w = video_shape
-    tt, tp, _ = cfg.video_tubelet
-    return (t // tt, h // tp, w // tp)
+    tt, th, tw = cfg.video_tubelet
+    return (t // tt, h // th, w // tw)
 
 
 def audio_grid(cfg: ModelConfig, audio_shape) -> tuple[int, int]:

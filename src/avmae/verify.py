@@ -2,6 +2,10 @@
 block, analytic parameter accounting, and the structural property suite
 behind the ``verify`` command.
 
+``GRAD_CHECKS`` and ``PROPERTY_CHECKS`` are the one definition of each check
+and its bound: the CLI and the acceptance suite run their entries as they
+stand.
+
 All gradient checks run in 64-bit mode on one sample (a leading sample axis
 of one). Harnesses containing the PReLU pick probe points away from its
 corner or, for the deep composite, a slope of exactly one where the
@@ -427,7 +431,7 @@ _CONFIG_TABLE = {
 _REFERENCE_PARAM_TOTALS = {"B": 169e6, "L": 303e6, "H": 521e6}
 
 
-def check_config_fidelity() -> CheckResult:
+def check_config_fidelity() -> tuple[bool, str]:
     """The B/L/H presets and their shape traces match the reference rows."""
     bad = []
     for name, row in _CONFIG_TABLE.items():
@@ -436,16 +440,15 @@ def check_config_fidelity() -> CheckResult:
                 if getattr(cfg, field) != expected]
         if f"dim {row['encoder_dim']}" not in shape_trace(name):
             bad.append(f"{name}.shape_trace")
-    return CheckResult("config_table_fidelity", not bad,
-                       f"mismatches: {bad or 'none'}")
+    return not bad, f"mismatches: {bad or 'none'}"
 
 
-def check_preset_validation() -> CheckResult:
+def check_preset_validation() -> tuple[bool, str]:
     for name, (vshape, ashape) in PRESET_INPUTS.items():
         errors = validate(preset(name), vshape, ashape)
         if errors:
-            return CheckResult("preset_validation", False, f"{name}: {errors}")
-    return CheckResult("preset_validation", True, "all presets validate")
+            return False, f"{name}: {errors}"
+    return True, "all presets validate"
 
 
 def _b_mask_pairs():
@@ -453,26 +456,24 @@ def _b_mask_pairs():
     return make_mask_pairs(preset("B"), *PRESET_INPUTS["B"], np.random.default_rng(0))
 
 
-def check_mask_arithmetic() -> CheckResult:
+def check_mask_arithmetic() -> tuple[bool, str]:
     pair_v, pair_a = _b_mask_pairs()
     vis_v = int((~pair_v.encoder_mask).sum())
     vis_a = int((~pair_a.encoder_mask).sum())
     tgt_v = int(pair_v.decoder_targets.sum())
     ok = (vis_v, pair_v.n_tokens, vis_a, pair_a.n_tokens, tgt_v) == (80, 800, 24, 128, 400)
-    return CheckResult("mask_arithmetic", ok,
-                       f"visible video {vis_v}/{pair_v.n_tokens}, visible audio "
-                       f"{vis_a}/{pair_a.n_tokens}, video targets {tgt_v}")
+    return ok, (f"visible video {vis_v}/{pair_v.n_tokens}, visible audio "
+                f"{vis_a}/{pair_a.n_tokens}, video targets {tgt_v}")
 
 
-def check_decoder_cost() -> CheckResult:
+def check_decoder_cost() -> tuple[bool, str]:
     pair_v, _ = _b_mask_pairs()  # decoder length: visible + target tokens
     dual = (pair_v.visible_indices.size + pair_v.target_indices.size) ** 2
     full = pair_v.n_tokens ** 2
-    return CheckResult("decoder_cost_ratio", dual <= 0.36 * full,
-                       f"{dual} <= 0.36 * {full}")
+    return dual <= 0.36 * full, f"{dual} <= 0.36 * {full}"
 
 
-def check_dual_masking_speed(pairs: int = 12) -> CheckResult:
+def check_dual_masking_speed(pairs: int = 12) -> tuple[bool, str]:
     """Wall-clock smoke test: a pretrain step must be faster with dual
     masking than with the full-length decoder baseline (Tiny preset).
 
@@ -508,23 +509,22 @@ def check_dual_masking_speed(pairs: int = 12) -> CheckResult:
             diffs.append(sample[False] - sample[True])
     median = float(np.median(diffs))
     ok = median > 0
-    return CheckResult("dual_masking_speed", ok,
-                       f"median paired saving {median * 1e3:.2f}ms over {len(diffs)} steps")
+    return ok, f"median paired saving {median * 1e3:.2f}ms over {len(diffs)} steps"
 
 
-def check_attention_rows() -> CheckResult:
+def check_attention_rows() -> tuple[bool, str]:
     rng = np.random.default_rng(1)
     for t, c, h in ((1, 8, 2), (5, 8, 4), (9, 16, 2)):
         att = Attention(c, h, rng, dtype=np.float64)
         att.forward(rng.normal(size=(t, c))[None] * 3)
         probs = att.last_probs()
         if not np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6):
-            return CheckResult("softmax_rows", False, f"shape ({t},{c},{h})")
+            return False, f"shape ({t},{c},{h})"
         att.clear_caches()
-    return CheckResult("softmax_rows", True, "rows sum to 1 within 1e-6")
+    return True, "rows sum to 1 within 1e-6"
 
 
-def check_mhca_degenerates() -> CheckResult:
+def check_mhca_degenerates() -> tuple[bool, str]:
     rng = np.random.default_rng(2)
     att = Attention(8, 2, rng, dtype=np.float64)
     x = rng.normal(size=(4, 8))[None]
@@ -532,41 +532,40 @@ def check_mhca_degenerates() -> CheckResult:
     cross_out = att.forward(x, x.copy())
     att.clear_caches()
     ok = np.array_equal(self_out, cross_out)
-    return CheckResult("mhca_equals_mhsa", ok, "bitwise identical" if ok else "differs")
+    return ok, "bitwise identical" if ok else "differs"
 
 
-def check_masking_properties() -> CheckResult:
+def check_masking_properties() -> tuple[bool, str]:
     rng = np.random.default_rng(3)
     # tube: temporal consistency and exact counts
     mask = tube_mask(8, 10, 10, 0.9, rng)
     planes = mask.reshape(8, 100)
     if not all(np.array_equal(planes[0], planes[t]) for t in range(8)):
-        return CheckResult("masking_properties", False, "tube mask varies over time")
+        return False, "tube mask varies over time"
     if int((~mask).sum()) != 80:
-        return CheckResult("masking_properties", False, "tube visible count wrong")
+        return False, "tube visible count wrong"
     # running cell: subset + exact count + sweep coverage
     targets = running_cell_mask(8, 10, 10, mask, 0.5, rng)
     if int(targets.sum()) != 400 or np.any(targets & ~mask):
-        return CheckResult("masking_properties", False, "running-cell invariants")
+        return False, "running-cell invariants"
     # candidate sweep covers every spatial position within any 4 slots
     all_masked = np.ones(4 * 4 * 4, dtype=bool)
     cover = running_cell_mask(4, 4, 4, all_masked, 0.75, np.random.default_rng(5))
     # with decoder ratio 0.75 only candidates survive; union over time axis
     got = cover.reshape(4, 16)
     if not np.all(got.any(axis=0)):
-        return CheckResult("masking_properties", False, "sweep does not cover grid")
+        return False, "sweep does not cover grid"
     # exact count identity for the combined sequence
     pair = MaskPair(mask, targets, 0.9, 0.5)
     latents = np.zeros((1, 80, 8))
     pe = np.zeros((800, 8))
     comb = assemble_combined(latents, [pair], np.zeros(8), pe)
     if comb.tokens.shape[1] != 480:
-        return CheckResult("masking_properties", False, "combined length != 480")
-    return CheckResult("masking_properties", True,
-                       "tube/running-cell/combined-length invariants hold")
+        return False, "combined length != 480"
+    return True, "tube/running-cell/combined-length invariants hold"
 
 
-def check_encoder_identity() -> CheckResult:
+def check_encoder_identity() -> tuple[bool, str]:
     """With zeroed residual-branch output projections the encoder is the
     identity on local tokens."""
     cfg = preset("Tiny")
@@ -585,21 +584,19 @@ def check_encoder_identity() -> CheckResult:
     _, locals_, _, _ = enc.encode(tokens, part)
     enc.clear_caches()
     ok = np.allclose(locals_, tokens, atol=1e-12)
-    return CheckResult("encoder_residual_identity", ok,
-                       "zeroed branches leave locals unchanged" if ok else "changed")
+    return ok, "zeroed branches leave locals unchanged" if ok else "changed"
 
 
-def check_complexity_bound() -> CheckResult:
+def check_complexity_bound() -> tuple[bool, str]:
     _, part = _tiny_video_partition(masked=False)
     n = part.order.size
     k = part.n_regions
     entries = score_entries_stage12(part)
     ok = k > 1 and entries <= (n + k) ** 2
-    return CheckResult("stage12_cost_bound", ok,
-                       f"{entries} <= {(n + k) ** 2}")
+    return ok, f"{entries} <= {(n + k) ** 2}"
 
 
-def check_param_totals() -> CheckResult:
+def check_param_totals() -> tuple[bool, str]:
     """Combined totals within 15% of the reference parameter counts."""
     details = []
     ok = True
@@ -608,17 +605,17 @@ def check_param_totals() -> CheckResult:
         rel = total / target
         details.append(f"{name} {total / 1e6:.1f}M ({rel:.3f}x)")
         ok &= 0.85 <= rel <= 1.15
-    return CheckResult("param_totals", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def check_checkpoint_roundtrip(tmp_dir=None) -> CheckResult:
+def check_checkpoint_roundtrip() -> tuple[bool, str]:
     """Save-load-save is bitwise stable and a foreign config is rejected."""
     import tempfile
     from pathlib import Path
     cfg = preset("Tiny")
     vshape, ashape = PRESET_INPUTS["Tiny"]
     model = FinetuneModel(cfg, vshape, ashape, 2, rng=sample_rng(0))
-    with tempfile.TemporaryDirectory(dir=tmp_dir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         path1 = Path(tmp) / "a.avck"
         path2 = Path(tmp) / "b.avck"
         ckpt.save(path1, model, cfg, "finetune")
@@ -633,10 +630,10 @@ def check_checkpoint_roundtrip(tmp_dir=None) -> CheckResult:
                 detail += "; config mismatch not rejected"
             except ValueError:
                 pass
-    return CheckResult("checkpoint_roundtrip", ok, detail)
+    return ok, detail
 
 
-def check_determinism() -> CheckResult:
+def check_determinism() -> tuple[bool, str]:
     cfg = preset("Tiny")
     vshape, ashape = PRESET_INPUTS["Tiny"]
     from .config import desk_train_config
@@ -650,50 +647,53 @@ def check_determinism() -> CheckResult:
         _, log = run_pretrain(cfg, tcfg, clips, vshape, ashape, steps=3)
         logs.append(log.lines())
     ok = logs[0] == logs[1]
-    return CheckResult("determinism", ok,
-                       "identical seeds give identical loss logs" if ok
-                       else "logs differ")
+    return ok, "identical seeds give identical loss logs" if ok else "logs differ"
 
 
-def check_schedule_and_optimizer() -> CheckResult:
+def check_schedule_and_optimizer() -> tuple[bool, str]:
     from .training import lr_at
     peak = 1e-3 * 256 / 256
     w, total = 20, 220
     if lr_at(0, 1e-3, 256, w, total) != 0.0:
-        return CheckResult("schedule_optimizer", False, "warmup start not 0")
+        return False, "warmup start not 0"
     if abs(lr_at(w, 1e-3, 256, w, total) - peak) > 1e-15:
-        return CheckResult("schedule_optimizer", False, "peak not hit at warmup end")
+        return False, "peak not hit at warmup end"
     mid = (w + total) // 2
     expect = (peak + 1e-6) / 2
     if abs(lr_at(mid, 1e-3, 256, w, total) - expect) > 1e-9:
-        return CheckResult("schedule_optimizer", False, "cosine midpoint wrong")
+        return False, "cosine midpoint wrong"
     # decoupled decay: zero grads shrink parameters multiplicatively
     from .blocks import Parameter
     p = Parameter(np.ones(4, dtype=np.float64))
     opt = AdamW([("p", p)])
     opt.step(lr=0.1, weight_decay=0.5)
     if not np.allclose(p.data, 1.0 - 0.1 * 0.5):
-        return CheckResult("schedule_optimizer", False, "decay not decoupled")
-    return CheckResult("schedule_optimizer", True, "warmup/cosine/decay semantics hold")
+        return False, "decay not decoupled"
+    return True, "warmup/cosine/decay semantics hold"
+
+
+PROPERTY_CHECKS = {
+    "config_table_fidelity": check_config_fidelity,
+    "preset_validation": check_preset_validation,
+    "mask_arithmetic": check_mask_arithmetic,
+    "decoder_cost_ratio": check_decoder_cost,
+    "softmax_rows": check_attention_rows,
+    "mhca_equals_mhsa": check_mhca_degenerates,
+    "masking_properties": check_masking_properties,
+    "encoder_residual_identity": check_encoder_identity,
+    "stage12_cost_bound": check_complexity_bound,
+    "param_totals": check_param_totals,
+    "checkpoint_roundtrip": check_checkpoint_roundtrip,
+    "schedule_optimizer": check_schedule_and_optimizer,
+    "determinism": check_determinism,
+    "dual_masking_speed": check_dual_masking_speed,
+}
 
 
 def property_suite(grad_probes: int | None = 16) -> list[CheckResult]:
-    results = [
-        check_config_fidelity(),
-        check_preset_validation(),
-        check_mask_arithmetic(),
-        check_decoder_cost(),
-        check_attention_rows(),
-        check_mhca_degenerates(),
-        check_masking_properties(),
-        check_encoder_identity(),
-        check_complexity_bound(),
-        check_param_totals(),
-        check_checkpoint_roundtrip(),
-        check_schedule_and_optimizer(),
-        check_determinism(),
-        check_dual_masking_speed(),
-    ]
+    """Every ``PROPERTY_CHECKS`` entry, then every ``GRAD_CHECKS`` entry at its
+    registry tolerance with ``grad_probes`` probes per tensor."""
+    results = [CheckResult(name, *check()) for name, check in PROPERTY_CHECKS.items()]
     for name, report in run_all_grad_checks(probes=grad_probes):
         results.append(CheckResult(f"grad:{name}", report.passed,
                                    f"max rel err {report.worst:.2e} "

@@ -7,7 +7,6 @@ from avmae.blocks import (BATCHNORM_EPS, Attention, ConvBNPReLU, FeedForward,
                           GradientStateError, LayerNorm, Linear, no_tape,
                           sigmoid, softmax, softmax_backward)
 from avmae.gradcheck import grad_check
-from avmae.verify import run_grad_check
 
 from oracles import (oracle_attention, oracle_batchnorm_prelu_backward,
                      oracle_batchnorm_prelu_forward, oracle_layernorm_backward,
@@ -181,19 +180,7 @@ class TestBackwardProtocol:
 
 
 class TestGradChecks:
-    """Central-difference verification at 64-bit for every block."""
-
-    @pytest.mark.parametrize("name,tol", [
-        ("linear", 1e-6),
-        ("layernorm", 1e-6),
-        ("mhsa", 1e-6),
-        ("mhca", 1e-6),
-        ("ffn", 1e-6),
-        ("conv_bn_prelu", 1e-6),
-    ])
-    def test_primitive_blocks(self, name, tol):
-        report = run_grad_check(name, tolerance=tol)
-        assert report.passed, "\n".join(report.lines())
+    """The harness itself; every registry check runs once, in acceptance A3."""
 
     def test_corrupted_backward_fails(self):
         """Negative control: a sign-flipped weight gradient must be caught."""
@@ -246,6 +233,7 @@ class TestConvBNPReLU:
         x = rng.normal(size=(16, 6))
         train_out = block.forward(x[None], training=True)
         block.clear_caches()
+        block.update_statistics()
         eval_out = block.forward(x[None], training=False)
         block.clear_caches()
         assert np.max(np.abs(train_out - eval_out)) < 1e-5
@@ -341,6 +329,7 @@ class TestKernelsMatchMeanVarReferences:
         d_y, d_scale, d_shift, d_slope = oracle_batchnorm_prelu_backward(
             d_out, yhat, inv, z, block.bn_scale.data, block.prelu_slope.data)
         assert_same_bytes(block.forward(x[None], training=True)[0], want)
+        block.update_statistics()
         assert_same_bytes(block.running_mean, mu)
         assert_same_bytes(block.running_var, var)
         assert_same_bytes(block.backward(d_out[None])[0], d_y @ w.T)

@@ -17,6 +17,7 @@ from avmae.cli import main
 from avmae.config import desk_train_config, preset
 from avmae.embedding import read_clip, write_clip
 from avmae.finetune import FinetuneModel
+from avmae.gradcheck import GradCheckReport
 from avmae.training import SyntheticTask, gen_synthetic, run_supervised, sample_rng
 
 
@@ -25,17 +26,16 @@ def tiny_model(seed=0, outputs=2):
                          rng=sample_rng(seed))
 
 
-class TestCheckpoint:
-    def test_save_load_save_bitwise(self, tmp_path):
-        cfg = preset("Tiny")
-        model = tiny_model()
-        p1 = tmp_path / "a.avck"
-        p2 = tmp_path / "b.avck"
-        ckpt.save(p1, model, cfg, "finetune")
-        ckpt.load_into(model, p1, cfg)
-        ckpt.save(p2, model, cfg, "finetune")
-        assert p1.read_bytes() == p2.read_bytes()
+def fake_grad_check(error, probes_seen):
+    """A ``GRAD_CHECKS`` function whose report holds one ``error``; it
+    records the probe count it is called with."""
+    def check(tolerance, probes):
+        probes_seen.append(probes)
+        return GradCheckReport(tolerance, {"weight": error})
+    return check
 
+
+class TestCheckpoint:
     def test_values_roundtrip_exactly(self, tmp_path):
         cfg = preset("Tiny")
         model = tiny_model(1)
@@ -240,9 +240,15 @@ class TestCLI:
             main(["shapes", "--presett", "B"])
         assert exc.value.code == 2
 
-    def test_check_grads_single_module(self, capsys):
-        assert main(["check-grads", "--module", "linear"]) == 0
-        assert "PASS linear" in capsys.readouterr().out
+    def test_check_grads_single_module(self, monkeypatch, capsys):
+        probes = []
+        monkeypatch.setattr(verifymod, "GRAD_CHECKS", {
+            "first": (fake_grad_check(0.5, probes), 1e-6, None),
+            "second": (fake_grad_check(0.0, probes), 1e-6, 48)})
+        assert main(["check-grads", "--module", "second"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS second: max rel err 0.000e+00 (tolerance 1e-06)"]
+        assert probes == [48]
 
     def test_maskdump_ascii_and_pbm(self, tmp_path, capsys):
         out = tmp_path / "mask.pbm"
@@ -317,6 +323,20 @@ class TestCLI:
         code = main(["pretrain", "--config", str(cfg_path), "--data", str(data),
                      "--out", str(tmp_path / "y"), "--steps", "1"])
         assert code == 2
+
+    def test_non_square_tubelet_fails_validation(self, tmp_path, capsys):
+        """The grid's width comes from the tubelet's third size, so the
+        region mismatch is reported before any model is built."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"video_tubelet": [2, 8, 4]}}))
+        data = tmp_path / "data"
+        main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)])
+        out = tmp_path / "run"
+        code = main(["pretrain", "--config", str(cfg_path), "--data", str(data),
+                     "--out", str(out), "--steps", "1"])
+        assert code == 2
+        assert "region counts differ: video 8 vs audio 4" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("config, field", [
         ({"model": 5}, "model"),
@@ -444,6 +464,19 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS fine: ok" in out
 
-    def test_check_names_unique(self):
-        names = [r.name for r in verifymod.property_suite(grad_probes=1)]
-        assert len(names) == len(set(names))
+    def test_runs_both_registries_in_order(self, monkeypatch, capsys):
+        probes = []
+        monkeypatch.setattr(verifymod, "PROPERTY_CHECKS", {
+            "prop_ok": lambda: (True, "holds"),
+            "prop_bad": lambda: (False, "broke")})
+        monkeypatch.setattr(verifymod, "GRAD_CHECKS", {
+            "grad_ok": (fake_grad_check(0.0, probes), 1e-6, None),
+            "grad_bad": (fake_grad_check(0.5, probes), 1e-4, 8)})
+        assert main(["verify", "--grad-probes", "3"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS prop_ok: holds",
+            "FAIL prop_bad: broke",
+            "PASS grad:grad_ok: max rel err 0.00e+00 (tol 1e-06)",
+            "FAIL grad:grad_bad: max rel err 5.00e-01 (tol 0.0001)",
+            "2/4 checks passed"]
+        assert probes == [3, 3]
