@@ -12,6 +12,7 @@ from oracles import (oracle_attention, oracle_batchnorm_prelu_backward,
                      oracle_batchnorm_prelu_forward, oracle_layernorm_backward,
                      oracle_layernorm_forward, oracle_sigmoid_split,
                      oracle_softmax, oracle_softmax_backward)
+from registry_runs import assert_grad_check
 
 
 class TestAttentionForward:
@@ -180,7 +181,18 @@ class TestBackwardProtocol:
 
 
 class TestGradChecks:
-    """The harness itself; every registry check runs once, in acceptance A3."""
+    """Central-difference verification at 64-bit for every block."""
+
+    @pytest.mark.parametrize("name,tol", [
+        ("linear", 1e-6),
+        ("layernorm", 1e-6),
+        ("mhsa", 1e-6),
+        ("mhca", 1e-6),
+        ("ffn", 1e-6),
+        ("conv_bn_prelu", 1e-6),
+    ])
+    def test_primitive_blocks(self, name, tol):
+        assert_grad_check(name, tol)
 
     def test_corrupted_backward_fails(self):
         """Negative control: a sign-flipped weight gradient must be caught."""

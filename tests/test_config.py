@@ -8,6 +8,8 @@ from avmae.config import (ModelConfig, TrainConfig, PRESET_INPUTS,
                           desk_train_config, load_config_file,
                           fullscale_train_config, preset, validate)
 
+from registry_runs import property_result
+
 
 class TestPresets:
     def test_b_skip_indices(self):
@@ -15,6 +17,10 @@ class TestPresets:
 
     def test_h_encoder_dim(self):
         assert preset("H").encoder_dim == 768
+
+    def test_architecture_rows(self):
+        passed, detail = property_result("config_table_fidelity")
+        assert passed, detail
 
     def test_shared_settings(self):
         for name in ("B", "L", "H"):

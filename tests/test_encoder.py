@@ -14,6 +14,7 @@ from avmae.masking import random_mask, tube_mask
 
 from oracles import (grid_partition, oracle_attention, oracle_layernorm,
                      oracle_lgi_layer, stack_partitions)
+from registry_runs import assert_grad_check
 
 
 def tiny_part(region, mask=None, grid=(4, 4, 4)):
@@ -244,6 +245,9 @@ class TestLGILayer:
         ref_n2 = s1 + value_path
         probs_out = s1 + oracle_attention(n2, n2, att)
         assert np.allclose(ref_n2, probs_out, atol=1e-10)
+
+    def test_grad_check(self):
+        assert_grad_check("lgi_layer", 1e-4)
 
     def test_drop_path_disabled_when_rng_none(self):
         layer, locals_, s, part = self.build(seed=16)

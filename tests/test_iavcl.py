@@ -10,6 +10,7 @@ from avmae.config import preset
 from avmae.iavcl import DiERUnit, HAFELayer, IAVCLHead, RefinementLayer
 
 from oracles import oracle_dier_chain, oracle_hafe
+from registry_runs import assert_grad_check
 
 
 def tiny_head(seed=0, num_outputs=3, num_units=2, dtype=np.float64):
@@ -200,3 +201,6 @@ class TestHead:
         snaps_a, snaps_v = tiny_snaps(14)
         with pytest.raises(ValueError, match="snapshots"):
             head.forward(snaps_a[:-1], snaps_v, training=True)
+
+    def test_full_grad_check(self):
+        assert_grad_check("iavcl", 1e-4)

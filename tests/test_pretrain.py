@@ -11,6 +11,7 @@ from avmae.pretrain import (Decoder, FusionBlock, FusionEncoder, PretrainModel,
 from avmae.training import SyntheticTask, sample_rng
 
 from oracles import oracle_decoder_block, oracle_fusion_block
+from registry_runs import assert_grad_check
 
 
 def tiny_clip(seed=0, noise=0.0):
@@ -71,6 +72,8 @@ class TestFusion:
         assert np.max(np.abs(out_v[0] - ref_v)) < 1e-5
         assert np.max(np.abs(out_a[0] - ref_a)) < 1e-5
 
+    def test_grad_check(self):
+        assert_grad_check("fusion_block", 1e-4)
 
 
 class TestDecoder:
@@ -127,6 +130,8 @@ class TestDecoder:
         with pytest.raises(ValueError, match="skip features"):
             decoder.forward(comb, bad_skips)
 
+    def test_grad_check(self):
+        assert_grad_check("decoder_block", 1e-4)
 
 
 class TestPretrainForward:

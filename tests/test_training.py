@@ -14,6 +14,7 @@ from avmae.training import (AdamW, MetricsLog, SyntheticTask, batch_indices,
                             sample_rng)
 
 from oracles import OracleAdamW
+from registry_runs import property_result
 
 
 def tiny_finetune_model():
@@ -321,6 +322,10 @@ class TestRunStage:
         assert ft_path.exists()
         assert len(ft_log.records) == 2
         assert (tmp_path / "ft" / "metrics.jsonl").exists()
+
+    def test_same_seed_bitwise_identical_logs(self):
+        passed, detail = property_result("determinism")
+        assert passed, detail
 
     def test_seed_changes_log(self):
         cfg = preset("Tiny")
