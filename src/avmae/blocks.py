@@ -98,15 +98,21 @@ class Buffer:
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """Normal(0, std) redrawn until every entry lies within two deviations."""
-    out = rng.normal(0.0, std, size=shape)
+    """Normal(0, std) redrawn until every entry lies within two deviations.
+
+    Each pass redraws the out-of-range entries in ascending order and
+    rechecks only those; after 16 passes the ones still out are clipped.
+    """
+    limit = 2.0 * std
+    flat = rng.normal(0.0, std, size=shape).reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > limit)
     for _ in range(16):
-        bad = np.abs(out) > 2.0 * std
-        if not bad.any():
+        if not bad.size:
             break
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-    np.clip(out, -2.0 * std, 2.0 * std, out=out)
-    return out.astype(dtype)
+        flat[bad] = rng.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > limit]
+    flat[bad] = np.clip(flat[bad], -limit, limit)
+    return flat.reshape(shape).astype(dtype)
 
 
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:

@@ -48,10 +48,13 @@ class AdamW:
 
     The parameters are packed into one flat ``data`` and one flat ``grad``
     buffer, and each ``Parameter.data``/``.grad`` becomes a view of its
-    slice, so a step is a few vector operations over the whole model. It
-    runs in chunks through scratch buffers allocated here, so it allocates
-    nothing; the arithmetic per element is that of an update of each
-    parameter on its own.
+    slice, so a step is a few vector operations over the whole model.
+    Consecutive parameters with one learning-rate scale form a run, which
+    a step updates with scalar factors. It runs in chunks through scratch
+    buffers allocated here, so it allocates nothing; the arithmetic per
+    element is that of an update of each parameter on its own. The state
+    is ``data`` and ``grad`` in the parameter dtype and the moments ``m``
+    and ``v`` in float64: 24 bytes per float32 parameter.
 
     An AdamW owns its parameters' storage from then on. Building a second
     one over a packed parameter is a ValueError: the first would go on
@@ -74,20 +77,28 @@ class AdamW:
             # a Parameter allocates its own grad; only packing makes it a view
             if p.grad.base is not None:
                 raise ValueError(f"parameter {name} is already packed by another AdamW")
+        scales = lr_scales or {}
+        unknown = sorted(set(scales) - {name for name, _ in self.params})
+        if unknown:
+            raise ValueError("lr_scales names no parameter: " + ", ".join(unknown))
         sizes = [p.size for _, p in self.params]
         offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
         total = int(offsets[-1])
         self.data = np.empty(total, dtype=dtype)
         self.grad = np.empty(total, dtype=dtype)
-        scales = lr_scales or {}
-        self.lr_scales = np.empty(total, dtype=np.float64)
+        # runs: (start, stop, lr scale) of each maximal stretch of one scale
+        self._runs = []
         for (name, p), start, stop in zip(self.params, offsets[:-1], offsets[1:]):
             shape = p.shape
             self.data[start:stop] = p.data.ravel()
             self.grad[start:stop] = p.grad.ravel()
             p.data = self.data[start:stop].reshape(shape)
             p.grad = self.grad[start:stop].reshape(shape)
-            self.lr_scales[start:stop] = scales.get(name, 1.0)
+            scale = scales.get(name, 1.0)
+            if self._runs and self._runs[-1][2] == scale:
+                self._runs[-1][1] = stop
+            else:
+                self._runs.append([start, stop, scale])
         self.m = np.zeros(total, dtype=np.float64)
         self.v = np.zeros(total, dtype=np.float64)
         n = min(total, _ADAMW_CHUNK)
@@ -95,14 +106,18 @@ class AdamW:
         self._narrow = np.empty(n, dtype=dtype)
         self._finite = np.empty(n, dtype=bool)
 
-    def _chunks(self):
-        total = self.data.size
-        for start in range(0, total, _ADAMW_CHUNK):
-            stop = min(start + _ADAMW_CHUNK, total)
-            yield slice(start, stop), stop - start
+    @staticmethod
+    def _chunks(start: int, stop: int):
+        for lo in range(start, stop, _ADAMW_CHUNK):
+            hi = min(lo + _ADAMW_CHUNK, stop)
+            yield slice(lo, hi), hi - lo
+
+    def zero_grad(self) -> None:
+        """Zero every parameter's gradient: one fill of the grad buffer."""
+        self.grad.fill(0.0)
 
     def step(self, lr: float, weight_decay: float) -> None:
-        for sl, n in self._chunks():
+        for sl, n in self._chunks(0, self.grad.size):
             if not np.isfinite(self.grad[sl], out=self._finite[:n]).all():
                 name = next(name for name, p in self.params if not np.isfinite(p.grad).all())
                 raise FloatingPointError(f"non-finite gradient in parameter {name}")
@@ -110,35 +125,36 @@ class AdamW:
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for sl, n in self._chunks():
-            g, tmp, update = (w[:n] for w in self._wide)
-            narrow = self._narrow[:n]
-            m, v = self.m[sl], self.v[sl]
-            np.copyto(g, self.grad[sl])
-            m *= b1
-            np.multiply(1.0 - b1, g, out=tmp)
-            m += tmp
-            v *= b2
-            np.multiply(1.0 - b2, g, out=tmp)
-            tmp *= g
-            v += tmp
-            # update = (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            np.divide(m, bc1, out=update)
-            update /= tmp
-            # eff_lr = lr * scale; data *= 1 - eff_lr * wd, cast to the data
-            # dtype as a Python-float factor would be; data -= eff_lr * update
-            eff_lr = np.multiply(lr, self.lr_scales[sl], out=g)
-            np.multiply(eff_lr, weight_decay, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            np.copyto(narrow, tmp, casting="same_kind")
-            data = self.data[sl]
-            data *= narrow
-            update *= eff_lr
-            np.copyto(narrow, update, casting="same_kind")
-            data -= narrow
+        for start, stop, scale in self._runs:
+            eff_lr = lr * scale
+            # cast to the data dtype once, as a Python-float factor would be
+            decay = self.data.dtype.type(1.0 - eff_lr * weight_decay)
+            for sl, n in self._chunks(start, stop):
+                g, tmp, update = (w[:n] for w in self._wide)
+                narrow = self._narrow[:n]
+                m, v = self.m[sl], self.v[sl]
+                # one widening copy: float64 loops over it beat three
+                # mixed-dtype multiplies that each cast the gradient
+                np.copyto(g, self.grad[sl])
+                m *= b1
+                np.multiply(1.0 - b1, g, out=tmp)
+                m += tmp
+                v *= b2
+                np.multiply(1.0 - b2, g, out=tmp)
+                tmp *= g
+                v += tmp
+                # update = (m / bc1) / (sqrt(v / bc2) + eps)
+                np.divide(v, bc2, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += self.eps
+                np.divide(m, bc1, out=update)
+                update /= tmp
+                # data *= 1 - eff_lr * wd; data -= eff_lr * update
+                data = self.data[sl]
+                data *= decay
+                update *= eff_lr
+                np.copyto(narrow, update, casting="same_kind")
+                data -= narrow
 
 
 def lr_at(step: int, base_lr: float, batch: int, warmup_steps: int,
@@ -408,7 +424,7 @@ def pretrain_step(model: PretrainModel, clips, indices, step: int,
     model.backward_sample(d_preds["video"], d_preds["audio"],
                           d_pooled["video"], d_pooled["audio"])
     optimizer.step(lr, tcfg.weight_decay)
-    model.zero_grad()
+    optimizer.zero_grad()
     return {"loss": total, "mse_a": mse["audio"], "mse_v": mse["video"], "nce": nce_total}
 
 
@@ -460,7 +476,7 @@ def supervised_step(model: FinetuneModel, clips, labels, indices, step: int,
     loss, d_logits = cross_entropy_ls(logits, batch_labels, tcfg.label_smoothing)
     model.backward_sample(d_logits)
     optimizer.step(lr, tcfg.weight_decay)
-    model.zero_grad()
+    optimizer.zero_grad()
     acc = float(np.mean(np.argmax(logits, axis=1) == batch_labels))
     return {"loss": loss, "acc": acc}
 

@@ -298,6 +298,20 @@ class OracleAdamW:
             p.data -= (eff_lr * update).astype(p.data.dtype)
 
 
+def oracle_trunc_normal(rng, shape, std=0.02, dtype=np.float32):
+    """Truncated normal by whole-array passes: each of up to 16 passes
+    checks every entry and redraws the out-of-range ones, then everything
+    is clipped to two deviations."""
+    out = rng.normal(0.0, std, size=shape)
+    for _ in range(16):
+        bad = np.abs(out) > 2.0 * std
+        if not bad.any():
+            break
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+    np.clip(out, -2.0 * std, 2.0 * std, out=out)
+    return out.astype(dtype)
+
+
 # ---------------------------------------------------------------------------
 # The per-sample fine-tune path: FinetuneModel fed one clip per call (a batch
 # of one), forward in sample order and backward in reverse, with a

@@ -5,13 +5,14 @@ import pytest
 
 from avmae.blocks import (BATCHNORM_EPS, Attention, ConvBNPReLU, FeedForward,
                           GradientStateError, LayerNorm, Linear, no_tape,
-                          sigmoid, softmax, softmax_backward)
+                          sigmoid, softmax, softmax_backward, trunc_normal)
 from avmae.gradcheck import grad_check
 
 from oracles import (oracle_attention, oracle_batchnorm_prelu_backward,
                      oracle_batchnorm_prelu_forward, oracle_layernorm_backward,
                      oracle_layernorm_forward, oracle_sigmoid_split,
-                     oracle_softmax, oracle_softmax_backward)
+                     oracle_softmax, oracle_softmax_backward,
+                     oracle_trunc_normal)
 from registry_runs import assert_grad_check
 
 
@@ -368,3 +369,39 @@ class TestSigmoidMatchesSplitReference:
         assert_same_bytes(sigmoid(x), oracle_sigmoid_split(x))
         batch = x[:16 * 4 * 32].reshape(16, 4, 32)
         assert_same_bytes(sigmoid(batch), oracle_sigmoid_split(batch))
+
+
+class _OutOfRange:
+    """Generator stub whose every normal draw lies outside two deviations,
+    alternating sign, so no redraw pass ever succeeds."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def normal(self, loc, scale, size):
+        self.calls += 1
+        out = np.full(size, 3.0 * scale)
+        out.reshape(-1)[1::2] *= -1.0
+        return out
+
+
+class TestTruncNormalMatchesWholeArrayPasses:
+    """Rechecking only the redrawn entries gives the bits of whole-array
+    passes and leaves the generator where they leave it."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(32,), (32, 32), (512, 512), (64, 8, 3)], ids=str)
+    @pytest.mark.parametrize("std", [0.02, 1.0])
+    def test_bytes_and_next_draw(self, shape, dtype, std):
+        seed = sum(shape)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_same_bytes(trunc_normal(got_rng, shape, std=std, dtype=dtype),
+                          oracle_trunc_normal(want_rng, shape, std=std, dtype=dtype))
+        assert got_rng.normal(size=5).tobytes() == want_rng.normal(size=5).tobytes()
+
+    def test_clip_after_sixteen_passes(self):
+        got_rng, want_rng = _OutOfRange(), _OutOfRange()
+        got = trunc_normal(got_rng, (5, 3), std=0.5)
+        assert_same_bytes(got, oracle_trunc_normal(want_rng, (5, 3), std=0.5))
+        assert got_rng.calls == want_rng.calls == 17
+        assert set(np.abs(got).ravel().tolist()) == {1.0}

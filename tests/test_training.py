@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from avmae.blocks import Parameter
+from avmae import training
+from avmae.blocks import Block, FeedForward, Parameter
 from avmae.config import desk_train_config, preset
 from avmae.finetune import FinetuneModel
 from avmae.training import (AdamW, MetricsLog, SyntheticTask, batch_indices,
@@ -82,12 +83,14 @@ class TestAdamW:
             assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
 
     def test_zero_grad_zeroes_every_grad_view(self):
+        """Both the block tree's zero_grad and the optimizer's one fill."""
         model = tiny_finetune_model()
         opt = AdamW(model.named_parameters())
-        opt.grad[...] = 1.0
-        model.zero_grad()
-        assert not opt.grad.any()
-        assert all(not p.grad.any() for p in model.parameters())
+        for zero_grad in (model.zero_grad, opt.zero_grad):
+            opt.grad[...] = 1.0
+            zero_grad()
+            assert not opt.grad.any()
+            assert all(not p.grad.any() for p in model.parameters())
 
     def test_second_optimizer_over_packed_parameters_rejected(self):
         first, second = Parameter(np.ones(3)), Parameter(np.ones(2))
@@ -101,14 +104,12 @@ class TestAdamW:
         opt.step(lr=0.1, weight_decay=0.0)
         assert (first.data < 1.0).all()
 
-    def test_matches_per_parameter_oracle_bitwise(self):
-        """Five layer-decayed, weight-decayed steps equal the per-parameter loop."""
-        cfg = preset("Tiny")
-        model, ref = tiny_finetune_model(), tiny_finetune_model()
-        opt = AdamW(model.named_parameters(), beta2=0.999,
-                    lr_scales=layer_decay_scales(model, cfg, 0.75))
-        oracle = OracleAdamW(ref.named_parameters(), beta2=0.999,
-                             lr_scales=layer_decay_scales(ref, cfg, 0.75))
+    @staticmethod
+    def assert_matches_oracle(model, ref, lr_scales, beta2):
+        """Five weight-decayed steps over ``model`` equal the per-parameter
+        loop over ``ref``, a copy of it: parameters and moments, bitwise."""
+        opt = AdamW(model.named_parameters(), beta2=beta2, lr_scales=lr_scales)
+        oracle = OracleAdamW(ref.named_parameters(), beta2=beta2, lr_scales=lr_scales)
         rng = np.random.default_rng(3)
         for step in range(1, 6):
             for (_, p), (_, q) in zip(model.named_parameters(), ref.named_parameters()):
@@ -123,6 +124,52 @@ class TestAdamW:
             assert opt.m[start:stop].tobytes() == oracle.m[name].ravel().tobytes(), name
             assert opt.v[start:stop].tobytes() == oracle.v[name].ravel().tobytes(), name
             start = stop
+
+    def test_matches_per_parameter_oracle_bitwise(self):
+        """Five layer-decayed, weight-decayed steps equal the per-parameter loop."""
+        model, ref = tiny_finetune_model(), tiny_finetune_model()
+        self.assert_matches_oracle(model, ref, layer_decay_scales(model, preset("Tiny"), 0.75),
+                                   beta2=0.999)
+
+    def test_matches_per_parameter_oracle_bitwise_in_small_chunks(self, monkeypatch):
+        """Chunks of 7 elements: chunks end inside learning-rate runs and
+        runs end inside what would otherwise be one chunk."""
+        monkeypatch.setattr(training, "_ADAMW_CHUNK", 7)
+        model, ref = tiny_finetune_model(), tiny_finetune_model()
+        self.assert_matches_oracle(model, ref, layer_decay_scales(model, preset("Tiny"), 0.75),
+                                   beta2=0.999)
+
+    def test_float64_parameters_match_oracle_bitwise(self):
+        """float64 parameters: the decay factor is applied unnarrowed."""
+        model, ref = (FeedForward(8, np.random.default_rng(4), dtype=np.float64)
+                      for _ in range(2))
+        names = [name for name, _ in model.named_parameters()]
+        scales = {name: 0.5 ** (i // 2) for i, name in enumerate(names)}
+        self.assert_matches_oracle(model, ref, scales, beta2=0.95)
+
+    def test_unknown_lr_scale_names_rejected(self):
+        p = Parameter(np.ones(3))
+        with pytest.raises(ValueError, match="encoder.wieght, head.b"):
+            AdamW([("encoder.weight", p)],
+                  lr_scales={"encoder.weight": 0.5, "head.b": 1.0, "encoder.wieght": 0.5})
+        assert p.grad.base is None   # nothing was packed
+
+    def test_state_is_24_bytes_per_float32_parameter(self):
+        """data and grad in float32, m and v in float64, and no other array
+        of arena length: no per-element learning rate."""
+        model = tiny_finetune_model()
+        opt = AdamW(model.named_parameters(),
+                    lr_scales=layer_decay_scales(model, preset("Tiny"), 0.75))
+        total = sum(p.size for p in model.parameters())
+        assert total > training._ADAMW_CHUNK
+        arrays = {}
+        for attr, value in vars(opt).items():
+            items = value if isinstance(value, (list, tuple)) else [value]
+            for i, item in enumerate(items):
+                if isinstance(item, np.ndarray) and item.size >= total:
+                    arrays[attr if item is value else f"{attr}[{i}]"] = item
+        assert sorted(arrays) == ["data", "grad", "m", "v"]
+        assert sum(a.nbytes for a in arrays.values()) == 24 * total
 
     def test_partition_order_invariance(self):
         """Parameter update depends only on each parameter's own state."""
@@ -337,3 +384,23 @@ class TestRunStage:
         _, lb = run_pretrain(cfg, b, clips, (8, 32, 32), (32, 16), steps=2)
         assert la.lines() != lb.lines()
 
+    def test_training_loops_zero_through_the_optimizer(self, monkeypatch):
+        """Two-step pretrain and fine-tune runs log the same lines with the
+        block-tree ``zero_grad`` made to raise: the loops never call it."""
+        cfg = preset("Tiny")
+        clips, labels = self.tiny_data(n=4)
+        tc_pre, tc_ft = desk_train_config("pretrain"), desk_train_config("finetune")
+        tc_pre.batch = tc_ft.batch = 4
+
+        def runs():
+            _, pre = run_pretrain(cfg, tc_pre, clips, (8, 32, 32), (32, 16), steps=2)
+            ft, _ = run_supervised(tiny_finetune_model(), tc_ft, clips, labels, steps=2)
+            return pre.lines(), ft.lines()
+
+        want = runs()
+
+        def walk(self):
+            raise AssertionError("Block.zero_grad called")
+
+        monkeypatch.setattr(Block, "zero_grad", walk)
+        assert runs() == want
