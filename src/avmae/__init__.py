@@ -6,7 +6,7 @@ from .blocks import (Attention, Block, ConvBNPReLU, FeedForward, LayerNorm,
                      Linear, Parameter)
 from .config import (ModelConfig, TrainConfig, desk_train_config,
                      fullscale_train_config, preset, preset_names, validate)
-from .embedding import AudioEmbed, RawClip, TokenSeq, VideoEmbed
+from .embedding import AudioEmbed, RawClip, VideoEmbed
 from .encoder import LGIEncoder, partition
 from .finetune import FinetuneModel
 from .gradcheck import GradCheckReport, grad_check

@@ -315,19 +315,17 @@ class Linear(Block):
     """y = x W + b over the last axis of [S, ..., d_in]."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True, dtype=DEFAULT_DTYPE):
+                 dtype=DEFAULT_DTYPE):
         super().__init__()
         self.d_in = d_in
         self.d_out = d_out
         self.weight = Parameter(trunc_normal(rng, (d_in, d_out), dtype=dtype))
-        self.bias = Parameter(np.zeros(d_out, dtype=dtype)) if bias else None
+        self.bias = Parameter(np.zeros(d_out, dtype=dtype))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.d_in:
             raise ValueError(f"linear expects last dim {self.d_in}, got {x.shape}")
-        y = x @ self.weight.data
-        if self.bias is not None:
-            y = y + self.bias.data
+        y = x @ self.weight.data + self.bias.data
         self._save(x)
         return y
 
@@ -337,25 +335,23 @@ class Linear(Block):
         flat_x = x.reshape(n, -1, self.d_in)
         flat_d = d_out.reshape(n, -1, self.d_out)
         self._accumulate(self.weight, flat_x.transpose(0, 2, 1) @ flat_d)
-        if self.bias is not None:
-            self._accumulate(self.bias, np.add.reduce(flat_d, axis=1))
+        self._accumulate(self.bias, np.add.reduce(flat_d, axis=1))
         return (flat_d @ self.weight.data.T).reshape(x.shape)
 
 
 class LayerNorm(Block):
     """Per-token normalisation over the channel axis with affine transform."""
 
-    def __init__(self, dim: int, dtype=DEFAULT_DTYPE, eps: float = LAYERNORM_EPS):
+    def __init__(self, dim: int, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.dim = dim
-        self.eps = eps
         self.scale = Parameter(np.ones(dim, dtype=dtype))
         self.shift = Parameter(np.zeros(dim, dtype=dtype))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         xhat = x - _mean_last(x)
         inv = _mean_last(xhat * xhat)
-        inv += self.eps
+        inv += LAYERNORM_EPS
         np.sqrt(inv, out=inv)
         np.divide(1.0, inv, out=inv)
         xhat *= inv
@@ -476,11 +472,11 @@ class Attention(Block):
 
 
 class FeedForward(Block):
-    """Two linear maps with a gelu in between (hidden ratio 4 by default)."""
+    """Two linear maps with a gelu in between; the hidden width is 4 * dim."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, ratio: int = 4, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         super().__init__()
-        hidden = dim * ratio
+        hidden = dim * 4
         self.fc1 = Linear(dim, hidden, rng, dtype=dtype)
         self.fc2 = Linear(hidden, dim, rng, dtype=dtype)
 

@@ -33,16 +33,6 @@ class RawClip:
             raise ValueError("video frame count must be even")
 
 
-@dataclass
-class TokenSeq:
-    tokens: np.ndarray        # [S, N, C]
-    grid: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.tokens.shape[-2] != int(np.prod(self.grid)):
-            raise ValueError("token count must equal the grid size")
-
-
 def grid_coords(grid) -> np.ndarray:
     """Row-major integer coordinates for every grid cell."""
     return np.indices(grid).reshape(len(grid), -1).T.astype(np.int64)
@@ -107,71 +97,71 @@ def audio_patches(audio: np.ndarray, patch) -> np.ndarray:
 
 
 class PatchEmbed(Block):
-    """Learned linear map of flattened patches plus fixed positional codes.
+    """Learned linear map of flattened patches plus fixed positional codes,
+    for clips of one shape.
 
-    A subclass names the config field holding its patch size, the channels
-    per grid cell, and its patchify and grid functions.
+    A subclass names its modality, the config field holding its patch size,
+    the channel axis of a clip array, and its patchify and grid functions.
     """
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: ModelConfig, clip_shape, rng: np.random.Generator,
+                 dtype=DEFAULT_DTYPE):
         super().__init__()
-        self.cfg = cfg
         self.patch = getattr(cfg, self.patch_field)
-        self.patch_dim = int(np.prod(self.patch)) * self.channels
+        self.shape = tuple(clip_shape) + self.channels   # one clip's array
+        self.grid = self.grid_of(cfg, clip_shape)
+        self.codes = grid_codes(self.grid, cfg.encoder_dim, dtype)
+        self.patch_dim = int(np.prod(self.patch + self.channels))
         self.proj = Linear(self.patch_dim, cfg.encoder_dim, rng, dtype=dtype)
         self.dtype = dtype
 
-    def forward(self, raw: np.ndarray) -> TokenSeq:
-        """raw: [S, *clip shape], one modality of S clips -> tokens [S, N, C]."""
-        grid = self.grid(self.cfg, raw.shape[1:1 + len(self.patch)])
-        patches = self.patchify(raw, self.patch).astype(self.dtype, copy=False)
-        codes = grid_codes(grid, self.cfg.encoder_dim, self.dtype)
-        tokens = self.proj.forward(patches)
-        tokens = tokens + codes
-        return TokenSeq(tokens, grid)
+    def patches(self, arrays) -> np.ndarray:
+        """This modality's arrays of S clips -> patches [S, N, patch] in the
+        clips' dtype; a clip of another shape is a ValueError naming both."""
+        for raw in arrays:
+            if raw.shape != self.shape:
+                raise ValueError(f"{self.modality} clip shape {raw.shape} differs "
+                                 f"from the model's {self.shape}")
+        return self.patchify(np.stack(arrays), self.patch)
+
+    def forward(self, patches: np.ndarray) -> np.ndarray:
+        """patches [S, N, patch] -> tokens [S, N, C]."""
+        tokens = self.proj.forward(patches.astype(self.dtype, copy=False))
+        return tokens + self.codes
 
     def backward(self, d_tokens: np.ndarray) -> None:
         self.proj.backward(d_tokens)
 
 
 class VideoEmbed(PatchEmbed):
-    patch_field, channels = "video_tubelet", 3
+    modality, patch_field, channels = "video", "video_tubelet", (3,)
     patchify = staticmethod(video_patches)
-    grid = staticmethod(video_grid)
+    grid_of = staticmethod(video_grid)
 
 
 class AudioEmbed(PatchEmbed):
-    patch_field, channels = "audio_patch", 1
+    modality, patch_field, channels = "audio", "audio_patch", ()
     patchify = staticmethod(audio_patches)
-    grid = staticmethod(audio_grid)
+    grid_of = staticmethod(audio_grid)
 
 
-def normalize_patches(patches: np.ndarray) -> np.ndarray:
-    """Standardise each patch vector to zero mean, unit variance.
+def normalize_targets(patches: np.ndarray) -> np.ndarray:
+    """Reconstruction targets: each patch vector (the last axis), widened to
+    float64 and standardised to zero mean, unit variance.
 
     The centred patches serve both the variance and the result; this is
-    ``(p - p.mean(1)) / np.sqrt(p.var(1) + eps)``, bit for bit.
+    ``(p - p.mean(-1)) / np.sqrt(p.var(-1) + eps)``, bit for bit.
     """
-    n = patches.shape[1]
-    mean = np.add.reduce(patches, axis=1, keepdims=True)
+    patches = patches.astype(np.float64, copy=False)
+    n = patches.shape[-1]
+    mean = np.add.reduce(patches, axis=-1, keepdims=True)
     mean /= n
     centred = patches - mean
-    var = np.add.reduce(centred * centred, axis=1, keepdims=True)
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True)
     var /= n
     var += TARGET_EPS
     centred /= np.sqrt(var, out=var)
     return centred
-
-
-def normalize_targets(clip: RawClip, cfg: ModelConfig, modality: str) -> np.ndarray:
-    """Per-tubelet standardised reconstruction targets."""
-    if modality == "video":
-        patches = video_patches(clip.video, cfg.video_tubelet).astype(np.float64)
-    elif modality == "audio":
-        patches = audio_patches(clip.audio, cfg.audio_patch).astype(np.float64)
-    else:
-        raise ValueError(f"unknown modality {modality!r}")
-    return normalize_patches(patches)
 
 
 # ---------------------------------------------------------------------------

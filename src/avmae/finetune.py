@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import DEFAULT_DTYPE, Block, no_tape
-from .config import ModelConfig, audio_grid, region_count, video_grid
+from .config import ModelConfig, region_count
 from .embedding import AudioEmbed, RawClip, VideoEmbed
 from .encoder import LGIEncoder, partition
 from .iavcl import IAVCLHead
@@ -21,19 +21,15 @@ class FinetuneModel(Block):
                  num_outputs: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.cfg = cfg
-        self.video_shape = tuple(video_shape)
-        self.audio_shape = tuple(audio_shape)
-        grid_v, grid_a = video_grid(cfg, video_shape), audio_grid(cfg, audio_shape)
-        k_v = region_count(grid_v, cfg.video_region)
-        k_a = region_count(grid_a, cfg.audio_region)
+        self.video_embed = VideoEmbed(cfg, video_shape, rng, dtype=dtype)
+        self.audio_embed = AudioEmbed(cfg, audio_shape, rng, dtype=dtype)
+        k_v = region_count(self.video_embed.grid, cfg.video_region)
+        k_a = region_count(self.audio_embed.grid, cfg.audio_region)
         if k_v != k_a:
             raise ValueError(f"region counts differ (video {k_v}, audio {k_a})")
-        # every clip has the model's shapes, so one full-grid layout per
+        # every clip has the embeddings' shapes, so one full-grid layout per
         # modality and batch size serves every call
-        self._grids = ((grid_v, cfg.video_region), (grid_a, cfg.audio_region))
         self._layouts = {}
-        self.video_embed = VideoEmbed(cfg, rng, dtype=dtype)
-        self.audio_embed = AudioEmbed(cfg, rng, dtype=dtype)
         self.video_encoder = LGIEncoder(cfg, k_v, rng, dtype=dtype)
         self.audio_encoder = LGIEncoder(cfg, k_a, rng, dtype=dtype)
         self.iavcl = IAVCLHead(cfg, num_outputs, rng, dtype=dtype)
@@ -47,31 +43,29 @@ class FinetuneModel(Block):
         logits, gradients and batch-norm statistics are bitwise those of the
         clips run one at a time, forward in order and backward in reverse.
         The head reads only region tokens, so the encoders skip the final
-        local tokens (``keep_locals=False``).
+        local tokens (``keep_locals=False``). Both modalities' clip shapes are
+        checked before any block runs.
         """
-        for clip in clips:
-            for modality, shape, want in (("video", clip.video.shape[:-1], self.video_shape),
-                                          ("audio", clip.audio.shape, self.audio_shape)):
-                if shape != want:
-                    raise ValueError(f"{modality} clip shape {shape} differs from "
-                                     f"the model's {want}")
+        patches_v = self.video_embed.patches([clip.video for clip in clips])
+        patches_a = self.audio_embed.patches([clip.audio for clip in clips])
         layout_v, layout_a = self._layout(len(clips))
-        seq_v = self.video_embed.forward(np.stack([clip.video for clip in clips]))
-        seq_a = self.audio_embed.forward(np.stack([clip.audio for clip in clips]))
+        tokens_v = self.video_embed.forward(patches_v)
+        tokens_a = self.audio_embed.forward(patches_a)
         snaps_v, _, _, _ = self.video_encoder.encode(
-            seq_v.tokens, layout_v, rngs=rngs, drop_path=drop_path, keep_locals=False)
+            tokens_v, layout_v, rngs=rngs, drop_path=drop_path, keep_locals=False)
         snaps_a, _, _, _ = self.audio_encoder.encode(
-            seq_a.tokens, layout_a, rngs=rngs, drop_path=drop_path, keep_locals=False)
+            tokens_a, layout_a, rngs=rngs, drop_path=drop_path, keep_locals=False)
         logits = self.iavcl.forward(snaps_a, snaps_v, training=training)
-        self._save(seq_v.tokens.shape, seq_a.tokens.shape)
+        self._save(tokens_v.shape, tokens_a.shape)
         return logits
 
     def _layout(self, n: int):
         """The video and audio batch layouts for n clips, built on first use."""
         if n not in self._layouts:
             self._layouts[n] = tuple(
-                partition(grid, region, np.tile(np.arange(np.prod(grid)), (n, 1)))
-                for grid, region in self._grids)
+                partition(embed.grid, region, np.tile(np.arange(np.prod(embed.grid)), (n, 1)))
+                for embed, region in ((self.video_embed, self.cfg.video_region),
+                                      (self.audio_embed, self.cfg.audio_region)))
         return self._layouts[n]
 
     def backward_sample(self, d_logits: np.ndarray) -> None:

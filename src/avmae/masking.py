@@ -23,8 +23,6 @@ def round_half_up(x: float) -> int:
 class MaskPair:
     encoder_mask: np.ndarray     # bool [N], True = hidden from the encoder
     decoder_targets: np.ndarray  # bool [N], True = must be reconstructed
-    encoder_ratio: float
-    decoder_ratio: float
 
     def __post_init__(self):
         if self.encoder_mask.shape != self.decoder_targets.shape:

@@ -23,8 +23,7 @@ from .blocks import (DEFAULT_DTYPE, Attention, Block, BlockList, FeedForward,
 from .config import (AUDIO_ENCODER_MASK_RATIO, DECODER_MASK_RATIO,
                      VIDEO_ENCODER_MASK_RATIO, ModelConfig, audio_grid,
                      region_count, video_grid)
-from .embedding import (AudioEmbed, RawClip, VideoEmbed, grid_codes,
-                        normalize_targets)
+from .embedding import AudioEmbed, RawClip, VideoEmbed, normalize_targets
 from .encoder import LGIEncoder, partition
 from .masking import (CombinedSeq, MaskPair, assemble_combined, random_mask,
                       random_decoder_targets, running_cell_mask, tube_mask)
@@ -175,9 +174,7 @@ def make_mask_pairs(cfg: ModelConfig, video_shape, audio_shape,
     else:
         tgt_v = enc_v.copy()
         tgt_a = enc_a.copy()
-    pair_v = MaskPair(enc_v, tgt_v, VIDEO_ENCODER_MASK_RATIO, DECODER_MASK_RATIO)
-    pair_a = MaskPair(enc_a, tgt_a, AUDIO_ENCODER_MASK_RATIO, DECODER_MASK_RATIO)
-    return pair_v, pair_a
+    return MaskPair(enc_v, tgt_v), MaskPair(enc_a, tgt_a)
 
 
 class PretrainModel(Block):
@@ -190,10 +187,10 @@ class PretrainModel(Block):
         self.video_shape = tuple(video_shape)
         self.audio_shape = tuple(audio_shape)
         self.dtype = dtype
-        k_v = region_count(video_grid(cfg, video_shape), cfg.video_region)
-        k_a = region_count(audio_grid(cfg, audio_shape), cfg.audio_region)
-        self.video_embed = VideoEmbed(cfg, rng, dtype=dtype)
-        self.audio_embed = AudioEmbed(cfg, rng, dtype=dtype)
+        self.video_embed = VideoEmbed(cfg, video_shape, rng, dtype=dtype)
+        self.audio_embed = AudioEmbed(cfg, audio_shape, rng, dtype=dtype)
+        k_v = region_count(self.video_embed.grid, cfg.video_region)
+        k_a = region_count(self.audio_embed.grid, cfg.audio_region)
         self.video_encoder = LGIEncoder(cfg, k_v, rng, dtype=dtype)
         self.audio_encoder = LGIEncoder(cfg, k_a, rng, dtype=dtype)
         self.fusion = FusionEncoder(cfg.encoder_dim, cfg.fusion_heads,
@@ -203,41 +200,37 @@ class PretrainModel(Block):
         self.video_decoder = Decoder(cfg, self.video_embed.patch_dim, rng, dtype=dtype)
         self.audio_decoder = Decoder(cfg, self.audio_embed.patch_dim, rng, dtype=dtype)
 
-    def targets(self, clip: RawClip) -> tuple[np.ndarray, np.ndarray]:
-        """A clip's normalised reconstruction targets in the model dtype:
-        video [N_v, patch_v], then audio [N_a, patch_a]."""
-        return tuple(normalize_targets(clip, self.cfg, modality).astype(self.dtype)
-                     for modality in ("video", "audio"))
-
     def forward_sample(self, clips: list[RawClip], pairs_v: list[MaskPair],
-                       pairs_a: list[MaskPair], targets=None):
+                       pairs_a: list[MaskPair]):
         """S clips, each with its own mask pairs, through the full
         reconstruction graph in one pass.
 
-        targets: each clip's ``targets(clip)``, or None to compute them.
-        Returns per modality the predictions and the normalised targets at
-        the target positions, [S, targets, patch], and the pooled
-        contrastive features per skip layer, [S, C]. Outputs and the
+        Returns per modality the predictions and the reconstruction targets
+        at the target positions, [S, targets, patch], and the pooled
+        contrastive features per skip layer, [S, C]. The targets are the
+        clips' patches at those positions, standardised per patch
+        (``normalize_targets``) and cast to the model dtype. Outputs and the
         gradients of ``backward_sample`` are bitwise those of the clips run
         one at a time, forward in order and backward in reverse.
+
+        The batch is checked whole before any block runs: a mismatched clip
+        shape, mask size or count is a ValueError that leaves no tape behind.
         """
-        for modality, pairs in (("video", pairs_v), ("audio", pairs_a)):
-            _check_counts(modality, pairs)
-        if targets is None:
-            targets = [self.targets(clip) for clip in clips]
+        patches = {}
+        for modality, embed, pairs in (("video", self.video_embed, pairs_v),
+                                       ("audio", self.audio_embed, pairs_a)):
+            patches[modality] = embed.patches([getattr(clip, modality) for clip in clips])
+            _check_pairs(modality, pairs, len(clips), int(np.prod(embed.grid)))
         out = {}
         for modality, embed, encoder, region, pairs in (
                 ("video", self.video_embed, self.video_encoder, self.cfg.video_region, pairs_v),
                 ("audio", self.audio_embed, self.audio_encoder, self.cfg.audio_region, pairs_a)):
-            seq = embed.forward(np.stack([getattr(clip, modality) for clip in clips]))
-            n_tokens = seq.tokens.shape[1]
-            if any(pair.n_tokens != n_tokens for pair in pairs):
-                raise ValueError(f"{modality} mask size does not match token count")
+            tokens = embed.forward(patches[modality])
             visible = np.stack([pair.visible_indices for pair in pairs])[:, :, None]
             _, locals_, skip_locals, pooled = encoder.encode(
-                np.take_along_axis(seq.tokens, visible, axis=1),
-                partition(seq.grid, region, visible[:, :, 0]))
-            out[modality] = dict(seq=seq, visible=visible, locals=locals_,
+                np.take_along_axis(tokens, visible, axis=1),
+                partition(embed.grid, region, visible[:, :, 0]))
+            out[modality] = dict(visible=visible, locals=locals_,
                                  skip_locals=skip_locals, pooled=pooled)
 
         fused_v, fused_a = self.fusion.forward(out["video"]["locals"],
@@ -246,18 +239,18 @@ class PretrainModel(Block):
         out["audio"]["fused"] = fused_a
 
         result = {}
-        for i, (modality, decoder, mask_token, pairs) in enumerate((
-                ("video", self.video_decoder, self.mask_token_v, pairs_v),
-                ("audio", self.audio_decoder, self.mask_token_a, pairs_a))):
+        for modality, embed, decoder, mask_token, pairs in (
+                ("video", self.video_embed, self.video_decoder, self.mask_token_v, pairs_v),
+                ("audio", self.audio_embed, self.audio_decoder, self.mask_token_a, pairs_a)):
             ctx = out[modality]
-            codes = grid_codes(ctx["seq"].grid, self.cfg.encoder_dim, self.dtype)
-            combined = assemble_combined(ctx["fused"], pairs, mask_token.data, codes)
+            combined = assemble_combined(ctx["fused"], pairs, mask_token.data, embed.codes)
             preds = decoder.forward(combined, ctx["skip_locals"])
-            full = np.stack([clip_targets[i] for clip_targets in targets])
             target_rows = combined.source_indices[:, combined.n_visible:, None]
+            targets = normalize_targets(
+                np.take_along_axis(patches[modality], target_rows, axis=1))
             result[modality] = dict(
                 predictions=preds,
-                targets=np.take_along_axis(full, target_rows, axis=1),
+                targets=targets.astype(self.dtype),
                 pooled=ctx["pooled"],
                 n_tokens=pairs[0].n_tokens,
                 combined_len=combined.tokens.shape[1],
@@ -296,8 +289,14 @@ class PretrainModel(Block):
             embed.backward(full)
 
 
-def _check_counts(modality: str, pairs: list[MaskPair]) -> None:
-    """The mask pairs of one batch must agree in their visible and target counts."""
+def _check_pairs(modality: str, pairs: list[MaskPair], n_clips: int,
+                 n_tokens: int) -> None:
+    """One mask pair per clip, each over the grid's n_tokens, all with one
+    visible count and one target count."""
+    if len(pairs) != n_clips:
+        raise ValueError(f"{len(pairs)} {modality} mask pairs for {n_clips} clips")
+    if any(pair.n_tokens != n_tokens for pair in pairs):
+        raise ValueError(f"{modality} mask size does not match token count")
     for what, counts in (
             ("visible", [pair.n_tokens - int(pair.encoder_mask.sum()) for pair in pairs]),
             ("target", [int(pair.decoder_targets.sum()) for pair in pairs])):

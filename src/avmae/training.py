@@ -25,9 +25,10 @@ from .losses import cross_entropy_ls, info_nce, masked_mse
 from .pretrain import PretrainModel, make_mask_pairs
 
 LR_FLOOR = 1e-6
+ADAMW_BETA1 = 0.9
+ADAMW_EPS = 1e-8
 _ADAMW_CHUNK = 1 << 14  # elements per AdamW pass; sizes its scratch buffers
 _EVAL_CHUNK = 16        # clips per forward in train_accuracy
-_TARGETS_BUDGET = 256 << 20  # bytes of normalised targets a pretrain run keeps
 
 
 def sample_rng(*key: int) -> np.random.Generator:
@@ -61,12 +62,10 @@ class AdamW:
     updating a buffer the model no longer reads.
     """
 
-    def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.95,
-                 eps: float = 1e-8, lr_scales: dict[str, float] | None = None):
+    def __init__(self, named_params, beta2: float = 0.95,
+                 lr_scales: dict[str, float] | None = None):
         self.params = list(named_params)
-        self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         dtypes = {p.data.dtype for _, p in self.params}
         if len(dtypes) > 1:
@@ -122,7 +121,7 @@ class AdamW:
                 name = next(name for name, p in self.params if not np.isfinite(p.grad).all())
                 raise FloatingPointError(f"non-finite gradient in parameter {name}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAMW_BETA1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for start, stop, scale in self._runs:
@@ -146,7 +145,7 @@ class AdamW:
                 # update = (m / bc1) / (sqrt(v / bc2) + eps)
                 np.divide(v, bc2, out=tmp)
                 np.sqrt(tmp, out=tmp)
-                tmp += self.eps
+                tmp += ADAMW_EPS
                 np.divide(m, bc1, out=update)
                 update /= tmp
                 # data *= 1 - eff_lr * wd; data -= eff_lr * update
@@ -158,7 +157,7 @@ class AdamW:
 
 
 def lr_at(step: int, base_lr: float, batch: int, warmup_steps: int,
-          total_steps: int, floor: float = LR_FLOOR) -> float:
+          total_steps: int) -> float:
     """Linear warmup to the scaled peak, then half-cosine to the floor."""
     peak = base_lr * batch / 256.0
     if step < 0:
@@ -166,10 +165,10 @@ def lr_at(step: int, base_lr: float, batch: int, warmup_steps: int,
     if warmup_steps > 0 and step <= warmup_steps:
         return peak * step / warmup_steps
     if step >= total_steps:
-        return floor
+        return LR_FLOOR
     span = max(total_steps - warmup_steps, 1)
     progress = (step - warmup_steps) / span
-    return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * progress))
+    return LR_FLOOR + (peak - LR_FLOOR) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 def layer_decay_scales(model: Block, cfg: ModelConfig, decay: float) -> dict[str, float]:
@@ -199,8 +198,7 @@ def optimizer_for(model: Block, cfg: ModelConfig, tcfg: TrainConfig) -> AdamW:
     scales = None
     if tcfg.layer_decay < 1.0:
         scales = layer_decay_scales(model, cfg, tcfg.layer_decay)
-    return AdamW(model.named_parameters(), beta1=0.9, beta2=beta2,
-                 lr_scales=scales)
+    return AdamW(model.named_parameters(), beta2=beta2, lr_scales=scales)
 
 
 # ---------------------------------------------------------------------------
@@ -366,33 +364,18 @@ def batch_indices(step: int, batch: int, n: int) -> list[int]:
 
 def pretrain_step(model: PretrainModel, clips, indices, step: int,
                   tcfg: TrainConfig, optimizer: AdamW, lr: float,
-                  dual_masking: bool = True, targets: dict | None = None) -> dict:
+                  dual_masking: bool = True) -> dict:
     """One optimisation step of the reconstruction + contrast objective.
 
     The batch runs through the model in one forward and one backward pass;
     each clip draws its masks from ``sample_rng(seed, step, clip index)``.
-    targets: clip index -> ``model.targets(clip)``, filled on first use
-    while it holds at most ``_TARGETS_BUDGET`` bytes, so a run that passes
-    one dict normalises each clip once, or per step beyond the budget.
     """
     cfg = model.cfg
-    targets = {} if targets is None else targets
-    pairs_v, pairs_a, batch_targets = [], [], []
-    for clip_idx in indices:
-        rng = sample_rng(tcfg.seed, step, clip_idx)
-        pair_v, pair_a = make_mask_pairs(cfg, model.video_shape, model.audio_shape,
-                                         rng, dual_masking=dual_masking)
-        pairs_v.append(pair_v)
-        pairs_a.append(pair_a)
-        clip_targets = targets.get(clip_idx)
-        if clip_targets is None:
-            clip_targets = model.targets(clips[clip_idx])
-            # every clip's targets have the model's shapes, so one size
-            if (len(targets) + 1) * sum(t.nbytes for t in clip_targets) <= _TARGETS_BUDGET:
-                targets[clip_idx] = clip_targets
-        batch_targets.append(clip_targets)
-    res = model.forward_sample([clips[i] for i in indices], pairs_v, pairs_a,
-                               targets=batch_targets)
+    pairs_v, pairs_a = zip(*(make_mask_pairs(cfg, model.video_shape, model.audio_shape,
+                                             sample_rng(tcfg.seed, step, clip_idx),
+                                             dual_masking=dual_masking)
+                             for clip_idx in indices))
+    res = model.forward_sample([clips[i] for i in indices], pairs_v, pairs_a)
 
     b = len(indices)
     mse = {}
@@ -455,11 +438,9 @@ def run_pretrain(cfg: ModelConfig, tcfg: TrainConfig, clips, video_shape,
     model = PretrainModel(cfg, video_shape, audio_shape,
                           rng=sample_rng(tcfg.seed, 0xA11CE))
     optimizer = optimizer_for(model, cfg, tcfg)
-    targets = {}   # each clip's normalised targets, made on its first step
 
     def step_fn(step, idx, lr):
-        stats = pretrain_step(model, clips, idx, step, tcfg, optimizer, lr,
-                              targets=targets)
+        stats = pretrain_step(model, clips, idx, step, tcfg, optimizer, lr)
         return dict(loss=round(stats["loss"], 10), mse_a=round(stats["mse_a"], 10),
                     mse_v=round(stats["mse_v"], 10), nce=round(stats["nce"], 10),
                     acc=None), False

@@ -556,7 +556,7 @@ def check_masking_properties() -> tuple[bool, str]:
     if not np.all(got.any(axis=0)):
         return False, "sweep does not cover grid"
     # exact count identity for the combined sequence
-    pair = MaskPair(mask, targets, 0.9, 0.5)
+    pair = MaskPair(mask, targets)
     latents = np.zeros((1, 80, 8))
     pe = np.zeros((800, 8))
     comb = assemble_combined(latents, [pair], np.zeros(8), pe)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from avmae.blocks import LAYERNORM_EPS
 from avmae.encoder import SizeGroup
 
 
@@ -46,7 +47,7 @@ def oracle_layernorm(x, ln):
     for i, row in enumerate(flat):
         mu = row.mean()
         var = row.var()
-        dst[i] = (row - mu) / math.sqrt(var + ln.eps) * ln.scale.data + ln.shift.data
+        dst[i] = (row - mu) / math.sqrt(var + LAYERNORM_EPS) * ln.scale.data + ln.shift.data
     return out
 
 
@@ -358,9 +359,8 @@ def per_sample_supervised_step(model, clips, labels, indices, step, tcfg,
 
 
 def per_sample_pretrain_step(model, clips, indices, step, tcfg, optimizer, lr,
-                             dual_masking=True, targets=None):
-    """``training.pretrain_step`` on the per-sample path (``targets`` unused:
-    each call normalises its clip)."""
+                             dual_masking=True):
+    """``training.pretrain_step`` on the per-sample path."""
     from avmae.config import DECODER_MASK_RATIO
     from avmae.losses import info_nce, masked_mse
     from avmae.pretrain import make_mask_pairs
@@ -417,6 +417,27 @@ def per_sample_pretrain_step(model, clips, indices, step, tcfg, optimizer, lr,
     optimizer.step(lr, tcfg.weight_decay)
     model.zero_grad()
     return {"loss": total, "mse_a": mse_a, "mse_v": mse_v, "nce": nce_total}
+
+
+def per_clip_targets(model, clips, pairs_v, pairs_a):
+    """The reconstruction targets of ``PretrainModel.forward_sample``, clip by
+    clip: every patch of the whole clip standardised in float64 by the
+    mean/var formulation and cast to the model dtype, then the clip's target
+    rows gathered. Returns {modality: [S, targets, patch]}."""
+    from avmae.embedding import TARGET_EPS, audio_patches, video_patches
+
+    out = {}
+    for modality, patchify, patch, pairs in (
+            ("video", video_patches, model.cfg.video_tubelet, pairs_v),
+            ("audio", audio_patches, model.cfg.audio_patch, pairs_a)):
+        rows = []
+        for clip, pair in zip(clips, pairs):
+            p = patchify(getattr(clip, modality), patch).astype(np.float64)
+            full = ((p - p.mean(axis=1, keepdims=True))
+                    / np.sqrt(p.var(axis=1, keepdims=True) + TARGET_EPS))
+            rows.append(full.astype(model.dtype)[pair.target_indices])
+        out[modality] = np.stack(rows)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from avmae.blocks import (BATCHNORM_EPS, Attention, ConvBNPReLU, FeedForward,
-                          GradientStateError, LayerNorm, Linear, no_tape,
+from avmae.blocks import (BATCHNORM_EPS, LAYERNORM_EPS, Attention, ConvBNPReLU,
+                          FeedForward, GradientStateError, LayerNorm, Linear, no_tape,
                           sigmoid, softmax, softmax_backward, trunc_normal)
 from avmae.gradcheck import grad_check
 
@@ -302,7 +302,8 @@ class TestKernelsMatchMeanVarReferences:
         ln.shift.data[...] = rng.normal(0.0, 0.5, c)
         x = (rng.normal(size=shape) * 3.0 + 1.5).astype(dtype)
         d_out = rng.normal(size=shape).astype(dtype)
-        want, xhat, inv = oracle_layernorm_forward(x, ln.scale.data, ln.shift.data, ln.eps)
+        want, xhat, inv = oracle_layernorm_forward(x, ln.scale.data, ln.shift.data,
+                                                   LAYERNORM_EPS)
         want_dx, want_dscale, want_dshift = oracle_layernorm_backward(
             d_out, xhat, inv, ln.scale.data)
         assert_same_bytes(ln.forward(x[None])[0], want)

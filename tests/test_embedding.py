@@ -6,41 +6,42 @@ import pytest
 from avmae.config import preset
 from avmae.embedding import (TARGET_EPS, AudioEmbed, RawClip, VideoEmbed,
                              audio_patches, grid_codes, grid_coords,
-                             normalize_patches, normalize_targets,
-                             positional_encoding, read_clip, video_patches,
-                             write_clip)
+                             normalize_targets, positional_encoding, read_clip,
+                             video_patches, write_clip)
 
 
-def b_like_video_cfg():
-    return preset("B")
+def embed_clips(embed, arrays):
+    """Tokens [S, N, C] of one modality's clip arrays; drops the tape."""
+    tokens = embed.forward(embed.patches(arrays))
+    embed.clear_caches()
+    return tokens
 
 
 class TestTokenCounts:
     def test_b_video_token_count(self):
         """16x160x160 with (2,16,16) tubelets: 8*10*10 = 800 tokens."""
         rng = np.random.default_rng(0)
-        embed = VideoEmbed(preset("B"), rng)
+        embed = VideoEmbed(preset("B"), (16, 160, 160), rng)
         video = rng.random((16, 160, 160, 3)).astype(np.float32)
-        seq = embed.forward(video[None])
-        embed.clear_caches()
-        assert seq.tokens.shape == (1, 800, 512)
-        assert seq.grid == (8, 10, 10)
+        assert embed_clips(embed, [video]).shape == (1, 800, 512)
+        assert embed.grid == (8, 10, 10)
 
     def test_b_audio_token_count(self):
         rng = np.random.default_rng(1)
-        embed = AudioEmbed(preset("B"), rng)
-        seq = embed.forward(rng.random((256, 128)).astype(np.float32)[None])
-        embed.clear_caches()
-        assert seq.tokens.shape == (1, 128, 512)
-        assert seq.grid == (16, 8)
+        embed = AudioEmbed(preset("B"), (256, 128), rng)
+        tokens = embed_clips(embed, [rng.random((256, 128)).astype(np.float32)])
+        assert tokens.shape == (1, 128, 512)
+        assert embed.grid == (16, 8)
 
     def test_tiny_counts(self):
         cfg = preset("Tiny")
         rng = np.random.default_rng(2)
-        vseq = VideoEmbed(cfg, rng).forward(rng.random((8, 32, 32, 3)).astype(np.float32)[None])
-        aseq = AudioEmbed(cfg, rng).forward(rng.random((32, 16)).astype(np.float32)[None])
-        assert vseq.tokens.shape[1] == 64
-        assert aseq.tokens.shape[1] == 8
+        video = embed_clips(VideoEmbed(cfg, (8, 32, 32), rng),
+                            [rng.random((8, 32, 32, 3)).astype(np.float32)])
+        audio = embed_clips(AudioEmbed(cfg, (32, 16), rng),
+                            [rng.random((32, 16)).astype(np.float32)])
+        assert video.shape[1] == 64
+        assert audio.shape[1] == 8
 
     def test_tiny_video_count_by_enumeration(self):
         """Count tubelets directly instead of using the formula."""
@@ -52,32 +53,30 @@ class TestTokenCounts:
 
     def test_divisibility_violation_raises(self):
         rng = np.random.default_rng(3)
-        embed = VideoEmbed(preset("B"), rng)
-        with pytest.raises(ValueError):
-            embed.forward(np.zeros((1, 16, 150, 150, 3), dtype=np.float32))
+        embed = VideoEmbed(preset("B"), (16, 150, 150), rng)
+        with pytest.raises(ValueError, match="not divisible"):
+            embed.patches([np.zeros((16, 150, 150, 3), dtype=np.float32)])
 
 
 class TestPositionalEncoding:
     def test_zero_clip_with_zero_bias_gives_pure_positions(self):
         cfg = preset("Tiny")
         rng = np.random.default_rng(4)
-        embed = VideoEmbed(cfg, rng)
+        embed = VideoEmbed(cfg, (8, 32, 32), rng)
         embed.proj.bias.data[...] = 0.0
-        seq = embed.forward(np.zeros((1, 8, 32, 32, 3), dtype=np.float32))
-        embed.clear_caches()
-        expected = positional_encoding(grid_coords(seq.grid), cfg.encoder_dim)
-        assert np.allclose(seq.tokens, expected, atol=1e-7)
+        tokens = embed_clips(embed, [np.zeros((8, 32, 32, 3), dtype=np.float32)])
+        expected = positional_encoding(grid_coords(embed.grid), cfg.encoder_dim)
+        assert np.allclose(tokens, expected, atol=1e-7)
 
     def test_single_patch_gets_origin_encoding(self):
         cfg = preset("Tiny")
         rng = np.random.default_rng(5)
-        embed = AudioEmbed(cfg, rng)
+        embed = AudioEmbed(cfg, (8, 8), rng)
         embed.proj.bias.data[...] = 0.0
-        seq = embed.forward(np.zeros((1, 8, 8), dtype=np.float32))
-        embed.clear_caches()
-        assert seq.tokens.shape[1] == 1
+        tokens = embed_clips(embed, [np.zeros((8, 8), dtype=np.float32)])
+        assert tokens.shape[1] == 1
         origin = positional_encoding(np.array([[0, 0]]), cfg.encoder_dim)
-        assert np.allclose(seq.tokens, origin, atol=1e-7)
+        assert np.allclose(tokens, origin, atol=1e-7)
 
     def test_deterministic_function_of_coords(self):
         coords = grid_coords((3, 4))
@@ -125,21 +124,23 @@ class TestTargets:
     def test_constant_patch_maps_to_zero(self):
         clip = RawClip(np.full((8, 32, 32, 3), 0.5, dtype=np.float32),
                        np.zeros((32, 16), dtype=np.float32))
-        targets = normalize_targets(clip, preset("Tiny"), "video")
+        targets = normalize_targets(video_patches(clip.video, preset("Tiny").video_tubelet))
         assert np.allclose(targets, 0.0)
 
     def test_mean_zero_std_one(self):
-        targets = normalize_targets(self.clip(), preset("Tiny"), "video")
+        targets = normalize_targets(video_patches(self.clip().video,
+                                                  preset("Tiny").video_tubelet))
+        assert targets.dtype == np.float64
         assert np.max(np.abs(targets.mean(axis=1))) < 1e-5
         assert np.max(np.abs(targets.std(axis=1) - 1.0)) < 1e-5
 
-    @pytest.mark.parametrize("shape", [(64, 384), (8, 64), (5, 7), (1, 1)])
+    @pytest.mark.parametrize("shape", [(64, 384), (8, 64), (5, 7), (1, 1), (3, 40, 96)])
     def test_matches_mean_var_formulation_bitwise(self, shape):
         rng = np.random.default_rng(sum(shape))
         patches = rng.normal(2.0, 3.0, size=shape)
-        want = ((patches - patches.mean(axis=1, keepdims=True))
-                / np.sqrt(patches.var(axis=1, keepdims=True) + TARGET_EPS))
-        assert normalize_patches(patches).tobytes() == want.tobytes()
+        want = ((patches - patches.mean(axis=-1, keepdims=True))
+                / np.sqrt(patches.var(axis=-1, keepdims=True) + TARGET_EPS))
+        assert normalize_targets(patches).tobytes() == want.tobytes()
 
 
 class TestClipFiles:

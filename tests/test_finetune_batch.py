@@ -9,6 +9,7 @@ from avmae.config import PRESET_INPUTS, desk_train_config, preset
 from avmae.embedding import RawClip
 from avmae.finetune import FinetuneModel
 from avmae.losses import cross_entropy_ls
+from avmae.pretrain import PretrainModel, make_mask_pairs
 from avmae.training import SyntheticTask, gen_synthetic, sample_rng, train_accuracy
 
 from oracles import (per_sample_backward, per_sample_forward,
@@ -170,8 +171,11 @@ class TestTapeFreeEvaluation:
 
 
 class TestClipShapeBoundary:
-    @pytest.mark.parametrize("modality", ["video", "audio"])
-    def test_mismatched_clip_rejected_before_any_work(self, modality):
+    @pytest.mark.parametrize("kind, modality", [
+        ("finetune", "video"), ("finetune", "audio"),
+        ("pretrain", "video"), ("pretrain", "audio")],
+        ids=["video", "audio", "pretrain-video", "pretrain-audio"])
+    def test_mismatched_clip_rejected_before_any_work(self, kind, modality):
         clips, _ = tiny_data(2)
         good = clips[1]
         if modality == "video":
@@ -180,12 +184,22 @@ class TestClipShapeBoundary:
         else:
             odd = RawClip(good.video, np.zeros((16, TINY_A[1]), dtype=np.float32))
             got, want = (16, TINY_A[1]), TINY_A
-        model = tiny_model()
+        if kind == "finetune":
+            model = tiny_model()
+            forward = lambda batch: model.forward_sample(batch, training=True)
+        else:
+            cfg = preset("Tiny")
+            model = PretrainModel(cfg, TINY_V, TINY_A, rng=sample_rng(0, 0xA11CE))
+            pairs = [make_mask_pairs(cfg, TINY_V, TINY_A, sample_rng(0, 1, i))
+                     for i in range(2)]
+            forward = lambda batch: model.forward_sample(
+                batch, [p[0] for p in pairs], [p[1] for p in pairs])
         with pytest.raises(ValueError, match=(
                 rf"{modality} clip shape \({got[0]}, .*\) differs from "
                 rf"the model's \({want[0]}, .*\)")):
-            model.forward_sample([good, odd], training=True)
+            forward([good, odd])
         assert all(not block._tape for block in (model.video_embed.proj,
                                                  model.audio_embed.proj))
-        with pytest.raises(ValueError, match=f"{modality} clip shape"):
-            model.predict(odd)
+        if kind == "finetune":
+            with pytest.raises(ValueError, match=f"{modality} clip shape"):
+                model.predict(odd)

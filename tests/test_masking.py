@@ -113,7 +113,7 @@ class TestMaskPair:
         enc = np.array([True, False, True, False])
         bad = np.array([True, True, False, False])
         with pytest.raises(ValueError, match="inside the encoder mask"):
-            MaskPair(enc, bad, 0.5, 0.5)
+            MaskPair(enc, bad)
 
     def test_decoder_length_identity(self):
         """Sequence length over N equals (1 - rho_e) + (1 - rho_d) exactly."""
@@ -134,7 +134,7 @@ class TestAssembleCombined:
         rng = np.random.default_rng(0)
         enc = tube_mask(8, 10, 10, 0.9, rng)
         tgt = running_cell_mask(8, 10, 10, enc, 0.5, rng)
-        pair = MaskPair(enc, tgt, 0.9, 0.5)
+        pair = MaskPair(enc, tgt)
         latents = rng.normal(size=(80, 16)).astype(np.float32)
         pe = rng.normal(size=(800, 16)).astype(np.float32)
         token = rng.normal(size=16).astype(np.float32)
@@ -149,7 +149,7 @@ class TestAssembleCombined:
         rng = np.random.default_rng(1)
         enc = tube_mask(4, 4, 4, 0.9, rng)
         tgt = running_cell_mask(4, 4, 4, enc, 0.5, rng)
-        pair = MaskPair(enc, tgt, 0.9, 0.5)
+        pair = MaskPair(enc, tgt)
         comb = assemble_combined(np.zeros((1, 8, 4), dtype=np.float32), [pair],
                                  np.zeros(4, dtype=np.float32),
                                  np.zeros((64, 4), dtype=np.float32))
@@ -159,7 +159,7 @@ class TestAssembleCombined:
         rng = np.random.default_rng(2)
         enc = tube_mask(4, 4, 4, 0.9, rng)
         tgt = running_cell_mask(4, 4, 4, enc, 0.5, rng)
-        pair = MaskPair(enc, tgt, 0.9, 0.5)
+        pair = MaskPair(enc, tgt)
         with pytest.raises(ValueError, match="visible count"):
             assemble_combined(np.zeros((1, 5, 4), dtype=np.float32), [pair],
                               np.zeros(4, dtype=np.float32),
@@ -170,7 +170,7 @@ class TestAssembleCombined:
         enc = np.ones(8, dtype=bool)
         tgt = np.zeros(8, dtype=bool)
         tgt[[0, 3, 5, 7]] = True
-        pair = MaskPair(enc, tgt, 0.99, 0.5)
+        pair = MaskPair(enc, tgt)
         comb = assemble_combined(np.zeros((1, 0, 4), dtype=np.float32), [pair],
                                  np.ones(4, dtype=np.float32),
                                  np.zeros((8, 4), dtype=np.float32))

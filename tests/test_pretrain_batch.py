@@ -5,12 +5,13 @@ import pytest
 
 from avmae import training
 from avmae.config import PRESET_INPUTS, desk_train_config, preset
+from avmae.embedding import RawClip
 from avmae.encoder import partition
 from avmae.masking import MaskPair
 from avmae.pretrain import PretrainModel, make_mask_pairs
 from avmae.training import AdamW, SyntheticTask, gen_synthetic, sample_rng
 
-from oracles import per_sample_pretrain_step
+from oracles import per_clip_targets, per_sample_pretrain_step
 
 TINY_V, TINY_A = PRESET_INPUTS["Tiny"]
 
@@ -96,35 +97,75 @@ class TestBatchMatchesPerSample:
             assert_same_bytes(getattr(got, field), getattr(want, field), field)
 
 
-class TestTargetsBudget:
-    def test_uncached_run_bytes_equal_cached(self, monkeypatch, tmp_path):
-        """Past the targets budget each step normalises its clips again; the
-        metrics and the final parameters do not change."""
-        clips = tiny_clips(12)
-        tcfg = desk_train_config("pretrain", seed=0)
+class TestTargets:
+    @pytest.mark.parametrize("dual_masking", [True, False],
+                             ids=["ragged", "no-dual-masking"])
+    def test_targets_match_per_clip_normalisation(self, dual_masking):
+        """Gathering the batch's target rows and then normalising gives the
+        bytes of normalising each whole clip and then gathering."""
         cfg = preset("Tiny")
-        made = []
-        normalise = PretrainModel.targets
-        monkeypatch.setattr(PretrainModel, "targets",
-                            lambda self, clip: made.append(1) or normalise(self, clip))
-        runs = []
-        for budget in (training._TARGETS_BUDGET, 0):
-            monkeypatch.setattr(training, "_TARGETS_BUDGET", budget)
-            made.clear()
-            path = tmp_path / f"{budget}.jsonl"
-            model, _ = training.run_pretrain(cfg, tcfg, clips, TINY_V, TINY_A, steps=3,
-                                             log=training.MetricsLog(path))
-            runs.append((path.read_bytes(), dict(model.named_parameters()), len(made)))
-        (metrics, params, n_cached), (u_metrics, u_params, n_uncached) = runs
-        assert (n_cached, n_uncached) == (len(clips), 3 * tcfg.batch)
-        assert metrics == u_metrics
-        for name, p in params.items():
-            assert_same_bytes(u_params[name].data, p.data, name)
+        clips = tiny_clips(8)
+        pairs = [make_mask_pairs(cfg, TINY_V, TINY_A, sample_rng(0, 1, i),
+                                 dual_masking=dual_masking) for i in range(8)]
+        pairs_v, pairs_a = [p[0] for p in pairs], [p[1] for p in pairs]
+        model = tiny_model()
+        res = model.forward_sample(clips, pairs_v, pairs_a)
+        model.clear_caches()
+        want = per_clip_targets(model, clips, pairs_v, pairs_a)
+        for modality in ("video", "audio"):
+            assert_same_bytes(res[modality]["targets"], want[modality], modality)
 
-    def test_tiny_pretrain_corpus_fits_the_budget(self):
-        """The 32 Tiny clips of a desk pretrain run (about 3.2 MB) stay cached."""
-        clip_bytes = sum(t.nbytes for t in tiny_model().targets(tiny_clips(1)[0]))
-        assert 32 * clip_bytes <= training._TARGETS_BUDGET
+
+def all_blocks(block):
+    yield block
+    for child in block._children.values():
+        yield from all_blocks(child)
+
+
+class TestRejectedBatch:
+    @pytest.mark.parametrize("fault", [
+        "video-tokens", "audio-tokens", "video-shape", "audio-shape",
+        "pair-count", "visible-count"])
+    def test_leaves_no_tape_and_next_step_matches_fresh_model(self, fault):
+        """Every batch check runs before any block: a rejected batch leaves
+        every tape and pending gradient empty, so the next step's gradients
+        are a fresh model's."""
+        cfg = preset("Tiny")
+        clips = tiny_clips(2)
+        pairs = [make_mask_pairs(cfg, TINY_V, TINY_A, sample_rng(0, 1, i)) for i in range(2)]
+        pairs_v, pairs_a = [p[0] for p in pairs], [p[1] for p in pairs]
+        bad_clips = clips
+        if fault.endswith("-tokens"):   # one pair of 65 (video) or 9 (audio) tokens
+            bad = pairs_v if fault == "video-tokens" else pairs_a
+            bad[1] = MaskPair(np.append(bad[1].encoder_mask, True),
+                              np.append(bad[1].decoder_targets, False))
+        elif fault == "video-shape":
+            bad_clips = [RawClip(np.zeros((4,) + TINY_V[1:] + (3,), dtype=np.float32),
+                                 clip.audio) for clip in clips]
+        elif fault == "audio-shape":
+            bad_clips = [RawClip(clip.video, np.zeros((16, TINY_A[1]), dtype=np.float32))
+                         for clip in clips]
+        elif fault == "pair-count":
+            pairs_a = pairs_a[:1]
+        else:   # one masked, untargeted audio token becomes visible
+            enc, tgt = pairs_a[1].encoder_mask.copy(), pairs_a[1].decoder_targets
+            enc[np.flatnonzero(enc & ~tgt)[0]] = False
+            pairs_a[1] = MaskPair(enc, tgt)
+        model = tiny_model()
+        with pytest.raises(ValueError):
+            model.forward_sample(bad_clips, pairs_v, pairs_a)
+        for block in all_blocks(model):
+            assert not block._tape and not block._pending, type(block).__name__
+
+        tcfg = desk_train_config("pretrain", seed=0)
+        seen = []
+        for m in (model, tiny_model()):
+            optimizer = RecordingAdamW(m.named_parameters(), beta2=0.95)
+            training.pretrain_step(m, clips, [0, 1], 1, tcfg, optimizer, 0.01)
+            seen.append(optimizer.seen)
+        got, want = seen
+        for name, grad in want.items():
+            assert_same_bytes(got[name], grad, name)
 
 
 class TestBatchBoundary:
@@ -141,7 +182,7 @@ class TestBatchBoundary:
         else:                    # one more target inside the encoder mask
             tgt[np.flatnonzero(enc & ~tgt)[0]] = True
         odd = list(pairs[1])
-        odd[slot] = MaskPair(enc, tgt, pair.encoder_ratio, pair.decoder_ratio)
+        odd[slot] = MaskPair(enc, tgt)
         pairs[1] = tuple(odd)
         n = (pairs[0][slot].n_tokens - int(pairs[0][slot].encoder_mask.sum())
              if field == "visible" else int(pairs[0][slot].decoder_targets.sum()))
