@@ -171,15 +171,31 @@ class Block:
     def _accumulate(self, p: Parameter, grads: np.ndarray) -> None:
         """Add per-sample gradients ``grads`` [S, *p.shape] into ``p.grad``.
 
+        ``grads`` is consumed: the caller passes an array it owns (not a view
+        of anything still read) and must not read it afterwards, since it may
+        be written into.
+
         They are added in the order of a loop of single-sample backwards run
         from the last sample to the first: sample by sample, and within a
         sample in backward-call order. So while this block's tape still holds
         forwards to run backward through (a block applied several times per
         pass), a parameter's contributions wait; its last one folds them all
-        in. One sample with nothing waiting is added at once.
+        in. A parameter's only call of the pass (nothing waiting, tape
+        empty), or one sample with nothing waiting, is added at once and in
+        place: ``p.grad`` goes into the last sample's row, then the rows are
+        reduced last to first into ``p.grad``. IEEE addition commutes, signed
+        zeros included, so ``g[-1] + p.grad`` is ``p.grad + g[-1]`` and the
+        sum is the fold's, bit for bit.
         """
-        if len(grads) == 1 and p not in self._pending:
-            p.grad += grads[0]
+        if p not in self._pending and (len(grads) == 1 or not self._tape):
+            if len(grads) == 1 or p.size == 1:
+                # a reduce would sum a single element's rows pairwise
+                for row in grads[::-1]:
+                    p.grad += row
+            else:
+                grads[-1] += p.grad
+                # an axis-0 reduce adds the rows in order, like a += loop
+                np.add.reduce(grads[::-1], axis=0, out=p.grad)
             return
         self._pending.setdefault(p, []).append(grads)
         if not self._tape:
@@ -258,7 +274,8 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def softmax_backward(out: np.ndarray, d_out: np.ndarray, axis: int = -1) -> np.ndarray:
-    d_in = d_out - np.add.reduce(d_out * out, axis=axis, keepdims=True)
+    d_in = d_out * out
+    np.subtract(d_out, np.add.reduce(d_in, axis=axis, keepdims=True), out=d_in)
     d_in *= out
     return d_in
 
@@ -281,17 +298,52 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c * (x + a * x * x * x)) in one array."""
+    t = _GELU_A * x
+    t *= x
+    t *= x
+    np.add(x, t, out=t)
+    np.multiply(_GELU_C, t, out=t)
+    return np.tanh(t, out=t)
+
+
 def gelu_with_cache(x: np.ndarray):
-    """Smooth tanh-form gelu; returns (value, tanh term) for the backward."""
-    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    return 0.5 * x * (1.0 + t), t
+    """Smooth tanh-form gelu; returns (value, tanh term) for the backward.
+
+    The value is 0.5 * x * (1 + t)."""
+    t = _gelu_tanh(x)
+    out = 0.5 * x
+    out *= 1.0 + t
+    return out, t
 
 
 def gelu_backward(x: np.ndarray, d_out: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """d_out * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du), where
+    du = c * (1 + 3 * a * x * x), evaluated in that order in three arrays."""
     if t is None:
-        t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return d_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+        t = _gelu_tanh(x)
+    du = 3.0 * _GELU_A * x
+    du *= x
+    np.add(1.0, du, out=du)
+    np.multiply(_GELU_C, du, out=du)
+    slope = 0.5 * x
+    d_in = t * t
+    np.subtract(1.0, d_in, out=d_in)
+    slope *= d_in
+    slope *= du
+    np.add(1.0, t, out=d_in)
+    np.multiply(0.5, d_in, out=d_in)
+    d_in += slope
+    np.multiply(d_out, d_in, out=d_in)
+    return d_in
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, with the bias added into the product."""
+    y = x @ w
+    y += b
+    return y
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -325,7 +377,7 @@ class Linear(Block):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.d_in:
             raise ValueError(f"linear expects last dim {self.d_in}, got {x.shape}")
-        y = x @ self.weight.data + self.bias.data
+        y = _affine(x, self.weight.data, self.bias.data)
         self._save(x)
         return y
 
@@ -368,7 +420,8 @@ class LayerNorm(Block):
         d_xhat = d_out * self.scale.data
         d_in = d_xhat - _mean_last(d_xhat)
         d_xhat *= xhat
-        d_in -= xhat * _mean_last(d_xhat)
+        np.multiply(xhat, _mean_last(d_xhat), out=d_xhat)
+        d_in -= d_xhat
         d_in *= inv
         return d_in
 
@@ -416,16 +469,16 @@ class Attention(Block):
                 f"attention dim {self.dim} does not match inputs "
                 f"{q_in.shape} / {kv_in.shape}")
         shared = kv_in.ndim < q_in.ndim
-        q = self._split(q_in @ self.w_q.data + self.b_q.data)
-        k = self._split(kv_in @ self.w_k.data + self.b_k.data)
-        v = self._split(kv_in @ self.w_v.data + self.b_v.data)
+        q = self._split(_affine(q_in, self.w_q.data, self.b_q.data))
+        k = self._split(_affine(kv_in, self.w_k.data, self.b_k.data))
+        v = self._split(_affine(kv_in, self.w_v.data, self.b_v.data))
         if shared:   # one key/value set per sample, broadcast over the G axis
             k, v = k[:, None], v[:, None]
         scores = q @ k.swapaxes(-1, -2)
         scores /= math.sqrt(self.head_dim)
         probs = softmax(scores, axis=-1)
         merged = self._merge(probs @ v)       # [S, (G,) Tq, C]
-        out = merged @ self.w_o.data + self.b_o.data
+        out = _affine(merged, self.w_o.data, self.b_o.data)
         self._save(q_in, kv_in, q, k, v, probs, merged, shared)
         return out
 
@@ -467,7 +520,8 @@ class Attention(Block):
         d_rows = d_vf.reshape(n, -1, c)
         self._accumulate(self.w_v, kv_t @ d_rows)
         self._accumulate(self.b_v, np.add.reduce(d_rows, axis=1))
-        d_kv_in = d_kf @ self.w_k.data.T + d_vf @ self.w_v.data.T
+        d_kv_in = d_kf @ self.w_k.data.T
+        d_kv_in += d_vf @ self.w_v.data.T
         return d_q_in, d_kv_in
 
 

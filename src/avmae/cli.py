@@ -56,6 +56,8 @@ def _clip_shapes(clips):
 
 
 def _cmd_train(args, stage: str) -> int:
+    if args.steps is not None and args.steps < 0:
+        raise UsageError(f"--steps must be at least 0, got {args.steps}")
     model_cfg, train_cfg = _resolve_configs(args, stage)
     clips, labels = load_dataset(args.data)
     video_shape, audio_shape = _clip_shapes(clips)
@@ -90,6 +92,8 @@ def _parse_task(spec: str, geometry: str) -> SyntheticTask:
 
 
 def _cmd_gen_data(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
     task = _parse_task(args.task, args.geometry)
     task.seed = args.seed
     gen_synthetic(task, args.n, out_dir=args.out)
@@ -120,6 +124,8 @@ def _cmd_shapes(args) -> int:
 
 def _cmd_maskdump(args) -> int:
     grid = tuple(int(x) for x in args.grid.split(","))
+    if min(grid) < 1:
+        raise UsageError(f"--grid sizes must each be at least 1, got {args.grid}")
     rng = np.random.default_rng(args.seed)
     if args.type == "tube":
         if len(grid) != 3:

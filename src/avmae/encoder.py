@@ -149,6 +149,11 @@ def _scaled(scale: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     return scale.reshape((-1,) + (1,) * (x.ndim - 1)) * x
 
 
+def _residual(x: np.ndarray, branch: np.ndarray) -> np.ndarray:
+    """x + branch, written into branch: a fresh array of x's shape."""
+    return np.add(x, branch, out=branch)
+
+
 class LGILayer(Block):
     """One LGI layer over S samples, each with its own regions.
 
@@ -205,12 +210,12 @@ class LGILayer(Block):
         for g in part.groups:
             # [S, G, size+1, C]: each region's token, then its locals
             x = np.concatenate([_rows(s, g.ids)[:, :, None], _rows(locals_, g.index)], axis=2)
-            x = x + _scaled(c1, self.attn_local.forward(self.norm1.forward(x)))
+            x = _residual(x, _scaled(c1, self.attn_local.forward(self.norm1.forward(x))))
             _put(s1, g.ids, x[:, :, 0], g.pad)
             _put(locals1, g.index, x[:, :, 1:], g.pad)
 
         # stage II: exchange information across region tokens
-        s2 = s1 + _scaled(c2, self.attn_region.forward(self.norm2.forward(s1)))
+        s2 = _residual(s1, _scaled(c2, self.attn_region.forward(self.norm2.forward(s1))))
 
         # stage III: locals read the globally-aware region tokens; empty
         # regions have no queries (and in stage IV no keys), so they skip
@@ -221,7 +226,7 @@ class LGILayer(Block):
             if g.size == 0:
                 continue
             out = self.cross_local.forward(_rows(q_all, g.index), kv)  # kv shared by the G regions
-            _put(locals2, g.index, _rows(locals1, g.index) + _scaled(c3, out), g.pad)
+            _put(locals2, g.index, _residual(_rows(locals1, g.index), _scaled(c3, out)), g.pad)
 
         # stage IV: region tokens read local tokens back
         s3 = s2.copy()

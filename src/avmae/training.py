@@ -8,6 +8,7 @@ bitwise reproducible.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +30,10 @@ ADAMW_BETA1 = 0.9
 ADAMW_EPS = 1e-8
 _ADAMW_CHUNK = 1 << 14  # elements per AdamW pass; sizes its scratch buffers
 _EVAL_CHUNK = 16        # clips per forward in train_accuracy
+# glibc mallopt parameters, and what a training loop sets them to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 1 << 30
+_MMAP_THRESHOLD = 32 << 20
 
 
 def sample_rng(*key: int) -> np.random.Generator:
@@ -411,6 +416,28 @@ def pretrain_step(model: PretrainModel, clips, indices, step: int,
     return {"loss": total, "mse_a": mse["audio"], "mse_v": mse["video"], "nce": nce_total}
 
 
+def _keep_freed_memory() -> None:
+    """Make glibc's allocator keep freed memory in the process.
+
+    A step frees what the next step allocates again. By default glibc hands
+    the freed top of its heap back to the system at the end of a backward,
+    and serves large blocks from maps of their own, so the next step faults
+    all those pages in again. A trim threshold of 1 GiB and a map threshold
+    of 32 MiB keep them; the peak does not rise, since what is kept is
+    reused. The map threshold is set too because setting either freezes
+    glibc's adaptive one wherever the process's history left it. Where the
+    C library has no ``mallopt`` (not glibc), nothing is set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def _run_loop(tcfg: TrainConfig, n: int, steps: int | None, log: MetricsLog | None,
               stage: str, step_fn) -> MetricsLog:
     """Schedule, batching and logging shared by the training loops.
@@ -418,6 +445,7 @@ def _run_loop(tcfg: TrainConfig, n: int, steps: int | None, log: MetricsLog | No
     ``step_fn(step, indices, lr)`` runs one optimisation step and returns
     ``(record, stop)``: the fields to log and whether to end the run there.
     """
+    _keep_freed_memory()
     log = log or MetricsLog()
     spe = max(1, math.ceil(n / tcfg.batch))
     total_steps = steps if steps is not None else tcfg.epochs * spe

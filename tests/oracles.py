@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from avmae.blocks import LAYERNORM_EPS
+from avmae.blocks import LAYERNORM_EPS, softmax
 from avmae.encoder import SizeGroup
 
 
@@ -311,6 +311,86 @@ def oracle_trunc_normal(rng, shape, std=0.02, dtype=np.float32):
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
     np.clip(out, -2.0 * std, 2.0 * std, out=out)
     return out.astype(dtype)
+
+
+# ---------------------------------------------------------------------------
+# Staged references: the expressions the library evaluates in place, written
+# with every term in an array of its own and the per-sample gradients copied
+# into one array of rows before they are added. The operations and their
+# order are the library's, so its results must match these byte for byte,
+# also on signed zeros, subnormals and overflow.
+# ---------------------------------------------------------------------------
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+
+
+def staged_accumulate(grad, grads):
+    """``grad`` after a parameter's only call of a pass adds its per-sample
+    gradients ``grads`` [S, *grad.shape]: one sample by ``+=``; more staged
+    as the rows ``grad, grads[S-1], ..., grads[0]`` and reduced along axis 0,
+    or added row by row for a single element."""
+    grad = grad.copy()
+    if len(grads) == 1:
+        grad += grads[0]
+        return grad
+    rows = np.empty((1 + len(grads),) + grad.shape, dtype=grad.dtype)
+    rows[0] = grad
+    rows[1:] = grads[::-1]
+    if grad.size > 1:
+        np.add.reduce(rows, axis=0, out=grad)
+    else:
+        for row in rows[1:]:
+            grad += row
+    return grad
+
+
+def staged_affine(x, w, b):
+    return x @ w + b
+
+
+def staged_attention_forward(att, q_in, kv_in):
+    """Attention.forward with ``@ w + b`` projections, on the block's own
+    head split, merge and softmax."""
+    q = att._split(staged_affine(q_in, att.w_q.data, att.b_q.data))
+    k = att._split(staged_affine(kv_in, att.w_k.data, att.b_k.data))
+    v = att._split(staged_affine(kv_in, att.w_v.data, att.b_v.data))
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= math.sqrt(att.head_dim)
+    probs = softmax(scores, axis=-1)
+    return staged_affine(att._merge(probs @ v), att.w_o.data, att.b_o.data)
+
+
+def staged_gelu_with_cache(x):
+    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
+    return 0.5 * x * (1.0 + t), t
+
+
+def staged_gelu_backward(x, d_out, t):
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    return d_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+def staged_softmax_backward(out, d_out, axis=-1):
+    d_in = d_out - np.add.reduce(d_out * out, axis=axis, keepdims=True)
+    d_in *= out
+    return d_in
+
+
+def _staged_mean_last(x):
+    out = np.add.reduce(x, axis=-1, keepdims=True)
+    out /= x.shape[-1]
+    return out
+
+
+def staged_layernorm_input_grad(d_out, xhat, inv, scale):
+    """LayerNorm's input gradient from its saved ``xhat`` and ``inv``."""
+    d_xhat = d_out * scale
+    d_in = d_xhat - _staged_mean_last(d_xhat)
+    d_xhat *= xhat
+    d_in -= xhat * _staged_mean_last(d_xhat)
+    d_in *= inv
+    return d_in
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,24 @@
 import numpy as np
 import pytest
 
-from avmae.blocks import (BATCHNORM_EPS, LAYERNORM_EPS, Attention, ConvBNPReLU,
-                          FeedForward, GradientStateError, LayerNorm, Linear, no_tape,
-                          sigmoid, softmax, softmax_backward, trunc_normal)
+from avmae.blocks import (BATCHNORM_EPS, LAYERNORM_EPS, Attention, Block, ConvBNPReLU,
+                          FeedForward, GradientStateError, LayerNorm, Linear, Parameter,
+                          gelu_backward, gelu_with_cache, no_tape, sigmoid, softmax,
+                          softmax_backward, trunc_normal)
+from avmae.config import desk_train_config, preset
+from avmae.finetune import FinetuneModel
 from avmae.gradcheck import grad_check
+from avmae.training import (SyntheticTask, gen_synthetic, run_pretrain, run_supervised,
+                            sample_rng)
 
 from oracles import (oracle_attention, oracle_batchnorm_prelu_backward,
                      oracle_batchnorm_prelu_forward, oracle_layernorm_backward,
                      oracle_layernorm_forward, oracle_sigmoid_split,
                      oracle_softmax, oracle_softmax_backward,
-                     oracle_trunc_normal)
+                     oracle_trunc_normal, staged_accumulate, staged_affine,
+                     staged_attention_forward, staged_gelu_backward,
+                     staged_gelu_with_cache, staged_layernorm_input_grad,
+                     staged_softmax_backward)
 from registry_runs import assert_grad_check
 
 
@@ -370,6 +378,138 @@ class TestSigmoidMatchesSplitReference:
         assert_same_bytes(sigmoid(x), oracle_sigmoid_split(x))
         batch = x[:16 * 4 * 32].reshape(16, 4, 32)
         assert_same_bytes(sigmoid(batch), oracle_sigmoid_split(batch))
+
+
+def with_special_values(rng, shape, dtype, scale=1.0):
+    """Normal draws times ``scale`` with about a quarter of the entries
+    replaced by ±0, subnormals, the smallest normals and values near
+    overflow."""
+    info = np.finfo(dtype)
+    special = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                        info.tiny / 8, -info.tiny / 8, info.tiny, -info.tiny,
+                        info.max, -info.max, info.max / 3, -info.max / 3], dtype=dtype)
+    out = (rng.normal(size=shape) * scale).astype(dtype)
+    hit = rng.random(shape) < 0.25
+    out[hit] = rng.choice(special, size=int(hit.sum()))
+    return out
+
+
+class TestKernelsMatchStagedExpressions:
+    """The in-place kernels evaluate the same operations in the same order as
+    the expressions with one array per term, so they give the same bytes,
+    on signed zeros, subnormals and overflow too."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_gelu(self, dtype):
+        rng = np.random.default_rng(11)
+        x = with_special_values(rng, (4, 9, 33), dtype, scale=3.0)
+        d_out = with_special_values(rng, x.shape, dtype)
+        with np.errstate(all="ignore"):
+            got, got_t = gelu_with_cache(x)
+            want, want_t = staged_gelu_with_cache(x)
+            assert_same_bytes(got, want)
+            assert_same_bytes(got_t, want_t)
+            want_d = staged_gelu_backward(x, d_out, want_t)
+            assert_same_bytes(gelu_backward(x, d_out, got_t), want_d)
+            assert_same_bytes(gelu_backward(x, d_out), want_d)
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_softmax_backward(self, dtype, axis):
+        rng = np.random.default_rng(12)
+        out = softmax(rng.normal(size=(6, 5, 17)).astype(dtype) * 4, axis=axis)
+        out[rng.random(out.shape) < 0.1] = 0.0
+        d_out = with_special_values(rng, out.shape, dtype)
+        with np.errstate(all="ignore"):
+            assert_same_bytes(softmax_backward(out, d_out, axis=axis),
+                              staged_softmax_backward(out, d_out, axis=axis))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_layernorm_backward(self, dtype):
+        rng = np.random.default_rng(13)
+        ln = LayerNorm(17, dtype=dtype)
+        ln.scale.data[...] = with_special_values(rng, (17,), dtype)
+        x = (rng.normal(size=(3, 5, 17)) * 2.0).astype(dtype)
+        x[rng.random(x.shape) < 0.2] = np.finfo(dtype).smallest_subnormal
+        d_out = with_special_values(rng, x.shape, dtype)
+        with np.errstate(all="ignore"):
+            ln.forward(x)
+            xhat, inv = ln._tape[-1]
+            want = staged_layernorm_input_grad(d_out, xhat, inv, ln.scale.data)
+            assert_same_bytes(ln.backward(d_out), want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_bias_add_epilogues(self, dtype):
+        rng = np.random.default_rng(14)
+        lin = Linear(16, 24, rng, dtype=dtype)
+        att = Attention(16, 4, rng, dtype=dtype)
+        for bias in (lin.bias, att.b_q, att.b_k, att.b_v, att.b_o):
+            bias.data[...] = with_special_values(rng, bias.shape, dtype)
+        x = with_special_values(rng, (2, 3, 5, 16), dtype)
+        kv = with_special_values(rng, (2, 3, 7, 16), dtype)
+        with np.errstate(all="ignore"), no_tape():
+            assert_same_bytes(lin.forward(x), staged_affine(x, lin.weight.data, lin.bias.data))
+            assert_same_bytes(att.forward(x, kv), staged_attention_forward(att, x, kv))
+            assert_same_bytes(att.forward(x), staged_attention_forward(att, x, x))
+
+
+def spread_gradients(rng, shape, dtype):
+    """Random signs and magnitudes from 1e-30 to 1e30, with -0.0 and +0.0
+    entries: rows whose sum depends on the order they are added in."""
+    out = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-30, 30, size=shape)
+    u = rng.random(shape)
+    out[u < 0.15] = -0.0
+    out[(u >= 0.15) & (u < 0.2)] = 0.0
+    return out.astype(dtype)
+
+
+class TestAccumulate:
+    """A parameter's only gradient call of a pass is folded in place; the
+    bytes are those of the staged fold."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("start", ["zero", "random", "negative-zero"])
+    @pytest.mark.parametrize("shape", [(32, 32), (32,), (4,), (1,)], ids=str)
+    @pytest.mark.parametrize("n_samples", [1, 2, 7, 16])
+    def test_matches_staged_fold(self, n_samples, shape, start, dtype):
+        rng = np.random.default_rng([n_samples, len(shape), shape[0]])
+        grads = spread_gradients(rng, (n_samples,) + shape, dtype)
+        if start == "zero":
+            grad = np.zeros(shape, dtype=dtype)
+        elif start == "random":
+            grad = spread_gradients(rng, shape, dtype)
+        else:
+            grad = np.full(shape, -0.0, dtype=dtype)
+        block = Block()
+        block.p = Parameter(grad.copy())
+        block.p.grad[...] = grad
+        block._accumulate(block.p, grads.copy())
+        assert_same_bytes(block.p.grad, staged_accumulate(grad, grads))
+
+    def test_training_steps_pass_owned_gradients(self, monkeypatch):
+        """Every per-sample gradient a Tiny pretrain and fine-tune step hands
+        to ``_accumulate`` owns its memory and has the parameter's dtype and
+        [S, *shape], so folding into it in place touches nothing else."""
+        video_shape, audio_shape = (8, 32, 32), (32, 16)
+        clips, labels = gen_synthetic(SyntheticTask(4, video_shape, audio_shape), 4)
+        tc_pre, tc_ft = desk_train_config("pretrain"), desk_train_config("finetune")
+        tc_pre.batch = tc_ft.batch = 4
+        calls, bad = [], []
+        accumulate = Block._accumulate
+
+        def spy(self, p, grads):
+            calls.append(type(self).__name__)
+            if (grads.base is not None or grads.dtype != p.grad.dtype
+                    or grads.shape != (4,) + p.shape):
+                bad.append((type(self).__name__, p.shape, grads.shape, grads.dtype))
+            accumulate(self, p, grads)
+
+        monkeypatch.setattr(Block, "_accumulate", spy)
+        run_pretrain(preset("Tiny"), tc_pre, clips, video_shape, audio_shape, steps=1)
+        model = FinetuneModel(preset("Tiny"), video_shape, audio_shape, 4, rng=sample_rng(0))
+        run_supervised(model, tc_ft, clips, labels, steps=1)
+        assert len(calls) > 500
+        assert not bad
 
 
 class _OutOfRange:

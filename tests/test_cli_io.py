@@ -398,6 +398,29 @@ class TestCLI:
         assert "at least one class" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen-data", "--task", "2", "--n", "-3"], "--n must be at least 1"),
+        (["gen-data", "--task", "2", "--n", "0"], "--n must be at least 1"),
+        (["pretrain", "--steps", "-2"], "--steps must be at least 0"),
+        (["maskdump", "--type", "tube", "--grid", "0,4,4", "--ratio", "0.5"],
+         "--grid sizes must each be at least 1"),
+        (["maskdump", "--type", "random", "--grid", "4,-1", "--ratio", "0.5"],
+         "--grid sizes must each be at least 1"),
+    ], ids=["gen-data-negative", "gen-data-zero", "pretrain-negative-steps",
+            "maskdump-tube-zero", "maskdump-random-negative"])
+    def test_count_below_minimum_exits_2_naming_flag(self, tmp_path, capsys, argv, flag):
+        data, out = tmp_path / "data", tmp_path / "out"
+        if argv[0] == "pretrain":
+            assert main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)]) == 0
+            argv = argv + ["--data", str(data)]
+        if argv[0] != "maskdump":
+            argv = argv + ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and not captured.out
+        assert not out.exists()
+
     def test_empty_manifest_exits_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()

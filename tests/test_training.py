@@ -1,6 +1,11 @@
 """Optimiser, schedule, layer decay, synthetic data, stage driver."""
 
+import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,3 +409,56 @@ class TestRunStage:
 
         monkeypatch.setattr(Block, "zero_grad", walk)
         assert runs() == want
+
+
+# Runs in a fresh process, so the allocator starts with no history: a seed-0
+# Tiny corpus of 32 clips, batch 16, eight fine-tune steps through
+# ``run_supervised``; prints the process's minor page faults at each logged
+# step as a JSON list.
+_FAULT_SCRIPT = """
+import json, resource
+from avmae.config import PRESET_INPUTS, desk_train_config, preset
+from avmae.finetune import FinetuneModel
+from avmae.training import MetricsLog, SyntheticTask, gen_synthetic, run_supervised, sample_rng
+
+class FaultLog(MetricsLog):
+    def __init__(self):
+        super().__init__()
+        self.faults = []
+
+    def append(self, **record):
+        self.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        super().append(**record)
+
+video_shape, audio_shape = PRESET_INPUTS["Tiny"]
+clips, labels = gen_synthetic(SyntheticTask(4, video_shape, audio_shape, seed=0), 32)
+model = FinetuneModel(preset("Tiny"), video_shape, audio_shape, 4, rng=sample_rng(0, 0xF1E7))
+tcfg = desk_train_config("finetune", seed=0)
+tcfg.batch = 16
+log = FaultLog()
+run_supervised(model, tcfg, clips, labels, steps=8, log=log)
+print(json.dumps(log.faults))
+"""
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="the C library has no mallopt")
+def test_steady_state_steps_do_not_page_fault():
+    """Steps 5-8 of a fine-tune each take fewer than 50 minor page faults:
+    the memory a step frees stays in the process for the next one."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout.splitlines()[-1])
+    per_step = np.diff(faults)   # per_step[k - 2] is step k's count
+    assert len(faults) == 8
+    assert all(per_step[k - 2] < 50 for k in range(5, 9)), per_step.tolist()
