@@ -265,9 +265,23 @@ class BlockList(Block):
 # ---------------------------------------------------------------------------
 
 
+def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.maximum.reduce(x, axis=axis, keepdims=True)`` from one copy of x
+    with the rows innermost: one reduce across the copy instead of a short
+    reduce per row (attention rows hold 1 to 17 keys). A maximum is one of
+    its entries in any order; only a zero maximum's sign, or a NaN
+    maximum's bits, can change, and the softmax's ``exp`` maps ``x - (±0)``
+    to the same value. Only array methods run here: ``np.moveaxis`` costs
+    more than the reduce saves on small arrays (see the README).
+    """
+    last = x.swapaxes(axis, -1)
+    cols = np.ascontiguousarray(last.reshape(-1, last.shape[-1]).T)
+    return np.maximum.reduce(cols, axis=0).reshape(last.shape[:-1] + (1,)).swapaxes(axis, -1)
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Row-max-subtracted softmax; rows sum to one."""
-    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    e = x - _row_max(x, axis)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e
@@ -594,16 +608,21 @@ class ConvBNPReLU(Block):
     def update_statistics(self) -> None:
         """Fold the pending batch statistics into the running ones."""
         calls, self._stats = self._stats, []
+        if not calls:
+            return
         m = BATCHNORM_MOMENTUM
-        for sample in range(len(calls[0][0]) if calls else 0):
+        mean, var_run, seen = self.running_mean, self.running_var, int(self.num_batches)
+        for sample in range(len(calls[0][0])):
             for mu, var in calls:
-                if self.num_batches == 0:
-                    self.running_mean = mu[sample]
-                    self.running_var = var[sample]
+                if seen == 0:
+                    mean, var_run = mu[sample], var[sample]
                 else:
-                    self.running_mean = (1 - m) * self.running_mean + m * mu[sample]
-                    self.running_var = (1 - m) * self.running_var + m * var[sample]
-                self.num_batches += 1
+                    mean = (1 - m) * mean + m * mu[sample]
+                    var_run = (1 - m) * var_run + m * var[sample]
+                seen += 1
+        self.running_mean = mean
+        self.running_var = var_run
+        self.num_batches = seen
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         yhat, inv, z, neg, training = self._load()

@@ -13,6 +13,7 @@ non-finite gradient). Commands write only under their --out argument.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -76,16 +77,19 @@ def _cmd_train(args, stage: str) -> int:
 
 
 def _parse_task(spec: str, geometry: str) -> SyntheticTask:
+    usage = f"--task expects '<classes>[,<noise>]', e.g. '2' or '3,0.1'; got {spec!r}"
     parts = spec.split(",")
+    if len(parts) > 2:
+        raise UsageError(usage)
     try:
         n_classes = int(parts[0])
         noise = float(parts[1]) if len(parts) > 1 else 0.0
     except ValueError as exc:
-        raise UsageError(
-            f"--task expects '<classes>[,<noise>]', e.g. '2' or '3,0.1'; got {spec!r}"
-        ) from exc
+        raise UsageError(usage) from exc
     if n_classes < 1:
         raise UsageError(f"--task needs at least one class, got {n_classes}")
+    if not 0.0 <= noise < math.inf:
+        raise UsageError(f"--task noise must be finite and at least 0, got {noise}")
     vshape, ashape = cfgmod.PRESET_INPUTS[geometry]
     return SyntheticTask(n_classes=n_classes, video_shape=vshape,
                          audio_shape=ashape, noise=noise, seed=0)
@@ -102,6 +106,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_check_grads(args) -> int:
+    if args.tolerance is not None and not (0.0 < args.tolerance < math.inf):
+        raise UsageError(f"--tolerance must be positive and finite, got {args.tolerance}")
     names = (list(verifymod.GRAD_CHECKS) if args.module == "all"
              else [args.module])
     failed = False
@@ -148,6 +154,8 @@ def _cmd_maskdump(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.grad_probes < 1:
+        raise UsageError(f"--grad-probes must be at least 1, got {args.grad_probes}")
     results = verifymod.property_suite(grad_probes=args.grad_probes)
     failed = 0
     for r in results:

@@ -200,4 +200,7 @@ def read_clip(path) -> RawClip:
     video = np.frombuffer(payload, dtype="<f4", count=video_count).reshape(t, h, w, c)
     audio = np.frombuffer(payload, dtype="<f4", count=audio_count,
                           offset=4 * video_count).reshape(ta, f)
+    for name, values in (("video", video), ("audio", audio)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: {name} payload holds non-finite values")
     return RawClip(video.copy(), audio.copy())

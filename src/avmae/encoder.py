@@ -190,7 +190,7 @@ class LGILayer(Block):
     def _branch_scales(rngs, rate: float, dtype):
         if rngs is None or rate <= 0.0:
             return [None] * 6
-        draws = np.array([[rng.random() for _ in range(6)] for rng in rngs])
+        draws = np.array([rng.random(6) for rng in rngs])
         scales = np.where(draws < rate, 0.0, 1.0 / (1.0 - rate)).astype(dtype)
         return list(scales.T)
 
@@ -204,8 +204,10 @@ class LGILayer(Block):
         scales = self._branch_scales(rngs, drop_path, locals_.dtype)
         c1, c2, c3, c4, cfl, cfs = scales
 
-        # stage I: aggregate local information into each region token
-        locals1 = locals_.copy()
+        # stage I: aggregate local information into each region token. Every
+        # visible token lies in one region and every region, empty ones too,
+        # is in a group, so the puts write every row of locals1 and s1
+        locals1 = np.empty_like(locals_, order="C")
         s1 = np.empty_like(s)
         for g in part.groups:
             # [S, G, size+1, C]: each region's token, then its locals
@@ -218,8 +220,9 @@ class LGILayer(Block):
         s2 = _residual(s1, _scaled(c2, self.attn_region.forward(self.norm2.forward(s1))))
 
         # stage III: locals read the globally-aware region tokens; empty
-        # regions have no queries (and in stage IV no keys), so they skip
-        locals2 = locals1.copy()
+        # regions have no queries (and in stage IV no keys), so they skip,
+        # and the non-empty ones write every row of locals2
+        locals2 = np.empty_like(locals1)
         q_all = self.norm3_q.forward(locals1)
         kv = self.norm3_kv.forward(s2)
         for g in part.groups:
@@ -259,7 +262,6 @@ class LGILayer(Block):
             d_h = self.ffn.backward(_scaled(cfl, d_locals3))
             d_locals2 = d_locals3 + self.norm_ffn.backward(d_h)
 
-        d_s2 = d_s3.copy()
         d_q_all = np.zeros_like(d_s3)
         d_kv_all = np.zeros_like(d_locals2)
         for g in reversed(groups):
@@ -270,9 +272,8 @@ class LGILayer(Block):
             _put(d_q_all, g.ids, d_q[:, :, 0], g.pad, add=True)
             _put(d_kv_all, g.index, d_kv, g.pad, add=True)
         d_locals2 = d_locals2 + self.norm4_kv.backward(d_kv_all)
-        d_s2 = d_s2 + self.norm4_q.backward(d_q_all)
+        d_s2 = d_s3 + self.norm4_q.backward(d_q_all)
 
-        d_locals1 = d_locals2.copy()
         d_q_all = np.zeros_like(d_locals2)
         d_kv_total = np.zeros_like(d_s2)
         for g in reversed(groups):
@@ -283,7 +284,7 @@ class LGILayer(Block):
             _put(d_q_all, g.index, d_q, g.pad, add=True)
             d_kv_total += d_kv
         d_s2 = d_s2 + self.norm3_kv.backward(d_kv_total)
-        d_locals1 = d_locals1 + self.norm3_q.backward(d_q_all)
+        d_locals1 = d_locals2 + self.norm3_q.backward(d_q_all)
 
         d_q, d_kv = self.attn_region.backward(_scaled(c2, d_s2))
         d_s1 = d_s2 + self.norm2.backward(d_q + d_kv)

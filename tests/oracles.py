@@ -393,6 +393,45 @@ def staged_layernorm_input_grad(d_out, xhat, inv, scale):
     return d_in
 
 
+def staged_branch_scales(rngs, rate, dtype):
+    """LGILayer._branch_scales from six scalar draws per sample."""
+    if rngs is None or rate <= 0.0:
+        return [None] * 6
+    draws = np.array([[rng.random() for _ in range(6)] for rng in rngs])
+    scales = np.where(draws < rate, 0.0, 1.0 / (1.0 - rate)).astype(dtype)
+    return list(scales.T)
+
+
+def staged_update_statistics(block):
+    """ConvBNPReLU.update_statistics writing the block's buffers after each
+    sample of each call."""
+    from avmae.blocks import BATCHNORM_MOMENTUM as m
+
+    calls, block._stats = block._stats, []
+    for sample in range(len(calls[0][0]) if calls else 0):
+        for mu, var in calls:
+            if block.num_batches == 0:
+                block.running_mean = mu[sample]
+                block.running_var = var[sample]
+            else:
+                block.running_mean = (1 - m) * block.running_mean + m * mu[sample]
+                block.running_var = (1 - m) * block.running_var + m * var[sample]
+            block.num_batches += 1
+
+
+def oracle_take_rows(x, index):
+    """The rows ``index`` [S, R] of each sample of x [S, N, C]."""
+    return np.take_along_axis(x, index[:, :, None], axis=1)
+
+
+def oracle_put_rows(n, index, values):
+    """Zeros [S, n, C] with each sample's ``values`` [S, R, C] at its rows
+    ``index`` [S, R]."""
+    full = np.zeros((len(values), n, values.shape[-1]), dtype=values.dtype)
+    np.put_along_axis(full, index[:, :, None], values, axis=1)
+    return full
+
+
 # ---------------------------------------------------------------------------
 # The per-sample fine-tune path: FinetuneModel fed one clip per call (a batch
 # of one), forward in sample order and backward in reverse, with a

@@ -20,7 +20,7 @@ from oracles import (oracle_attention, oracle_batchnorm_prelu_backward,
                      oracle_trunc_normal, staged_accumulate, staged_affine,
                      staged_attention_forward, staged_gelu_backward,
                      staged_gelu_with_cache, staged_layernorm_input_grad,
-                     staged_softmax_backward)
+                     staged_softmax_backward, staged_update_statistics)
 from registry_runs import assert_grad_check
 
 
@@ -451,6 +451,61 @@ class TestKernelsMatchStagedExpressions:
             assert_same_bytes(lin.forward(x), staged_affine(x, lin.weight.data, lin.bias.data))
             assert_same_bytes(att.forward(x, kv), staged_attention_forward(att, x, kv))
             assert_same_bytes(att.forward(x), staged_attention_forward(att, x, x))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n_calls", [1, 3])
+    @pytest.mark.parametrize("n_samples", [1, 16])
+    def test_batchnorm_running_statistics(self, n_samples, n_calls, dtype):
+        """The running statistics, folded on local arrays and written once,
+        are the bytes of writing the buffers after each sample of each call:
+        the first pass seeds them, the next two blend with momentum."""
+        blocks = [ConvBNPReLU(8, np.random.default_rng(3), dtype=dtype) for _ in range(2)]
+        rng = np.random.default_rng(n_samples * n_calls)
+        blocks[0].update_statistics()   # nothing pending: nothing changes
+        assert blocks[0].num_batches == 0 and not blocks[0].running_mean.any()
+        for _ in range(3):
+            for _ in range(n_calls):
+                x = (rng.normal(size=(n_samples, 5, 8)) * 3.0 + 1.0).astype(dtype)
+                for block in blocks:
+                    block.forward(x, training=True)
+            blocks[0].update_statistics()
+            staged_update_statistics(blocks[1])
+            for name in ("running_mean", "running_var", "num_batches"):
+                assert_same_bytes(getattr(blocks[0], name), getattr(blocks[1], name))
+            for block in blocks:
+                block.clear_caches()
+
+
+def softmax_inputs(rng, shape, dtype):
+    """Normal draws with about a tenth of the entries ±0, NaN or ±inf, and
+    about half the rows made non-positive, so that many have a zero maximum
+    of either sign (NaN is numpy's default quiet NaN)."""
+    x = (rng.normal(size=shape) * 4.0).astype(dtype)
+    u = rng.random(shape)
+    for lo, value in ((0.0, -0.0), (0.04, 0.0), (0.07, np.nan), (0.08, np.inf),
+                      (0.09, -np.inf)):
+        x[(u >= lo) & (u < lo + 0.03)] = value
+    flip = (rng.random(shape[:-1] + (1,)) < 0.5) & ~np.isnan(x)
+    x[flip] = -np.abs(x[flip])
+    return x
+
+
+class TestRowMaxima:
+    """softmax takes its row maxima from one rows-innermost copy: the bytes
+    of a ``np.max`` along the softmax axis, one short reduce per row, on
+    every rank and on rows of one."""
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(1,), (9,), (6, 1), (1, 7), (5, 4), (3, 4, 6),
+                                       (16, 4, 4, 16, 4), (2, 3, 1, 17), (2, 2, 3, 4, 5),
+                                       (4, 2, 2, 17, 17)], ids=str)
+    def test_softmax_bytes(self, shape, dtype, axis):
+        rng = np.random.default_rng(sum(shape) + len(shape))
+        with np.errstate(all="ignore"):
+            for _ in range(4):
+                x = softmax_inputs(rng, shape, dtype)
+                assert_same_bytes(softmax(x, axis=axis), oracle_softmax(x, axis=axis))
 
 
 def spread_gradients(rng, shape, dtype):

@@ -406,19 +406,55 @@ class TestCLI:
          "--grid sizes must each be at least 1"),
         (["maskdump", "--type", "random", "--grid", "4,-1", "--ratio", "0.5"],
          "--grid sizes must each be at least 1"),
+        (["verify", "--grad-probes", "0"], "--grad-probes must be at least 1"),
+        (["verify", "--grad-probes", "-2"], "--grad-probes must be at least 1"),
+        (["check-grads", "--tolerance", "-1"], "--tolerance must be positive and finite"),
+        (["check-grads", "--tolerance", "0"], "--tolerance must be positive and finite"),
+        (["check-grads", "--tolerance", "nan"], "--tolerance must be positive and finite"),
+        (["check-grads", "--tolerance", "inf"], "--tolerance must be positive and finite"),
     ], ids=["gen-data-negative", "gen-data-zero", "pretrain-negative-steps",
-            "maskdump-tube-zero", "maskdump-random-negative"])
+            "maskdump-tube-zero", "maskdump-random-negative", "verify-zero-probes",
+            "verify-negative-probes", "check-grads-negative-tolerance",
+            "check-grads-zero-tolerance", "check-grads-nan-tolerance",
+            "check-grads-inf-tolerance"])
     def test_count_below_minimum_exits_2_naming_flag(self, tmp_path, capsys, argv, flag):
         data, out = tmp_path / "data", tmp_path / "out"
         if argv[0] == "pretrain":
             assert main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)]) == 0
             argv = argv + ["--data", str(data)]
-        if argv[0] != "maskdump":
+        if argv[0] in ("gen-data", "pretrain"):
             argv = argv + ["--out", str(out)]
         capsys.readouterr()
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert flag in captured.err and not captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, message", [
+        ("3,-0.1", "--task noise must be finite and at least 0"),
+        ("3,nan", "--task noise must be finite and at least 0"),
+        ("3,inf", "--task noise must be finite and at least 0"),
+        ("3,0.1,9", "--task expects '<classes>[,<noise>]'"),
+    ], ids=["negative-noise", "nan-noise", "inf-noise", "third-field"])
+    def test_unusable_task_exits_2_naming_flag(self, tmp_path, capsys, task, message):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--task", task, "--n", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+        assert not out.exists()
+
+    def test_non_finite_clip_exits_2_naming_file(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)]) == 0
+        path = data / json.loads((data / "manifest.jsonl").read_text().splitlines()[1])["file"]
+        clip = read_clip(path)
+        clip.audio[3, 2] = np.nan
+        write_clip(path, clip)
+        capsys.readouterr()
+        code = main(["pretrain", "--data", str(data), "--out", str(out), "--steps", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "non-finite" in err
         assert not out.exists()
 
     def test_empty_manifest_exits_2(self, tmp_path, capsys):

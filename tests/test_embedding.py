@@ -1,5 +1,7 @@
 """Tokenisation, positional codes, target normalisation, clip files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,18 @@ class TestClipFiles:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="payload"):
+            read_clip(path)
+
+    @pytest.mark.parametrize("modality", ["video", "audio"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, modality, value):
+        rng = np.random.default_rng(12)
+        clip = RawClip(rng.random((8, 32, 32, 3)).astype(np.float32),
+                       rng.random((32, 16)).astype(np.float32))
+        getattr(clip, modality).flat[5] = value
+        path = tmp_path / "c.avclip"
+        write_clip(path, clip)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {modality} payload holds non-finite")):
             read_clip(path)
 
     def test_odd_frame_count_rejected(self):

@@ -13,7 +13,7 @@ from avmae.encoder import LGIEncoder, LGILayer, partition
 from avmae.masking import random_mask, tube_mask
 
 from oracles import (grid_partition, oracle_attention, oracle_layernorm,
-                     oracle_lgi_layer, stack_partitions)
+                     oracle_lgi_layer, stack_partitions, staged_branch_scales)
 from registry_runs import assert_grad_check
 
 
@@ -180,6 +180,22 @@ class TestLGILayer:
         locals_ = rng.normal(size=(n, cfg.encoder_dim))
         s = rng.normal(size=(part.n_regions, cfg.encoder_dim))
         return layer, locals_, s, part
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_branch_scales_match_scalar_draws(self, seed, rate, dtype):
+        """One six-draw call per sample gives the scales, and leaves each
+        generator where six scalar draws per sample leave it."""
+        streams = [[np.random.default_rng([seed, j]) for j in range(5)] for _ in range(2)]
+        got = LGILayer._branch_scales(streams[0], rate, dtype)
+        want = staged_branch_scales(streams[1], rate, dtype)
+        for g, w in zip(got, want):
+            assert (g is None and w is None) or (g.dtype == w.dtype
+                                                 and g.tobytes() == w.tobytes())
+        for a, b in zip(*streams):
+            assert a.random() == b.random()
+        assert LGILayer._branch_scales(None, rate, dtype) == [None] * 6
 
     def test_matches_loop_oracle(self):
         layer, locals_, s, part = self.build(seed=11)

@@ -5,13 +5,14 @@ import pytest
 
 from avmae import training
 from avmae.config import PRESET_INPUTS, desk_train_config, preset
-from avmae.embedding import RawClip
+from avmae.embedding import RawClip, normalize_targets
 from avmae.encoder import partition
 from avmae.masking import MaskPair
 from avmae.pretrain import PretrainModel, make_mask_pairs
 from avmae.training import AdamW, SyntheticTask, gen_synthetic, sample_rng
 
-from oracles import per_clip_targets, per_sample_pretrain_step
+from oracles import (oracle_put_rows, oracle_take_rows, per_clip_targets,
+                     per_sample_pretrain_step)
 
 TINY_V, TINY_A = PRESET_INPUTS["Tiny"]
 
@@ -114,6 +115,51 @@ class TestTargets:
         want = per_clip_targets(model, clips, pairs_v, pairs_a)
         for modality in ("video", "audio"):
             assert_same_bytes(res[modality]["targets"], want[modality], modality)
+
+
+class TestRowGathers:
+    def test_match_take_and_put_along_axis(self, monkeypatch):
+        """The visible tokens each encoder reads, the target rows and the
+        gradient scattered back to each embedding are the bytes of
+        ``np.take_along_axis`` and ``np.put_along_axis``."""
+        cfg = preset("Tiny")
+        clips = tiny_clips(8)
+        pairs = [make_mask_pairs(cfg, TINY_V, TINY_A, sample_rng(0, 1, i)) for i in range(8)]
+        pairs_m = {"video": [p[0] for p in pairs], "audio": [p[1] for p in pairs]}
+        model = tiny_model()
+        seen = {}
+
+        def record(block, method, key, arg=None):
+            inner = getattr(block, method)
+
+            def wrapper(*args, **kwargs):
+                result = inner(*args, **kwargs)
+                seen[key] = result if arg is None else args[arg]
+                return result
+            monkeypatch.setattr(block, method, wrapper)
+
+        for modality in ("video", "audio"):
+            embed = getattr(model, f"{modality}_embed")
+            encoder = getattr(model, f"{modality}_encoder")
+            record(embed, "forward", (modality, "tokens"))
+            record(embed, "backward", (modality, "d_tokens"), arg=0)
+            record(encoder, "encode", (modality, "visible_tokens"), arg=0)
+            record(encoder, "backward", (modality, "d_visible"))
+        res = model.forward_sample(clips, pairs_m["video"], pairs_m["audio"])
+        model.backward_sample(*(np.ones_like(res[m]["predictions"]) for m in ("video", "audio")),
+                              None, None)
+        for modality, pairs_ in pairs_m.items():
+            embed = getattr(model, f"{modality}_embed")
+            visible = np.stack([pair.visible_indices for pair in pairs_])
+            targets = np.stack([pair.target_indices for pair in pairs_])
+            assert_same_bytes(seen[modality, "visible_tokens"],
+                              oracle_take_rows(seen[modality, "tokens"], visible), modality)
+            patches = embed.patches([getattr(clip, modality) for clip in clips])
+            want = normalize_targets(oracle_take_rows(patches, targets)).astype(model.dtype)
+            assert_same_bytes(res[modality]["targets"], want, modality)
+            d_visible = seen[modality, "d_visible"]
+            assert_same_bytes(seen[modality, "d_tokens"],
+                              oracle_put_rows(pairs_[0].n_tokens, visible, d_visible), modality)
 
 
 def all_blocks(block):
