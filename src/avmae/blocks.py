@@ -265,15 +265,29 @@ class BlockList(Block):
 # ---------------------------------------------------------------------------
 
 
+# _row_max copies rows of up to 16 entries at any size, and rows of up to 64
+# in arrays of up to 1 MiB. Past that numpy's transposed copy, which is not
+# blocked, rereads the array about once per entry once it leaves the cache,
+# and costs more than the per-row reduce saves (see the README).
+_ROW_MAX_SHORT_KEYS = 16
+_ROW_MAX_COPY_KEYS = 64
+_ROW_MAX_COPY_BYTES = 1 << 20
+
+
 def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
-    """``np.maximum.reduce(x, axis=axis, keepdims=True)`` from one copy of x
-    with the rows innermost: one reduce across the copy instead of a short
-    reduce per row (attention rows hold 1 to 17 keys). A maximum is one of
-    its entries in any order; only a zero maximum's sign, or a NaN
-    maximum's bits, can change, and the softmax's ``exp`` maps ``x - (±0)``
-    to the same value. Only array methods run here: ``np.moveaxis`` costs
-    more than the reduce saves on small arrays (see the README).
+    """``np.maximum.reduce(x, axis=axis, keepdims=True)``. Rows within the
+    bounds above (every Tiny attention score among them) are reduced from
+    one copy of x with the rows innermost: one reduce across the copy
+    instead of a short reduce per row. A maximum is one of its entries in
+    any order; only a zero maximum's sign, or a NaN maximum's bits, can
+    change, and the softmax's ``exp`` maps ``x - (±0)`` to the same value.
+    Only array methods run here: ``np.moveaxis`` costs more than the reduce
+    saves on small arrays (see the README).
     """
+    keys = x.shape[axis]
+    if keys > _ROW_MAX_COPY_KEYS or (keys > _ROW_MAX_SHORT_KEYS
+                                     and x.nbytes > _ROW_MAX_COPY_BYTES):
+        return np.maximum.reduce(x, axis=axis, keepdims=True)
     last = x.swapaxes(axis, -1)
     cols = np.ascontiguousarray(last.reshape(-1, last.shape[-1]).T)
     return np.maximum.reduce(cols, axis=0).reshape(last.shape[:-1] + (1,)).swapaxes(axis, -1)
@@ -608,21 +622,16 @@ class ConvBNPReLU(Block):
     def update_statistics(self) -> None:
         """Fold the pending batch statistics into the running ones."""
         calls, self._stats = self._stats, []
-        if not calls:
-            return
         m = BATCHNORM_MOMENTUM
-        mean, var_run, seen = self.running_mean, self.running_var, int(self.num_batches)
-        for sample in range(len(calls[0][0])):
+        for sample in range(len(calls[0][0]) if calls else 0):
             for mu, var in calls:
-                if seen == 0:
-                    mean, var_run = mu[sample], var[sample]
+                if self.num_batches == 0:
+                    self.running_mean = mu[sample]
+                    self.running_var = var[sample]
                 else:
-                    mean = (1 - m) * mean + m * mu[sample]
-                    var_run = (1 - m) * var_run + m * var[sample]
-                seen += 1
-        self.running_mean = mean
-        self.running_var = var_run
-        self.num_batches = seen
+                    self.running_mean = (1 - m) * self.running_mean + m * mu[sample]
+                    self.running_var = (1 - m) * self.running_var + m * var[sample]
+                self.num_batches += 1
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         yhat, inv, z, neg, training = self._load()

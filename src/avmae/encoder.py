@@ -87,7 +87,7 @@ def partition(grid, region_shape, visible: np.ndarray) -> RegionLayout:
     coords = np.unravel_index(visible, grid)
     region = np.ravel_multi_index(tuple(c // r for c, r in zip(coords, region_shape)),
                                   region_grid)
-    key = (region + k * np.arange(n_samples)[:, None]).ravel()
+    key = _flat(region, k).ravel()
     # region j*K + i owns order[starts[j*K + i]:][:counts[j*K + i]], ascending
     order = np.argsort(key, kind="stable")
     counts = np.bincount(key, minlength=n_samples * k)
@@ -115,6 +115,24 @@ def partition(grid, region_shape, visible: np.ndarray) -> RegionLayout:
 def score_entries_stage12(layout: RegionLayout) -> int:
     """Attention score-matrix entries spent by stages I and II of one layer."""
     return int(((layout.counts + 1) ** 2).sum()) + layout.counts.size * layout.n_regions
+
+
+def _flat(index: np.ndarray, n: int) -> np.ndarray:
+    """Per-sample indices [S, R] into n rows each, as the flat rows
+    ``s*n + r`` of the S*n rows."""
+    return index + n * np.arange(len(index))[:, None]
+
+
+def take_sample_rows(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(x, index[:, :, None], axis=1)`` for x [S, M, C]
+    and per-sample rows index [S, R], bit for bit."""
+    return _rows(x, _flat(index, x.shape[1]))
+
+
+def put_sample_rows(x: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """``np.put_along_axis(x, index[:, :, None], values, axis=1)`` for a
+    C-contiguous x [S, M, C], values [S, R, C] and per-sample rows index."""
+    _put(x, _flat(index, x.shape[1]), values, None)
 
 
 def _rows(x: np.ndarray, index: np.ndarray, pad: np.ndarray | None = None) -> np.ndarray:

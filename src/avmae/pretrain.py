@@ -24,7 +24,7 @@ from .config import (AUDIO_ENCODER_MASK_RATIO, DECODER_MASK_RATIO,
                      VIDEO_ENCODER_MASK_RATIO, ModelConfig, audio_grid,
                      region_count, video_grid)
 from .embedding import AudioEmbed, RawClip, VideoEmbed, normalize_targets
-from .encoder import LGIEncoder, _put, _rows, partition
+from .encoder import LGIEncoder, partition, put_sample_rows, take_sample_rows
 from .masking import (CombinedSeq, MaskPair, assemble_combined, random_mask,
                       random_decoder_targets, running_cell_mask, tube_mask)
 
@@ -228,7 +228,7 @@ class PretrainModel(Block):
             tokens = embed.forward(patches[modality])
             visible = np.stack([pair.visible_indices for pair in pairs])
             _, locals_, skip_locals, pooled = encoder.encode(
-                _rows(tokens, _flat_rows(visible, tokens.shape[1])),
+                take_sample_rows(tokens, visible),
                 partition(embed.grid, region, visible))
             out[modality] = dict(visible=visible, locals=locals_,
                                  skip_locals=skip_locals, pooled=pooled)
@@ -245,9 +245,8 @@ class PretrainModel(Block):
             ctx = out[modality]
             combined = assemble_combined(ctx["fused"], pairs, mask_token.data, embed.codes)
             preds = decoder.forward(combined, ctx["skip_locals"])
-            target_rows = _flat_rows(combined.source_indices[:, combined.n_visible:],
-                                     patches[modality].shape[1])
-            targets = normalize_targets(_rows(patches[modality], target_rows))
+            targets = normalize_targets(take_sample_rows(
+                patches[modality], combined.source_indices[:, combined.n_visible:]))
             result[modality] = dict(
                 predictions=preds,
                 targets=targets.astype(self.dtype),
@@ -285,14 +284,8 @@ class PretrainModel(Block):
             d_visible = encoder.backward(d_locals, None, d_fused[modality][1], d_pooled)
             full = np.zeros((len(d_visible), n_tokens, d_visible.shape[-1]),
                             dtype=d_visible.dtype)
-            _put(full, _flat_rows(visible, n_tokens), d_visible, None)
+            put_sample_rows(full, visible, d_visible)
             embed.backward(full)
-
-
-def _flat_rows(index: np.ndarray, n: int) -> np.ndarray:
-    """Per-sample row indices [S, R] into [S, n, C] as the flat rows
-    ``s*n + r`` of [S*n, C]."""
-    return index + n * np.arange(len(index))[:, None]
 
 
 def _check_pairs(modality: str, pairs: list[MaskPair], n_clips: int,

@@ -403,8 +403,8 @@ def staged_branch_scales(rngs, rate, dtype):
 
 
 def staged_update_statistics(block):
-    """ConvBNPReLU.update_statistics writing the block's buffers after each
-    sample of each call."""
+    """ConvBNPReLU.update_statistics as written: the block's buffers are
+    written after each sample of each call."""
     from avmae.blocks import BATCHNORM_MOMENTUM as m
 
     calls, block._stats = block._stats, []

@@ -456,9 +456,9 @@ class TestKernelsMatchStagedExpressions:
     @pytest.mark.parametrize("n_calls", [1, 3])
     @pytest.mark.parametrize("n_samples", [1, 16])
     def test_batchnorm_running_statistics(self, n_samples, n_calls, dtype):
-        """The running statistics, folded on local arrays and written once,
-        are the bytes of writing the buffers after each sample of each call:
-        the first pass seeds them, the next two blend with momentum."""
+        """The running statistics are the bytes of writing the buffers after
+        each sample of each call: the first pass seeds them, the next two
+        blend with momentum."""
         blocks = [ConvBNPReLU(8, np.random.default_rng(3), dtype=dtype) for _ in range(2)]
         rng = np.random.default_rng(n_samples * n_calls)
         blocks[0].update_statistics()   # nothing pending: nothing changes
@@ -491,15 +491,20 @@ def softmax_inputs(rng, shape, dtype):
 
 
 class TestRowMaxima:
-    """softmax takes its row maxima from one rows-innermost copy: the bytes
-    of a ``np.max`` along the softmax axis, one short reduce per row, on
-    every rank and on rows of one."""
+    """softmax takes the row maxima of short rows from one rows-innermost
+    copy, and of the rest by one reduce per row: either way the bytes of a
+    ``np.max`` along the softmax axis, on every rank and on rows of one.
+    Rows of 64 and 65 keys sit on either side of the copy's row bound; the
+    last three shapes exceed its byte bound, with rows of 17 and 32 (reduced
+    per row) and of 16 (still copied)."""
 
     @pytest.mark.parametrize("axis", [-1, 0])
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", [(1,), (9,), (6, 1), (1, 7), (5, 4), (3, 4, 6),
                                        (16, 4, 4, 16, 4), (2, 3, 1, 17), (2, 2, 3, 4, 5),
-                                       (4, 2, 2, 17, 17)], ids=str)
+                                       (4, 2, 2, 17, 17), (3, 64), (3, 2, 65), (2, 101),
+                                       (64, 4, 4, 16, 17), (129, 2, 32, 32),
+                                       (2048, 2, 8, 16)], ids=str)
     def test_softmax_bytes(self, shape, dtype, axis):
         rng = np.random.default_rng(sum(shape) + len(shape))
         with np.errstate(all="ignore"):
