@@ -18,8 +18,8 @@ There is no taping of arbitrary graphs: composite modules chain these
 backwards by hand. Forwards run inside ``no_tape()`` record nothing, for
 evaluation: they leave any tape already pushed as it was.
 
-A parameter's ``data`` and ``grad`` may be views into one flat buffer shared
-by the whole model (the optimizer packs them), so they are written in place
+A parameter's ``data`` and ``grad`` may be views into one flat arena owned by
+an enclosing block (``Block.pack``), so they are written in place
 (``[...] =``, ``+=``) and never rebound.
 
 Reductions call the ufunc reductions (``np.add.reduce``, ``np.maximum.reduce``)
@@ -130,6 +130,7 @@ class Block:
         object.__setattr__(self, "_children", {})
         object.__setattr__(self, "_tape", [])
         object.__setattr__(self, "_pending", {})   # Parameter -> waiting grads
+        object.__setattr__(self, "_arena", None)   # (data, grad) once packed
 
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
@@ -151,20 +152,44 @@ class Block:
         for name, child in self._children.items():
             yield from child.named_parameters(prefix + name + ".")
 
-    def parameters(self):
-        yield from self._params.values()
-        for child in self._children.values():
-            yield from child.parameters()
-
     def named_buffers(self, prefix: str = ""):
         for name, b in self._buffers.items():
             yield (prefix + name, b)
         for name, child in self._children.items():
             yield from child.named_buffers(prefix + name + ".")
 
+    def pack(self) -> tuple[np.ndarray, np.ndarray]:
+        """Move the parameters into one flat ``data`` and one flat ``grad``
+        array, in ``named_parameters`` order, with each ``Parameter.data`` and
+        ``.grad`` a view of its slice; return ``(data, grad)``, the same two
+        on every later call. A parameter packs once: packing one that another
+        block packed, or parameters of two dtypes, is a ValueError."""
+        if self._arena is None:
+            named = list(self.named_parameters())
+            dtypes = {p.data.dtype for _, p in named}
+            if len(dtypes) > 1:
+                raise ValueError("packing needs parameters of one dtype, got "
+                                 + ", ".join(sorted(str(d) for d in dtypes)))
+            for name, p in named:
+                # a Parameter allocates its own grad; only packing makes it a view
+                if p.grad.base is not None:
+                    raise ValueError(f"parameter {name} is already packed by another block")
+            dtype = dtypes.pop() if dtypes else DEFAULT_DTYPE
+            total = sum(p.size for _, p in named)
+            data, grad = np.empty(total, dtype=dtype), np.empty(total, dtype=dtype)
+            start = 0
+            for _, p in named:
+                stop = start + p.size
+                data[start:stop] = p.data.ravel()
+                grad[start:stop] = p.grad.ravel()
+                p.data = data[start:stop].reshape(p.shape)
+                p.grad = grad[start:stop].reshape(p.shape)
+                start = stop
+            self._arena = data, grad
+        return self._arena
+
     def zero_grad(self):
-        for p in self.parameters():
-            p.grad.fill(0.0)
+        self.pack()[1].fill(0.0)
 
     # -- gradient accumulation ----------------------------------------------
 

@@ -69,7 +69,8 @@ def _cmd_train(args, stage: str) -> int:
     data = clips if stage == "pretrain" else (clips, labels)
     ckpt_path, log = run_stage(stage, model_cfg, train_cfg, data,
                                video_shape, audio_shape, args.out,
-                               checkpoint_in=args.init, steps=args.steps)
+                               checkpoint_in=getattr(args, "init", None),
+                               steps=args.steps)
     last = log.records[-1] if log.records else {}
     print(f"{stage} finished: {len(log.records)} steps, "
           f"final loss {last.get('loss')}, checkpoint {ckpt_path}")
@@ -179,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", default="Tiny", choices=preset_names())
         p.add_argument("--data", required=True, help="dataset directory")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--init", help="input checkpoint (required after pretrain)")
+        if stage != "pretrain":
+            p.add_argument("--init", help="input checkpoint (required)")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (overrides the config file)")
         p.add_argument("--steps", type=int, help="override the step budget")

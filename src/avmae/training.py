@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .atomic import write_atomic
-from .blocks import DEFAULT_DTYPE, Block, no_tape
+from .blocks import Block, no_tape
 from .config import DECODER_MASK_RATIO, ModelConfig, TrainConfig
 from .embedding import RawClip, read_clip, write_clip
 from .finetune import FinetuneModel
@@ -52,62 +52,39 @@ class AdamW:
     gradient path; per-parameter learning-rate multipliers implement
     layer-wise decay.
 
-    The parameters are packed into one flat ``data`` and one flat ``grad``
-    buffer, and each ``Parameter.data``/``.grad`` becomes a view of its
-    slice, so a step is a few vector operations over the whole model.
-    Consecutive parameters with one learning-rate scale form a run, which
-    a step updates with scalar factors. It runs in chunks through scratch
-    buffers allocated here, so it allocates nothing; the arithmetic per
-    element is that of an update of each parameter on its own. The state
-    is ``data`` and ``grad`` in the parameter dtype and the moments ``m``
-    and ``v`` in float64: 24 bytes per float32 parameter.
-
-    An AdamW owns its parameters' storage from then on. Building a second
-    one over a packed parameter is a ValueError: the first would go on
-    updating a buffer the model no longer reads.
+    A step updates the model's packed ``data`` and ``grad`` (``Block.pack``)
+    in chunks through scratch buffers allocated here, so it allocates
+    nothing. Consecutive parameters with one learning-rate scale form a run,
+    updated with scalar factors; the arithmetic per element is that of an
+    update of each parameter on its own. The moments ``m`` and ``v`` are
+    float64: 24 bytes per float32 parameter with the packed arrays.
     """
 
-    def __init__(self, named_params, beta2: float = 0.95,
+    def __init__(self, model: Block, beta2: float = 0.95,
                  lr_scales: dict[str, float] | None = None):
-        self.params = list(named_params)
+        self.params = list(model.named_parameters())
         self.beta2 = beta2
         self.t = 0
-        dtypes = {p.data.dtype for _, p in self.params}
-        if len(dtypes) > 1:
-            raise ValueError("AdamW needs parameters of one dtype, got "
-                             + ", ".join(sorted(str(d) for d in dtypes)))
-        dtype = dtypes.pop() if dtypes else DEFAULT_DTYPE
-        for name, p in self.params:
-            # a Parameter allocates its own grad; only packing makes it a view
-            if p.grad.base is not None:
-                raise ValueError(f"parameter {name} is already packed by another AdamW")
         scales = lr_scales or {}
         unknown = sorted(set(scales) - {name for name, _ in self.params})
         if unknown:
             raise ValueError("lr_scales names no parameter: " + ", ".join(unknown))
-        sizes = [p.size for _, p in self.params]
-        offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
-        total = int(offsets[-1])
-        self.data = np.empty(total, dtype=dtype)
-        self.grad = np.empty(total, dtype=dtype)
+        self.data, self.grad = model.pack()
         # runs: (start, stop, lr scale) of each maximal stretch of one scale
         self._runs = []
-        for (name, p), start, stop in zip(self.params, offsets[:-1], offsets[1:]):
-            shape = p.shape
-            self.data[start:stop] = p.data.ravel()
-            self.grad[start:stop] = p.grad.ravel()
-            p.data = self.data[start:stop].reshape(shape)
-            p.grad = self.grad[start:stop].reshape(shape)
+        stop = 0
+        for name, p in self.params:
+            start, stop = stop, stop + p.size
             scale = scales.get(name, 1.0)
             if self._runs and self._runs[-1][2] == scale:
                 self._runs[-1][1] = stop
             else:
                 self._runs.append([start, stop, scale])
-        self.m = np.zeros(total, dtype=np.float64)
-        self.v = np.zeros(total, dtype=np.float64)
-        n = min(total, _ADAMW_CHUNK)
+        self.m = np.zeros(self.data.size, dtype=np.float64)
+        self.v = np.zeros(self.data.size, dtype=np.float64)
+        n = min(self.data.size, _ADAMW_CHUNK)
         self._wide = [np.empty(n, dtype=np.float64) for _ in range(3)]
-        self._narrow = np.empty(n, dtype=dtype)
+        self._narrow = np.empty(n, dtype=self.data.dtype)
         self._finite = np.empty(n, dtype=bool)
 
     @staticmethod
@@ -115,10 +92,6 @@ class AdamW:
         for lo in range(start, stop, _ADAMW_CHUNK):
             hi = min(lo + _ADAMW_CHUNK, stop)
             yield slice(lo, hi), hi - lo
-
-    def zero_grad(self) -> None:
-        """Zero every parameter's gradient: one fill of the grad buffer."""
-        self.grad.fill(0.0)
 
     def step(self, lr: float, weight_decay: float) -> None:
         for sl, n in self._chunks(0, self.grad.size):
@@ -203,7 +176,7 @@ def optimizer_for(model: Block, cfg: ModelConfig, tcfg: TrainConfig) -> AdamW:
     scales = None
     if tcfg.layer_decay < 1.0:
         scales = layer_decay_scales(model, cfg, tcfg.layer_decay)
-    return AdamW(model.named_parameters(), beta2=beta2, lr_scales=scales)
+    return AdamW(model, beta2=beta2, lr_scales=scales)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +385,7 @@ def pretrain_step(model: PretrainModel, clips, indices, step: int,
     model.backward_sample(d_preds["video"], d_preds["audio"],
                           d_pooled["video"], d_pooled["audio"])
     optimizer.step(lr, tcfg.weight_decay)
-    optimizer.zero_grad()
+    model.zero_grad()
     return {"loss": total, "mse_a": mse["audio"], "mse_v": mse["video"], "nce": nce_total}
 
 
@@ -485,7 +458,7 @@ def supervised_step(model: FinetuneModel, clips, labels, indices, step: int,
     loss, d_logits = cross_entropy_ls(logits, batch_labels, tcfg.label_smoothing)
     model.backward_sample(d_logits)
     optimizer.step(lr, tcfg.weight_decay)
-    optimizer.zero_grad()
+    model.zero_grad()
     acc = float(np.mean(np.argmax(logits, axis=1) == batch_labels))
     return {"loss": loss, "acc": acc}
 
@@ -573,6 +546,7 @@ def run_stage(stage: str, cfg: ModelConfig, tcfg: TrainConfig, data,
     manifest, entries = ckpt.load(checkpoint_in)
     ckpt.check_config(manifest, cfg)
     warm_start(model, entries, manifest.get("stage"), tcfg.seed)
+    del manifest, entries   # the input checkpoint: not read past the warm start
     log, _ = run_supervised(model, tcfg, clips, labels, steps=steps, log=log)
     ckpt.save(ckpt_path, model, cfg, stage)
     return ckpt_path, log

@@ -491,7 +491,7 @@ def check_dual_masking_speed(pairs: int = 12) -> tuple[bool, str]:
     tcfg = desk_train_config("pretrain")
     models = {d: PretrainModel(cfg, vshape, ashape, rng=sample_rng(0))
               for d in (True, False)}
-    opts = {d: AdamW(models[d].named_parameters()) for d in (True, False)}
+    opts = {d: AdamW(models[d]) for d in (True, False)}
 
     def timed(dual, rep):
         t0 = time.perf_counter()
@@ -663,11 +663,11 @@ def check_schedule_and_optimizer() -> tuple[bool, str]:
     if abs(lr_at(mid, 1e-3, 256, w, total) - expect) > 1e-9:
         return False, "cosine midpoint wrong"
     # decoupled decay: zero grads shrink parameters multiplicatively
-    from .blocks import Parameter
-    p = Parameter(np.ones(4, dtype=np.float64))
-    opt = AdamW([("p", p)])
-    opt.step(lr=0.1, weight_decay=0.5)
-    if not np.allclose(p.data, 1.0 - 0.1 * 0.5):
+    from .blocks import Block, Parameter
+    holder = Block()
+    holder.p = Parameter(np.ones(4, dtype=np.float64))
+    AdamW(holder).step(lr=0.1, weight_decay=0.5)
+    if not np.allclose(holder.p.data, 1.0 - 0.1 * 0.5):
         return False, "decay not decoupled"
     return True, "warmup/cosine/decay semantics hold"
 

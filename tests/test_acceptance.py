@@ -178,8 +178,8 @@ class TestA7ParameterCounts:
         counts = param_counts(cfg, TINY_V, TINY_A, num_outputs=2)
         pm = PretrainModel(cfg, TINY_V, TINY_A, rng=sample_rng(0))
         fm = FinetuneModel(cfg, TINY_V, TINY_A, 2, rng=sample_rng(0))
-        assert counts["pretrain_total"] == sum(p.size for p in pm.parameters())
-        assert counts["finetune_total"] == sum(p.size for p in fm.parameters())
+        assert counts["pretrain_total"] == sum(p.size for _, p in pm.named_parameters())
+        assert counts["finetune_total"] == sum(p.size for _, p in fm.named_parameters())
 
 
 class TestA8ArchitectureTable:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,84 @@ class TestCheckpoint:
         path.write_bytes(b"hello world")
         with pytest.raises(ValueError, match="sentinel"):
             ckpt.load(path)
+
+
+def _entry(i, **fields):
+    return lambda header: header["entries"][i].update(fields)
+
+
+# (id, header mutation, the field the error must name); every row loads or
+# fails unnamed without the header check
+_HEADER_FAULTS = [
+    ("not-json", b"{not json", "not JSON"),
+    ("list", [], "not a JSON object"),
+    ("no-version", lambda header: header.pop("format_version"), "'format_version'"),
+    ("no-entries", lambda header: header.pop("entries"), "'entries'"),
+    ("no-buffers", lambda header: header.pop("buffers"), "'buffers'"),
+    ("stage-not-string", lambda header: header.update(stage=3), "'stage'"),
+    ("config-not-object", lambda header: header.update(model_config=[]), "'model_config'"),
+    ("entries-not-list", lambda header: header.update(entries={}), "'entries'"),
+    ("entry-not-object", lambda header: header.update(entries=["weight"]), "entries[0] is not"),
+    ("name-not-string", _entry(0, name=5), "'name'"),
+    ("name-repeated", lambda header: header["entries"][1].update(
+        name=header["entries"][0]["name"]), "'name' repeats"),
+    ("shape-negative", _entry(0, shape=[-1, 4]), "'shape'"),
+    ("shape-float", _entry(0, shape=[2.0]), "'shape'"),
+    ("buffer-dtype", lambda header: header["buffers"][0].update(dtype="<f8"), "'dtype'"),
+    ("offset-negative", _entry(1, offset=-4), "'offset'"),
+    ("offset-overlaps", _entry(1, offset=0), "'offset'"),
+    ("offset-string", _entry(0, offset="0"), "'offset'"),
+]
+
+
+class TestCheckpointHeader:
+    """A malformed header exits 2 naming the file and the field, before any
+    tensor is read."""
+
+    @pytest.fixture(scope="class")
+    def source(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("header")
+        ckpt.save(root / "good.avck", tiny_model(), preset("Tiny"), "post_pretrain")
+        assert main(["gen-data", "--task", "2", "--n", "2", "--out", str(root / "data")]) == 0
+        return root
+
+    @pytest.mark.parametrize("mutation, field", [row[1:] for row in _HEADER_FAULTS],
+                             ids=[row[0] for row in _HEADER_FAULTS])
+    def test_fault_exits_2_naming_file_and_field(self, source, tmp_path, capsys,
+                                                  mutation, field):
+        head, payload = (source / "good.avck").read_bytes().split(b"\n--payload--\n", 1)
+        if isinstance(mutation, bytes):
+            head = mutation
+        elif callable(mutation):
+            header = json.loads(head)
+            mutation(header)
+            head = json.dumps(header).encode()
+        else:
+            head = json.dumps(mutation).encode()
+        path = tmp_path / "bad.avck"
+        path.write_bytes(head + b"\n--payload--\n" + payload)
+        capsys.readouterr()
+        code = main(["finetune", "--data", str(source / "data"), "--out", str(tmp_path / "run"),
+                     "--init", str(path), "--steps", "1"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"error: {path}: " in err and field in err, err
+
+    def test_load_into_allocates_little_beyond_the_file(self, tmp_path):
+        """At its peak ``load_into`` holds the file's bytes and little else:
+        tensors are views of them, copied once, into the model."""
+        cfg = preset("Tiny")
+        path = tmp_path / "c.avck"
+        ckpt.save(path, tiny_model(1), cfg, "finetune")
+        model = tiny_model(2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ckpt.load_into(model, path, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.6 * path.stat().st_size
 
 
 class _DiskFull:
@@ -298,6 +377,16 @@ class TestCLI:
         code = main(["finetune", "--data", str(data),
                      "--out", str(tmp_path / "x"), "--steps", "1"])
         assert code == 2
+
+    def test_pretrain_init_exits_2_naming_flag(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["pretrain", "--data", str(data), "--out", str(tmp_path / "x"),
+                  "--init", str(tmp_path / "missing.avck"), "--steps", "1"])
+        assert exc.value.code == 2
+        assert "--init" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_task_spec_exits_2(self, tmp_path):
         code = main(["gen-data", "--task", "two", "--n", "2",

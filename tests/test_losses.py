@@ -141,7 +141,7 @@ class TestCombination:
         clips = [task.clip(i)[0] for i in range(2)]
         model = PretrainModel(cfg, vshape, ashape, rng=sample_rng(0))
         return pretrain_step(model, clips, [0, 1], 1, desk_train_config("pretrain"),
-                             AdamW(model.named_parameters()), 1e-4)
+                             AdamW(model), 1e-4)
 
     def test_total_recomposition(self):
         stats = self.step_stats(0.0025)

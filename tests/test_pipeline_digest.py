@@ -4,8 +4,10 @@
 --steps 4`` and ``finetune --steps 4``, all at seed 0 through ``cli.main``.
 The digests are SHA-256 of each stage's ``metrics.jsonl`` and of its
 checkpoint's parameter tensors, in name order, as little-endian float32
-bytes. A change that keeps every output byte-identical keeps them; a change
-that moves rounding must update them and state the measured deviation.
+bytes. ``FILE_DIGESTS`` are SHA-256 of each whole checkpoint file: header,
+parameter payload and buffers. A change that keeps every output
+byte-identical keeps them; a change that moves rounding must update them
+and state the measured deviation.
 
 Recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas build,
 Haswell kernels, DYNAMIC_ARCH). Another numpy or BLAS build may round
@@ -30,6 +32,11 @@ DIGESTS = {
     "finetune": (
         "0252cfcf31e1f8ea80fa94c3ed0ebd593327b57da381b4d34ba5dc9ff14d10b3",
         "c77bbbacd858215f417edf12319f961aae90d44ff7216116425821e0c9eafac5"),
+}
+FILE_DIGESTS = {
+    "pretrain": "73a2ab48c1e44b6ec21ebbf4f006dc042dbcfd5440292982f902278a77574051",
+    "posttrain": "e729a8b60e4f4e3a71b9aa72a4babba84626830dc4c4b40c64453881a391e07d",
+    "finetune": "04dd83b28e48465cda3627cf1122faeafd30e0f45042830dfbb524f2f0519772",
 }
 STEPS = {"pretrain": 6, "posttrain": 4, "finetune": 4}
 
@@ -62,3 +69,9 @@ def test_seed0_pipeline_digests(pipeline, stage):
     out = pipeline / stage
     assert hashlib.sha256((out / "metrics.jsonl").read_bytes()).hexdigest() == metrics
     assert parameter_digest(out / "checkpoint.avck") == params
+
+
+@pytest.mark.parametrize("stage", list(STEPS))
+def test_seed0_checkpoint_file_digests(pipeline, stage):
+    raw = (pipeline / stage / "checkpoint.avck").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == FILE_DIGESTS[stage]

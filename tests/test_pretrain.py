@@ -227,7 +227,7 @@ class TestPretrainForward:
         cfg = preset("B")
         vshape, ashape = PRESET_INPUTS["B"]
         model = PretrainModel(cfg, vshape, ashape, rng=sample_rng(0))
-        assert (sum(p.size for p in model.parameters())
+        assert (sum(p.size for _, p in model.named_parameters())
                 == param_counts(cfg, vshape, ashape)["pretrain_total"])
         rng = np.random.default_rng(0)
         clip = RawClip(rng.random((16, 160, 160, 3)).astype(np.float32),

@@ -67,7 +67,7 @@ class TestBatchMatchesPerSample:
         runs = []
         for step_fn in (training.pretrain_step, per_sample_pretrain_step):
             model = tiny_model()
-            optimizer = RecordingAdamW(model.named_parameters(), beta2=0.95)
+            optimizer = RecordingAdamW(model, beta2=0.95)
             stats = step_fn(model, clips, indices, step, tcfg, optimizer, 0.01,
                             dual_masking=dual_masking)
             runs.append((stats, optimizer))
@@ -206,7 +206,7 @@ class TestRejectedBatch:
         tcfg = desk_train_config("pretrain", seed=0)
         seen = []
         for m in (model, tiny_model()):
-            optimizer = RecordingAdamW(m.named_parameters(), beta2=0.95)
+            optimizer = RecordingAdamW(m, beta2=0.95)
             training.pretrain_step(m, clips, [0, 1], 1, tcfg, optimizer, 0.01)
             seen.append(optimizer.seen)
         got, want = seen

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from avmae import checkpoint as ckpt
 from avmae import training
 from avmae.blocks import Block, FeedForward, Parameter
 from avmae.config import desk_train_config, preset
@@ -27,16 +29,24 @@ def tiny_finetune_model():
     return FinetuneModel(preset("Tiny"), (8, 32, 32), (32, 16), 4, rng=sample_rng(0))
 
 
+def holding(*named):
+    """A block that holds the named parameters, in order."""
+    block = Block()
+    for name, p in named:
+        setattr(block, name, p)
+    return block
+
+
 class TestAdamW:
     def test_zero_grads_no_decay_leaves_params(self):
         p = Parameter(np.full(4, 2.0))
-        opt = AdamW([("p", p)])
+        opt = AdamW(holding(("p", p)))
         opt.step(lr=0.1, weight_decay=0.0)
         assert np.allclose(p.data, 2.0)
 
     def test_decoupled_decay_is_multiplicative(self):
         p = Parameter(np.full(4, 2.0))
-        opt = AdamW([("p", p)])
+        opt = AdamW(holding(("p", p)))
         opt.step(lr=0.1, weight_decay=0.5)
         assert np.allclose(p.data, 2.0 * (1 - 0.1 * 0.5))
 
@@ -44,7 +54,7 @@ class TestAdamW:
         """f(w) = ||w||^2 / 2, gradient w: well under 1e-3 by 2000 steps."""
         rng = np.random.default_rng(0)
         p = Parameter(rng.normal(size=8))
-        opt = AdamW([("p", p)])
+        opt = AdamW(holding(("p", p)))
         for _ in range(2000):
             p.grad[...] = p.data
             opt.step(lr=1e-2, weight_decay=0.0)
@@ -52,14 +62,14 @@ class TestAdamW:
 
     def test_nonfinite_gradient_aborts_with_name(self):
         p = Parameter(np.ones(3))
-        opt = AdamW([("encoder.w", p)])
+        opt = AdamW(holding(("encoder.w", p)))
         p.grad[1] = np.nan
         with pytest.raises(FloatingPointError, match="encoder.w"):
             opt.step(lr=1e-3, weight_decay=0.0)
 
     def test_nonfinite_gradient_updates_nothing(self):
         first, second = Parameter(np.ones(3)), Parameter(np.ones(2))
-        opt = AdamW([("first", first), ("second", second)])
+        opt = AdamW(holding(("first", first), ("second", second)))
         first.grad[...] = 0.5
         second.grad[1] = np.nan
         with pytest.raises(FloatingPointError, match="second"):
@@ -70,16 +80,16 @@ class TestAdamW:
 
     def test_mixed_dtypes_rejected(self):
         with pytest.raises(ValueError, match="one dtype"):
-            AdamW([("a", Parameter(np.ones(2, dtype=np.float32))),
-                   ("b", Parameter(np.ones(2, dtype=np.float64)))])
+            AdamW(holding(("a", Parameter(np.ones(2, dtype=np.float32))),
+                          ("b", Parameter(np.ones(2, dtype=np.float64)))))
 
     def test_packing_keeps_values_and_makes_views(self):
         model = tiny_finetune_model()
         rng = np.random.default_rng(0)
-        for p in model.parameters():
+        for _, p in model.named_parameters():
             p.grad[...] = rng.normal(size=p.shape)
         before = [(name, p.data.copy(), p.grad.copy()) for name, p in model.named_parameters()]
-        opt = AdamW(model.named_parameters())
+        opt = AdamW(model)
         after = dict(model.named_parameters())
         for name, data, grad in before:
             p = after[name]
@@ -88,32 +98,42 @@ class TestAdamW:
             assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
 
     def test_zero_grad_zeroes_every_grad_view(self):
-        """Both the block tree's zero_grad and the optimizer's one fill."""
+        """The block tree's zero_grad is one fill of the packed grad array."""
         model = tiny_finetune_model()
-        opt = AdamW(model.named_parameters())
-        for zero_grad in (model.zero_grad, opt.zero_grad):
-            opt.grad[...] = 1.0
-            zero_grad()
-            assert not opt.grad.any()
-            assert all(not p.grad.any() for p in model.parameters())
+        opt = AdamW(model)
+        opt.grad[...] = 1.0
+        model.zero_grad()
+        assert not opt.grad.any()
+        assert all(not p.grad.any() for _, p in model.named_parameters())
 
-    def test_second_optimizer_over_packed_parameters_rejected(self):
-        first, second = Parameter(np.ones(3)), Parameter(np.ones(2))
-        opt = AdamW([("first", first)])
-        with pytest.raises(ValueError, match="first"):
-            AdamW([("second", second), ("first", first)])
-        # nothing was repacked: the first optimizer still moves the parameter
-        assert np.shares_memory(first.data, opt.data)
-        assert not np.shares_memory(second.grad, opt.grad) and second.grad.base is None
-        first.grad[...] = 1.0
-        opt.step(lr=0.1, weight_decay=0.0)
-        assert (first.data < 1.0).all()
+    def test_steps_the_models_own_arrays(self):
+        """AdamW borrows ``model.pack()``'s arrays; a second AdamW over the
+        same model shares them."""
+        model = tiny_finetune_model()
+        opt = AdamW(model)
+        data, grad = model.pack()
+        assert opt.data is data and opt.grad is grad
+        assert model.pack() == (data, grad)
+        other = AdamW(model)
+        assert other.data is data and other.grad is grad
+        before = data.copy()
+        grad[...] = 1.0
+        other.step(lr=0.1, weight_decay=0.0)
+        assert (data < before).all()
+
+    def test_packing_a_child_of_a_packed_model_rejected(self):
+        model = tiny_finetune_model()
+        model.pack()
+        with pytest.raises(ValueError, match="parameter .+ is already packed"):
+            model.video_embed.pack()
+        with pytest.raises(ValueError, match="already packed"):
+            AdamW(model.iavcl)
 
     @staticmethod
     def assert_matches_oracle(model, ref, lr_scales, beta2):
         """Five weight-decayed steps over ``model`` equal the per-parameter
         loop over ``ref``, a copy of it: parameters and moments, bitwise."""
-        opt = AdamW(model.named_parameters(), beta2=beta2, lr_scales=lr_scales)
+        opt = AdamW(model, beta2=beta2, lr_scales=lr_scales)
         oracle = OracleAdamW(ref.named_parameters(), beta2=beta2, lr_scales=lr_scales)
         rng = np.random.default_rng(3)
         for step in range(1, 6):
@@ -155,7 +175,7 @@ class TestAdamW:
     def test_unknown_lr_scale_names_rejected(self):
         p = Parameter(np.ones(3))
         with pytest.raises(ValueError, match="encoder.wieght, head.b"):
-            AdamW([("encoder.weight", p)],
+            AdamW(holding(("encoder.weight", p)),
                   lr_scales={"encoder.weight": 0.5, "head.b": 1.0, "encoder.wieght": 0.5})
         assert p.grad.base is None   # nothing was packed
 
@@ -163,9 +183,8 @@ class TestAdamW:
         """data and grad in float32, m and v in float64, and no other array
         of arena length: no per-element learning rate."""
         model = tiny_finetune_model()
-        opt = AdamW(model.named_parameters(),
-                    lr_scales=layer_decay_scales(model, preset("Tiny"), 0.75))
-        total = sum(p.size for p in model.parameters())
+        opt = AdamW(model, lr_scales=layer_decay_scales(model, preset("Tiny"), 0.75))
+        total = sum(p.size for _, p in model.named_parameters())
         assert total > training._ADAMW_CHUNK
         arrays = {}
         for attr, value in vars(opt).items():
@@ -183,8 +202,8 @@ class TestAdamW:
         grads = rng.normal(size=(2, 4))
         p1 = [Parameter(data[i].copy()) for i in range(2)]
         p2 = [Parameter(data[i].copy()) for i in range(2)]
-        o1 = AdamW([("a", p1[0]), ("b", p1[1])])
-        o2 = AdamW([("b", p2[1]), ("a", p2[0])])
+        o1 = AdamW(holding(("a", p1[0]), ("b", p1[1])))
+        o2 = AdamW(holding(("b", p2[1]), ("a", p2[0])))
         for i in range(2):
             p1[i].grad[...] = grads[i]
             p2[i].grad[...] = grads[i]
@@ -344,6 +363,34 @@ class TestRunStage:
             run_stage("finetune", preset("Tiny"), tcfg, (clips, []),
                       (8, 32, 32), (32, 16), tmp_path)
 
+    def test_input_checkpoint_released_before_training(self, tmp_path, monkeypatch):
+        """Nothing that ``checkpoint.load`` allocated is still held when the
+        supervised run starts: the warm start has copied what it needs."""
+        cfg = preset("Tiny")
+        clips, labels = self.tiny_data(n=4)
+        tc_pre = desk_train_config("pretrain", seed=0)
+        tc_pre.batch = 4
+        pre_path, _ = run_stage("pretrain", cfg, tc_pre, clips, (8, 32, 32), (32, 16),
+                                tmp_path / "pre", steps=1)
+        held = []
+
+        def measured_run(*args, **kwargs):
+            loaded = tracemalloc.Filter(True, ckpt.__file__, all_frames=True)
+            snapshot = tracemalloc.take_snapshot().filter_traces([loaded])
+            held.append(sum(stat.size for stat in snapshot.statistics("filename")))
+            return MetricsLog(), None
+
+        monkeypatch.setattr(training, "run_supervised", measured_run)
+        tracemalloc.start(16)
+        try:
+            run_stage("post_pretrain", cfg, desk_train_config("post_pretrain", seed=0),
+                      (clips, labels), (8, 32, 32), (32, 16), tmp_path / "post",
+                      checkpoint_in=pre_path, steps=1)
+        finally:
+            tracemalloc.stop()
+        # what stays counted is small objects kept on the interpreter's free lists
+        assert held[0] < 0.1 * pre_path.stat().st_size
+
     def test_pipeline_runs_and_checkpoint_immutable(self, tmp_path):
         """Three stages chain end to end; inputs are never mutated."""
         cfg = preset("Tiny")
@@ -389,9 +436,9 @@ class TestRunStage:
         _, lb = run_pretrain(cfg, b, clips, (8, 32, 32), (32, 16), steps=2)
         assert la.lines() != lb.lines()
 
-    def test_training_loops_zero_through_the_optimizer(self, monkeypatch):
-        """Two-step pretrain and fine-tune runs log the same lines with the
-        block-tree ``zero_grad`` made to raise: the loops never call it."""
+    def test_training_loops_zero_through_the_model(self, monkeypatch):
+        """Two-step pretrain and fine-tune runs zero the gradients with the
+        model's own ``zero_grad``, once per step, and log the same lines."""
         cfg = preset("Tiny")
         clips, labels = self.tiny_data(n=4)
         tc_pre, tc_ft = desk_train_config("pretrain"), desk_train_config("finetune")
@@ -403,12 +450,16 @@ class TestRunStage:
             return pre.lines(), ft.lines()
 
         want = runs()
+        zeroed = []
+        real = Block.zero_grad
 
-        def walk(self):
-            raise AssertionError("Block.zero_grad called")
+        def counted(self):
+            zeroed.append(type(self).__name__)
+            real(self)
 
-        monkeypatch.setattr(Block, "zero_grad", walk)
+        monkeypatch.setattr(Block, "zero_grad", counted)
         assert runs() == want
+        assert zeroed == ["PretrainModel"] * 2 + ["FinetuneModel"] * 2
 
 
 # Runs in a fresh process, so the allocator starts with no history: a seed-0
