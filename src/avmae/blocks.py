@@ -2,17 +2,20 @@
 
 Every block follows the same protocol: ``forward(...)`` computes the output
 and pushes the activations it will need onto an internal cache stack;
-``backward(upstream)`` pops that cache, accumulates parameter gradients in
-place and returns the gradient(s) with respect to the forward inputs.
+``backward(upstream)`` pops that cache, adds the parameter gradients and
+returns the gradient(s) with respect to the forward inputs.
 Because caches form a stack, a block may be applied several times inside one
 composite forward pass (e.g. the same attention parameters over K regions)
 as long as the composite backward runs in exact reverse order.
 
 Every input carries a leading sample axis S: ``[S, ..., C]``. Samples are
 never merged into the rows of one matmul; a matmul over the sample axis runs
-the same per-sample product a single sample would. A backward computes each
-parameter's gradient per sample, ``[S, *shape]``, and ``Block._accumulate``
-adds it in the order a loop of single-sample backwards would (see there).
+the same per-sample product a single sample would. A backward writes each
+parameter's gradient per sample, ``[S, *shape]``, into its call's slot of the
+block's gradient slab (``Block._grad_slots``). After the last backward call
+of the pass, the block folds the slab into its gradients once
+(``Block._fold_grads``), in the order a loop of single-sample backwards would
+add them (see there).
 
 There is no taping of arbitrary graphs: composite modules chain these
 backwards by hand. Forwards run inside ``no_tape()`` record nothing, for
@@ -43,7 +46,8 @@ BATCHNORM_MOMENTUM = 0.1
 
 
 class GradientStateError(RuntimeError):
-    """Raised when backward is called without a matching forward."""
+    """Raised when backward is called without a matching forward, or a block
+    runs a taped forward while its backward pass is open."""
 
 
 class _Taping(threading.local):
@@ -129,12 +133,19 @@ class Block:
         object.__setattr__(self, "_buffers", {})
         object.__setattr__(self, "_children", {})
         object.__setattr__(self, "_tape", [])
-        object.__setattr__(self, "_pending", {})   # Parameter -> waiting grads
-        object.__setattr__(self, "_arena", None)   # (data, grad) once packed
+        object.__setattr__(self, "_slots", [])       # (start, stop, shape) per own param
+        object.__setattr__(self, "_slab", None)      # this pass's per-sample grads
+        object.__setattr__(self, "_own_grad", None)  # own params' grad slice, once packed
+        object.__setattr__(self, "_arena", None)     # (data, grad) once packed
 
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
             self._params[name] = value
+            self._slots.clear()
+            start = 0
+            for p in self._params.values():
+                self._slots.append((start, start + p.size, p.shape))
+                start += p.size
         elif isinstance(value, Buffer):
             value = self._buffers[name] = value.data
         elif isinstance(value, Block):
@@ -158,12 +169,20 @@ class Block:
         for name, child in self._children.items():
             yield from child.named_buffers(prefix + name + ".")
 
+    def _walk(self):
+        """This block and its descendants, in ``named_parameters`` order."""
+        yield self
+        for child in self._children.values():
+            yield from child._walk()
+
     def pack(self) -> tuple[np.ndarray, np.ndarray]:
         """Move the parameters into one flat ``data`` and one flat ``grad``
         array, in ``named_parameters`` order, with each ``Parameter.data`` and
         ``.grad`` a view of its slice; return ``(data, grad)``, the same two
-        on every later call. A parameter packs once: packing one that another
-        block packed, or parameters of two dtypes, is a ValueError."""
+        on every later call. Each block's own parameters are contiguous there,
+        and the block keeps their grad slice. A parameter packs once: packing
+        one that another block packed, or parameters of two dtypes, is a
+        ValueError."""
         if self._arena is None:
             named = list(self.named_parameters())
             dtypes = {p.data.dtype for _, p in named}
@@ -178,74 +197,70 @@ class Block:
             total = sum(p.size for _, p in named)
             data, grad = np.empty(total, dtype=dtype), np.empty(total, dtype=dtype)
             start = 0
-            for _, p in named:
-                stop = start + p.size
-                data[start:stop] = p.data.ravel()
-                grad[start:stop] = p.grad.ravel()
-                p.data = data[start:stop].reshape(p.shape)
-                p.grad = grad[start:stop].reshape(p.shape)
-                start = stop
+            for block in self._walk():
+                own_start = start
+                for p in block._params.values():
+                    stop = start + p.size
+                    data[start:stop] = p.data.ravel()
+                    grad[start:stop] = p.grad.ravel()
+                    p.data = data[start:stop].reshape(p.shape)
+                    p.grad = grad[start:stop].reshape(p.shape)
+                    start = stop
+                block._own_grad = grad[own_start:start]
             self._arena = data, grad
         return self._arena
 
     def zero_grad(self):
         self.pack()[1].fill(0.0)
 
-    # -- gradient accumulation ----------------------------------------------
+    # -- gradient slab --------------------------------------------------------
 
-    def _accumulate(self, p: Parameter, grads: np.ndarray) -> None:
-        """Add per-sample gradients ``grads`` [S, *p.shape] into ``p.grad``.
+    def _grad_slots(self, n_samples: int) -> list[np.ndarray]:
+        """One [S, *shape] view per own parameter, for this backward call to
+        write once before ``_fold_grads``. The pass's first call opens a slab
+        [S, calls, own size], one call per taped forward, with samples stored
+        last to first and calls in backward order."""
+        slab = self._slab
+        if slab is None:
+            slab = np.empty((n_samples, len(self._tape) + 1, self._slots[-1][1]),
+                            dtype=next(iter(self._params.values())).grad.dtype)
+            object.__setattr__(self, "_slab", slab)
+        row = slab[::-1, slab.shape[1] - 1 - len(self._tape)]
+        return [row[:, start:stop].reshape((n_samples,) + shape)
+                for start, stop, shape in self._slots]
 
-        ``grads`` is consumed: the caller passes an array it owns (not a view
-        of anything still read) and must not read it afterwards, since it may
-        be written into.
-
-        They are added in the order of a loop of single-sample backwards run
-        from the last sample to the first: sample by sample, and within a
-        sample in backward-call order. So while this block's tape still holds
-        forwards to run backward through (a block applied several times per
-        pass), a parameter's contributions wait; its last one folds them all
-        in. A parameter's only call of the pass (nothing waiting, tape
-        empty), or one sample with nothing waiting, is added at once and in
-        place: ``p.grad`` goes into the last sample's row, then the rows are
-        reduced last to first into ``p.grad``. IEEE addition commutes, signed
-        zeros included, so ``g[-1] + p.grad`` is ``p.grad + g[-1]`` and the
-        sum is the fold's, bit for bit.
-        """
-        if p not in self._pending and (len(grads) == 1 or not self._tape):
-            if len(grads) == 1 or p.size == 1:
-                # a reduce would sum a single element's rows pairwise
-                for row in grads[::-1]:
-                    p.grad += row
-            else:
-                grads[-1] += p.grad
-                # an axis-0 reduce adds the rows in order, like a += loop
-                np.add.reduce(grads[::-1], axis=0, out=p.grad)
+    def _fold_grads(self) -> None:
+        """After the pass's last backward call (tape empty), add the slab to
+        the own gradients in the order of single-sample backwards run last
+        sample first: ``own_grad`` goes into the first row (IEEE addition
+        commutes, signed zeros included), then an axis-0 reduce adds the rows
+        in order, like a ``+=`` loop. One sample's rows, and a single
+        element's (which a reduce sums pairwise), are added by ``+=``."""
+        if self._tape:
             return
-        self._pending.setdefault(p, []).append(grads)
-        if not self._tape:
-            self._fold(p, self._pending.pop(p))
-
-    @staticmethod
-    def _fold(p: Parameter, per_call: list[np.ndarray]) -> None:
-        n_samples, n_calls = per_call[0].shape[0], len(per_call)
-        rows = np.empty((1 + n_samples * n_calls,) + p.shape, dtype=p.grad.dtype)
-        rows[0] = p.grad
-        body = rows[1:].reshape((n_samples, n_calls) + p.shape)
-        for j, grads in enumerate(per_call):
-            body[:, j] = grads[::-1]
-        if p.size > 1:
-            # an axis-0 reduce adds the rows in order, like a += loop
-            np.add.reduce(rows, axis=0, out=p.grad)
+        slab = self._slab
+        rows = slab.reshape(-1, slab.shape[-1])
+        object.__setattr__(self, "_slab", None)
+        own = self._own_grad
+        if own is None:   # never packed: fold a copy, then write it back
+            own = np.concatenate([p.grad.ravel() for p in self._params.values()])
+        if len(slab) > 1 and own.size > 1:
+            rows[0] += own
+            np.add.reduce(rows, axis=0, out=own)
         else:
-            # a single element would be summed pairwise, so add row by row
-            for row in rows[1:]:
-                p.grad += row
+            for row in rows:
+                own += row
+        if self._own_grad is None:
+            for p, (start, stop, shape) in zip(self._params.values(), self._slots):
+                p.grad[...] = own[start:stop].reshape(shape)
 
     # -- cache stack --------------------------------------------------------
 
     def _save(self, *values):
         if _taping.on:
+            if self._slab is not None:
+                raise GradientStateError(
+                    f"{type(self).__name__}.forward during its backward pass")
             self._tape.append(values)
 
     def _load(self):
@@ -257,7 +272,7 @@ class Block:
     def clear_caches(self):
         """Drop saved activations (after inference-only forwards)."""
         self._tape.clear()
-        self._pending.clear()
+        object.__setattr__(self, "_slab", None)
         for child in self._children.values():
             child.clear_caches()
 
@@ -434,14 +449,20 @@ class Linear(Block):
         self._save(x)
         return y
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, d_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Returns the input gradient, or None with ``input_grad=False`` (for
+        a caller that has no use for it)."""
         (x,) = self._load()
         n = x.shape[0]
         flat_x = x.reshape(n, -1, self.d_in)
         flat_d = d_out.reshape(n, -1, self.d_out)
-        self._accumulate(self.weight, flat_x.transpose(0, 2, 1) @ flat_d)
-        self._accumulate(self.bias, np.add.reduce(flat_d, axis=1))
-        return (flat_d @ self.weight.data.T).reshape(x.shape)
+        g_weight, g_bias = self._grad_slots(n)
+        np.matmul(flat_x.transpose(0, 2, 1), flat_d, out=g_weight)
+        np.add.reduce(flat_d, axis=1, out=g_bias)
+        self._fold_grads()
+        if input_grad:
+            return (flat_d @ self.weight.data.T).reshape(x.shape)
+        return None
 
 
 class LayerNorm(Block):
@@ -468,8 +489,10 @@ class LayerNorm(Block):
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         xhat, inv = self._load()
         red = tuple(range(1, d_out.ndim - 1))
-        self._accumulate(self.scale, np.add.reduce(d_out * xhat, axis=red))
-        self._accumulate(self.shift, np.add.reduce(d_out, axis=red))
+        g_scale, g_shift = self._grad_slots(len(d_out))
+        np.add.reduce(d_out * xhat, axis=red, out=g_scale)
+        np.add.reduce(d_out, axis=red, out=g_shift)
+        self._fold_grads()
         d_xhat = d_out * self.scale.data
         d_in = d_xhat - _mean_last(d_xhat)
         d_xhat *= xhat
@@ -547,8 +570,9 @@ class Attention(Block):
         n, c = len(d_out), self.dim
         # [S, ..., C] -> [S, rows, C]: a sample's rows, never samples merged
         d_rows = d_out.reshape(n, -1, c)
-        self._accumulate(self.w_o, merged.reshape(n, -1, c).transpose(0, 2, 1) @ d_rows)
-        self._accumulate(self.b_o, np.add.reduce(d_rows, axis=1))
+        g_wq, g_wk, g_wv, g_wo, g_bq, g_bk, g_bv, g_bo = self._grad_slots(n)
+        np.matmul(merged.reshape(n, -1, c).transpose(0, 2, 1), d_rows, out=g_wo)
+        np.add.reduce(d_rows, axis=1, out=g_bo)
         d_ctx = self._split(d_out @ self.w_o.data.T)
         d_probs = d_ctx @ v.swapaxes(-1, -2)
         d_v = probs.swapaxes(-1, -2) @ d_ctx
@@ -559,8 +583,8 @@ class Attention(Block):
         d_qf, d_kf, d_vf = self._merge(d_q), self._merge(d_k), self._merge(d_v)
 
         d_rows = d_qf.reshape(n, -1, c)
-        self._accumulate(self.w_q, q_in.reshape(n, -1, c).transpose(0, 2, 1) @ d_rows)
-        self._accumulate(self.b_q, np.add.reduce(d_rows, axis=1))
+        np.matmul(q_in.reshape(n, -1, c).transpose(0, 2, 1), d_rows, out=g_wq)
+        np.add.reduce(d_rows, axis=1, out=g_bq)
         d_q_in = d_qf @ self.w_q.data.T
         if shared:
             # shared keys/values: reduce the G axis before the projections
@@ -568,11 +592,12 @@ class Attention(Block):
             d_vf = np.add.reduce(d_vf, axis=1)
         kv_t = kv_in.reshape(n, -1, c).transpose(0, 2, 1)
         d_rows = d_kf.reshape(n, -1, c)
-        self._accumulate(self.w_k, kv_t @ d_rows)
-        self._accumulate(self.b_k, np.add.reduce(d_rows, axis=1))
+        np.matmul(kv_t, d_rows, out=g_wk)
+        np.add.reduce(d_rows, axis=1, out=g_bk)
         d_rows = d_vf.reshape(n, -1, c)
-        self._accumulate(self.w_v, kv_t @ d_rows)
-        self._accumulate(self.b_v, np.add.reduce(d_rows, axis=1))
+        np.matmul(kv_t, d_rows, out=g_wv)
+        np.add.reduce(d_rows, axis=1, out=g_bv)
+        self._fold_grads()
         d_kv_in = d_kf @ self.w_k.data.T
         d_kv_in += d_vf @ self.w_v.data.T
         return d_q_in, d_kv_in
@@ -645,26 +670,30 @@ class ConvBNPReLU(Block):
         return out
 
     def update_statistics(self) -> None:
-        """Fold the pending batch statistics into the running ones."""
+        """Fold the pending batch statistics into the running ones, in place
+        in the buffers; the batch count is written once."""
         calls, self._stats = self._stats, []
         m = BATCHNORM_MOMENTUM
+        mean, run_var, count = self.running_mean, self.running_var, int(self.num_batches)
         for sample in range(len(calls[0][0]) if calls else 0):
             for mu, var in calls:
-                if self.num_batches == 0:
-                    self.running_mean = mu[sample]
-                    self.running_var = var[sample]
+                if count == 0:
+                    mean[...] = mu[sample]
+                    run_var[...] = var[sample]
                 else:
-                    self.running_mean = (1 - m) * self.running_mean + m * mu[sample]
-                    self.running_var = (1 - m) * self.running_var + m * var[sample]
-                self.num_batches += 1
+                    mean[...] = (1 - m) * mean + m * mu[sample]
+                    run_var[...] = (1 - m) * run_var + m * var[sample]
+                count += 1
+        self.num_batches = count
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         yhat, inv, z, neg, training = self._load()
         d_z = np.where(neg, d_out * self.prelu_slope.data, d_out)
-        self._accumulate(self.prelu_slope,
-                         np.add.reduce(np.where(neg, d_out * z, 0.0), axis=1))
-        self._accumulate(self.bn_scale, np.add.reduce(d_z * yhat, axis=1))
-        self._accumulate(self.bn_shift, np.add.reduce(d_z, axis=1))
+        g_scale, g_shift, g_slope = self._grad_slots(len(d_out))
+        np.add.reduce(np.where(neg, d_out * z, 0.0), axis=1, out=g_slope)
+        np.add.reduce(d_z * yhat, axis=1, out=g_scale)
+        np.add.reduce(d_z, axis=1, out=g_shift)
+        self._fold_grads()
         d_yhat = d_z * self.bn_scale.data
         if training:
             d_y = d_yhat - _mean_tokens(d_yhat)

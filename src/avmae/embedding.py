@@ -130,7 +130,7 @@ class PatchEmbed(Block):
         return tokens + self.codes
 
     def backward(self, d_tokens: np.ndarray) -> None:
-        self.proj.backward(d_tokens)
+        self.proj.backward(d_tokens, input_grad=False)
 
 
 class VideoEmbed(PatchEmbed):

@@ -382,5 +382,7 @@ class LGIEncoder(Block):
             if d_skip_locals is not None and idx in d_skip_locals:
                 d_locals = d_locals + d_skip_locals[idx]
             d_locals, d_s = self.layers[idx].backward(d_locals, d_s)
-        self._accumulate(self.region_tokens, d_s)
+        (g_tokens,) = self._grad_slots(len(d_s))
+        g_tokens[...] = d_s
+        self._fold_grads()
         return d_locals

@@ -267,6 +267,8 @@ class IAVCLHead(Block):
                                   axis=-1)
         d_alpha_v = np.add.reduce((d_agg_v[:, None] * stack_v).reshape(n, self.n_layers, -1),
                                   axis=-1)
-        self._accumulate(self.layer_logits_a, softmax_backward(alpha_a, d_alpha_a))
-        self._accumulate(self.layer_logits_v, softmax_backward(alpha_v, d_alpha_v))
+        g_logits_a, g_logits_v = self._grad_slots(n)
+        g_logits_a[...] = softmax_backward(alpha_a, d_alpha_a)
+        g_logits_v[...] = softmax_backward(alpha_v, d_alpha_v)
+        self._fold_grads()
         return d_snaps_a, d_snaps_v

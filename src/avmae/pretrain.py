@@ -265,13 +265,15 @@ class PretrainModel(Block):
         [S, targets, patch], pooled-feature gradients {skip layer: [S, C]}."""
         visible_v, visible_a, n_tokens_v, n_tokens_a = self._load()
         d_fused = {}
-        for modality, decoder, mask_token, d_preds, visible in (
-                ("audio", self.audio_decoder, self.mask_token_a, d_preds_a, visible_a),
-                ("video", self.video_decoder, self.mask_token_v, d_preds_v, visible_v)):
+        g_token_v, g_token_a = self._grad_slots(len(d_preds_v))
+        for modality, decoder, g_token, d_preds, visible in (
+                ("audio", self.audio_decoder, g_token_a, d_preds_a, visible_a),
+                ("video", self.video_decoder, g_token_v, d_preds_v, visible_v)):
             d_tokens, d_skips = decoder.backward(d_preds)
             n_vis = visible.shape[1]
-            self._accumulate(mask_token, np.add.reduce(d_tokens[:, n_vis:], axis=1))
+            np.add.reduce(d_tokens[:, n_vis:], axis=1, out=g_token)
             d_fused[modality] = (d_tokens[:, :n_vis], d_skips)
+        self._fold_grads()
 
         d_locals_v, d_locals_a = self.fusion.backward(d_fused["video"][0],
                                                       d_fused["audio"][0])

@@ -345,6 +345,28 @@ def staged_accumulate(grad, grads):
     return grad
 
 
+def staged_fold(grad, per_call):
+    """``grad`` after a block applied ``len(per_call)`` times in a pass adds
+    each backward call's per-sample gradients ``per_call[j]`` [S, *shape]:
+    staged as the rows ``grad``, then sample S-1's calls in backward order,
+    then sample S-2's, ..., and reduced along axis 0, or added row by row for
+    one sample or a single element. This is a loop of single-sample
+    backwards run from the last sample to the first."""
+    grad = grad.copy()
+    n_samples, n_calls = per_call[0].shape[0], len(per_call)
+    rows = np.empty((1 + n_samples * n_calls,) + grad.shape, dtype=grad.dtype)
+    rows[0] = grad
+    body = rows[1:].reshape((n_samples, n_calls) + grad.shape)
+    for j, grads in enumerate(per_call):
+        body[:, j] = grads[::-1]
+    if n_samples > 1 and grad.size > 1:
+        np.add.reduce(rows, axis=0, out=grad)
+    else:
+        for row in rows[1:]:
+            grad += row
+    return grad
+
+
 def staged_affine(x, w, b):
     return x @ w + b
 

@@ -10,14 +10,15 @@ from avmae.blocks import (BATCHNORM_EPS, LAYERNORM_EPS, Attention, Block, ConvBN
 from avmae.config import desk_train_config, preset
 from avmae.finetune import FinetuneModel
 from avmae.gradcheck import grad_check
-from avmae.training import (SyntheticTask, gen_synthetic, run_pretrain, run_supervised,
-                            sample_rng)
+from avmae.pretrain import PretrainModel
+from avmae.training import (AdamW, SyntheticTask, gen_synthetic, optimizer_for,
+                            pretrain_step, sample_rng, supervised_step)
 
 from oracles import (oracle_attention, oracle_batchnorm_prelu_backward,
                      oracle_batchnorm_prelu_forward, oracle_layernorm_backward,
                      oracle_layernorm_forward, oracle_sigmoid_split,
                      oracle_softmax, oracle_softmax_backward,
-                     oracle_trunc_normal, staged_accumulate, staged_affine,
+                     oracle_trunc_normal, staged_accumulate, staged_affine, staged_fold,
                      staged_attention_forward, staged_gelu_backward,
                      staged_gelu_with_cache, staged_layernorm_input_grad,
                      staged_softmax_backward, staged_update_statistics)
@@ -523,15 +524,47 @@ def spread_gradients(rng, shape, dtype):
     return out.astype(dtype)
 
 
+class GivenGradients(Block):
+    """A block whose backward writes the per-sample gradients it is given,
+    one array per own parameter."""
+
+    def __init__(self, *grads):
+        super().__init__()
+        for i, grad in enumerate(grads):
+            setattr(self, f"p{i}", Parameter(np.zeros_like(grad)))
+            getattr(self, f"p{i}").grad[...] = grad
+
+    def forward(self):
+        self._save()
+
+    def backward(self, *grads):
+        self._load()
+        for slot, g in zip(self._grad_slots(len(grads[0])), grads):
+            slot[...] = g
+        self._fold_grads()
+
+
+def given_gradients(grads, packed):
+    """A GivenGradients block starting from ``grads``; packed, it sits in a
+    holder's arena after another parameter, so its own slice is offset."""
+    block = GivenGradients(*grads)
+    if packed:
+        holder = Block()
+        holder.q = Parameter(np.zeros(3, dtype=grads[0].dtype))
+        holder.block = block
+        holder.pack()
+    return block
+
+
 class TestAccumulate:
-    """A parameter's only gradient call of a pass is folded in place; the
-    bytes are those of the staged fold."""
+    """The slab fold gives the bytes of the staged folds, packed or not."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("start", ["zero", "random", "negative-zero"])
     @pytest.mark.parametrize("shape", [(32, 32), (32,), (4,), (1,)], ids=str)
     @pytest.mark.parametrize("n_samples", [1, 2, 7, 16])
     def test_matches_staged_fold(self, n_samples, shape, start, dtype):
+        """A block applied once per pass."""
         rng = np.random.default_rng([n_samples, len(shape), shape[0]])
         grads = spread_gradients(rng, (n_samples,) + shape, dtype)
         if start == "zero":
@@ -540,36 +573,118 @@ class TestAccumulate:
             grad = spread_gradients(rng, shape, dtype)
         else:
             grad = np.full(shape, -0.0, dtype=dtype)
-        block = Block()
-        block.p = Parameter(grad.copy())
-        block.p.grad[...] = grad
-        block._accumulate(block.p, grads.copy())
-        assert_same_bytes(block.p.grad, staged_accumulate(grad, grads))
+        for packed in (False, True):
+            block = given_gradients([grad], packed)
+            block.forward()
+            block.backward(grads.copy())
+            assert_same_bytes(block.p0.grad, staged_accumulate(grad, grads))
 
-    def test_training_steps_pass_owned_gradients(self, monkeypatch):
-        """Every per-sample gradient a Tiny pretrain and fine-tune step hands
-        to ``_accumulate`` owns its memory and has the parameter's dtype and
-        [S, *shape], so folding into it in place touches nothing else."""
+    @pytest.mark.parametrize("packed", [False, True], ids=["bare", "packed"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shapes", [((32, 32), (32,)), ((4,), (3, 2)), ((1,),)],
+                             ids=str)
+    @pytest.mark.parametrize("n_samples", [1, 2, 7])
+    @pytest.mark.parametrize("n_calls", [1, 2, 3])
+    def test_calls_per_pass_match_staged_fold(self, n_calls, n_samples, shapes, dtype,
+                                              packed):
+        """A block applied 1, 2 and 3 times per pass, over two passes: each
+        own parameter's gradient is the multi-call staged fold's."""
+        rng = np.random.default_rng([n_calls, n_samples, len(shapes)])
+        want = [spread_gradients(rng, shape, dtype) for shape in shapes]
+        block = given_gradients(want, packed)
+        for _ in range(2):
+            per_call = [[spread_gradients(rng, (n_samples,) + shape, dtype)
+                         for shape in shapes] for _ in range(n_calls)]
+            for _ in range(n_calls):
+                block.forward()
+            for grads in per_call:
+                block.backward(*grads)
+            want = [staged_fold(grad, [call[i] for call in per_call])
+                    for i, grad in enumerate(want)]
+            for p, grad in zip(block._params.values(), want):
+                assert_same_bytes(p.grad, grad)
+        assert block._slab is None
+
+    def test_forward_during_backward_pass_raises(self):
+        """A taped forward while the slab is open would add a call the slab
+        has no slot for; it raises. One inside ``no_tape`` records nothing."""
+        rng = np.random.default_rng(4)
+        lin = Linear(3, 2, rng, dtype=np.float64)
+        x = rng.normal(size=(1, 4, 3))
+        lin.forward(x)
+        lin.forward(x)
+        lin.backward(np.ones((1, 4, 2)))
+        with no_tape():
+            lin.forward(x)
+        with pytest.raises(GradientStateError):
+            lin.forward(x)
+        lin.backward(np.ones((1, 4, 2)))
+        assert lin._slab is None
+        assert np.array_equal(lin.weight.grad, 2 * (x[0].T @ np.ones((4, 2))))
+
+    def test_clear_caches_drops_open_slab(self):
+        rng = np.random.default_rng(6)
+        lin = Linear(3, 2, rng, dtype=np.float64)
+        x = rng.normal(size=(2, 4, 3))
+        lin.forward(x)
+        lin.forward(x)
+        lin.backward(np.ones((2, 4, 2)))
+        lin.clear_caches()
+        assert lin._slab is None and not lin.weight.grad.any()
+        lin.forward(x[:1])
+        lin.backward(np.ones((1, 4, 2)))
+        assert np.array_equal(lin.weight.grad, x[0].T @ np.ones((4, 2)))
+
+    def test_linear_without_input_grad(self):
+        """``input_grad=False`` returns None and leaves the parameter
+        gradients those of a full backward."""
+        rng = np.random.default_rng(8)
+        full, part = (Linear(5, 3, np.random.default_rng(2)) for _ in range(2))
+        x = rng.normal(size=(2, 4, 5)).astype(np.float32)
+        d_out = rng.normal(size=(2, 4, 3)).astype(np.float32)
+        for lin in (full, part):
+            lin.forward(x)
+        assert full.backward(d_out) is not None
+        assert part.backward(d_out, input_grad=False) is None
+        for name in ("weight", "bias"):
+            assert_same_bytes(getattr(part, name).grad, getattr(full, name).grad)
+
+    def test_training_steps_write_every_slot(self, monkeypatch):
+        """Every slab of a Tiny pretrain and fine-tune step is filled with NaN
+        when it opens; no gradient the optimizer steps with holds one, so
+        every backward wrote every slot of its own parameters."""
         video_shape, audio_shape = (8, 32, 32), (32, 16)
         clips, labels = gen_synthetic(SyntheticTask(4, video_shape, audio_shape), 4)
-        tc_pre, tc_ft = desk_train_config("pretrain"), desk_train_config("finetune")
-        tc_pre.batch = tc_ft.batch = 4
-        calls, bad = [], []
-        accumulate = Block._accumulate
+        opened, seen = [], []
+        grad_slots, step = Block._grad_slots, AdamW.step
 
-        def spy(self, p, grads):
-            calls.append(type(self).__name__)
-            if (grads.base is not None or grads.dtype != p.grad.dtype
-                    or grads.shape != (4,) + p.shape):
-                bad.append((type(self).__name__, p.shape, grads.shape, grads.dtype))
-            accumulate(self, p, grads)
+        def poisoned(self, n_samples):
+            fresh = self._slab is None
+            slots = grad_slots(self, n_samples)
+            if fresh:
+                self._slab.fill(np.nan)
+                opened.append(type(self).__name__)
+            return slots
 
-        monkeypatch.setattr(Block, "_accumulate", spy)
-        run_pretrain(preset("Tiny"), tc_pre, clips, video_shape, audio_shape, steps=1)
+        def recording(self, lr, weight_decay):
+            seen.append(self.grad.copy())
+            step(self, lr, weight_decay)
+
+        monkeypatch.setattr(Block, "_grad_slots", poisoned)
+        monkeypatch.setattr(AdamW, "step", recording)
+        tcfg = desk_train_config("pretrain")
+        pretrain = PretrainModel(preset("Tiny"), video_shape, audio_shape, rng=sample_rng(0))
+        pretrain_step(pretrain, clips, [0, 1, 2, 3], 1, tcfg,
+                      optimizer_for(pretrain, pretrain.cfg, tcfg), 1e-4)
+        tcfg = desk_train_config("finetune")
         model = FinetuneModel(preset("Tiny"), video_shape, audio_shape, 4, rng=sample_rng(0))
-        run_supervised(model, tc_ft, clips, labels, steps=1)
-        assert len(calls) > 500
-        assert not bad
+        supervised_step(model, clips, labels, [0, 1, 2, 3], 1, tcfg,
+                        optimizer_for(model, model.cfg, tcfg), 1e-4)
+        assert len(seen) == 2 and len(opened) > 300
+        assert {"PretrainModel", "LGIEncoder", "IAVCLHead", "Attention", "LayerNorm",
+                "Linear", "ConvBNPReLU"} <= set(opened)
+        for grad in seen:
+            assert not np.isnan(grad).any()
 
 
 class _OutOfRange:

@@ -201,7 +201,7 @@ class TestRejectedBatch:
         with pytest.raises(ValueError):
             model.forward_sample(bad_clips, pairs_v, pairs_a)
         for block in all_blocks(model):
-            assert not block._tape and not block._pending, type(block).__name__
+            assert not block._tape and block._slab is None, type(block).__name__
 
         tcfg = desk_train_config("pretrain", seed=0)
         seen = []
