@@ -13,58 +13,45 @@ non-finite gradient). Commands write only under their --out argument.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from . import config as cfgmod
 from . import verify as verifymod
-from .config import (ModelConfig, TrainConfig, desk_train_config,
-                     load_config_file, preset, preset_names, validate)
+from .atomic import write_atomic
+from .config import (DOMAINS, PRESET_INPUTS, ModelConfig, TrainConfig,
+                     desk_train_config, load_config_file, number, numbers,
+                     preset, preset_names, validate)
 from .masking import (mask_to_ascii, mask_to_pbm, random_mask,
                       running_cell_mask, tube_mask)
 from .training import SyntheticTask, gen_synthetic, load_dataset, run_stage
 
 
-class UsageError(Exception):
-    pass
+_COUNT, _RATIO = number(int, 1), number(float, 0, 1, open_low=True)
+
+
+def _task(text: str) -> tuple[int, float]:
+    """``--task``'s '<classes>[,<noise>]' as (classes, noise)."""
+    classes, comma, noise = text.partition(",")
+    return _COUNT.parse(classes), number(float, 0).parse(noise if comma else "0")
 
 
 def _resolve_configs(args, stage: str) -> tuple[ModelConfig, TrainConfig]:
-    model_raw = train_raw = None
-    if getattr(args, "config", None):
-        model_raw, train_raw = load_config_file(args.config)
-    base_model = preset(args.preset)
-    model_cfg = (ModelConfig.from_dict(model_raw, base=base_model)
-                 if model_raw else base_model)
-    base_train = desk_train_config(stage, seed=args.seed or 0)
-    train_cfg = (TrainConfig.from_dict(train_raw, base=base_train)
-                 if train_raw else base_train)
-    if train_cfg.stage != stage:
-        raise UsageError(f"config stage {train_cfg.stage!r} does not match "
-                         f"command {stage!r}")
+    model_raw, train_raw = load_config_file(args.config) if args.config else (None, None)
+    model_cfg = ModelConfig.from_dict(model_raw or {}, base=preset(args.preset))
+    train_cfg = TrainConfig.from_dict(train_raw or {}, base=desk_train_config(stage))
     if args.seed is not None:  # an explicit flag wins over the config file
         train_cfg.seed = args.seed
     return model_cfg, train_cfg
 
 
-def _clip_shapes(clips):
-    video_shape = clips[0].video.shape[:3]
-    audio_shape = clips[0].audio.shape
-    return video_shape, audio_shape
-
-
 def _cmd_train(args, stage: str) -> int:
-    if args.steps is not None and args.steps < 0:
-        raise UsageError(f"--steps must be at least 0, got {args.steps}")
     model_cfg, train_cfg = _resolve_configs(args, stage)
     clips, labels = load_dataset(args.data)
-    video_shape, audio_shape = _clip_shapes(clips)
+    video_shape, audio_shape = clips[0].video.shape[:3], clips[0].audio.shape
     errors = validate(model_cfg, video_shape, audio_shape)
     if errors:
-        raise UsageError("config does not fit the data geometry:\n  "
+        raise ValueError("config does not fit the data geometry:\n  "
                          + "\n  ".join(errors))
     data = clips if stage == "pretrain" else (clips, labels)
     ckpt_path, log = run_stage(stage, model_cfg, train_cfg, data,
@@ -77,38 +64,15 @@ def _cmd_train(args, stage: str) -> int:
     return 0
 
 
-def _parse_task(spec: str, geometry: str) -> SyntheticTask:
-    usage = f"--task expects '<classes>[,<noise>]', e.g. '2' or '3,0.1'; got {spec!r}"
-    parts = spec.split(",")
-    if len(parts) > 2:
-        raise UsageError(usage)
-    try:
-        n_classes = int(parts[0])
-        noise = float(parts[1]) if len(parts) > 1 else 0.0
-    except ValueError as exc:
-        raise UsageError(usage) from exc
-    if n_classes < 1:
-        raise UsageError(f"--task needs at least one class, got {n_classes}")
-    if not 0.0 <= noise < math.inf:
-        raise UsageError(f"--task noise must be finite and at least 0, got {noise}")
-    vshape, ashape = cfgmod.PRESET_INPUTS[geometry]
-    return SyntheticTask(n_classes=n_classes, video_shape=vshape,
-                         audio_shape=ashape, noise=noise, seed=0)
-
-
 def _cmd_gen_data(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be at least 1, got {args.n}")
-    task = _parse_task(args.task, args.geometry)
-    task.seed = args.seed
+    (n_classes, noise), shapes = args.task, PRESET_INPUTS[args.geometry]
+    task = SyntheticTask(n_classes, *shapes, noise=noise, seed=args.seed)
     gen_synthetic(task, args.n, out_dir=args.out)
     print(f"wrote {args.n} clips and manifest.jsonl under {args.out}")
     return 0
 
 
 def _cmd_check_grads(args) -> int:
-    if args.tolerance is not None and not (0.0 < args.tolerance < math.inf):
-        raise UsageError(f"--tolerance must be positive and finite, got {args.tolerance}")
     names = (list(verifymod.GRAD_CHECKS) if args.module == "all"
              else [args.module])
     failed = False
@@ -130,33 +94,26 @@ def _cmd_shapes(args) -> int:
 
 
 def _cmd_maskdump(args) -> int:
-    grid = tuple(int(x) for x in args.grid.split(","))
-    if min(grid) < 1:
-        raise UsageError(f"--grid sizes must each be at least 1, got {args.grid}")
+    grid, ranks = args.grid, (2, 3) if args.type == "random" else (3,)
+    if len(grid) not in ranks:
+        raise ValueError(f"--grid for a {args.type} mask takes "
+                         f"{' or '.join(map(str, ranks))} sizes, got {len(grid)}")
     rng = np.random.default_rng(args.seed)
     if args.type == "tube":
-        if len(grid) != 3:
-            raise UsageError("tube masks need --grid t,h,w")
         mask = tube_mask(*grid, args.ratio, rng)
     elif args.type == "random":
         mask = random_mask(int(np.prod(grid)), args.ratio, rng)
-    elif args.type == "cell":
-        if len(grid) != 3:
-            raise UsageError("running-cell masks need --grid t,h,w")
+    else:
         encoder = tube_mask(*grid, args.encoder_ratio, rng)
         mask = running_cell_mask(*grid, encoder, args.ratio, rng)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown mask type {args.type}")
     sys.stdout.write(mask_to_ascii(mask, grid))
     if args.out:
-        Path(args.out).write_text(mask_to_pbm(mask, grid))
+        write_atomic(args.out, [mask_to_pbm(mask, grid).encode()])
         print(f"pbm written to {args.out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.grad_probes < 1:
-        raise UsageError(f"--grad-probes must be at least 1, got {args.grad_probes}")
     results = verifymod.property_suite(grad_probes=args.grad_probes)
     failed = 0
     for r in results:
@@ -182,16 +139,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         if stage != "pretrain":
             p.add_argument("--init", help="input checkpoint (required)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=DOMAINS["seed"].parse,
                        help="RNG seed (overrides the config file)")
-        p.add_argument("--steps", type=int, help="override the step budget")
+        p.add_argument("--steps", type=number(int, 0).parse,
+                       help="override the step budget")
         p.set_defaults(func=lambda a, s=stage: _cmd_train(a, s))
 
     p = sub.add_parser("gen-data", help="generate a synthetic paired corpus")
-    p.add_argument("--task", required=True,
+    p.add_argument("--task", type=_task, required=True,
                    help="'<classes>[,<noise>]', e.g. '2' or '3,0.1'")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_COUNT.parse, required=True)
+    p.add_argument("--seed", type=DOMAINS["seed"].parse, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--geometry", default="Tiny", choices=preset_names(),
                    help="clip geometry preset")
@@ -200,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-grads", help="finite-difference gradient checks")
     p.add_argument("--module", default="all",
                    choices=["all", *verifymod.GRAD_CHECKS])
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=number(float, 0, open_low=True).parse)
     p.set_defaults(func=_cmd_check_grads)
 
     p = sub.add_parser("shapes", help="dimension trace and parameter counts")
@@ -209,16 +167,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maskdump", help="emit a mask as ascii and pbm")
     p.add_argument("--type", required=True, choices=["tube", "random", "cell"])
-    p.add_argument("--grid", required=True, help="t,h,w (or h,w for random)")
-    p.add_argument("--ratio", type=float, required=True)
-    p.add_argument("--encoder-ratio", type=float, default=0.9,
+    p.add_argument("--grid", type=numbers(_COUNT).parse, required=True,
+                   help="t,h,w (or h,w for random)")
+    p.add_argument("--ratio", type=_RATIO.parse, required=True)
+    p.add_argument("--encoder-ratio", type=_RATIO.parse, default=0.9,
                    help="encoder mask ratio backing a cell mask")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=DOMAINS["seed"].parse, default=0)
     p.add_argument("--out", help="write a P1 pbm here")
     p.set_defaults(func=_cmd_maskdump)
 
     p = sub.add_parser("verify", help="run the full property suite")
-    p.add_argument("--grad-probes", type=int, default=16,
+    p.add_argument("--grad-probes", type=_COUNT.parse, default=16,
                    help="finite-difference probes per parameter tensor")
     p.set_defaults(func=_cmd_verify)
     return parser
@@ -229,7 +188,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 STAGES = ("pretrain", "post_pretrain", "finetune")
 
@@ -12,6 +15,79 @@ STAGES = ("pretrain", "post_pretrain", "finetune")
 VIDEO_ENCODER_MASK_RATIO = 0.9
 AUDIO_ENCODER_MASK_RATIO = 0.8125
 DECODER_MASK_RATIO = 0.5
+
+
+@dataclass(frozen=True)
+class Domain:
+    """The values a config field or a CLI flag may take."""
+
+    fits: Callable[[object], bool]
+    text: str  # completes "must be ...", e.g. "an integer >= 1"
+    read: Callable[[str], object]  # a flag's text as a value, maybe outside
+
+    def parse(self, text: str):
+        """An argparse ``type=`` converter: the flag's text as a value in the
+        domain, or an error that makes argparse exit 2 naming the flag."""
+        try:
+            if self.fits(value := self.read(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {self.text}, got {text}")
+
+
+def number(kind: type, low, high=math.inf, *, open_low=False,
+           closed_high=False) -> Domain:
+    """An int (``kind=int``), or an int or float (``kind=float``), in the
+    interval from ``low`` to ``high``, by default ``[low, high)``. A bool is
+    neither kind, and NaN lies in no interval."""
+    def fits(value) -> bool:
+        return (type(value) in (int, kind)
+                and (low < value if open_low else low <= value)
+                and (value <= high if closed_high else value < high))
+    real = "a finite number" if high == math.inf else "a number"
+    bound = (f"{'>' if open_low else '>='} {low}" if high == math.inf else
+             f"in {'(' if open_low else '['}{low}, {high}{']' if closed_high else ')'}")
+    return Domain(fits, f"{'an integer' if kind is int else real} {bound}", kind)
+
+
+def numbers(item: Domain, length: int | None = None) -> Domain:
+    """A list (or tuple) of values in ``item``, of ``length`` when given; a
+    flag writes one as comma-separated values."""
+    def fits(value) -> bool:
+        return (isinstance(value, (list, tuple)) and length in (None, len(value))
+                and all(map(item.fits, value)))
+    return Domain(fits, f"a list of {length or 'any number of'} values, each {item.text}",
+                  lambda text: tuple(map(item.read, text.split(","))))
+
+
+_COUNT, _INDEX, _FRACTION = number(int, 1), number(int, 0), number(float, 0, 1)
+_TUPLE_FIELDS = ("video_region", "audio_region", "video_tubelet", "audio_patch")
+
+# The domain of every ModelConfig and TrainConfig field but ``stage``, which
+# is one of STAGES.
+DOMAINS = {
+    "encoder_dim": _COUNT, "encoder_heads": _COUNT, "encoder_depth": _COUNT,
+    "decoder_dim": _COUNT, "decoder_heads": _COUNT, "decoder_depth": _INDEX,
+    "fusion_heads": _COUNT, "fusion_depth": _INDEX,
+    "skip_indices": numbers(_INDEX),
+    "video_region": numbers(_COUNT, 3), "audio_region": numbers(_COUNT, 2),
+    "video_tubelet": numbers(_COUNT, 3), "audio_patch": numbers(_COUNT, 2),
+    "num_dier_units": _COUNT,
+    "contrastive_temperature": number(float, 0, open_low=True),
+    "contrastive_weight": number(float, 0),
+    "base_lr": number(float, 0, open_low=True), "weight_decay": number(float, 0),
+    "warmup_epochs": _INDEX, "epochs": _INDEX, "batch": _COUNT,
+    "layer_decay": number(float, 0, 1, closed_high=True),
+    "label_smoothing": _FRACTION, "drop_path": _FRACTION, "seed": _INDEX,
+}
+
+
+def _check_domains(cfg) -> None:
+    for f in fields(cfg):
+        domain = DOMAINS.get(f.name)
+        if domain and not domain.fits(value := getattr(cfg, f.name)):
+            raise ValueError(f"{f.name} must be {domain.text}, got {value!r}")
 
 
 @dataclass
@@ -36,25 +112,14 @@ class ModelConfig:
     contrastive_weight: float
 
     def __post_init__(self):
-        for name in ("encoder_dim", "decoder_dim", "encoder_heads", "decoder_heads",
-                     "fusion_heads", "num_dier_units"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.contrastive_temperature < float("inf"):
-            raise ValueError("contrastive_temperature must be positive and finite, "
-                             f"got {self.contrastive_temperature}")
-        if not 0.0 <= self.contrastive_weight < float("inf"):
-            raise ValueError("contrastive_weight must be >= 0 and finite, "
-                             f"got {self.contrastive_weight}")
+        _check_domains(self)
         self.skip_indices = list(self.skip_indices)
-        self.video_region = tuple(self.video_region)
-        self.audio_region = tuple(self.audio_region)
-        self.video_tubelet = tuple(self.video_tubelet)
-        self.audio_patch = tuple(self.audio_patch)
+        for name in _TUPLE_FIELDS:
+            setattr(self, name, tuple(getattr(self, name)))
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        for key in ("video_region", "audio_region", "video_tubelet", "audio_patch"):
+        for key in _TUPLE_FIELDS:
             d[key] = list(d[key])
         return d
 
@@ -79,26 +144,12 @@ class TrainConfig:
     stage: str
 
     def __post_init__(self):
+        _check_domains(self)
         if self.stage not in STAGES:
             raise ValueError(f"stage must be one of {STAGES}, got {self.stage!r}")
-        if not 0.0 <= self.layer_decay <= 1.0:
-            raise ValueError("layer_decay must lie in [0, 1]")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError("label_smoothing must lie in [0, 1)")
-        if not 0.0 <= self.drop_path < 1.0:
-            raise ValueError(f"drop_path must lie in [0, 1), got {self.drop_path}")
-        if not 0.0 < self.base_lr < float("inf"):
-            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
-        if not 0.0 <= self.weight_decay < float("inf"):
-            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.stage == "pretrain" and (self.drop_path or self.label_smoothing):
             # the reconstruction objective has neither, so a value would be ignored
             raise ValueError("drop_path and label_smoothing must be 0 for the pretrain stage")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-        for name in ("epochs", "warmup_epochs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -108,27 +159,14 @@ class TrainConfig:
         return _from_dict(cls, "train", data, base)
 
 
-def _fits(annotation: str, value) -> bool:
-    """Whether a config-file (JSON) value has the type a field is annotated with."""
-    if annotation.startswith(("list", "tuple")):
-        return (isinstance(value, list) and all(_fits("int", v) for v in value)
-                and (annotation == "list[int]" or len(value) == annotation.count("int")))
-    kinds = {"int": int, "float": (int, float), "str": str}[annotation]
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
 def _from_dict(cls, section: str, data: dict, base):
     """Build ``cls`` from a config-file section, optionally over ``base``."""
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(data) - set(types)
+    names = {f.name for f in fields(cls)}
+    unknown = set(data) - names
     if unknown:
         raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
-    for name, value in data.items():
-        if not _fits(types[name], value):
-            raise ValueError(f"{section}.{name} must be {types[name]}, "
-                             f"got {json.dumps(value)}")
     if base is None:
-        missing = set(types) - set(data)
+        missing = names - set(data)
         if missing:
             raise ValueError(f"missing {section} config keys: {sorted(missing)}")
         merged = dict(data)
@@ -213,6 +251,9 @@ def region_count(grid, region) -> int:
 def validate(cfg: ModelConfig, video_shape, audio_shape) -> list[str]:
     """Collect every constraint violation (empty list means valid)."""
     errors = []
+    if cfg.encoder_dim % 2 != 0:
+        # the last chunk of the sin-cos positional codes has the dim's parity
+        errors.append(f"encoder_dim {cfg.encoder_dim} must be even")
     if cfg.encoder_dim % cfg.encoder_heads != 0:
         errors.append(f"encoder_dim {cfg.encoder_dim} not divisible by "
                       f"encoder_heads {cfg.encoder_heads}")

@@ -1,5 +1,6 @@
 """Checkpoint format and the command-line surface."""
 
+import argparse
 import builtins
 import errno
 import json
@@ -14,7 +15,7 @@ import pytest
 
 from avmae import checkpoint as ckpt
 from avmae import verify as verifymod
-from avmae.cli import main
+from avmae.cli import build_parser, main
 from avmae.config import desk_train_config, preset
 from avmae.embedding import read_clip, write_clip
 from avmae.finetune import FinetuneModel
@@ -25,6 +26,26 @@ from avmae.training import SyntheticTask, gen_synthetic, run_supervised, sample_
 def tiny_model(seed=0, outputs=2):
     return FinetuneModel(preset("Tiny"), (8, 32, 32), (32, 16), outputs,
                          rng=sample_rng(seed))
+
+
+def run_avmae(*argv):
+    """Run ``python -m avmae`` with ``argv`` in a fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "avmae", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def assert_flag_rejected(capsys, argv, message):
+    """argparse exits 2 on ``argv`` with ``message`` on stderr and nothing
+    on stdout, before any command runs."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert message in captured.err and not captured.out, captured.err
 
 
 def fake_grad_check(error, probes_seen):
@@ -296,6 +317,20 @@ class TestAtomicWrites:
             "manifest.jsonl"]
 
 
+    def test_failed_pbm_write_keeps_old_file(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "mask.pbm"
+        argv = ["maskdump", "--type", "tube", "--grid", "4,4,4", "--ratio", "0.5",
+                "--out", str(path)]
+        assert main(argv + ["--seed", "1"]) == 0
+        old = path.read_bytes()
+        self.fill_disk_after(monkeypatch, tmp_path, len(old) // 2)
+        with pytest.raises(OSError, match="No space left"):
+            main(argv + ["--seed", "2"])
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mask.pbm"]
+
+
 class TestCLI:
     def test_shapes_reports_token_trace(self, capsys):
         assert main(["shapes", "--preset", "B"]) == 0
@@ -306,13 +341,27 @@ class TestCLI:
         assert "combined total" in out
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "avmae", "shapes", "--preset", "Tiny"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = run_avmae("shapes", "--preset", "Tiny")
         assert proc.returncode == 0, proc.stderr
         assert "tokens" in proc.stdout
+
+    def test_bad_flag_exits_2_from_a_real_process(self, tmp_path):
+        """argparse's SystemExit(2) is the process's exit code."""
+        out = tmp_path / "D"
+        proc = run_avmae("gen-data", "--task", "2", "--n", "0", "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "argument --n: must be an integer >= 1, got 0" in proc.stderr
+        assert not proc.stdout and not out.exists()
+
+    def test_every_typed_flag_has_a_domain(self):
+        """No flag converts with bare ``int`` or ``float``, which would take
+        any value and leave its check to the command."""
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        typed = {(name, action.dest): action.type for name, sub in commands.items()
+                 for action in sub._actions if action.type is not None}
+        assert len(typed) == 15, sorted(typed)
+        assert [key for key, convert in typed.items() if convert in (int, float)] == []
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -388,10 +437,11 @@ class TestCLI:
         assert "--init" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_bad_task_spec_exits_2(self, tmp_path):
-        code = main(["gen-data", "--task", "two", "--n", "2",
-                     "--out", str(tmp_path / "d")])
-        assert code == 2
+    def test_bad_task_spec_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert_flag_rejected(capsys, ["gen-data", "--task", "two", "--n", "2", "--out", str(out)],
+                             "argument --task: must be an integer >= 1, got two")
+        assert not out.exists()
 
     def test_config_file_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -465,6 +515,16 @@ class TestCLI:
         ({"model": {"contrastive_temperature": float("nan")}}, "contrastive_temperature"),
         ({"model": {"contrastive_weight": -1}}, "contrastive_weight"),
         ({"model": {"contrastive_weight": float("inf")}}, "contrastive_weight"),
+        ({"model": {"video_region": [0, 2, 4]}}, "video_region"),
+        ({"model": {"audio_region": [0, 1]}}, "audio_region"),
+        ({"model": {"video_tubelet": [0, 8, 8]}}, "video_tubelet"),
+        ({"model": {"audio_patch": [8, 0]}}, "audio_patch"),
+        ({"model": {"encoder_depth": 0}}, "encoder_depth"),
+        ({"model": {"decoder_depth": -1}}, "decoder_depth"),
+        ({"model": {"fusion_depth": -1}}, "fusion_depth"),
+        ({"train": {"seed": -4}}, "seed"),
+        ({"model": {"encoder_dim": 33, "encoder_heads": 3, "fusion_heads": 3}},
+         "encoder_dim 33 must be even"),
     ])
     def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys,
                                                     config, field):
@@ -482,55 +542,79 @@ class TestCLI:
 
     def test_zero_classes_exits_2(self, tmp_path, capsys):
         out = tmp_path / "d"
-        code = main(["gen-data", "--task", "0", "--n", "2", "--out", str(out)])
-        assert code == 2
-        assert "at least one class" in capsys.readouterr().err
+        assert_flag_rejected(capsys, ["gen-data", "--task", "0", "--n", "2", "--out", str(out)],
+                             "argument --task: must be an integer >= 1, got 0")
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["gen-data", "--task", "2", "--n", "-3"], "--n must be at least 1"),
-        (["gen-data", "--task", "2", "--n", "0"], "--n must be at least 1"),
-        (["pretrain", "--steps", "-2"], "--steps must be at least 0"),
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-data", "--task", "2", "--n", "-3"], "--n: must be an integer >= 1, got -3"),
+        (["gen-data", "--task", "2", "--n", "0"], "--n: must be an integer >= 1, got 0"),
+        (["pretrain", "--steps", "-2"], "--steps: must be an integer >= 0, got -2"),
         (["maskdump", "--type", "tube", "--grid", "0,4,4", "--ratio", "0.5"],
-         "--grid sizes must each be at least 1"),
+         "--grid: must be a list of any number of values, each an integer >= 1, got 0,4,4"),
         (["maskdump", "--type", "random", "--grid", "4,-1", "--ratio", "0.5"],
-         "--grid sizes must each be at least 1"),
-        (["verify", "--grad-probes", "0"], "--grad-probes must be at least 1"),
-        (["verify", "--grad-probes", "-2"], "--grad-probes must be at least 1"),
-        (["check-grads", "--tolerance", "-1"], "--tolerance must be positive and finite"),
-        (["check-grads", "--tolerance", "0"], "--tolerance must be positive and finite"),
-        (["check-grads", "--tolerance", "nan"], "--tolerance must be positive and finite"),
-        (["check-grads", "--tolerance", "inf"], "--tolerance must be positive and finite"),
+         "--grid: must be a list of any number of values, each an integer >= 1, got 4,-1"),
+        (["verify", "--grad-probes", "0"], "--grad-probes: must be an integer >= 1, got 0"),
+        (["verify", "--grad-probes", "-2"], "--grad-probes: must be an integer >= 1, got -2"),
+        (["check-grads", "--tolerance", "-1"], "--tolerance: must be a finite number > 0, got -1"),
+        (["check-grads", "--tolerance", "0"], "--tolerance: must be a finite number > 0, got 0"),
+        (["check-grads", "--tolerance", "nan"], "--tolerance: must be a finite number > 0, got nan"),
+        (["check-grads", "--tolerance", "inf"], "--tolerance: must be a finite number > 0, got inf"),
+        (["pretrain", "--seed", "-1"], "--seed: must be an integer >= 0, got -1"),
+        (["gen-data", "--task", "2", "--n", "2", "--seed", "-1"],
+         "--seed: must be an integer >= 0, got -1"),
+        (["maskdump", "--type", "tube", "--grid", "4,4,4", "--ratio", "0.5", "--seed", "-1"],
+         "--seed: must be an integer >= 0, got -1"),
+        (["maskdump", "--type", "tube", "--grid", "4,4,4", "--ratio", "1"],
+         "--ratio: must be a number in (0, 1), got 1"),
+        (["maskdump", "--type", "cell", "--grid", "4,4,4", "--ratio", "0.5",
+          "--encoder-ratio", "0"], "--encoder-ratio: must be a number in (0, 1), got 0"),
     ], ids=["gen-data-negative", "gen-data-zero", "pretrain-negative-steps",
             "maskdump-tube-zero", "maskdump-random-negative", "verify-zero-probes",
             "verify-negative-probes", "check-grads-negative-tolerance",
             "check-grads-zero-tolerance", "check-grads-nan-tolerance",
-            "check-grads-inf-tolerance"])
-    def test_count_below_minimum_exits_2_naming_flag(self, tmp_path, capsys, argv, flag):
+            "check-grads-inf-tolerance", "pretrain-negative-seed", "gen-data-negative-seed",
+            "maskdump-negative-seed", "maskdump-ratio-one", "maskdump-encoder-ratio-zero"])
+    def test_flag_outside_domain_exits_2_naming_flag(self, tmp_path, capsys, argv, message):
         data, out = tmp_path / "data", tmp_path / "out"
         if argv[0] == "pretrain":
             assert main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)]) == 0
             argv = argv + ["--data", str(data)]
-        if argv[0] in ("gen-data", "pretrain"):
+        if argv[0] in ("gen-data", "pretrain", "maskdump"):
             argv = argv + ["--out", str(out)]
-        capsys.readouterr()
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert flag in captured.err and not captured.out
+        assert_flag_rejected(capsys, argv, f"error: argument {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("task, message", [
-        ("3,-0.1", "--task noise must be finite and at least 0"),
-        ("3,nan", "--task noise must be finite and at least 0"),
-        ("3,inf", "--task noise must be finite and at least 0"),
-        ("3,0.1,9", "--task expects '<classes>[,<noise>]'"),
-    ], ids=["negative-noise", "nan-noise", "inf-noise", "third-field"])
+        ("3,-0.1", "must be a finite number >= 0, got -0.1"),
+        ("3,nan", "must be a finite number >= 0, got nan"),
+        ("3,inf", "must be a finite number >= 0, got inf"),
+        ("3,0.1,9", "must be a finite number >= 0, got 0.1,9"),
+        ("3,", "must be a finite number >= 0, got "),
+    ], ids=["negative-noise", "nan-noise", "inf-noise", "third-field", "empty-noise"])
     def test_unusable_task_exits_2_naming_flag(self, tmp_path, capsys, task, message):
         out = tmp_path / "d"
-        assert main(["gen-data", "--task", task, "--n", "2", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert message in captured.err and not captured.out
+        assert_flag_rejected(capsys, ["gen-data", "--task", task, "--n", "2", "--out", str(out)],
+                             f"argument --task: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, grid", [
+        ("random", "16"), ("random", "4,4,4,4"), ("tube", "4,4"), ("cell", "4,4,4,4"),
+    ])
+    def test_maskdump_grid_rank_exits_2_naming_flag(self, tmp_path, capsys, kind, grid):
+        out = tmp_path / "mask.pbm"
+        assert main(["maskdump", "--type", kind, "--grid", grid, "--ratio", "0.5",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: --grid for a {kind} mask takes" in captured.err and not captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, rows", [("4,6", 4), ("2,4,6", 8)])
+    def test_maskdump_random_takes_two_or_three_sizes(self, tmp_path, capsys, grid, rows):
+        out = tmp_path / "mask.pbm"
+        assert main(["maskdump", "--type", "random", "--grid", grid, "--ratio", "0.5",
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == f"6 {rows}"
 
     def test_non_finite_clip_exits_2_naming_file(self, tmp_path, capsys):
         data, out = tmp_path / "data", tmp_path / "run"

@@ -1,10 +1,11 @@
 """Preset tables, geometry validation, config-file parsing."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from avmae.config import (ModelConfig, TrainConfig, PRESET_INPUTS,
+from avmae.config import (DOMAINS, ModelConfig, TrainConfig, PRESET_INPUTS,
                           desk_train_config, load_config_file,
                           fullscale_train_config, preset, validate)
 
@@ -69,6 +70,47 @@ class TestValidate:
         cfg = ModelConfig.from_dict({"audio_region": [16, 8]}, base=preset("B"))
         errors = validate(cfg, (16, 160, 160), (256, 128))
         assert any("region counts differ" in e for e in errors)
+
+
+# field: (a value just outside its domain, a value on its edge inside it)
+_EDGES = {
+    "encoder_dim": (0, 1), "encoder_heads": (0, 1), "encoder_depth": (0, 1),
+    "decoder_dim": (0, 1), "decoder_heads": (0, 1), "decoder_depth": (-1, 0),
+    "fusion_heads": (0, 1), "fusion_depth": (-1, 0),
+    "skip_indices": ([0, -1], []),
+    "video_region": ([1, 0, 1], [1, 1, 1]), "audio_region": ([1, 1, 1], [1, 1]),
+    "video_tubelet": ([1, 1], [1, 1, 1]), "audio_patch": ([0, 1], [1, 1]),
+    "num_dier_units": (0, 1),
+    "contrastive_temperature": (0.0, 5e-324), "contrastive_weight": (-5e-324, 0),
+    "base_lr": (0, 5e-324), "weight_decay": (float("inf"), 1.7976931348623157e308),
+    "warmup_epochs": (-1, 0), "epochs": (-1, 0), "batch": (0, 1),
+    "layer_decay": (1.0000000000000002, 1.0), "label_smoothing": (1.0, 0.9999999999999999),
+    "drop_path": (-5e-324, 0), "seed": (-1, 0),
+}
+
+
+class TestDomains:
+    def test_every_field_but_stage_has_one_domain(self):
+        names = [f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)]
+        assert sorted([*DOMAINS, "stage"]) == sorted(names)
+
+    @pytest.mark.parametrize("field", sorted(DOMAINS))
+    def test_edges(self, field):
+        """A value just outside a field's domain is rejected naming the
+        field; a value on the edge inside it builds."""
+        if field in {f.name for f in fields(ModelConfig)}:
+            cls, base = ModelConfig, preset("Tiny")
+        else:
+            cls, base = TrainConfig, desk_train_config("finetune")
+        outside, inside = _EDGES[field]
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            cls.from_dict({field: outside}, base=base)
+        assert cls.from_dict({field: inside}, base=base).to_dict()[field] == inside
+
+    @pytest.mark.parametrize("value", [True, "1", 1.0, None, [1]])
+    def test_integer_fields_take_only_ints(self, value):
+        with pytest.raises(ValueError, match="^batch must be an integer >= 1, got "):
+            TrainConfig.from_dict({"batch": value}, base=desk_train_config("finetune"))
 
 
 class TestTrainConfig:
