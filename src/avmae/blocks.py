@@ -27,7 +27,12 @@ an enclosing block (``Block.pack``), so they are written in place
 
 Reductions call the ufunc reductions (``np.add.reduce``, ``np.maximum.reduce``)
 and divide in place: that is what ``np.mean``/``np.var`` do, bit for bit,
-without their Python wrappers.
+without their Python wrappers. Softmax reduces many short rows from one copy
+with the rows innermost (``_rows_innermost``); its sums there replay numpy's
+pairwise order one step across all rows at a time (``_column_sums``), so they
+keep the bits of one reduce per row. Attention writes its head products
+straight into their merged [.., T, C] layout (``np.matmul(..., out=)``): a
+BLAS output's stride is not part of its bits.
 """
 
 from __future__ import annotations
@@ -215,9 +220,10 @@ class Block:
 
     # -- gradient slab --------------------------------------------------------
 
-    def _grad_slots(self, n_samples: int) -> list[np.ndarray]:
-        """One [S, *shape] view per own parameter, for this backward call to
-        write once before ``_fold_grads``. The pass's first call opens a slab
+    def _grad_row(self, n_samples: int) -> np.ndarray:
+        """This backward call's [S, own size] row of the pass's gradient slab,
+        own parameters in registration order, for the call to write once
+        before ``_fold_grads``. The pass's first call opens the slab
         [S, calls, own size], one call per taped forward, with samples stored
         last to first and calls in backward order."""
         slab = self._slab
@@ -225,7 +231,11 @@ class Block:
             slab = np.empty((n_samples, len(self._tape) + 1, self._slots[-1][1]),
                             dtype=next(iter(self._params.values())).grad.dtype)
             object.__setattr__(self, "_slab", slab)
-        row = slab[::-1, slab.shape[1] - 1 - len(self._tape)]
+        return slab[::-1, slab.shape[1] - 1 - len(self._tape)]
+
+    def _grad_slots(self, n_samples: int) -> list[np.ndarray]:
+        """One [S, *shape] view of ``_grad_row`` per own parameter."""
+        row = self._grad_row(n_samples)
         return [row[:, start:stop].reshape((n_samples,) + shape)
                 for start, stop, shape in self._slots]
 
@@ -305,37 +315,78 @@ class BlockList(Block):
 # ---------------------------------------------------------------------------
 
 
-# _row_max copies rows of up to 16 entries at any size, and rows of up to 64
-# in arrays of up to 1 MiB. Past that numpy's transposed copy, which is not
-# blocked, rereads the array about once per entry once it leaves the cache,
-# and costs more than the per-row reduce saves (see the README).
-_ROW_MAX_SHORT_KEYS = 16
-_ROW_MAX_COPY_KEYS = 64
-_ROW_MAX_COPY_BYTES = 1 << 20
+# Softmax rows are reduced from one copy of the array with the rows innermost
+# ([keys, rows], ``_rows_innermost``) where that was measured faster than one
+# short reduce per row (see the README): rows along the last axis, of 2 to 16
+# keys at any size and of up to 48 keys in arrays of up to 1 MiB, in arrays of
+# at least 256 rows. Past 1 MiB numpy's transposed copy, which is not blocked,
+# rereads the array about once per key; below 256 rows, or at more keys, the
+# copy and the whole-row adds cost more than the per-row reduces save.
+_COPY_MIN_ROWS = 256
+_COPY_SHORT_KEYS = 16
+_COPY_KEYS = 48
+_COPY_BYTES = 1 << 20
 
 
-def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
-    """``np.maximum.reduce(x, axis=axis, keepdims=True)``. Rows within the
-    bounds above (every Tiny attention score among them) are reduced from
-    one copy of x with the rows innermost: one reduce across the copy
-    instead of a short reduce per row. A maximum is one of its entries in
-    any order; only a zero maximum's sign, or a NaN maximum's bits, can
-    change, and the softmax's ``exp`` maps ``x - (±0)`` to the same value.
-    Only array methods run here: ``np.moveaxis`` costs more than the reduce
-    saves on small arrays (see the README).
-    """
+def _rows_innermost(x: np.ndarray, axis: int) -> bool:
+    """Whether softmax reduces x's rows along ``axis`` from a rows-innermost
+    copy. Only array attributes are read: the test runs on every call."""
     keys = x.shape[axis]
-    if keys > _ROW_MAX_COPY_KEYS or (keys > _ROW_MAX_SHORT_KEYS
-                                     and x.nbytes > _ROW_MAX_COPY_BYTES):
-        return np.maximum.reduce(x, axis=axis, keepdims=True)
-    last = x.swapaxes(axis, -1)
-    cols = np.ascontiguousarray(last.reshape(-1, last.shape[-1]).T)
-    return np.maximum.reduce(cols, axis=0).reshape(last.shape[:-1] + (1,)).swapaxes(axis, -1)
+    return (1 < keys <= _COPY_KEYS and x.size >= _COPY_MIN_ROWS * keys
+            and axis in (-1, x.ndim - 1)
+            and (keys <= _COPY_SHORT_KEYS or x.nbytes <= _COPY_BYTES))
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """A C-contiguous [keys, rows] copy of x's last-axis rows."""
+    return x.reshape(-1, x.shape[-1]).T.copy()
+
+
+def _column_sums(cols: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` of each column of a C-contiguous [keys, rows] array,
+    bit for bit: numpy's pairwise order per row, each step one add across all
+    rows. numpy sums a row of n entries as ``0 + pairwise(row)``: below 8
+    entries in order; up to 128 into 8 accumulators over blocks of 8, then
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail in order; above
+    128 as the sum of two halves split at a multiple of 8. A reduce along the
+    leading axis adds in order starting from the identity 0, so it gives the
+    short rows and the accumulators. Moving that 0 from the root to the
+    leaves only changes the sign of zero partial sums, and a sum with a +0
+    leaf is never -0, as ``0 + pairwise`` is not. Only NaN signs or payloads
+    may differ, where two different NaNs meet (``verify`` checks all of it).
+    """
+    n = len(cols)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        sums = _column_sums(cols[:half])
+        sums += _column_sums(cols[half:])
+        return sums
+    if n < 8:
+        return np.add.reduce(cols, axis=0)
+    blocks = n - n % 8
+    acc = np.add.reduce(cols[:blocks].reshape(blocks // 8, 8, -1), axis=0)
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    sums = acc[0] + acc[1]
+    for row in cols[blocks:]:
+        sums += row
+    return sums
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Row-max-subtracted softmax; rows sum to one."""
-    e = x - _row_max(x, axis)
+    """Row-max-subtracted softmax; rows sum to one. Where
+    ``_rows_innermost`` holds, the maxima, the subtraction, the exp, the sums
+    and the division all run on one rows-innermost copy, which is copied back
+    (C-contiguous) at the end. A maximum is one of its entries in any order;
+    only a zero maximum's sign, or a NaN maximum's bits, can change, and
+    ``exp`` maps ``x - (±0)`` to the same value."""
+    if _rows_innermost(x, axis):
+        cols = _columns(x)
+        cols -= np.maximum.reduce(cols, axis=0)
+        np.exp(cols, out=cols)
+        cols /= _column_sums(cols)
+        return cols.T.copy().reshape(x.shape)
+    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e
@@ -343,7 +394,11 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def softmax_backward(out: np.ndarray, d_out: np.ndarray, axis: int = -1) -> np.ndarray:
     d_in = d_out * out
-    np.subtract(d_out, np.add.reduce(d_in, axis=axis, keepdims=True), out=d_in)
+    if _rows_innermost(d_in, axis):
+        dots = _column_sums(_columns(d_in)).reshape(d_in.shape[:-1] + (1,))
+    else:
+        dots = np.add.reduce(d_in, axis=axis, keepdims=True)
+    np.subtract(d_out, dots, out=d_in)
     d_in *= out
     return d_in
 
@@ -532,11 +587,6 @@ class Attention(Block):
         """[..., T, C] -> [..., H, T, d]"""
         return x.reshape(x.shape[:-1] + (self.heads, self.head_dim)).swapaxes(-2, -3)
 
-    def _merge(self, x: np.ndarray) -> np.ndarray:
-        """[..., H, T, d] -> [..., T, C]"""
-        x = x.swapaxes(-2, -3)
-        return x.reshape(x.shape[:-2] + (self.dim,))
-
     def forward(self, q_in: np.ndarray, kv_in: np.ndarray | None = None) -> np.ndarray:
         if kv_in is None:
             kv_in = q_in
@@ -553,7 +603,8 @@ class Attention(Block):
         scores = q @ k.swapaxes(-1, -2)
         scores /= math.sqrt(self.head_dim)
         probs = softmax(scores, axis=-1)
-        merged = self._merge(probs @ v)       # [S, (G,) Tq, C]
+        merged = np.empty(q_in.shape, dtype=probs.dtype)   # [S, (G,) Tq, C]
+        np.matmul(probs, v, out=self._split(merged))
         out = _affine(merged, self.w_o.data, self.b_o.data)
         self._save(q_in, kv_in, q, k, v, probs, merged, shared)
         return out
@@ -565,38 +616,54 @@ class Attention(Block):
         return self._tape[-1][5]
 
     def backward(self, d_out: np.ndarray):
-        """Returns (d_q_in, d_kv_in); callers add them when q is kv."""
+        """Returns (d_q_in, d_kv_in); callers add them when q is kv.
+
+        The head products are written straight into their merged [.., T, C]
+        layouts: d_q, d_k and d_v side by side in one [.., 3C] array when the
+        queries and keys have the same rows, else d_k and d_v in one
+        [.., 2C], so each set of bias gradients is one reduce.
+        """
         q_in, kv_in, q, k, v, probs, merged, shared = self._load()
         n, c = len(d_out), self.dim
+        row = self._grad_row(n)
+        g_w = row[:, :4 * c * c].reshape(n, 4, c, c)   # w_q, w_k, w_v, w_o
+        g_b = row[:, 4 * c * c:]                       # b_q, b_k, b_v, b_o
         # [S, ..., C] -> [S, rows, C]: a sample's rows, never samples merged
         d_rows = d_out.reshape(n, -1, c)
-        g_wq, g_wk, g_wv, g_wo, g_bq, g_bk, g_bv, g_bo = self._grad_slots(n)
-        np.matmul(merged.reshape(n, -1, c).transpose(0, 2, 1), d_rows, out=g_wo)
-        np.add.reduce(d_rows, axis=1, out=g_bo)
+        np.matmul(merged.reshape(n, -1, c).transpose(0, 2, 1), d_rows, out=g_w[:, 3])
+        np.add.reduce(d_rows, axis=1, out=g_b[:, 3 * c:])
         d_ctx = self._split(d_out @ self.w_o.data.T)
         d_probs = d_ctx @ v.swapaxes(-1, -2)
-        d_v = probs.swapaxes(-1, -2) @ d_ctx
+        lead, (t_q, t_k) = probs.shape[:-3], probs.shape[-2:]   # [S, (G,)]
+        same_rows = not shared and t_q == t_k
+        if same_rows:
+            d_qkv = np.empty(lead + (t_q, 3 * c), dtype=probs.dtype)
+            d_qf, d_kv = d_qkv[..., :c], d_qkv[..., c:]
+        else:
+            d_qf = np.empty(lead + (t_q, c), dtype=probs.dtype)
+            d_kv = np.empty(lead + (t_k, 2 * c), dtype=probs.dtype)
+        d_kf, d_vf = d_kv[..., :c], d_kv[..., c:]
+        np.matmul(probs.swapaxes(-1, -2), d_ctx, out=self._split(d_vf))
         d_scores = softmax_backward(probs, d_probs)
         d_scores /= math.sqrt(self.head_dim)
-        d_q = d_scores @ k
-        d_k = d_scores.swapaxes(-1, -2) @ q
-        d_qf, d_kf, d_vf = self._merge(d_q), self._merge(d_k), self._merge(d_v)
+        np.matmul(d_scores, k, out=self._split(d_qf))
+        np.matmul(d_scores.swapaxes(-1, -2), q, out=self._split(d_kf))
 
-        d_rows = d_qf.reshape(n, -1, c)
-        np.matmul(q_in.reshape(n, -1, c).transpose(0, 2, 1), d_rows, out=g_wq)
-        np.add.reduce(d_rows, axis=1, out=g_bq)
+        np.matmul(q_in.reshape(n, -1, c).transpose(0, 2, 1), d_qf.reshape(n, -1, c),
+                  out=g_w[:, 0])
         d_q_in = d_qf @ self.w_q.data.T
-        if shared:
-            # shared keys/values: reduce the G axis before the projections
-            d_kf = np.add.reduce(d_kf, axis=1)
-            d_vf = np.add.reduce(d_vf, axis=1)
+        if same_rows:
+            np.add.reduce(d_qkv.reshape(n, -1, 3 * c), axis=1, out=g_b[:, :3 * c])
+        else:
+            np.add.reduce(d_qf.reshape(n, -1, c), axis=1, out=g_b[:, :c])
+            if shared:
+                # shared keys/values: reduce the G axis before the projections
+                d_kv = np.add.reduce(d_kv, axis=1)
+                d_kf, d_vf = d_kv[..., :c], d_kv[..., c:]
+            np.add.reduce(d_kv.reshape(n, -1, 2 * c), axis=1, out=g_b[:, c:3 * c])
         kv_t = kv_in.reshape(n, -1, c).transpose(0, 2, 1)
-        d_rows = d_kf.reshape(n, -1, c)
-        np.matmul(kv_t, d_rows, out=g_wk)
-        np.add.reduce(d_rows, axis=1, out=g_bk)
-        d_rows = d_vf.reshape(n, -1, c)
-        np.matmul(kv_t, d_rows, out=g_wv)
-        np.add.reduce(d_rows, axis=1, out=g_bv)
+        np.matmul(kv_t, d_kf.reshape(n, -1, c), out=g_w[:, 1])
+        np.matmul(kv_t, d_vf.reshape(n, -1, c), out=g_w[:, 2])
         self._fold_grads()
         d_kv_in = d_kf @ self.w_k.data.T
         d_kv_in += d_vf @ self.w_v.data.T

@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, help="dataset directory")
         p.add_argument("--out", required=True, help="output directory")
         if stage != "pretrain":
-            p.add_argument("--init", help="input checkpoint (required)")
+            p.add_argument("--init", required=True, help="input checkpoint")
         p.add_argument("--seed", type=DOMAINS["seed"].parse,
                        help="RNG seed (overrides the config file)")
         p.add_argument("--steps", type=number(int, 0).parse,

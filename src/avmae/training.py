@@ -524,9 +524,21 @@ def run_stage(stage: str, cfg: ModelConfig, tcfg: TrainConfig, data,
 
     data: list of RawClip for pretrain, (clips, labels) for the supervised
     stages. Later stages require a checkpoint, which ``warm_start`` loads.
+    ``out_dir`` is made only once the checkpoint is read and warm-started
+    from, so a bad checkpoint leaves nothing behind.
     """
     if tcfg.stage != stage:
         raise ValueError(f"train config is for stage {tcfg.stage!r}, not {stage!r}")
+    if stage != "pretrain":
+        if checkpoint_in is None:
+            raise ValueError(f"stage {stage!r} requires an input checkpoint")
+        clips, labels = data
+        manifest, entries = ckpt.load(checkpoint_in)
+        ckpt.check_config(manifest, cfg)
+        model = FinetuneModel(cfg, video_shape, audio_shape, int(max(labels)) + 1,
+                              rng=sample_rng(tcfg.seed, 0xF1E7))
+        warm_start(model, entries, manifest.get("stage"), tcfg.seed)
+        del manifest, entries   # the input checkpoint: not read past the warm start
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = MetricsLog(out_dir / "metrics.jsonl")
@@ -538,15 +550,6 @@ def run_stage(stage: str, cfg: ModelConfig, tcfg: TrainConfig, data,
         ckpt.save(ckpt_path, model, cfg, stage)
         return ckpt_path, log
 
-    if checkpoint_in is None:
-        raise ValueError(f"stage {stage!r} requires an input checkpoint")
-    clips, labels = data
-    model = FinetuneModel(cfg, video_shape, audio_shape, int(max(labels)) + 1,
-                          rng=sample_rng(tcfg.seed, 0xF1E7))
-    manifest, entries = ckpt.load(checkpoint_in)
-    ckpt.check_config(manifest, cfg)
-    warm_start(model, entries, manifest.get("stage"), tcfg.seed)
-    del manifest, entries   # the input checkpoint: not read past the warm start
     log, _ = run_supervised(model, tcfg, clips, labels, steps=steps, log=log)
     ckpt.save(ckpt_path, model, cfg, stage)
     return ckpt_path, log

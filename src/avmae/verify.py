@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint as ckpt
-from .blocks import Attention, ConvBNPReLU, FeedForward, LayerNorm, Linear
+from .blocks import Attention, ConvBNPReLU, FeedForward, LayerNorm, Linear, _column_sums
 from .config import (AUDIO_ENCODER_MASK_RATIO, DECODER_MASK_RATIO,
                      VIDEO_ENCODER_MASK_RATIO, PRESET_INPUTS, ModelConfig,
                      audio_grid, preset, region_count, validate, video_grid)
@@ -513,15 +513,47 @@ def check_dual_masking_speed(pairs: int = 12) -> tuple[bool, str]:
 
 
 def check_attention_rows() -> tuple[bool, str]:
+    """Rows of one sample of 1 to 9 keys (one reduce per row), and a batch
+    of 16 samples of 17 keys (summed from the rows-innermost copy)."""
     rng = np.random.default_rng(1)
-    for t, c, h in ((1, 8, 2), (5, 8, 4), (9, 16, 2)):
+    for s, t, c, h in ((1, 1, 8, 2), (1, 5, 8, 4), (1, 9, 16, 2), (16, 17, 32, 4)):
         att = Attention(c, h, rng, dtype=np.float64)
-        att.forward(rng.normal(size=(t, c))[None] * 3)
+        att.forward(rng.normal(size=(s, t, c)) * 3)
         probs = att.last_probs()
         if not np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6):
-            return False, f"shape ({t},{c},{h})"
+            return False, f"shape ({s},{t},{c},{h})"
         att.clear_caches()
     return True, "rows sum to 1 within 1e-6"
+
+
+def check_softmax_sums() -> tuple[bool, str]:
+    """softmax sums many short rows from a rows-innermost copy by replaying
+    numpy's pairwise order (``blocks._column_sums``); the pipeline digests
+    hold only if that order is the running numpy's. Rows of 1 to 130 and
+    200 keys, float32 and float64, values over eight decades with ±0 (rows
+    0-1 all -0), and NaN and ±inf in rows 2-5: every sum has the bytes of
+    ``np.add.reduce`` along the row, except that a NaN sum may be another
+    NaN."""
+    rng = np.random.default_rng(19)
+    for dtype in (np.float32, np.float64):
+        for keys in (*range(1, 131), 200):
+            x = rng.normal(size=(24, keys)) * 10.0 ** rng.uniform(-4, 4, size=(24, keys))
+            u = rng.random(x.shape)
+            x[u < 0.1] = -0.0
+            x[(u >= 0.1) & (u < 0.15)] = 0.0
+            for lo, value in ((0.15, np.nan), (0.17, np.inf), (0.19, -np.inf)):
+                x[2:6][(u[2:6] >= lo) & (u[2:6] < lo + 0.02)] = value
+            x[:2] = -0.0
+            x = x.astype(dtype)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = np.add.reduce(x, axis=-1)
+                got = _column_sums(np.ascontiguousarray(x.T))
+            nan = np.isnan(want)
+            if not (np.array_equal(nan, np.isnan(got))
+                    and want[~nan].tobytes() == got[~nan].tobytes()):
+                return False, (f"numpy {np.__version__} sums rows of {keys} "
+                               f"{np.dtype(dtype).name} in another order")
+    return True, f"numpy {np.__version__} sums rows in the replayed pairwise order"
 
 
 def check_mhca_degenerates() -> tuple[bool, str]:
@@ -678,6 +710,7 @@ PROPERTY_CHECKS = {
     "mask_arithmetic": check_mask_arithmetic,
     "decoder_cost_ratio": check_decoder_cost,
     "softmax_rows": check_attention_rows,
+    "softmax_sum_order": check_softmax_sums,
     "mhca_equals_mhsa": check_mhca_degenerates,
     "masking_properties": check_masking_properties,
     "encoder_residual_identity": check_encoder_identity,

@@ -371,16 +371,66 @@ def staged_affine(x, w, b):
     return x @ w + b
 
 
+def staged_merge(x):
+    """[..., H, T, d] -> [..., T, H * d], a copy."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
 def staged_attention_forward(att, q_in, kv_in):
-    """Attention.forward with ``@ w + b`` projections, on the block's own
-    head split, merge and softmax."""
+    """Attention.forward with ``@ w + b`` projections and a merge copy, on
+    the block's own head split and softmax."""
     q = att._split(staged_affine(q_in, att.w_q.data, att.b_q.data))
     k = att._split(staged_affine(kv_in, att.w_k.data, att.b_k.data))
     v = att._split(staged_affine(kv_in, att.w_v.data, att.b_v.data))
     scores = q @ k.swapaxes(-1, -2)
     scores /= math.sqrt(att.head_dim)
     probs = softmax(scores, axis=-1)
-    return staged_affine(att._merge(probs @ v), att.w_o.data, att.b_o.data)
+    return staged_affine(staged_merge(probs @ v), att.w_o.data, att.b_o.data)
+
+
+def staged_attention(att, q_in, kv_in, d_out):
+    """One Attention forward and backward in the merge-copy formulation:
+    every head product computed into its own [.., H, T, d] array and merged
+    by a copy, one reduce per bias, and the np.max / np.sum softmax. Returns
+    ``(out, d_q_in, d_kv_in, grads)``, ``grads`` the per-sample gradient
+    [S, *shape] of each parameter by name."""
+    n, c, d = len(q_in), att.dim, att.head_dim
+
+    def split(x):
+        return x.reshape(x.shape[:-1] + (att.heads, d)).swapaxes(-2, -3)
+
+    def rows(x):
+        return x.reshape(n, -1, c)
+
+    shared = kv_in.ndim < q_in.ndim
+    q = split(staged_affine(q_in, att.w_q.data, att.b_q.data))
+    k = split(staged_affine(kv_in, att.w_k.data, att.b_k.data))
+    v = split(staged_affine(kv_in, att.w_v.data, att.b_v.data))
+    if shared:
+        k, v = k[:, None], v[:, None]
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= math.sqrt(d)
+    probs = oracle_softmax(scores, axis=-1)
+    merged = staged_merge(probs @ v)
+    out = staged_affine(merged, att.w_o.data, att.b_o.data)
+
+    grads = {"w_o": rows(merged).transpose(0, 2, 1) @ rows(d_out),
+             "b_o": np.add.reduce(rows(d_out), axis=1)}
+    d_ctx = split(d_out @ att.w_o.data.T)
+    d_scores = oracle_softmax_backward(probs, d_ctx @ v.swapaxes(-1, -2))
+    d_scores /= math.sqrt(d)
+    d_qf = staged_merge(d_scores @ k)
+    d_kf = staged_merge(d_scores.swapaxes(-1, -2) @ q)
+    d_vf = staged_merge(probs.swapaxes(-1, -2) @ d_ctx)
+    if shared:
+        d_kf, d_vf = np.add.reduce(d_kf, axis=1), np.add.reduce(d_vf, axis=1)
+    for name, x, d_y in (("q", q_in, d_qf), ("k", kv_in, d_kf), ("v", kv_in, d_vf)):
+        grads["w_" + name] = rows(x).transpose(0, 2, 1) @ rows(d_y)
+        grads["b_" + name] = np.add.reduce(rows(d_y), axis=1)
+    d_kv_in = d_kf @ att.w_k.data.T
+    d_kv_in += d_vf @ att.w_v.data.T
+    return out, d_qf @ att.w_q.data.T, d_kv_in, grads
 
 
 def staged_gelu_with_cache(x):

@@ -19,7 +19,7 @@ from oracles import (oracle_attention, oracle_batchnorm_prelu_backward,
                      oracle_layernorm_forward, oracle_sigmoid_split,
                      oracle_softmax, oracle_softmax_backward,
                      oracle_trunc_normal, staged_accumulate, staged_affine, staged_fold,
-                     staged_attention_forward, staged_gelu_backward,
+                     staged_attention, staged_attention_forward, staged_gelu_backward,
                      staged_gelu_with_cache, staged_layernorm_input_grad,
                      staged_softmax_backward, staged_update_statistics)
 from registry_runs import assert_grad_check
@@ -492,26 +492,79 @@ def softmax_inputs(rng, shape, dtype):
 
 
 class TestRowMaxima:
-    """softmax takes the row maxima of short rows from one rows-innermost
-    copy, and of the rest by one reduce per row: either way the bytes of a
-    ``np.max`` along the softmax axis, on every rank and on rows of one.
-    Rows of 64 and 65 keys sit on either side of the copy's row bound; the
-    last three shapes exceed its byte bound, with rows of 17 and 32 (reduced
-    per row) and of 16 (still copied)."""
+    """softmax and its backward take the row maxima and sums of many short
+    rows from one rows-innermost copy, and of the rest by one reduce per row:
+    either way the bytes of the ``np.max`` / ``np.sum`` formulation, on every
+    rank and on rows of one. The copy takes rows along the last axis, at
+    least 256 of them, of 2 to 16 keys at any size or of up to 48 keys in
+    arrays of up to 1 MiB. Past the small shapes: the Tiny fine-tune scores;
+    255 rows, one below the row bound; (2048, 2, 8, 16) and (129, 2, 32, 32)
+    past the byte bound, rows of 16 still copied and rows of 32 reduced per
+    row; then 256 rows of 1 to 65 keys, across both key bounds, the blocks
+    of 8 the copy's sums add in and the tails after them."""
+
+    SHAPES = [(1,), (9,), (6, 1), (1, 7), (5, 4), (3, 4, 6), (2, 3, 1, 17), (2, 2, 3, 4, 5),
+              (4, 2, 2, 17, 17), (3, 64), (3, 2, 65), (2, 101), (64, 4, 4, 16, 17),
+              (16, 4, 4, 17, 17), (16, 4, 4, 16, 4), (3, 5, 17, 16), (2048, 2, 8, 16),
+              (129, 2, 32, 32)] + [(4, 4, 16, keys) for keys in (1, 7, 8, 9, 15, 16, 17, 31,
+                                                                 33, 47, 48, 49, 63, 64, 65)]
 
     @pytest.mark.parametrize("axis", [-1, 0])
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("shape", [(1,), (9,), (6, 1), (1, 7), (5, 4), (3, 4, 6),
-                                       (16, 4, 4, 16, 4), (2, 3, 1, 17), (2, 2, 3, 4, 5),
-                                       (4, 2, 2, 17, 17), (3, 64), (3, 2, 65), (2, 101),
-                                       (64, 4, 4, 16, 17), (129, 2, 32, 32),
-                                       (2048, 2, 8, 16)], ids=str)
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_softmax_bytes(self, shape, dtype, axis):
         rng = np.random.default_rng(sum(shape) + len(shape))
         with np.errstate(all="ignore"):
             for _ in range(4):
                 x = softmax_inputs(rng, shape, dtype)
                 assert_same_bytes(softmax(x, axis=axis), oracle_softmax(x, axis=axis))
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_softmax_backward_bytes(self, shape, dtype, axis):
+        """Gradients spread over 60 decades, with signed zeros: row sums
+        that depend on the order they are added in."""
+        rng = np.random.default_rng(sum(shape) + len(shape) + 1)
+        with np.errstate(all="ignore"):
+            for _ in range(2):
+                out = softmax(softmax_inputs(rng, shape, dtype), axis=axis)
+                d_out = spread_gradients(rng, shape, dtype)
+                assert_same_bytes(softmax_backward(out, d_out, axis=axis),
+                                  oracle_softmax_backward(out, d_out, axis=axis))
+
+
+class TestAttentionMatchesMergeCopies:
+    """Attention writes its head products straight into their merged layouts
+    and reduces each set of bias gradients once: the bytes of the
+    merge-copy formulation with one reduce per bias, for the output, both
+    input gradients and every parameter gradient."""
+
+    CASES = {"self": ((16, 4, 17, 32), None),
+             "shared_cross": ((16, 4, 16, 32), (16, 4, 32)),
+             "one_query": ((16, 4, 1, 32), (16, 4, 16, 32)),
+             "self_3d": ((16, 4, 32), None)}
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("samples", [16, 1])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes(self, case, samples, dtype):
+        q_shape, kv_shape = self.CASES[case]
+        rng = np.random.default_rng([len(case), samples])
+        att = Attention(32, 4, rng, dtype=dtype)
+        for p in (att.b_q, att.b_k, att.b_v, att.b_o):
+            p.data[...] = rng.normal(size=p.shape)
+        q_in = (rng.normal(size=(samples,) + q_shape[1:]) * 2.0).astype(dtype)
+        kv_in = q_in if kv_shape is None else (
+            rng.normal(size=(samples,) + kv_shape[1:]) * 2.0).astype(dtype)
+        d_out = spread_gradients(rng, q_in.shape, dtype)
+        want_out, want_dq, want_dkv, want_grads = staged_attention(att, q_in, kv_in, d_out)
+        assert_same_bytes(att.forward(q_in, None if kv_shape is None else kv_in), want_out)
+        d_q_in, d_kv_in = att.backward(d_out)
+        assert_same_bytes(d_q_in, want_dq)
+        assert_same_bytes(d_kv_in, want_dkv)
+        for name, p in att.named_parameters():
+            assert_same_bytes(p.grad, staged_accumulate(np.zeros_like(p.grad), want_grads[name]))
 
 
 def spread_gradients(rng, shape, dtype):
@@ -656,21 +709,21 @@ class TestAccumulate:
         video_shape, audio_shape = (8, 32, 32), (32, 16)
         clips, labels = gen_synthetic(SyntheticTask(4, video_shape, audio_shape), 4)
         opened, seen = [], []
-        grad_slots, step = Block._grad_slots, AdamW.step
+        grad_row, step = Block._grad_row, AdamW.step
 
         def poisoned(self, n_samples):
             fresh = self._slab is None
-            slots = grad_slots(self, n_samples)
+            row = grad_row(self, n_samples)
             if fresh:
                 self._slab.fill(np.nan)
                 opened.append(type(self).__name__)
-            return slots
+            return row
 
         def recording(self, lr, weight_decay):
             seen.append(self.grad.copy())
             step(self, lr, weight_decay)
 
-        monkeypatch.setattr(Block, "_grad_slots", poisoned)
+        monkeypatch.setattr(Block, "_grad_row", poisoned)
         monkeypatch.setattr(AdamW, "step", recording)
         tcfg = desk_train_config("pretrain")
         pretrain = PretrainModel(preset("Tiny"), video_shape, audio_shape, rng=sample_rng(0))

@@ -423,9 +423,25 @@ class TestCLI:
     def test_finetune_without_init_exits_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)])
-        code = main(["finetune", "--data", str(data),
-                     "--out", str(tmp_path / "x"), "--steps", "1"])
-        assert code == 2
+        assert_flag_rejected(capsys, ["finetune", "--data", str(data),
+                                      "--out", str(tmp_path / "x"), "--steps", "1"],
+                             "the following arguments are required: --init")
+
+    @pytest.mark.parametrize("command", ["posttrain", "finetune"])
+    def test_missing_or_absent_init_leaves_no_output(self, command, tmp_path, capsys):
+        """No ``--init``, or one naming no file, exits 2 before ``--out`` is
+        made: no empty ``metrics.jsonl`` is left behind."""
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--task", "2", "--n", "4", "--out", str(data)]) == 0
+        argv = [command, "--data", str(data), "--out", str(out), "--steps", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
+        capsys.readouterr()
+        assert main(argv + ["--init", str(tmp_path / "nonexistent.avck")]) == 2
+        assert "nonexistent.avck" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pretrain_init_exits_2_naming_flag(self, tmp_path, capsys):
         data = tmp_path / "data"
