@@ -20,7 +20,7 @@ import numpy as np
 
 from .blocks import (DEFAULT_DTYPE, Attention, Block, BlockList, ConvBNPReLU,
                      FeedForward, LayerNorm, Linear, Parameter, sigmoid,
-                     sigmoid_backward, softmax, softmax_backward)
+                     sigmoid_backward, softmax, softmax_backward, trunc_normal)
 from .config import ModelConfig
 
 
@@ -190,9 +190,8 @@ class IAVCLHead(Block):
         return softmax(self.layer_logits_a.data), softmax(self.layer_logits_v.data)
 
     def reinit_head(self, rng: np.random.Generator):
-        dtype = self.head.weight.data.dtype
-        fresh = Linear(self.head.d_in, self.head.d_out, rng, dtype=dtype)
-        self.head.weight.data[...] = fresh.weight.data
+        weight = self.head.weight.data
+        weight[...] = trunc_normal(rng, weight.shape, dtype=weight.dtype)
         self.head.bias.data[...] = 0.0
 
     def forward(self, snaps_a: list[np.ndarray], snaps_v: list[np.ndarray],
@@ -240,19 +239,14 @@ class IAVCLHead(Block):
         d_stack_pa, d_fav_a = self.hafe_a.backward(d_f4_a)
         d_fav = d_fav_v + d_fav_a
 
-        n_units = len(self.units)
-        d_next_a = np.zeros_like(d_f4_a)
-        d_next_v = np.zeros_like(d_f4_v)
-        d_f1_a = d_f1_v = None
-        for idx in reversed(range(n_units)):
+        # each unit's input gradient feeds the unit before it; unit 0's is d_f1
+        d_f1_a = np.zeros_like(d_f4_a)
+        d_f1_v = np.zeros_like(d_f4_v)
+        for idx in reversed(range(len(self.units))):
             d_fav, d_f2_a, d_f2_v = self.er.refine_backward(d_fav)
-            d_f2_a = d_f2_a + d_stack_pa[:, idx] + d_next_a
-            d_f2_v = d_f2_v + d_stack_pv[:, idx] + d_next_v
-            d_in_a, d_in_v = self.units[idx].backward(d_f2_a, d_f2_v)
-            if idx == 0:
-                d_f1_a, d_f1_v = d_in_a, d_in_v
-            else:
-                d_next_a, d_next_v = d_in_a, d_in_v
+            d_f2_a = d_f2_a + d_stack_pa[:, idx] + d_f1_a
+            d_f2_v = d_f2_v + d_stack_pv[:, idx] + d_f1_v
+            d_f1_a, d_f1_v = self.units[idx].backward(d_f2_a, d_f2_v)
 
         d_f_av0 = self.er.input_linear.backward(d_fav)
         d_agg_a = d_f_av0[..., :dim]

@@ -273,12 +273,21 @@ def load_dataset(data_dir):
     clips, labels = [], []
     with open(manifest, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
-            name, label = _manifest_record(line, f"{manifest} line {number}")
-            clips.append(read_clip(data_dir / name))
+            where = f"{manifest} line {number}"
+            name, label = _manifest_record(line, where)
+            clip = read_clip(data_dir / name)
+            if clips and _geometry(clip) != _geometry(clips[0]):
+                raise ValueError(f"{where}: {data_dir / name} has {_geometry(clip)}, "
+                                 f"unlike the first clip's {_geometry(clips[0])}")
+            clips.append(clip)
             labels.append(label)
     if not clips:
         raise ValueError(f"{manifest} lists no clips")
     return clips, labels
+
+
+def _geometry(clip: RawClip) -> str:
+    return f"video {clip.video.shape} and audio {clip.audio.shape}"
 
 
 def _manifest_record(line: str, where: str) -> tuple[str, int]:

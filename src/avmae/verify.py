@@ -1,103 +1,116 @@
-"""Runnable verification: gradient-check harnesses for every differentiable
-block, analytic parameter accounting, and the structural property suite
+"""Runnable verification: gradient checks for every differentiable block
+and loss, analytic parameter accounting, and the structural property suite
 behind the ``verify`` command.
 
 ``GRAD_CHECKS`` and ``PROPERTY_CHECKS`` are the one definition of each check
 and its bound: the CLI and the acceptance suite run their entries as they
-stand.
+stand. A ``GRAD_CHECKS`` row is data run by one harness, ``_block_check``
+for a block or ``_loss_check`` for a loss: it declares its seed, its builder
+and its input shapes, and where a signature needs it how forward and
+backward are called. Only ``conv_bn_prelu`` keeps its own harness.
 
 All gradient checks run in 64-bit mode on one sample (a leading sample axis
-of one). Harnesses containing the PReLU pick probe points away from its
+of one). Checks containing the PReLU pick probe points away from its
 corner or, for the deep composite, a slope of exactly one where the
 activation is smooth while the slope gradient stays live.
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .blocks import Attention, ConvBNPReLU, FeedForward, LayerNorm, Linear, _column_sums
+from .blocks import (Attention, Block, ConvBNPReLU, FeedForward, LayerNorm, Linear,
+                     Parameter, _column_sums)
 from .config import (AUDIO_ENCODER_MASK_RATIO, DECODER_MASK_RATIO,
-                     VIDEO_ENCODER_MASK_RATIO, PRESET_INPUTS, ModelConfig,
-                     audio_grid, preset, region_count, validate, video_grid)
-from .encoder import LGILayer, partition, score_entries_stage12
+                     VIDEO_ENCODER_MASK_RATIO, PRESET_INPUTS, ModelConfig, audio_grid,
+                     desk_train_config, preset, region_count, validate, video_grid)
+from .encoder import LGIEncoder, LGILayer, partition, score_entries_stage12
 from .finetune import FinetuneModel
 from .gradcheck import GradCheckReport, grad_check
 from .iavcl import IAVCLHead
 from .losses import cross_entropy_ls, info_nce, masked_mse
-from .masking import (MaskPair, assemble_combined, running_cell_mask,
-                      tube_mask)
+from .masking import MaskPair, assemble_combined, running_cell_mask, tube_mask
 from .pretrain import DecoderBlock, FusionBlock, PretrainModel, make_mask_pairs
-from .training import AdamW, SyntheticTask, pretrain_step, sample_rng
+from .training import (AdamW, SyntheticTask, lr_at, pretrain_step, run_pretrain,
+                       sample_rng)
 
 # ---------------------------------------------------------------------------
 # gradient-check harnesses
 # ---------------------------------------------------------------------------
 
-
-def _single_input_check(seed, build, x_shape, out_dim, tol, probes):
-    """Harness for a block with one input; draws the block, then x, then w."""
-    rng = np.random.default_rng(seed)
-    block = build(rng)
-    x = rng.normal(size=x_shape)[None]
-    w = rng.normal(size=(x_shape[0], out_dim))[None]
-
-    def fwd(x):
-        out = block.forward(x)
-        return float(np.sum(out * w)), lambda: {"x": block.backward(w.copy())}
-
-    return grad_check(block, fwd, {"x": x}, tol, max_probes=probes)
+_TINY = preset("Tiny")
+_F64 = np.float64
 
 
-def _check_linear(tol, probes):
-    return _single_input_check(0, lambda rng: Linear(6, 4, rng, dtype=np.float64),
-                               (5, 6), 4, tol, probes)
+def _by_name(inputs, grads) -> dict[str, np.ndarray]:
+    """Each input's gradient; any other count would leave an input unprobed."""
+    if len(grads) != len(inputs):
+        raise ValueError(f"backward returned {len(grads)} gradients for "
+                         f"{len(inputs)} inputs {list(inputs)}")
+    return dict(zip(inputs, grads))
 
 
-def _check_layernorm(tol, probes):
-    return _single_input_check(1, lambda rng: LayerNorm(8, dtype=np.float64),
-                               (5, 8), 8, tol, probes)
+def _block_check(seed, build, shapes, forward=None, backward=None):
+    """A ``GRAD_CHECKS`` function for a block. From one generator seeded
+    ``seed`` it draws the block ``build(rng)``, a normal input per entry of
+    ``shapes`` (name -> shape, or a function returning that mapping), and at
+    the first forward a normal weight per output: the scalar sums each output
+    times its weight. ``forward(block, *inputs)`` and ``backward(block,
+    *weights)``, one gradient per input, stand in for the block's own calls
+    where its signature needs it."""
+    forward = forward or (lambda block, *xs: block.forward(*xs))
+    backward = backward or (lambda block, *ws: block.backward(*ws))
+
+    def check(tol, probes):
+        rng = np.random.default_rng(seed)
+        block = build(rng)
+        inputs = {name: rng.normal(size=shape)
+                  for name, shape in (shapes() if callable(shapes) else shapes).items()}
+        weights = []
+
+        def fwd(**xs):
+            outs = forward(block, *xs.values())
+            outs = outs if isinstance(outs, tuple) else (outs,)
+            if not weights:
+                weights.extend(rng.normal(size=out.shape) for out in outs)
+
+            def back():
+                grads = backward(block, *(w.copy() for w in weights))
+                return _by_name(inputs, grads if isinstance(grads, tuple) else (grads,))
+            return float(sum(np.sum(out * w) for out, w in zip(outs, weights))), back
+
+        return grad_check(block, fwd, inputs, tol, max_probes=probes)
+    return check
 
 
-def _attention_harness(tol, probes, cross: bool):
-    rng = np.random.default_rng(2)
-    block = Attention(8, 2, rng, dtype=np.float64)
-    q = rng.normal(size=(3, 8))[None]
-    kv = rng.normal(size=(5, 8))[None] if cross else q
-    w = rng.normal(size=(3, 8))[None]
-    inputs = {"q": q, "kv": kv} if cross else {"q": q}
+def _loss_check(seed, loss, shapes, constants=()):
+    """A ``GRAD_CHECKS`` function for a loss: draws a normal input per entry
+    of ``shapes``, then a normal constant per shape in ``constants``;
+    ``loss(*inputs, *constants)`` returns the value and one gradient per
+    input."""
+    def check(tol, probes):
+        rng = np.random.default_rng(seed)
+        inputs = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        fixed = [rng.normal(size=shape) for shape in constants]
 
-    def fwd(q, kv=None):
-        out = block.forward(q, kv)
+        def fwd(**xs):
+            value, *grads = loss(*xs.values(), *fixed)
+            return value, lambda: _by_name(inputs, grads)
 
-        def back():
-            dq, dkv = block.backward(w.copy())
-            return {"q": dq, "kv": dkv} if cross else {"q": dq + dkv}
-        return float(np.sum(out * w)), back
-
-    return grad_check(block, fwd, inputs, tol, max_probes=probes)
-
-
-def _check_mhsa(tol, probes):
-    return _attention_harness(tol, probes, cross=False)
-
-
-def _check_mhca(tol, probes):
-    return _attention_harness(tol, probes, cross=True)
-
-
-def _check_ffn(tol, probes):
-    return _single_input_check(3, lambda rng: FeedForward(8, rng, dtype=np.float64),
-                               (5, 8), 8, tol, probes)
+        return grad_check(None, fwd, inputs, tol, max_probes=probes)
+    return check
 
 
 def _conv_harness(seed):
     rng = np.random.default_rng(seed)
-    block = ConvBNPReLU(8, rng, dtype=np.float64)
+    block = ConvBNPReLU(8, rng, dtype=_F64)
     # O(1) conv outputs keep the batch-norm curvature benign for probing
     block.conv.weight.data *= 25.0
     x = rng.normal(size=(6, 8))[None] * 2.0
@@ -108,16 +121,13 @@ def _conv_harness(seed):
 def _check_conv_bn_prelu(tol, probes):
     """Probes at the first seed whose pre-activations keep 0.05 away from
     the PReLU corner, so no finite difference straddles it."""
-    chosen = 0
-    for seed in range(64):
+    def corner_free(seed):
         block, x, _ = _conv_harness(seed)
         block.forward(x, training=True)
         z = block._tape[-1][2]   # cache entry: (yhat, inv, z, neg, training)
-        block.clear_caches()
-        if np.abs(z).min() > 0.05:
-            chosen = seed
-            break
-    block, x, w = _conv_harness(chosen)
+        return np.abs(z).min() > 0.05
+
+    block, x, w = _conv_harness(next(filter(corner_free, range(64)), 0))
 
     def fwd(x):
         out = block.forward(x, training=True)
@@ -126,135 +136,61 @@ def _check_conv_bn_prelu(tol, probes):
     return grad_check(block, fwd, {"x": x}, tol, eps=1e-5, max_probes=probes)
 
 
+@lru_cache(maxsize=2)
 def _tiny_video_partition(masked: bool):
-    cfg = preset("Tiny")
-    grid = video_grid(cfg, PRESET_INPUTS["Tiny"][0])
+    grid = video_grid(_TINY, PRESET_INPUTS["Tiny"][0])
     visible = np.arange(np.prod(grid))
     if masked:
         mask = tube_mask(*grid, VIDEO_ENCODER_MASK_RATIO, np.random.default_rng(11))
         visible = np.flatnonzero(~mask)
-    return cfg, partition(grid, cfg.video_region, visible[None])
+    return partition(grid, _TINY.video_region, visible[None])
 
 
-def _check_lgi_layer(tol, probes):
-    cfg, part = _tiny_video_partition(masked=True)
-    rng = np.random.default_rng(4)
-    block = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng, dtype=np.float64)
-    n = part.order.size
-    locals_ = rng.normal(size=(n, cfg.encoder_dim))[None]
-    s = rng.normal(size=(part.n_regions, cfg.encoder_dim))[None]
-    w_l = rng.normal(size=locals_.shape)
-    w_s = rng.normal(size=s.shape)
-
-    def fwd(locals_, s):
-        out_l, out_s = block.forward(locals_, s, part)
-
-        def back():
-            dl, ds = block.backward(w_l.copy(), w_s.copy())
-            return {"locals_": dl, "s": ds}
-        return float(np.sum(out_l * w_l) + np.sum(out_s * w_s)), back
-
-    return grad_check(block, fwd, {"locals_": locals_, "s": s}, tol,
-                      max_probes=probes)
+def _lgi_inputs():
+    part, dim = _tiny_video_partition(masked=True), _TINY.encoder_dim
+    return {"locals_": (1, part.order.size, dim), "s": (1, part.n_regions, dim)}
 
 
-def _check_fusion_block(tol, probes):
-    rng = np.random.default_rng(5)
-    block = FusionBlock(16, 4, rng, dtype=np.float64)
-    v = rng.normal(size=(6, 16))[None]
-    a = rng.normal(size=(3, 16))[None]
-    wv = rng.normal(size=v.shape)
-    wa = rng.normal(size=a.shape)
-
-    def fwd(v, a):
-        ov, oa = block.forward(v, a)
-
-        def back():
-            dv, da = block.backward(wv.copy(), wa.copy())
-            return {"v": dv, "a": da}
-        return float(np.sum(ov * wv) + np.sum(oa * wa)), back
-
-    return grad_check(block, fwd, {"v": v, "a": a}, tol, max_probes=probes)
-
-
-def _check_decoder_block(tol, probes):
-    return _single_input_check(6, lambda rng: DecoderBlock(16, 2, rng, dtype=np.float64),
-                               (10, 16), 16, tol, probes)
-
-
-def _check_iavcl(tol, probes):
-    cfg = preset("Tiny")
-    rng = np.random.default_rng(3)
-    block = IAVCLHead(cfg, 3, rng, dtype=np.float64)
+def _smooth_iavcl(rng):
+    head = IAVCLHead(_TINY, 3, rng, dtype=_F64)
     # probe at the smooth PReLU point; the slope gradient path stays active
-    block.er.conv.prelu_slope.data[:] = 1.0
-    k = 4
-    snaps_a = rng.normal(size=(cfg.encoder_depth, k, cfg.encoder_dim))[:, None]
-    snaps_v = rng.normal(size=(cfg.encoder_depth, k, cfg.encoder_dim))[:, None]
-    w = rng.normal(size=3)[None]
-
-    def fwd(snaps_a, snaps_v):
-        out = block.forward(list(snaps_a), list(snaps_v), training=True)
-
-        def back():
-            da, dv = block.backward(w.copy())
-            return {"snaps_a": np.stack(da), "snaps_v": np.stack(dv)}
-        return float(np.sum(out * w)), back
-
-    return grad_check(block, fwd, {"snaps_a": snaps_a, "snaps_v": snaps_v},
-                      tol, max_probes=probes)
+    head.er.conv.prelu_slope.data[:] = 1.0
+    return head
 
 
-def _check_masked_mse(tol, probes):
-    rng = np.random.default_rng(7)
-    preds = rng.normal(size=(6, 5))
-    targets = rng.normal(size=(6, 5))
-
-    def fwd(preds):
-        loss, d_pred = masked_mse(preds, targets, 0.5, 12)
-        return loss, lambda: {"preds": d_pred}
-
-    return grad_check(None, fwd, {"preds": preds}, tol, max_probes=probes)
-
-
-def _check_info_nce(tol, probes):
-    rng = np.random.default_rng(8)
-    fa = rng.normal(size=(5, 6))
-    fv = rng.normal(size=(5, 6))
-
-    def fwd(fa, fv):
-        loss, da, dv = info_nce(fa, fv, 0.07)
-        return loss, lambda: {"fa": da, "fv": dv}
-
-    return grad_check(None, fwd, {"fa": fa, "fv": fv}, tol, max_probes=probes)
-
-
-def _check_cross_entropy(tol, probes):
-    rng = np.random.default_rng(9)
-    logits = rng.normal(size=(4, 5))
-    labels = np.array([0, 3, 2, 1])
-
-    def fwd(logits):
-        loss, d = cross_entropy_ls(logits, labels, 0.1)
-        return loss, lambda: {"logits": d}
-
-    return grad_check(None, fwd, {"logits": logits}, tol, max_probes=probes)
-
+_SNAPS = (_TINY.encoder_depth, 1, 4, _TINY.encoder_dim)
 
 GRAD_CHECKS = {
-    "linear": (_check_linear, 1e-6, None),
-    "layernorm": (_check_layernorm, 1e-6, None),
-    "mhsa": (_check_mhsa, 1e-6, None),
-    "mhca": (_check_mhca, 1e-6, None),
-    "ffn": (_check_ffn, 1e-6, None),
+    "linear": (_block_check(0, lambda rng: Linear(6, 4, rng, dtype=_F64),
+                            {"x": (1, 5, 6)}), 1e-6, None),
+    "layernorm": (_block_check(1, lambda rng: LayerNorm(8, dtype=_F64),
+                               {"x": (1, 5, 8)}), 1e-6, None),
+    "mhsa": (_block_check(2, lambda rng: Attention(8, 2, rng, dtype=_F64), {"q": (1, 3, 8)},
+                          backward=lambda att, w: np.add(*att.backward(w))), 1e-6, None),
+    "mhca": (_block_check(2, lambda rng: Attention(8, 2, rng, dtype=_F64),
+                          {"q": (1, 3, 8), "kv": (1, 5, 8)}), 1e-6, None),
+    "ffn": (_block_check(3, lambda rng: FeedForward(8, rng, dtype=_F64),
+                         {"x": (1, 5, 8)}), 1e-6, None),
     "conv_bn_prelu": (_check_conv_bn_prelu, 1e-6, None),
-    "lgi_layer": (_check_lgi_layer, 1e-4, 48),
-    "fusion_block": (_check_fusion_block, 1e-4, 48),
-    "decoder_block": (_check_decoder_block, 1e-4, 48),
-    "iavcl": (_check_iavcl, 1e-4, 24),
-    "masked_mse": (_check_masked_mse, 1e-6, None),
-    "info_nce": (_check_info_nce, 1e-6, None),
-    "cross_entropy": (_check_cross_entropy, 1e-6, None),
+    "lgi_layer": (_block_check(
+        4, lambda rng: LGILayer(_TINY.encoder_dim, _TINY.encoder_heads, rng, dtype=_F64),
+        _lgi_inputs, forward=lambda layer, locals_, s: layer.forward(
+            locals_, s, _tiny_video_partition(masked=True))), 1e-4, 48),
+    "fusion_block": (_block_check(5, lambda rng: FusionBlock(16, 4, rng, dtype=_F64),
+                                  {"v": (1, 6, 16), "a": (1, 3, 16)}), 1e-4, 48),
+    "decoder_block": (_block_check(6, lambda rng: DecoderBlock(16, 2, rng, dtype=_F64),
+                                   {"x": (1, 10, 16)}), 1e-4, 48),
+    "iavcl": (_block_check(
+        3, _smooth_iavcl, {"snaps_a": _SNAPS, "snaps_v": _SNAPS},
+        forward=lambda head, a, v: head.forward(list(a), list(v), training=True),
+        backward=lambda head, w: tuple(map(np.stack, head.backward(w)))), 1e-4, 24),
+    "masked_mse": (_loss_check(7, lambda preds, targets: masked_mse(preds, targets, 0.5, 12),
+                               {"preds": (6, 5)}, constants=[(6, 5)]), 1e-6, None),
+    "info_nce": (_loss_check(8, lambda fa, fv: info_nce(fa, fv, 0.07),
+                             {"fa": (5, 6), "fv": (5, 6)}), 1e-6, None),
+    "cross_entropy": (_loss_check(
+        9, lambda logits: cross_entropy_ls(logits, np.array([0, 3, 2, 1]), 0.1),
+        {"logits": (4, 5)}), 1e-6, None),
 }
 
 
@@ -354,22 +290,23 @@ def param_counts(cfg: ModelConfig, video_shape, audio_shape,
     return counts
 
 
+def _mask_pairs(name: str) -> tuple[MaskPair, MaskPair]:
+    """One draw of the video and audio mask pairs of preset ``name``."""
+    return make_mask_pairs(preset(name), *PRESET_INPUTS[name], np.random.default_rng(0))
+
+
 def shape_trace(name: str, num_outputs: int = 2) -> str:
     """Human-readable dimension trace and parameter accounting for a preset."""
     cfg = preset(name)
     video_shape, audio_shape = PRESET_INPUTS[name]
     vgrid = video_grid(cfg, video_shape)
     agrid = audio_grid(cfg, audio_shape)
-    n_v = int(np.prod(vgrid))
-    n_a = int(np.prod(agrid))
     k_v = region_count(vgrid, cfg.video_region)
     k_a = region_count(agrid, cfg.audio_region)
-    from .masking import round_half_up
-    masked_spatial = round_half_up(VIDEO_ENCODER_MASK_RATIO * vgrid[1] * vgrid[2])
-    vis_v = n_v - masked_spatial * vgrid[0]
-    vis_a = n_a - round_half_up(AUDIO_ENCODER_MASK_RATIO * n_a)
-    tgt_v = round_half_up((1 - DECODER_MASK_RATIO) * n_v)
-    tgt_a = round_half_up((1 - DECODER_MASK_RATIO) * n_a)
+    pair_v, pair_a = _mask_pairs(name)   # every draw has the same counts
+    n_v, n_a = pair_v.n_tokens, pair_a.n_tokens
+    vis_v, vis_a = pair_v.visible_indices.size, pair_a.visible_indices.size
+    tgt_v, tgt_a = pair_v.target_indices.size, pair_a.target_indices.size
     counts = param_counts(cfg, video_shape, audio_shape, num_outputs)
 
     lines = [
@@ -451,13 +388,10 @@ def check_preset_validation() -> tuple[bool, str]:
     return True, "all presets validate"
 
 
-def _b_mask_pairs():
-    """The B-preset mask pair the mask-arithmetic and decoder-cost checks read."""
-    return make_mask_pairs(preset("B"), *PRESET_INPUTS["B"], np.random.default_rng(0))
 
 
 def check_mask_arithmetic() -> tuple[bool, str]:
-    pair_v, pair_a = _b_mask_pairs()
+    pair_v, pair_a = _mask_pairs("B")
     vis_v = int((~pair_v.encoder_mask).sum())
     vis_a = int((~pair_a.encoder_mask).sum())
     tgt_v = int(pair_v.decoder_targets.sum())
@@ -467,7 +401,7 @@ def check_mask_arithmetic() -> tuple[bool, str]:
 
 
 def check_decoder_cost() -> tuple[bool, str]:
-    pair_v, _ = _b_mask_pairs()  # decoder length: visible + target tokens
+    pair_v, _ = _mask_pairs("B")  # decoder length: visible + target tokens
     dual = (pair_v.visible_indices.size + pair_v.target_indices.size) ** 2
     full = pair_v.n_tokens ** 2
     return dual <= 0.36 * full, f"{dual} <= 0.36 * {full}"
@@ -487,7 +421,6 @@ def check_dual_masking_speed(pairs: int = 12) -> tuple[bool, str]:
     vshape, ashape = (16, 64, 64), (64, 32)
     task = SyntheticTask(n_classes=2, video_shape=vshape, audio_shape=ashape, seed=0)
     clips = [task.clip(i)[0] for i in range(2)]
-    from .config import desk_train_config
     tcfg = desk_train_config("pretrain")
     models = {d: PretrainModel(cfg, vshape, ashape, rng=sample_rng(0))
               for d in (True, False)}
@@ -600,10 +533,8 @@ def check_masking_properties() -> tuple[bool, str]:
 def check_encoder_identity() -> tuple[bool, str]:
     """With zeroed residual-branch output projections the encoder is the
     identity on local tokens."""
-    cfg = preset("Tiny")
     rng = np.random.default_rng(4)
-    from .encoder import LGIEncoder
-    enc = LGIEncoder(cfg, 4, rng, dtype=np.float64)
+    enc = LGIEncoder(_TINY, 4, rng, dtype=_F64)
     for layer in enc.layers:
         for att in (layer.attn_local, layer.attn_region, layer.cross_local,
                     layer.cross_region):
@@ -611,8 +542,8 @@ def check_encoder_identity() -> tuple[bool, str]:
             att.b_o.data[...] = 0.0
         layer.ffn.fc2.weight.data[...] = 0.0
         layer.ffn.fc2.bias.data[...] = 0.0
-    _, part = _tiny_video_partition(masked=False)
-    tokens = rng.normal(size=(64, cfg.encoder_dim))[None]
+    part = _tiny_video_partition(masked=False)
+    tokens = rng.normal(size=(64, _TINY.encoder_dim))[None]
     _, locals_, _, _ = enc.encode(tokens, part)
     enc.clear_caches()
     ok = np.allclose(locals_, tokens, atol=1e-12)
@@ -620,7 +551,7 @@ def check_encoder_identity() -> tuple[bool, str]:
 
 
 def check_complexity_bound() -> tuple[bool, str]:
-    _, part = _tiny_video_partition(masked=False)
+    part = _tiny_video_partition(masked=False)
     n = part.order.size
     k = part.n_regions
     entries = score_entries_stage12(part)
@@ -642,8 +573,6 @@ def check_param_totals() -> tuple[bool, str]:
 
 def check_checkpoint_roundtrip() -> tuple[bool, str]:
     """Save-load-save is bitwise stable and a foreign config is rejected."""
-    import tempfile
-    from pathlib import Path
     cfg = preset("Tiny")
     vshape, ashape = PRESET_INPUTS["Tiny"]
     model = FinetuneModel(cfg, vshape, ashape, 2, rng=sample_rng(0))
@@ -668,8 +597,6 @@ def check_checkpoint_roundtrip() -> tuple[bool, str]:
 def check_determinism() -> tuple[bool, str]:
     cfg = preset("Tiny")
     vshape, ashape = PRESET_INPUTS["Tiny"]
-    from .config import desk_train_config
-    from .training import run_pretrain
     task = SyntheticTask(n_classes=2, video_shape=vshape, audio_shape=ashape, seed=1)
     clips = [task.clip(i)[0] for i in range(4)]
     tcfg = desk_train_config("pretrain", seed=7)
@@ -683,7 +610,6 @@ def check_determinism() -> tuple[bool, str]:
 
 
 def check_schedule_and_optimizer() -> tuple[bool, str]:
-    from .training import lr_at
     peak = 1e-3 * 256 / 256
     w, total = 20, 220
     if lr_at(0, 1e-3, 256, w, total) != 0.0:
@@ -695,7 +621,6 @@ def check_schedule_and_optimizer() -> tuple[bool, str]:
     if abs(lr_at(mid, 1e-3, 256, w, total) - expect) > 1e-9:
         return False, "cosine midpoint wrong"
     # decoupled decay: zero grads shrink parameters multiplicatively
-    from .blocks import Block, Parameter
     holder = Block()
     holder.p = Parameter(np.ones(4, dtype=np.float64))
     AdamW(holder).step(lr=0.1, weight_decay=0.5)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from avmae import verify
 from avmae.blocks import (BATCHNORM_EPS, LAYERNORM_EPS, Attention, Block, ConvBNPReLU,
                           FeedForward, GradientStateError, LayerNorm, Linear, Parameter,
                           gelu_backward, gelu_with_cache, no_tape, sigmoid, softmax,
@@ -10,7 +11,8 @@ from avmae.blocks import (BATCHNORM_EPS, LAYERNORM_EPS, Attention, Block, ConvBN
 from avmae.config import desk_train_config, preset
 from avmae.finetune import FinetuneModel
 from avmae.gradcheck import grad_check
-from avmae.pretrain import PretrainModel
+from avmae.losses import info_nce
+from avmae.pretrain import FusionBlock, PretrainModel
 from avmae.training import (AdamW, SyntheticTask, gen_synthetic, optimizer_for,
                             pretrain_step, sample_rng, supervised_step)
 
@@ -223,6 +225,19 @@ class TestGradChecks:
         report = grad_check(lin, fwd, {"x": x}, tolerance=1e-6)
         assert not report.passed
         assert report.max_errors["weight"] > 1e-2
+
+    @pytest.mark.parametrize("check", [
+        verify._block_check(5, lambda rng: FusionBlock(16, 4, rng, dtype=np.float64),
+                            {"v": (1, 6, 16), "a": (1, 3, 16)},
+                            backward=lambda block, wv, wa: block.backward(wv, wa)[:1]),
+        verify._loss_check(8, lambda fa, fv: info_nce(fa, fv, 0.07)[:2],
+                           {"fa": (5, 6), "fv": (5, 6)}),
+    ], ids=["block", "loss"])
+    def test_short_backward_is_refused(self, check):
+        """A row whose backward returns fewer gradients than it has inputs
+        would leave an input unprobed; the harness refuses it instead."""
+        with pytest.raises(ValueError, match=r"returned 1 gradients for 2 inputs"):
+            check(1e-4, 4)
 
 
 class TestConvBNPReLU:

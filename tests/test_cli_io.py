@@ -17,7 +17,7 @@ from avmae import checkpoint as ckpt
 from avmae import verify as verifymod
 from avmae.cli import build_parser, main
 from avmae.config import desk_train_config, preset
-from avmae.embedding import read_clip, write_clip
+from avmae.embedding import RawClip, read_clip, write_clip
 from avmae.finetune import FinetuneModel
 from avmae.gradcheck import GradCheckReport
 from avmae.training import SyntheticTask, gen_synthetic, run_supervised, sample_rng
@@ -644,6 +644,27 @@ class TestCLI:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_mixed_clip_shapes_exit_2_naming_file(self, command, tmp_path, capsys):
+        """A clip shaped unlike the first is refused at load time, naming its
+        manifest line, its file and both shapes, before ``--out`` is made."""
+        data, out, init = tmp_path / "data", tmp_path / "run", tmp_path / "init.avck"
+        assert main(["gen-data", "--task", "2", "--n", "4", "--out", str(data)]) == 0
+        manifest = data / "manifest.jsonl"
+        path = data / json.loads(manifest.read_text().splitlines()[2])["file"]
+        clip = read_clip(path)
+        write_clip(path, RawClip(clip.video[:4], clip.audio))
+        ckpt.save(init, tiny_model(), preset("Tiny"), "finetune")
+        capsys.readouterr()
+        argv = [command, "--data", str(data), "--out", str(out), "--steps", "1"]
+        code = main(argv + (["--init", str(init)] if command == "finetune" else []))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest} line 3: {path} has video (4, 32, 32, 3) "
+                              "and audio (32, 16), unlike the first clip's video "
+                              "(8, 32, 32, 3) and audio (32, 16)"), err
         assert not out.exists()
 
     def test_empty_manifest_exits_2(self, tmp_path, capsys):
