@@ -21,9 +21,11 @@ There is no taping of arbitrary graphs: composite modules chain these
 backwards by hand. Forwards run inside ``no_tape()`` record nothing, for
 evaluation: they leave any tape already pushed as it was.
 
+Blocks build in float32 (``DEFAULT_DTYPE``); ``Block.double`` widens a
+block's tree in place into the float64 twin that checks and oracles run.
 A parameter's ``data`` and ``grad`` may be views into one flat arena owned by
 an enclosing block (``Block.pack``), so they are written in place
-(``[...] =``, ``+=``) and never rebound.
+(``[...] =``, ``+=``) and never rebound; a packed block keeps its dtype.
 
 Reductions call the ufunc reductions (``np.add.reduce``, ``np.maximum.reduce``)
 and divide in place: that is what ``np.mean``/``np.var`` do, bit for bit,
@@ -106,7 +108,7 @@ class Buffer:
         self.data = np.array(data)
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=DEFAULT_DTYPE) -> np.ndarray:
+def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Normal(0, std) redrawn until every entry lies within two deviations.
 
     Each pass redraws the out-of-range entries in ascending order and
@@ -121,7 +123,7 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=DEFAU
         flat[bad] = rng.normal(0.0, std, size=bad.size)
         bad = bad[np.abs(flat[bad]) > limit]
     flat[bad] = np.clip(flat[bad], -limit, limit)
-    return flat.reshape(shape).astype(dtype)
+    return flat.reshape(shape).astype(DEFAULT_DTYPE)
 
 
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -200,7 +202,7 @@ class Block:
                     raise ValueError(f"parameter {name} is already packed by another block")
             dtype = dtypes.pop() if dtypes else DEFAULT_DTYPE
             total = sum(p.size for _, p in named)
-            data, grad = np.empty(total, dtype=dtype), np.empty(total, dtype=dtype)
+            data, grad = np.empty(total, dtype), np.empty(total, dtype)
             start = 0
             for block in self._walk():
                 own_start = start
@@ -217,6 +219,24 @@ class Block:
 
     def zero_grad(self):
         self.pack()[1].fill(0.0)
+
+    def double(self) -> Block:
+        """Widen every parameter (data and grad) and every floating buffer of
+        the tree to float64, in place, and return the block: the float64 twin
+        that checks and oracles run, holding the float32 block's values.
+        Integer buffers stay as they are. A packed block keeps its dtype:
+        doubling one is a ValueError that converts nothing."""
+        for name, p in self.named_parameters():
+            if p.grad.base is not None:
+                raise ValueError(f"parameter {name} is packed; a packed block keeps its dtype")
+        for _, p in self.named_parameters():
+            p.data, p.grad = p.data.astype(np.float64), p.grad.astype(np.float64)
+        for block in self._walk():
+            for name, b in block._buffers.items():
+                if b.dtype.kind == "f":
+                    wide = block._buffers[name] = b.astype(np.float64)
+                    object.__setattr__(block, name, wide)
+        return self
 
     # -- gradient slab --------------------------------------------------------
 
@@ -489,13 +509,12 @@ def sigmoid_backward(out: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 class Linear(Block):
     """y = x W + b over the last axis of [S, ..., d_in]."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 dtype=DEFAULT_DTYPE):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         super().__init__()
         self.d_in = d_in
         self.d_out = d_out
-        self.weight = Parameter(trunc_normal(rng, (d_in, d_out), dtype=dtype))
-        self.bias = Parameter(np.zeros(d_out, dtype=dtype))
+        self.weight = Parameter(trunc_normal(rng, (d_in, d_out)))
+        self.bias = Parameter(np.zeros(d_out, dtype=DEFAULT_DTYPE))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.d_in:
@@ -523,11 +542,11 @@ class Linear(Block):
 class LayerNorm(Block):
     """Per-token normalisation over the channel axis with affine transform."""
 
-    def __init__(self, dim: int, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
-        self.scale = Parameter(np.ones(dim, dtype=dtype))
-        self.shift = Parameter(np.zeros(dim, dtype=dtype))
+        self.scale = Parameter(np.ones(dim, dtype=DEFAULT_DTYPE))
+        self.shift = Parameter(np.zeros(dim, dtype=DEFAULT_DTYPE))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         xhat = x - _mean_last(x)
@@ -567,21 +586,21 @@ class Attention(Block):
     this is the single-head cross-attention block.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
         if dim % heads != 0:
             raise ValueError(f"heads ({heads}) must divide dim ({dim})")
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
-        self.w_q = Parameter(trunc_normal(rng, (dim, dim), dtype=dtype))
-        self.w_k = Parameter(trunc_normal(rng, (dim, dim), dtype=dtype))
-        self.w_v = Parameter(trunc_normal(rng, (dim, dim), dtype=dtype))
-        self.w_o = Parameter(trunc_normal(rng, (dim, dim), dtype=dtype))
-        self.b_q = Parameter(np.zeros(dim, dtype=dtype))
-        self.b_k = Parameter(np.zeros(dim, dtype=dtype))
-        self.b_v = Parameter(np.zeros(dim, dtype=dtype))
-        self.b_o = Parameter(np.zeros(dim, dtype=dtype))
+        self.w_q = Parameter(trunc_normal(rng, (dim, dim)))
+        self.w_k = Parameter(trunc_normal(rng, (dim, dim)))
+        self.w_v = Parameter(trunc_normal(rng, (dim, dim)))
+        self.w_o = Parameter(trunc_normal(rng, (dim, dim)))
+        self.b_q = Parameter(np.zeros(dim, dtype=DEFAULT_DTYPE))
+        self.b_k = Parameter(np.zeros(dim, dtype=DEFAULT_DTYPE))
+        self.b_v = Parameter(np.zeros(dim, dtype=DEFAULT_DTYPE))
+        self.b_o = Parameter(np.zeros(dim, dtype=DEFAULT_DTYPE))
 
     def _split(self, x: np.ndarray) -> np.ndarray:
         """[..., T, C] -> [..., H, T, d]"""
@@ -673,11 +692,11 @@ class Attention(Block):
 class FeedForward(Block):
     """Two linear maps with a gelu in between; the hidden width is 4 * dim."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, rng: np.random.Generator):
         super().__init__()
         hidden = dim * 4
-        self.fc1 = Linear(dim, hidden, rng, dtype=dtype)
-        self.fc2 = Linear(hidden, dim, rng, dtype=dtype)
+        self.fc1 = Linear(dim, hidden, rng)
+        self.fc2 = Linear(hidden, dim, rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = self.fc1.forward(x)
@@ -704,15 +723,15 @@ class ConvBNPReLU(Block):
     order within a sample.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, rng: np.random.Generator):
         super().__init__()
         self.dim = dim
-        self.conv = Linear(dim, dim, rng, dtype=dtype)
-        self.bn_scale = Parameter(np.ones(dim, dtype=dtype))
-        self.bn_shift = Parameter(np.zeros(dim, dtype=dtype))
-        self.prelu_slope = Parameter(np.full(dim, 0.25, dtype=dtype))
-        self.running_mean = Buffer(np.zeros(dim, dtype=dtype))
-        self.running_var = Buffer(np.ones(dim, dtype=dtype))
+        self.conv = Linear(dim, dim, rng)
+        self.bn_scale = Parameter(np.ones(dim, dtype=DEFAULT_DTYPE))
+        self.bn_shift = Parameter(np.zeros(dim, dtype=DEFAULT_DTYPE))
+        self.prelu_slope = Parameter(np.full(dim, 0.25, dtype=DEFAULT_DTYPE))
+        self.running_mean = Buffer(np.zeros(dim, dtype=DEFAULT_DTYPE))
+        self.running_var = Buffer(np.ones(dim, dtype=DEFAULT_DTYPE))
         self.num_batches = Buffer(np.zeros((), dtype=np.int64))
         self._stats = []   # per training call: (mean, var), each [S, C]
 

@@ -41,7 +41,7 @@ def save(path, model: Block, cfg: ModelConfig, stage: str) -> None:
         dtype = _buffer_dtype(b)
         buffers.append({"name": name, "shape": list(b.shape), "dtype": dtype,
                         "offset": offset})
-        chunks.append(np.ascontiguousarray(b, dtype=dtype).tobytes())
+        chunks.append(np.ascontiguousarray(b, dtype).tobytes())
         offset += len(chunks[-1])
     manifest = {
         "format_version": FORMAT_VERSION,

@@ -38,31 +38,31 @@ def grid_coords(grid) -> np.ndarray:
     return np.indices(grid).reshape(len(grid), -1).T.astype(np.int64)
 
 
-def sincos_1d(positions: np.ndarray, dim: int, dtype=np.float64) -> np.ndarray:
+def sincos_1d(positions: np.ndarray, dim: int) -> np.ndarray:
     if dim % 2 != 0:
         raise ValueError("sinusoidal chunk dims must be even")
     pos = np.asarray(positions, dtype=np.float64)[:, None]
     freqs = np.exp(-np.log(10000.0) * np.arange(0, dim, 2) / dim)[None, :]
-    out = np.empty((pos.shape[0], dim), dtype=dtype)
+    out = np.empty((pos.shape[0], dim))
     out[:, 0::2] = np.sin(pos * freqs)
     out[:, 1::2] = np.cos(pos * freqs)
     return out
 
 
-def positional_encoding(coords: np.ndarray, dim: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
+def positional_encoding(coords: np.ndarray, dim: int) -> np.ndarray:
     """Fixed multi-axis sin-cos codes; a pure function of coords and dim."""
     ndim = coords.shape[1]
     base = (dim // ndim) & ~1
     chunks = [base] * (ndim - 1) + [dim - base * (ndim - 1)]
     parts = [sincos_1d(coords[:, axis], chunk)
              for axis, chunk in enumerate(chunks)]
-    return np.concatenate(parts, axis=1).astype(dtype)
+    return np.concatenate(parts, axis=1).astype(DEFAULT_DTYPE)
 
 
 @lru_cache(maxsize=16)
-def grid_codes(grid: tuple[int, ...], dim: int, dtype=DEFAULT_DTYPE):
+def grid_codes(grid: tuple[int, ...], dim: int):
     """The positional codes of a grid, made once and shared read-only."""
-    codes = positional_encoding(grid_coords(grid), dim, dtype)
+    codes = positional_encoding(grid_coords(grid), dim)
     codes.flags.writeable = False
     return codes
 
@@ -104,16 +104,14 @@ class PatchEmbed(Block):
     the channel axis of a clip array, and its patchify and grid functions.
     """
 
-    def __init__(self, cfg: ModelConfig, clip_shape, rng: np.random.Generator,
-                 dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: ModelConfig, clip_shape, rng: np.random.Generator):
         super().__init__()
         self.patch = getattr(cfg, self.patch_field)
         self.shape = tuple(clip_shape) + self.channels   # one clip's array
         self.grid = self.grid_of(cfg, clip_shape)
-        self.codes = grid_codes(self.grid, cfg.encoder_dim, dtype)
+        self.codes = grid_codes(self.grid, cfg.encoder_dim)
         self.patch_dim = int(np.prod(self.patch + self.channels))
-        self.proj = Linear(self.patch_dim, cfg.encoder_dim, rng, dtype=dtype)
-        self.dtype = dtype
+        self.proj = Linear(self.patch_dim, cfg.encoder_dim, rng)
 
     def patches(self, arrays) -> np.ndarray:
         """This modality's arrays of S clips -> patches [S, N, patch] in the
@@ -126,7 +124,7 @@ class PatchEmbed(Block):
 
     def forward(self, patches: np.ndarray) -> np.ndarray:
         """patches [S, N, patch] -> tokens [S, N, C]."""
-        tokens = self.proj.forward(patches.astype(self.dtype, copy=False))
+        tokens = self.proj.forward(patches.astype(self.proj.weight.data.dtype, copy=False))
         return tokens + self.codes
 
     def backward(self, d_tokens: np.ndarray) -> None:
@@ -170,6 +168,8 @@ def normalize_targets(patches: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CLIP_MAGIC = b"AVCLIP 1"
+_CLIP_DIMS = {3: "video frames", 4: "video height", 5: "video width", 6: "video channels",
+              8: "audio frames", 9: "audio bins"}   # header word index -> dimension
 
 
 def write_clip(path, clip: RawClip) -> None:
@@ -189,8 +189,11 @@ def read_clip(path) -> RawClip:
             raise ValueError(f"{path}: not a clip file (header {header!r})")
         if parts[2] != b"video" or parts[7] != b"audio" or parts[10] != b"float32":
             raise ValueError(f"{path}: malformed clip header")
-        t, h, w, c = (int(x) for x in parts[3:7])
-        ta, f = int(parts[8]), int(parts[9])
+        for index, dim in _CLIP_DIMS.items():
+            if not parts[index].isdigit() or int(parts[index]) < 1:
+                raise ValueError(f"{path}: {dim} must be an integer >= 1, "
+                                 f"got {parts[index].decode(errors='replace')!r}")
+        t, h, w, c, ta, f = (int(parts[index]) for index in _CLIP_DIMS)
         video_count = t * h * w * c
         audio_count = ta * f
         payload = fh.read()
@@ -203,4 +206,7 @@ def read_clip(path) -> RawClip:
     for name, values in (("video", video), ("audio", audio)):
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: {name} payload holds non-finite values")
-    return RawClip(video.copy(), audio.copy())
+    try:
+        return RawClip(video.copy(), audio.copy())
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (DEFAULT_DTYPE, Attention, Block, BlockList, FeedForward,
-                     LayerNorm, Parameter, trunc_normal)
+from .blocks import Attention, Block, BlockList, FeedForward, LayerNorm, Parameter, trunc_normal
 from .config import ModelConfig
 
 
@@ -183,22 +182,21 @@ class LGILayer(Block):
     then zeros, which adds exactly.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
         self.dim = dim
-        self.norm1 = LayerNorm(dim, dtype=dtype)
-        self.attn_local = Attention(dim, heads, rng, dtype=dtype)
-        self.norm2 = LayerNorm(dim, dtype=dtype)
-        self.attn_region = Attention(dim, heads, rng, dtype=dtype)
-        self.norm3_q = LayerNorm(dim, dtype=dtype)
-        self.norm3_kv = LayerNorm(dim, dtype=dtype)
-        self.cross_local = Attention(dim, heads, rng, dtype=dtype)
-        self.norm4_q = LayerNorm(dim, dtype=dtype)
-        self.norm4_kv = LayerNorm(dim, dtype=dtype)
-        self.cross_region = Attention(dim, heads, rng, dtype=dtype)
-        self.norm_ffn = LayerNorm(dim, dtype=dtype)
-        self.ffn = FeedForward(dim, rng, dtype=dtype)
+        self.norm1 = LayerNorm(dim)
+        self.attn_local = Attention(dim, heads, rng)
+        self.norm2 = LayerNorm(dim)
+        self.attn_region = Attention(dim, heads, rng)
+        self.norm3_q = LayerNorm(dim)
+        self.norm3_kv = LayerNorm(dim)
+        self.cross_local = Attention(dim, heads, rng)
+        self.norm4_q = LayerNorm(dim)
+        self.norm4_kv = LayerNorm(dim)
+        self.cross_region = Attention(dim, heads, rng)
+        self.norm_ffn = LayerNorm(dim)
+        self.ffn = FeedForward(dim, rng)
 
     # Stochastic depth: one decision per sample and residual branch (six per
     # layer), drawn from that sample's generator. A dropped branch is scaled
@@ -322,17 +320,13 @@ class LGILayer(Block):
 class LGIEncoder(Block):
     """A stack of LGI layers plus the learnable region tokens."""
 
-    def __init__(self, cfg: ModelConfig, n_regions: int, rng: np.random.Generator,
-                 dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: ModelConfig, n_regions: int, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
         self.n_regions = n_regions
-        self.region_tokens = Parameter(
-            trunc_normal(rng, (n_regions, cfg.encoder_dim), dtype=dtype))
-        self.layers = BlockList([
-            LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng, dtype=dtype)
-            for _ in range(cfg.encoder_depth)
-        ])
+        self.region_tokens = Parameter(trunc_normal(rng, (n_regions, cfg.encoder_dim)))
+        self.layers = BlockList([LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng)
+                                 for _ in range(cfg.encoder_depth)])
 
     def encode(self, tokens: np.ndarray, layout: RegionLayout,
                rngs=None, drop_path: float = 0.0, keep_locals: bool = True):

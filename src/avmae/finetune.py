@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import DEFAULT_DTYPE, Block, no_tape
+from .blocks import Block, no_tape
 from .config import ModelConfig, region_count
 from .embedding import AudioEmbed, RawClip, VideoEmbed
 from .encoder import LGIEncoder, partition
@@ -18,11 +18,11 @@ from .iavcl import IAVCLHead
 
 class FinetuneModel(Block):
     def __init__(self, cfg: ModelConfig, video_shape, audio_shape,
-                 num_outputs: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+                 num_outputs: int, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        self.video_embed = VideoEmbed(cfg, video_shape, rng, dtype=dtype)
-        self.audio_embed = AudioEmbed(cfg, audio_shape, rng, dtype=dtype)
+        self.video_embed = VideoEmbed(cfg, video_shape, rng)
+        self.audio_embed = AudioEmbed(cfg, audio_shape, rng)
         k_v = region_count(self.video_embed.grid, cfg.video_region)
         k_a = region_count(self.audio_embed.grid, cfg.audio_region)
         if k_v != k_a:
@@ -30,9 +30,9 @@ class FinetuneModel(Block):
         # every clip has the embeddings' shapes, so one full-grid layout per
         # modality and batch size serves every call
         self._layouts = {}
-        self.video_encoder = LGIEncoder(cfg, k_v, rng, dtype=dtype)
-        self.audio_encoder = LGIEncoder(cfg, k_a, rng, dtype=dtype)
-        self.iavcl = IAVCLHead(cfg, num_outputs, rng, dtype=dtype)
+        self.video_encoder = LGIEncoder(cfg, k_v, rng)
+        self.audio_encoder = LGIEncoder(cfg, k_a, rng)
+        self.iavcl = IAVCLHead(cfg, num_outputs, rng)
 
     def forward_sample(self, clips, rngs=None, drop_path: float = 0.0,
                        training: bool = True) -> np.ndarray:
@@ -72,12 +72,11 @@ class FinetuneModel(Block):
         """Backward of the last ``forward_sample``; d_logits is [S, outputs]."""
         locals_v_shape, locals_a_shape = self._load()
         d_snaps_a, d_snaps_v = self.iavcl.backward(d_logits)
-        dtype = d_logits.dtype
         d_tokens_a = self.audio_encoder.backward(
-            np.zeros(locals_a_shape, dtype=dtype), d_snapshots=d_snaps_a)
+            np.zeros(locals_a_shape, d_logits.dtype), d_snapshots=d_snaps_a)
         self.audio_embed.backward(d_tokens_a)
         d_tokens_v = self.video_encoder.backward(
-            np.zeros(locals_v_shape, dtype=dtype), d_snapshots=d_snaps_v)
+            np.zeros(locals_v_shape, d_logits.dtype), d_snapshots=d_snaps_v)
         self.video_embed.backward(d_tokens_v)
 
     def predict(self, clip: RawClip) -> np.ndarray:

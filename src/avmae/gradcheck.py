@@ -58,6 +58,7 @@ def grad_check(block: Block | None, forward_fn, inputs: dict[str, np.ndarray],
     The scalar must be a deterministic function of the current parameter
     values and the given inputs. ``block`` may be None for parameterless
     operations (losses), in which case only input gradients are probed.
+    Keys other than exactly the inputs' names are a ValueError.
     """
     rng = np.random.default_rng(0)
     report = GradCheckReport(tolerance=tolerance)
@@ -68,6 +69,10 @@ def grad_check(block: Block | None, forward_fn, inputs: dict[str, np.ndarray],
     loss, backward_fn = forward_fn(**inputs)
     check_finite("grad-check loss", np.asarray(loss))
     input_grads = backward_fn()
+    if input_grads.keys() != inputs.keys():
+        missing = [name for name in inputs if name not in input_grads]
+        raise ValueError(f"backward returned {len(input_grads)} gradients for "
+                         f"{len(inputs)} inputs {list(inputs)}; missing {missing}")
 
     def run() -> float:
         if block is not None:

@@ -27,16 +27,16 @@ from .config import ModelConfig
 class DenseInteraction(Block):
     """One modality's parallel self/cross attention with channel gates."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
         self.dim = dim
-        self.norm_self = LayerNorm(dim, dtype=dtype)
-        self.attn_self = Attention(dim, heads, rng, dtype=dtype)
-        self.norm_cq = LayerNorm(dim, dtype=dtype)
-        self.norm_ckv = LayerNorm(dim, dtype=dtype)
-        self.attn_cross = Attention(dim, heads, rng, dtype=dtype)
-        self.gate_self = Linear(2 * dim, dim, rng, dtype=dtype)
-        self.gate_cross = Linear(2 * dim, dim, rng, dtype=dtype)
+        self.norm_self = LayerNorm(dim)
+        self.attn_self = Attention(dim, heads, rng)
+        self.norm_cq = LayerNorm(dim)
+        self.norm_ckv = LayerNorm(dim)
+        self.attn_cross = Attention(dim, heads, rng)
+        self.gate_self = Linear(2 * dim, dim, rng)
+        self.gate_cross = Linear(2 * dim, dim, rng)
 
     def forward(self, own: np.ndarray, partner: np.ndarray) -> np.ndarray:
         f_s = own + self.attn_self.forward(self.norm_self.forward(own))
@@ -69,10 +69,10 @@ class DenseInteraction(Block):
 class DiERUnit(Block):
     """Per-unit dense interactions; the refinement layer is passed in."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
-        self.dense_a = DenseInteraction(dim, heads, rng, dtype=dtype)
-        self.dense_v = DenseInteraction(dim, heads, rng, dtype=dtype)
+        self.dense_a = DenseInteraction(dim, heads, rng)
+        self.dense_v = DenseInteraction(dim, heads, rng)
 
     def forward(self, f1_a: np.ndarray, f1_v: np.ndarray):
         f2_a = self.dense_a.forward(f1_a, f1_v)
@@ -94,12 +94,12 @@ class RefinementLayer(Block):
     unit and both modalities.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, rng: np.random.Generator):
         super().__init__()
-        self.input_linear = Linear(2 * dim, dim, rng, dtype=dtype)
-        self.shca = Attention(dim, 1, rng, dtype=dtype)
-        self.conv = ConvBNPReLU(dim, rng, dtype=dtype)
-        self.norm = LayerNorm(dim, dtype=dtype)
+        self.input_linear = Linear(2 * dim, dim, rng)
+        self.shca = Attention(dim, 1, rng)
+        self.conv = ConvBNPReLU(dim, rng)
+        self.norm = LayerNorm(dim)
 
     def refine(self, f_av: np.ndarray, f2_a: np.ndarray, f2_v: np.ndarray,
                training: bool = True) -> np.ndarray:
@@ -119,18 +119,18 @@ class RefinementLayer(Block):
 class HAFELayer(Block):
     """Hierarchical aggregation over unit outputs with multimodal feedback."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
-        self.norm_units = LayerNorm(dim, dtype=dtype)
-        self.attn_units = Attention(dim, heads, rng, dtype=dtype)
-        self.norm_ffn1 = LayerNorm(dim, dtype=dtype)
-        self.ffn1 = FeedForward(dim, rng, dtype=dtype)
-        self.gate = Linear(dim, dim, rng, dtype=dtype)
-        self.norm_fq = LayerNorm(dim, dtype=dtype)
-        self.norm_fkv = LayerNorm(dim, dtype=dtype)
-        self.cross = Attention(dim, heads, rng, dtype=dtype)
-        self.norm_ffn2 = LayerNorm(dim, dtype=dtype)
-        self.ffn2 = FeedForward(dim, rng, dtype=dtype)
+        self.norm_units = LayerNorm(dim)
+        self.attn_units = Attention(dim, heads, rng)
+        self.norm_ffn1 = LayerNorm(dim)
+        self.ffn1 = FeedForward(dim, rng)
+        self.gate = Linear(dim, dim, rng)
+        self.norm_fq = LayerNorm(dim)
+        self.norm_fkv = LayerNorm(dim)
+        self.cross = Attention(dim, heads, rng)
+        self.norm_ffn2 = LayerNorm(dim)
+        self.ffn2 = FeedForward(dim, rng)
 
     def forward(self, stack: np.ndarray, f_av: np.ndarray) -> np.ndarray:
         """stack: [S, n_units, K, C]; f_av: [S, K, C] -> [S, K, C]."""
@@ -167,23 +167,20 @@ class HAFELayer(Block):
 class IAVCLHead(Block):
     """Full fine-tuning fusion head over per-layer region-token snapshots."""
 
-    def __init__(self, cfg: ModelConfig, num_outputs: int,
-                 rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: ModelConfig, num_outputs: int, rng: np.random.Generator):
         super().__init__()
         dim = cfg.encoder_dim
         self.cfg = cfg
         self.num_outputs = num_outputs
         self.n_layers = cfg.encoder_depth
-        self.layer_logits_a = Parameter(np.zeros(self.n_layers, dtype=dtype))
-        self.layer_logits_v = Parameter(np.zeros(self.n_layers, dtype=dtype))
-        self.units = BlockList([
-            DiERUnit(dim, cfg.encoder_heads, rng, dtype=dtype)
-            for _ in range(cfg.num_dier_units)
-        ])
-        self.er = RefinementLayer(dim, rng, dtype=dtype)
-        self.hafe_a = HAFELayer(dim, cfg.encoder_heads, rng, dtype=dtype)
-        self.hafe_v = HAFELayer(dim, cfg.encoder_heads, rng, dtype=dtype)
-        self.head = Linear(2 * dim, num_outputs, rng, dtype=dtype)
+        self.layer_logits_a = Parameter(np.zeros(self.n_layers, dtype=DEFAULT_DTYPE))
+        self.layer_logits_v = Parameter(np.zeros(self.n_layers, dtype=DEFAULT_DTYPE))
+        self.units = BlockList([DiERUnit(dim, cfg.encoder_heads, rng)
+                                for _ in range(cfg.num_dier_units)])
+        self.er = RefinementLayer(dim, rng)
+        self.hafe_a = HAFELayer(dim, cfg.encoder_heads, rng)
+        self.hafe_v = HAFELayer(dim, cfg.encoder_heads, rng)
+        self.head = Linear(2 * dim, num_outputs, rng)
 
     def layer_weights(self):
         """Normalised per-layer aggregation weights (each sums to one)."""
@@ -191,7 +188,7 @@ class IAVCLHead(Block):
 
     def reinit_head(self, rng: np.random.Generator):
         weight = self.head.weight.data
-        weight[...] = trunc_normal(rng, weight.shape, dtype=weight.dtype)
+        weight[...] = trunc_normal(rng, weight.shape)
         self.head.bias.data[...] = 0.0
 
     def forward(self, snaps_a: list[np.ndarray], snaps_v: list[np.ndarray],

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import (DEFAULT_DTYPE, Attention, Block, BlockList, FeedForward,
-                     LayerNorm, Linear, Parameter, trunc_normal)
+from .blocks import (Attention, Block, BlockList, FeedForward, LayerNorm, Linear,
+                     Parameter, trunc_normal)
 from .config import (AUDIO_ENCODER_MASK_RATIO, DECODER_MASK_RATIO,
                      VIDEO_ENCODER_MASK_RATIO, ModelConfig, audio_grid,
                      region_count, video_grid)
@@ -36,18 +36,18 @@ class FusionBlock(Block):
     commute within a block; each stream then runs its own feed-forward.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
-        self.norm_vq = LayerNorm(dim, dtype=dtype)
-        self.norm_vkv = LayerNorm(dim, dtype=dtype)
-        self.attn_v = Attention(dim, heads, rng, dtype=dtype)
-        self.norm_aq = LayerNorm(dim, dtype=dtype)
-        self.norm_akv = LayerNorm(dim, dtype=dtype)
-        self.attn_a = Attention(dim, heads, rng, dtype=dtype)
-        self.norm_vf = LayerNorm(dim, dtype=dtype)
-        self.ffn_v = FeedForward(dim, rng, dtype=dtype)
-        self.norm_af = LayerNorm(dim, dtype=dtype)
-        self.ffn_a = FeedForward(dim, rng, dtype=dtype)
+        self.norm_vq = LayerNorm(dim)
+        self.norm_vkv = LayerNorm(dim)
+        self.attn_v = Attention(dim, heads, rng)
+        self.norm_aq = LayerNorm(dim)
+        self.norm_akv = LayerNorm(dim)
+        self.attn_a = Attention(dim, heads, rng)
+        self.norm_vf = LayerNorm(dim)
+        self.ffn_v = FeedForward(dim, rng)
+        self.norm_af = LayerNorm(dim)
+        self.ffn_a = FeedForward(dim, rng)
 
     def forward(self, v: np.ndarray, a: np.ndarray):
         v_mid = v + self.attn_v.forward(self.norm_vq.forward(v), self.norm_vkv.forward(a))
@@ -67,11 +67,9 @@ class FusionBlock(Block):
 
 
 class FusionEncoder(Block):
-    def __init__(self, dim: int, heads: int, depth: int, rng: np.random.Generator,
-                 dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, heads: int, depth: int, rng: np.random.Generator):
         super().__init__()
-        self.blocks = BlockList([FusionBlock(dim, heads, rng, dtype=dtype)
-                                 for _ in range(depth)])
+        self.blocks = BlockList([FusionBlock(dim, heads, rng) for _ in range(depth)])
 
     def forward(self, v: np.ndarray, a: np.ndarray):
         for block in self.blocks:
@@ -85,12 +83,12 @@ class FusionEncoder(Block):
 
 
 class DecoderBlock(Block):
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
-        self.norm1 = LayerNorm(dim, dtype=dtype)
-        self.attn = Attention(dim, heads, rng, dtype=dtype)
-        self.norm2 = LayerNorm(dim, dtype=dtype)
-        self.ffn = FeedForward(dim, rng, dtype=dtype)
+        self.norm1 = LayerNorm(dim)
+        self.attn = Attention(dim, heads, rng)
+        self.norm2 = LayerNorm(dim)
+        self.ffn = FeedForward(dim, rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = x + self.attn.forward(self.norm1.forward(x))
@@ -105,21 +103,16 @@ class DecoderBlock(Block):
 class Decoder(Block):
     """Narrow transformer over the combined sequence with skip injection."""
 
-    def __init__(self, cfg: ModelConfig, patch_dim: int, rng: np.random.Generator,
-                 dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: ModelConfig, patch_dim: int, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        self.input_proj = Linear(cfg.encoder_dim, cfg.decoder_dim, rng, dtype=dtype)
-        self.skip_projs = BlockList([
-            Linear(cfg.encoder_dim, cfg.decoder_dim, rng, dtype=dtype)
-            for _ in cfg.skip_indices
-        ])
-        self.blocks = BlockList([
-            DecoderBlock(cfg.decoder_dim, cfg.decoder_heads, rng, dtype=dtype)
-            for _ in range(cfg.decoder_depth)
-        ])
-        self.norm = LayerNorm(cfg.decoder_dim, dtype=dtype)
-        self.head = Linear(cfg.decoder_dim, patch_dim, rng, dtype=dtype)
+        self.input_proj = Linear(cfg.encoder_dim, cfg.decoder_dim, rng)
+        self.skip_projs = BlockList([Linear(cfg.encoder_dim, cfg.decoder_dim, rng)
+                                     for _ in cfg.skip_indices])
+        self.blocks = BlockList([DecoderBlock(cfg.decoder_dim, cfg.decoder_heads, rng)
+                                 for _ in range(cfg.decoder_depth)])
+        self.norm = LayerNorm(cfg.decoder_dim)
+        self.head = Linear(cfg.decoder_dim, patch_dim, rng)
 
     def forward(self, combined: CombinedSeq, skip_locals: dict[int, np.ndarray]) -> np.ndarray:
         """Combined sequences [S, L, C]; skip features [S, n_visible, C]
@@ -180,25 +173,22 @@ def make_mask_pairs(cfg: ModelConfig, video_shape, audio_shape,
 class PretrainModel(Block):
     """Embed -> dual mask -> LGI encode -> fuse -> decode, both modalities."""
 
-    def __init__(self, cfg: ModelConfig, video_shape, audio_shape,
-                 rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: ModelConfig, video_shape, audio_shape, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
         self.video_shape = tuple(video_shape)
         self.audio_shape = tuple(audio_shape)
-        self.dtype = dtype
-        self.video_embed = VideoEmbed(cfg, video_shape, rng, dtype=dtype)
-        self.audio_embed = AudioEmbed(cfg, audio_shape, rng, dtype=dtype)
+        self.video_embed = VideoEmbed(cfg, video_shape, rng)
+        self.audio_embed = AudioEmbed(cfg, audio_shape, rng)
         k_v = region_count(self.video_embed.grid, cfg.video_region)
         k_a = region_count(self.audio_embed.grid, cfg.audio_region)
-        self.video_encoder = LGIEncoder(cfg, k_v, rng, dtype=dtype)
-        self.audio_encoder = LGIEncoder(cfg, k_a, rng, dtype=dtype)
-        self.fusion = FusionEncoder(cfg.encoder_dim, cfg.fusion_heads,
-                                    cfg.fusion_depth, rng, dtype=dtype)
-        self.mask_token_v = Parameter(trunc_normal(rng, (cfg.encoder_dim,), dtype=dtype))
-        self.mask_token_a = Parameter(trunc_normal(rng, (cfg.encoder_dim,), dtype=dtype))
-        self.video_decoder = Decoder(cfg, self.video_embed.patch_dim, rng, dtype=dtype)
-        self.audio_decoder = Decoder(cfg, self.audio_embed.patch_dim, rng, dtype=dtype)
+        self.video_encoder = LGIEncoder(cfg, k_v, rng)
+        self.audio_encoder = LGIEncoder(cfg, k_a, rng)
+        self.fusion = FusionEncoder(cfg.encoder_dim, cfg.fusion_heads, cfg.fusion_depth, rng)
+        self.mask_token_v = Parameter(trunc_normal(rng, (cfg.encoder_dim,)))
+        self.mask_token_a = Parameter(trunc_normal(rng, (cfg.encoder_dim,)))
+        self.video_decoder = Decoder(cfg, self.video_embed.patch_dim, rng)
+        self.audio_decoder = Decoder(cfg, self.audio_embed.patch_dim, rng)
 
     def forward_sample(self, clips: list[RawClip], pairs_v: list[MaskPair],
                        pairs_a: list[MaskPair]):
@@ -209,9 +199,9 @@ class PretrainModel(Block):
         at the target positions, [S, targets, patch], and the pooled
         contrastive features per skip layer, [S, C]. The targets are the
         clips' patches at those positions, standardised per patch
-        (``normalize_targets``) and cast to the model dtype. Outputs and the
-        gradients of ``backward_sample`` are bitwise those of the clips run
-        one at a time, forward in order and backward in reverse.
+        (``normalize_targets``) and cast to the predictions' dtype. Outputs
+        and the gradients of ``backward_sample`` are bitwise those of the
+        clips run one at a time, forward in order and backward in reverse.
 
         The batch is checked whole before any block runs: a mismatched clip
         shape, mask size or count is a ValueError that leaves no tape behind.
@@ -249,7 +239,7 @@ class PretrainModel(Block):
                 patches[modality], combined.source_indices[:, combined.n_visible:]))
             result[modality] = dict(
                 predictions=preds,
-                targets=targets.astype(self.dtype),
+                targets=targets.astype(preds.dtype),
                 pooled=ctx["pooled"],
                 n_tokens=pairs[0].n_tokens,
                 combined_len=combined.tokens.shape[1],

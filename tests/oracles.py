@@ -626,7 +626,7 @@ def per_clip_targets(model, clips, pairs_v, pairs_a):
             p = patchify(getattr(clip, modality), patch).astype(np.float64)
             full = ((p - p.mean(axis=1, keepdims=True))
                     / np.sqrt(p.var(axis=1, keepdims=True) + TARGET_EPS))
-            rows.append(full.astype(model.dtype)[pair.target_indices])
+            rows.append(full.astype(model.mask_token_v.data.dtype)[pair.target_indices])
         out[modality] = np.stack(rows)
     return out
 

@@ -218,7 +218,7 @@ class TestA10OracleEquivalence:
         part = partition((4, 4, 4), cfg.video_region, np.arange(64)[None])
         for trial in range(20):
             rng = np.random.default_rng(1000 + trial)
-            layer = LGILayer(dim, heads, rng, dtype=np.float64)
+            layer = LGILayer(dim, heads, rng).double()
             locals_ = rng.normal(size=(64, dim))
             s = rng.normal(size=(4, dim))
             out_l, out_s = layer.forward(locals_[None], s[None], part)
@@ -228,7 +228,7 @@ class TestA10OracleEquivalence:
                                float(np.max(np.abs(out_l[0] - ref_l))),
                                float(np.max(np.abs(out_s[0] - ref_s))))
 
-            block = FusionBlock(dim, heads, rng, dtype=np.float64)
+            block = FusionBlock(dim, heads, rng).double()
             v = rng.normal(size=(8, dim))
             a = rng.normal(size=(4, dim))
             ov, oa = block.forward(v[None], a[None])
@@ -238,7 +238,7 @@ class TestA10OracleEquivalence:
                                   float(np.max(np.abs(ov[0] - rv))),
                                   float(np.max(np.abs(oa[0] - ra))))
 
-            unit = DiERUnit(dim, heads, rng, dtype=np.float64)
+            unit = DiERUnit(dim, heads, rng).double()
             f1a = rng.normal(size=(4, dim))
             f1v = rng.normal(size=(4, dim))
             f2a, f2v = unit.forward(f1a[None], f1v[None])
@@ -249,7 +249,7 @@ class TestA10OracleEquivalence:
                                 float(np.max(np.abs(f2a[0] - ra_))),
                                 float(np.max(np.abs(f2v[0] - rv_))))
 
-            hafe = HAFELayer(dim, heads, rng, dtype=np.float64)
+            hafe = HAFELayer(dim, heads, rng).double()
             stack = rng.normal(size=(2, 4, dim))
             fav = rng.normal(size=(4, dim))
             out = hafe.forward(stack[None], fav[None])[0]

@@ -1,5 +1,7 @@
 """Core numerics: forward semantics, hand-written backwards, grad checks."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,11 @@ from avmae.blocks import (BATCHNORM_EPS, LAYERNORM_EPS, Attention, Block, ConvBN
                           gelu_backward, gelu_with_cache, no_tape, sigmoid, softmax,
                           softmax_backward, trunc_normal)
 from avmae.config import desk_train_config, preset
+from avmae.embedding import VideoEmbed, grid_codes, positional_encoding, sincos_1d
+from avmae.encoder import LGIEncoder
 from avmae.finetune import FinetuneModel
 from avmae.gradcheck import grad_check
+from avmae.iavcl import DiERUnit, IAVCLHead
 from avmae.losses import info_nce
 from avmae.pretrain import FusionBlock, PretrainModel
 from avmae.training import (AdamW, SyntheticTask, gen_synthetic, optimizer_for,
@@ -40,7 +45,7 @@ class TestAttentionForward:
     def test_single_token_softmax_is_identity(self):
         """T=1: softmax over one element is 1, so out = x Wv Wo + biases."""
         rng = np.random.default_rng(1)
-        att = Attention(8, 2, rng, dtype=np.float64)
+        att = Attention(8, 2, rng).double()
         x = rng.normal(size=(1, 8))[None]
         out = att.forward(x)
         v = x @ att.w_v.data + att.b_v.data
@@ -51,14 +56,14 @@ class TestAttentionForward:
     def test_row_sums_various_shapes(self):
         rng = np.random.default_rng(2)
         for t, c, h in ((1, 8, 1), (3, 8, 2), (7, 16, 4), (2, 12, 3)):
-            att = Attention(c, h, rng, dtype=np.float64)
+            att = Attention(c, h, rng).double()
             att.forward(rng.normal(size=(t, c))[None] * 5)
             assert np.allclose(att.last_probs().sum(axis=-1), 1.0, atol=1e-6)
             att.clear_caches()
 
     def test_mhsa_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
-        att = Attention(8, 2, rng, dtype=np.float64)
+        att = Attention(8, 2, rng).double()
         x = rng.normal(size=(3, 8))
         out = att.forward(x[None])[0]
         att.clear_caches()
@@ -66,7 +71,7 @@ class TestAttentionForward:
 
     def test_mhca_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        att = Attention(8, 2, rng, dtype=np.float64)
+        att = Attention(8, 2, rng).double()
         q = rng.normal(size=(2, 8))
         kv = rng.normal(size=(5, 8))
         out = att.forward(q[None], kv[None])[0]
@@ -85,14 +90,14 @@ class TestAttentionForward:
     def test_single_key_attends_fully(self):
         """Tk=1: every query sees the single key with weight one."""
         rng = np.random.default_rng(5)
-        att = Attention(8, 2, rng, dtype=np.float64)
+        att = Attention(8, 2, rng).double()
         att.forward(rng.normal(size=(4, 8))[None], rng.normal(size=(1, 8))[None])
         assert np.allclose(att.last_probs(), 1.0)
         att.clear_caches()
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(6)
-        att = Attention(8, 2, rng, dtype=np.float64)
+        att = Attention(8, 2, rng).double()
         x = rng.normal(size=(3, 4, 8))
         batched = att.forward(x)
         att.clear_caches()
@@ -116,7 +121,7 @@ class TestBackwardProtocol:
     def test_linear_closed_form(self):
         """y = xW + b with upstream of ones: dW = x^T 1, db = column sums."""
         rng = np.random.default_rng(0)
-        lin = Linear(4, 3, rng, dtype=np.float64)
+        lin = Linear(4, 3, rng).double()
         x = rng.normal(size=(5, 4))
         lin.forward(x[None])
         ones = np.ones((5, 3))
@@ -126,7 +131,7 @@ class TestBackwardProtocol:
 
     def test_layernorm_constant_row_nullspace(self):
         """Per-row-constant input: gradient orthogonal to the ones direction."""
-        ln = LayerNorm(8, dtype=np.float64)
+        ln = LayerNorm(8).double()
         x = np.tile(np.random.default_rng(1).normal(size=(4, 1)), (1, 8))
         ln.forward(x[None])
         d_x = ln.backward(np.random.default_rng(2).normal(size=(4, 8))[None])
@@ -140,7 +145,7 @@ class TestBackwardProtocol:
     def test_cache_stack_handles_repeated_application(self):
         """Two forwards, then backwards in reverse order, accumulate both."""
         rng = np.random.default_rng(3)
-        lin = Linear(3, 3, rng, dtype=np.float64)
+        lin = Linear(3, 3, rng).double()
         x1 = rng.normal(size=(2, 3))
         x2 = rng.normal(size=(4, 3))
         lin.forward(x1[None])
@@ -155,7 +160,7 @@ class TestBackwardProtocol:
         """A forward inside ``no_tape`` records nothing: the backward runs
         through the taped forward before it, and then there is none left."""
         rng = np.random.default_rng(5)
-        lin = Linear(3, 2, rng, dtype=np.float64)
+        lin = Linear(3, 2, rng).double()
         x, y = rng.normal(size=(1, 4, 3)), rng.normal(size=(1, 5, 3))
         lin.forward(y)
         with no_tape():
@@ -181,7 +186,7 @@ class TestBackwardProtocol:
 
     def test_deterministic_given_inputs(self):
         rng = np.random.default_rng(4)
-        att = Attention(8, 2, rng, dtype=np.float64)
+        att = Attention(8, 2, rng).double()
         x = rng.normal(size=(3, 8))
         g = rng.normal(size=(3, 8))
         outs = []
@@ -209,7 +214,7 @@ class TestGradChecks:
     def test_corrupted_backward_fails(self):
         """Negative control: a sign-flipped weight gradient must be caught."""
         rng = np.random.default_rng(0)
-        lin = Linear(4, 3, rng, dtype=np.float64)
+        lin = Linear(4, 3, rng).double()
         x = rng.normal(size=(5, 4))[None]
         w = rng.normal(size=(5, 3))[None]
 
@@ -227,7 +232,7 @@ class TestGradChecks:
         assert report.max_errors["weight"] > 1e-2
 
     @pytest.mark.parametrize("check", [
-        verify._block_check(5, lambda rng: FusionBlock(16, 4, rng, dtype=np.float64),
+        verify._block_check(5, lambda rng: FusionBlock(16, 4, rng),
                             {"v": (1, 6, 16), "a": (1, 3, 16)},
                             backward=lambda block, wv, wa: block.backward(wv, wa)[:1]),
         verify._loss_check(8, lambda fa, fv: info_nce(fa, fv, 0.07)[:2],
@@ -239,13 +244,74 @@ class TestGradChecks:
         with pytest.raises(ValueError, match=r"returned 1 gradients for 2 inputs"):
             check(1e-4, 4)
 
+    def test_missing_input_gradient_is_refused(self):
+        """``grad_check`` itself refuses a backward whose dict leaves an
+        input out, naming it, instead of passing with the input unprobed."""
+        rng = np.random.default_rng(0)
+        lin = Linear(4, 3, rng)
+        x = rng.normal(size=(1, 5, 4)).astype(np.float32)
+
+        def fwd(x):
+            out = lin.forward(x)
+            return float(np.sum(out)), lambda: (lin.backward(np.ones_like(out)), {})[1]
+
+        with pytest.raises(ValueError, match=r"returned 0 gradients for 1 inputs "
+                                             r"\['x'\]; missing \['x'\]"):
+            grad_check(lin, fwd, {"x": x}, tolerance=1e-6)
+
+
+class TestDouble:
+    """Blocks build in float32; ``Block.double`` makes their float64 twins."""
+
+    def test_widens_parameters_and_floating_buffers(self):
+        head = IAVCLHead(preset("Tiny"), 3, np.random.default_rng(0))
+        assert head.double() is head
+        for _, p in head.named_parameters():
+            assert p.data.dtype == p.grad.dtype == np.float64
+        conv = head.er.conv
+        assert conv.running_mean.dtype == conv.running_var.dtype == np.float64
+        assert conv.num_batches.dtype == np.int64
+        assert dict(head.named_buffers())["er.conv.running_mean"] is conv.running_mean
+
+    def test_twin_holds_the_float32_weights(self):
+        for build in (lambda rng: IAVCLHead(preset("Tiny"), 3, rng),
+                      lambda rng: PretrainModel(preset("Tiny"), (8, 32, 32), (32, 16), rng)):
+            block, twin = build(np.random.default_rng(5)), build(np.random.default_rng(5)).double()
+            for (name, p), (twin_name, twin_p) in zip(block.named_parameters(),
+                                                      twin.named_parameters()):
+                assert name == twin_name and p.data.dtype == np.float32
+                assert np.array_equal(twin_p.data.astype(np.float32), p.data), name
+
+    def test_packed_block_is_refused_and_unchanged(self):
+        model = FinetuneModel(preset("Tiny"), (8, 32, 32), (32, 16), 2, np.random.default_rng(1))
+        data, _ = model.pack()
+        for block in (model, model.iavcl):
+            with pytest.raises(ValueError, match="packed"):
+                block.double()
+        assert all(p.data.dtype == np.float32 and p.data.base is data
+                   for _, p in model.named_parameters())
+        assert all(b.dtype in (np.float32, np.int64) for _, b in model.named_buffers())
+
+    def test_no_constructor_or_code_function_takes_a_dtype(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        found = [cls for cls in subclasses(Block) if cls.__module__.startswith("avmae.")]
+        assert {IAVCLHead, FinetuneModel, PretrainModel, DiERUnit, LGIEncoder,
+                VideoEmbed} <= set(found)
+        for fn in [cls.__init__ for cls in found] + [trunc_normal, sincos_1d,
+                                                     positional_encoding, grid_codes]:
+            assert "dtype" not in inspect.signature(fn).parameters, fn.__qualname__
+
 
 class TestConvBNPReLU:
     def test_identity_configuration_returns_normalized(self):
         """Identity conv, unit scale/shift-zero, slope 1: output is the
         per-channel standardisation of the input."""
         rng = np.random.default_rng(0)
-        block = ConvBNPReLU(6, rng, dtype=np.float64)
+        block = ConvBNPReLU(6, rng).double()
         block.conv.weight.data[...] = np.eye(6)
         block.conv.bias.data[...] = 0.0
         block.prelu_slope.data[...] = 1.0
@@ -257,7 +323,7 @@ class TestConvBNPReLU:
 
     def test_identical_tokens_normalize_to_zero(self):
         rng = np.random.default_rng(1)
-        block = ConvBNPReLU(6, rng, dtype=np.float64)
+        block = ConvBNPReLU(6, rng).double()
         block.bn_shift.data[...] = 0.0
         x = np.tile(rng.normal(size=(1, 6)), (5, 1))
         out = block.forward(x[None], training=True)
@@ -266,7 +332,7 @@ class TestConvBNPReLU:
 
     def test_eval_reproduces_first_batch_statistics(self):
         rng = np.random.default_rng(2)
-        block = ConvBNPReLU(6, rng, dtype=np.float64)
+        block = ConvBNPReLU(6, rng).double()
         x = rng.normal(size=(16, 6))
         train_out = block.forward(x[None], training=True)
         block.clear_caches()
@@ -289,7 +355,7 @@ class TestPurity:
     def test_forward_is_pure(self):
         """Same inputs and parameters give identical outputs across calls."""
         rng = np.random.default_rng(5)
-        ffn = FeedForward(8, rng, dtype=np.float64)
+        ffn = FeedForward(8, rng).double()
         x = rng.normal(size=(4, 8))[None]
         a = ffn.forward(x.copy())
         b = ffn.forward(x.copy())
@@ -312,6 +378,11 @@ KERNEL_SHAPES = [lead + (c,) for c in (5, 17, 32) for lead in ((7,), (3, 6), (2,
 DTYPES = [np.float32, np.float64]
 
 
+def in_dtype(block, dtype):
+    """The block as built (float32), or its float64 twin."""
+    return block.double() if dtype == np.float64 else block
+
+
 class TestKernelsMatchMeanVarReferences:
     """The reductions are ufunc reduces plus an in-place divide: the same
     bits as the np.mean / np.var / np.sum / np.max formulation."""
@@ -321,7 +392,7 @@ class TestKernelsMatchMeanVarReferences:
     def test_layernorm(self, shape, dtype):
         rng = np.random.default_rng(sum(shape))
         c = shape[-1]
-        ln = LayerNorm(c, dtype=dtype)
+        ln = in_dtype(LayerNorm(c), dtype)
         ln.scale.data[...] = rng.normal(1.0, 0.5, c)
         ln.shift.data[...] = rng.normal(0.0, 0.5, c)
         x = (rng.normal(size=shape) * 3.0 + 1.5).astype(dtype)
@@ -352,7 +423,7 @@ class TestKernelsMatchMeanVarReferences:
     @pytest.mark.parametrize("c", [5, 17, 32])
     def test_convbnprelu_moments(self, c, n, dtype):
         rng = np.random.default_rng(c * n)
-        block = ConvBNPReLU(c, rng, dtype=dtype)
+        block = in_dtype(ConvBNPReLU(c, rng), dtype)
         block.conv.bias.data[...] = rng.normal(0.0, 0.5, c)
         block.bn_scale.data[...] = rng.normal(1.0, 0.5, c)
         block.bn_shift.data[...] = rng.normal(0.0, 0.5, c)
@@ -443,7 +514,7 @@ class TestKernelsMatchStagedExpressions:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_layernorm_backward(self, dtype):
         rng = np.random.default_rng(13)
-        ln = LayerNorm(17, dtype=dtype)
+        ln = in_dtype(LayerNorm(17), dtype)
         ln.scale.data[...] = with_special_values(rng, (17,), dtype)
         x = (rng.normal(size=(3, 5, 17)) * 2.0).astype(dtype)
         x[rng.random(x.shape) < 0.2] = np.finfo(dtype).smallest_subnormal
@@ -457,8 +528,8 @@ class TestKernelsMatchStagedExpressions:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_bias_add_epilogues(self, dtype):
         rng = np.random.default_rng(14)
-        lin = Linear(16, 24, rng, dtype=dtype)
-        att = Attention(16, 4, rng, dtype=dtype)
+        lin = in_dtype(Linear(16, 24, rng), dtype)
+        att = in_dtype(Attention(16, 4, rng), dtype)
         for bias in (lin.bias, att.b_q, att.b_k, att.b_v, att.b_o):
             bias.data[...] = with_special_values(rng, bias.shape, dtype)
         x = with_special_values(rng, (2, 3, 5, 16), dtype)
@@ -475,7 +546,7 @@ class TestKernelsMatchStagedExpressions:
         """The running statistics are the bytes of writing the buffers after
         each sample of each call: the first pass seeds them, the next two
         blend with momentum."""
-        blocks = [ConvBNPReLU(8, np.random.default_rng(3), dtype=dtype) for _ in range(2)]
+        blocks = [in_dtype(ConvBNPReLU(8, np.random.default_rng(3)), dtype) for _ in range(2)]
         rng = np.random.default_rng(n_samples * n_calls)
         blocks[0].update_statistics()   # nothing pending: nothing changes
         assert blocks[0].num_batches == 0 and not blocks[0].running_mean.any()
@@ -566,7 +637,7 @@ class TestAttentionMatchesMergeCopies:
     def test_bytes(self, case, samples, dtype):
         q_shape, kv_shape = self.CASES[case]
         rng = np.random.default_rng([len(case), samples])
-        att = Attention(32, 4, rng, dtype=dtype)
+        att = in_dtype(Attention(32, 4, rng), dtype)
         for p in (att.b_q, att.b_k, att.b_v, att.b_o):
             p.data[...] = rng.normal(size=p.shape)
         q_in = (rng.normal(size=(samples,) + q_shape[1:]) * 2.0).astype(dtype)
@@ -677,7 +748,7 @@ class TestAccumulate:
         """A taped forward while the slab is open would add a call the slab
         has no slot for; it raises. One inside ``no_tape`` records nothing."""
         rng = np.random.default_rng(4)
-        lin = Linear(3, 2, rng, dtype=np.float64)
+        lin = Linear(3, 2, rng).double()
         x = rng.normal(size=(1, 4, 3))
         lin.forward(x)
         lin.forward(x)
@@ -692,7 +763,7 @@ class TestAccumulate:
 
     def test_clear_caches_drops_open_slab(self):
         rng = np.random.default_rng(6)
-        lin = Linear(3, 2, rng, dtype=np.float64)
+        lin = Linear(3, 2, rng).double()
         x = rng.normal(size=(2, 4, 3))
         lin.forward(x)
         lin.forward(x)
@@ -779,8 +850,8 @@ class TestTruncNormalMatchesWholeArrayPasses:
     def test_bytes_and_next_draw(self, shape, dtype, std):
         seed = sum(shape)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert_same_bytes(trunc_normal(got_rng, shape, std=std, dtype=dtype),
-                          oracle_trunc_normal(want_rng, shape, std=std, dtype=dtype))
+        assert_same_bytes(trunc_normal(got_rng, shape, std=std).astype(dtype),
+                          oracle_trunc_normal(want_rng, shape, std=std).astype(dtype))
         assert got_rng.normal(size=5).tobytes() == want_rng.normal(size=5).tobytes()
 
     def test_clip_after_sixteen_passes(self):

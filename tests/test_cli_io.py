@@ -646,6 +646,49 @@ class TestCLI:
         assert err.startswith("error: ") and str(path) in err and "non-finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("word, value, message", [
+        (3, "8x", "video frames must be an integer >= 1, got '8x'"),
+        (3, "-8", "video frames must be an integer >= 1, got '-8'"),
+        (4, "0", "video height must be an integer >= 1, got '0'"),
+        (5, "+32", "video width must be an integer >= 1, got '+32'"),
+        (6, "3.0", "video channels must be an integer >= 1, got '3.0'"),
+        (8, "", "audio frames must be an integer >= 1, got ''"),
+        (9, "1_6", "audio bins must be an integer >= 1, got '1_6'"),
+    ], ids=["trailing-text", "negative", "zero", "signed", "float", "empty", "underscore"])
+    def test_bad_clip_dimension_exits_2_naming_file_and_dimension(
+            self, tmp_path, capsys, word, value, message):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)]) == 0
+        path = data / "clip_00001.avclip"
+        header, payload = path.read_bytes().split(b"\n", 1)
+        words = header.split(b" ")
+        words[word] = value.encode()
+        path.write_bytes(b" ".join(words) + b"\n" + payload)
+        capsys.readouterr()
+        code = main(["pretrain", "--data", str(data), "--out", str(out), "--steps", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("video, message", [
+        ((8, 32, 32, 1), "video must be [T, H, W, 3], got (8, 32, 32, 1)"),
+        ((7, 32, 32, 3), "video frame count must be even"),
+    ], ids=["one-channel", "odd-frames"])
+    def test_misshapen_clip_exits_2_naming_file(self, tmp_path, capsys, video, message):
+        """A header whose payload matches it, but whose video is no clip:
+        the shape fault names the file."""
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)]) == 0
+        path = data / "clip_00001.avclip"
+        header = "AVCLIP 1 video {} {} {} {} audio 32 16 float32\n".format(*video)
+        payload = np.zeros(int(np.prod(video)) + 32 * 16, dtype="<f4").tobytes()
+        path.write_bytes(header.encode() + payload)
+        capsys.readouterr()
+        code = main(["pretrain", "--data", str(data), "--out", str(out), "--steps", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_mixed_clip_shapes_exit_2_naming_file(self, command, tmp_path, capsys):
         """A clip shaped unlike the first is refused at load time, naming its

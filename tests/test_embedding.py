@@ -87,11 +87,11 @@ class TestPositionalEncoding:
         assert np.array_equal(a, b)
 
     def test_grid_codes_made_once_and_read_only(self):
-        codes = grid_codes((2, 3, 4), 16, np.float32)
-        want = positional_encoding(grid_coords((2, 3, 4)), 16, np.float32)
+        codes = grid_codes((2, 3, 4), 16)
+        want = positional_encoding(grid_coords((2, 3, 4)), 16)
         assert codes.tobytes() == want.tobytes()
         assert not codes.flags.writeable
-        assert grid_codes((2, 3, 4), 16, np.float32) is codes
+        assert grid_codes((2, 3, 4), 16) is codes
 
     def test_coordinates_bijective_row_major(self):
         grid = (4, 4, 4)

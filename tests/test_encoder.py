@@ -171,10 +171,10 @@ def ragged_mask(sizes, seed=0):
 
 
 class TestLGILayer:
-    def build(self, seed=11, mask=None, dtype=np.float64):
+    def build(self, seed=11, mask=None):
         cfg = preset("Tiny")
         rng = np.random.default_rng(seed)
-        layer = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng, dtype=dtype)
+        layer = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng).double()
         part = tiny_part(cfg.video_region, mask)
         n = part.order.size
         locals_ = rng.normal(size=(n, cfg.encoder_dim))
@@ -239,7 +239,7 @@ class TestLGILayer:
         path with a residual."""
         cfg = preset("Tiny")
         rng = np.random.default_rng(14)
-        layer = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng, dtype=np.float64)
+        layer = LGILayer(cfg.encoder_dim, cfg.encoder_heads, rng).double()
         part = tiny_part((4, 4, 4))
         assert part.n_regions == 1
         locals_ = rng.normal(size=(64, cfg.encoder_dim))

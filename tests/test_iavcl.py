@@ -13,10 +13,10 @@ from oracles import oracle_dier_chain, oracle_hafe
 from registry_runs import assert_grad_check
 
 
-def tiny_head(seed=0, num_outputs=3, num_units=2, dtype=np.float64):
+def tiny_head(seed=0, num_outputs=3, num_units=2):
     rng = np.random.default_rng(seed)
     cfg = dataclasses.replace(preset("Tiny"), num_dier_units=num_units)
-    return IAVCLHead(cfg, num_outputs, rng, dtype=dtype)
+    return IAVCLHead(cfg, num_outputs, rng).double()
 
 
 def tiny_snaps(seed, k=4, dim=32, layers=4):
@@ -67,7 +67,7 @@ class TestDiERUnit:
     def test_gate_saturation_zeroes_output(self):
         """Strongly negative gate biases close both channels."""
         rng = np.random.default_rng(0)
-        unit = DiERUnit(32, 4, rng, dtype=np.float64)
+        unit = DiERUnit(32, 4, rng).double()
         for dense in (unit.dense_a, unit.dense_v):
             dense.gate_self.bias.data[...] = -50.0
             dense.gate_cross.bias.data[...] = -50.0
@@ -81,8 +81,8 @@ class TestDiERUnit:
         """With video parameters copied into audio and identical inputs the
         shared refinement residuals agree bitwise."""
         rng = np.random.default_rng(1)
-        unit = DiERUnit(32, 4, rng, dtype=np.float64)
-        er = RefinementLayer(32, rng, dtype=np.float64)
+        unit = DiERUnit(32, 4, rng).double()
+        er = RefinementLayer(32, rng).double()
         # copy video-side dense parameters onto the audio side
         video_params = dict(unit.dense_v.named_parameters())
         for name, p in unit.dense_a.named_parameters():
@@ -129,7 +129,7 @@ class TestHAFE:
         """N_c = 1: the unit-axis attention sees one element and the sum has
         a single sigmoid-gated granularity."""
         rng = np.random.default_rng(17)
-        hafe = HAFELayer(32, 4, rng, dtype=np.float64)
+        hafe = HAFELayer(32, 4, rng).double()
         stack = rng.normal(size=(1, 4, 32))
         f_av = rng.normal(size=(4, 32))
         out = hafe.forward(stack[None], f_av[None])[0]
@@ -139,7 +139,7 @@ class TestHAFE:
 
     def test_gates_forced_open_sum_granularities(self):
         rng = np.random.default_rng(3)
-        hafe = HAFELayer(32, 4, rng, dtype=np.float64)
+        hafe = HAFELayer(32, 4, rng).double()
         hafe.gate.bias.data[...] = 60.0
         hafe.gate.weight.data[...] = 0.0
         stack = rng.normal(size=(3, 4, 32))
@@ -152,7 +152,7 @@ class TestHAFE:
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(17)
-        hafe = HAFELayer(32, 4, rng, dtype=np.float64)
+        hafe = HAFELayer(32, 4, rng).double()
         stack = rng.normal(size=(2, 4, 32))
         f_av = rng.normal(size=(4, 32))
         out = hafe.forward(stack[None], f_av[None])[0]

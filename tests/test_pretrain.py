@@ -34,7 +34,7 @@ class TestFusion:
         """Zero cross-attention output projections: fuse() degenerates to
         per-modality feed-forward residuals and the streams never mix."""
         rng = np.random.default_rng(0)
-        fusion = FusionEncoder(32, 4, 2, rng, dtype=np.float64)
+        fusion = FusionEncoder(32, 4, 2, rng).double()
         for block in fusion.blocks:
             for att in (block.attn_v, block.attn_a):
                 att.w_o.data[...] = 0.0
@@ -63,7 +63,7 @@ class TestFusion:
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(5)
-        block = FusionBlock(32, 4, rng, dtype=np.float64)
+        block = FusionBlock(32, 4, rng).double()
         v = rng.normal(size=(6, 32))
         a = rng.normal(size=(3, 32))
         out_v, out_a = block.forward(v[None], a[None])
@@ -80,7 +80,7 @@ class TestDecoder:
     def test_decoder_block_matches_oracle(self):
         rng = np.random.default_rng(2)
         from avmae.pretrain import DecoderBlock
-        block = DecoderBlock(16, 2, rng, dtype=np.float64)
+        block = DecoderBlock(16, 2, rng).double()
         x = rng.normal(size=(10, 16))
         out = block.forward(x[None])[0]
         block.clear_caches()
@@ -197,7 +197,7 @@ class TestPretrainForward:
         """Structural check: skip features are added only to visible slots."""
         cfg = preset("Tiny")
         rng = np.random.default_rng(6)
-        decoder = Decoder(cfg, 384, rng, dtype=np.float64)
+        decoder = Decoder(cfg, 384, rng).double()
         from avmae.masking import CombinedSeq
         tokens = rng.normal(size=(12, 32))
         comb = CombinedSeq(tokens[None], np.arange(12)[None], 8, 4)

@@ -155,7 +155,8 @@ class TestRowGathers:
             assert_same_bytes(seen[modality, "visible_tokens"],
                               oracle_take_rows(seen[modality, "tokens"], visible), modality)
             patches = embed.patches([getattr(clip, modality) for clip in clips])
-            want = normalize_targets(oracle_take_rows(patches, targets)).astype(model.dtype)
+            want = normalize_targets(oracle_take_rows(patches, targets)).astype(
+                res[modality]["predictions"].dtype)
             assert_same_bytes(res[modality]["targets"], want, modality)
             d_visible = seen[modality, "d_visible"]
             assert_same_bytes(seen[modality, "d_tokens"],

@@ -166,7 +166,7 @@ class TestAdamW:
 
     def test_float64_parameters_match_oracle_bitwise(self):
         """float64 parameters: the decay factor is applied unnarrowed."""
-        model, ref = (FeedForward(8, np.random.default_rng(4), dtype=np.float64)
+        model, ref = (FeedForward(8, np.random.default_rng(4)).double()
                       for _ in range(2))
         names = [name for name, _ in model.named_parameters()]
         scales = {name: 0.5 ** (i // 2) for i, name in enumerate(names)}
