@@ -47,6 +47,7 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
+INIT_STD = 0.02  # of every truncated-normal weight initialisation
 LAYERNORM_EPS = 1e-6
 BATCHNORM_EPS = 1e-5
 BATCHNORM_MOMENTUM = 0.1
@@ -108,19 +109,19 @@ class Buffer:
         self.data = np.array(data)
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) redrawn until every entry lies within two deviations.
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, INIT_STD) redrawn until every entry lies within 2 INIT_STD.
 
     Each pass redraws the out-of-range entries in ascending order and
     rechecks only those; after 16 passes the ones still out are clipped.
     """
-    limit = 2.0 * std
-    flat = rng.normal(0.0, std, size=shape).reshape(-1)
+    limit = 2.0 * INIT_STD
+    flat = rng.normal(0.0, INIT_STD, size=shape).reshape(-1)
     bad = np.flatnonzero(np.abs(flat) > limit)
     for _ in range(16):
         if not bad.size:
             break
-        flat[bad] = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = rng.normal(0.0, INIT_STD, size=bad.size)
         bad = bad[np.abs(flat[bad]) > limit]
     flat[bad] = np.clip(flat[bad], -limit, limit)
     return flat.reshape(shape).astype(DEFAULT_DTYPE)
@@ -441,31 +442,26 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """tanh(c * (x + a * x * x * x)) in one array."""
+def gelu_with_cache(x: np.ndarray):
+    """Smooth tanh-form gelu; returns (value, tanh term) for the backward.
+
+    The tanh term is t = tanh(c * (x + a * x * x * x)) and the value
+    0.5 * x * (1 + t)."""
     t = _GELU_A * x
     t *= x
     t *= x
     np.add(x, t, out=t)
     np.multiply(_GELU_C, t, out=t)
-    return np.tanh(t, out=t)
-
-
-def gelu_with_cache(x: np.ndarray):
-    """Smooth tanh-form gelu; returns (value, tanh term) for the backward.
-
-    The value is 0.5 * x * (1 + t)."""
-    t = _gelu_tanh(x)
+    np.tanh(t, out=t)
     out = 0.5 * x
     out *= 1.0 + t
     return out, t
 
 
-def gelu_backward(x: np.ndarray, d_out: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """d_out * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du), where
-    du = c * (1 + 3 * a * x * x), evaluated in that order in three arrays."""
-    if t is None:
-        t = _gelu_tanh(x)
+def gelu_backward(x: np.ndarray, d_out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d_out * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du), where t is
+    ``gelu_with_cache``'s tanh term and du = c * (1 + 3 * a * x * x),
+    evaluated in that order in three arrays."""
     du = 3.0 * _GELU_A * x
     du *= x
     np.add(1.0, du, out=du)

@@ -36,6 +36,10 @@ class SizeGroup:
     slots (``pad`` [S, G] is True there, or None if there are none): they
     read row 0, their gradients are zero and nothing is written back from
     them.
+
+    Write-once rule: over a layout's groups the real slots hold every token
+    row and every region row once, and the groups of size > 0 every
+    non-empty region row once, so no write through them meets another.
     """
 
     size: int
@@ -145,18 +149,15 @@ def _rows(x: np.ndarray, index: np.ndarray, pad: np.ndarray | None = None) -> np
 
 
 def _put(x: np.ndarray, index: np.ndarray, values: np.ndarray,
-         pad: np.ndarray | None, add: bool = False) -> None:
-    """Write (or add) values at x's flat rows ``index``, skipping padding.
-    x is one of the layer's own C-contiguous buffers, so the reshape is a
-    view of it."""
+         pad: np.ndarray | None) -> None:
+    """Write values at x's flat rows ``index``, skipping padding; by the
+    write-once rule (``SizeGroup``) no row is written twice. x is one of
+    the layer's own C-contiguous buffers, so the reshape is a view of it."""
     flat = x.reshape(-1, x.shape[-1])
     if pad is not None:
         real = ~pad
         index, values = index[real], values[real]
-    if add:
-        flat[index] += values
-    else:
-        flat[index] = values
+    flat[index] = values
 
 
 def _scaled(scale: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -278,26 +279,28 @@ class LGILayer(Block):
             d_h = self.ffn.backward(_scaled(cfl, d_locals3))
             d_locals2 = d_locals3 + self.norm_ffn.backward(d_h)
 
+        # the puts write each gradient row once, so the buffers start empty;
+        # only stage IV's region rows start at zero: empty regions skip it
         d_q_all = np.zeros_like(d_s3)
-        d_kv_all = np.zeros_like(d_locals2)
+        d_kv_all = np.empty_like(d_locals2)
         for g in reversed(groups):
             if g.size == 0:
                 continue
             d_q, d_kv = self.cross_region.backward(
                 _scaled(c4, _rows(d_s3, g.ids, g.pad))[:, :, None])
-            _put(d_q_all, g.ids, d_q[:, :, 0], g.pad, add=True)
-            _put(d_kv_all, g.index, d_kv, g.pad, add=True)
+            _put(d_q_all, g.ids, d_q[:, :, 0], g.pad)
+            _put(d_kv_all, g.index, d_kv, g.pad)
         d_locals2 = d_locals2 + self.norm4_kv.backward(d_kv_all)
         d_s2 = d_s3 + self.norm4_q.backward(d_q_all)
 
-        d_q_all = np.zeros_like(d_locals2)
-        d_kv_total = np.zeros_like(d_s2)
+        d_q_all = np.empty_like(d_locals2)
+        d_kv_total = 0.0  # the first group's += makes the array
         for g in reversed(groups):
             if g.size == 0:
                 continue
             d_q, d_kv = self.cross_local.backward(
                 _scaled(c3, _rows(d_locals2, g.index, g.pad)))
-            _put(d_q_all, g.index, d_q, g.pad, add=True)
+            _put(d_q_all, g.index, d_q, g.pad)
             d_kv_total += d_kv
         d_s2 = d_s2 + self.norm3_kv.backward(d_kv_total)
         d_locals1 = d_locals2 + self.norm3_q.backward(d_q_all)
@@ -305,8 +308,8 @@ class LGILayer(Block):
         d_q, d_kv = self.attn_region.backward(_scaled(c2, d_s2))
         d_s1 = d_s2 + self.norm2.backward(d_q + d_kv)
 
-        d_locals = np.zeros_like(d_locals1)
-        d_s = np.zeros_like(d_s1)
+        d_locals = np.empty_like(d_locals1)
+        d_s = np.empty_like(d_s1)
         for g in reversed(groups):
             d_x = np.concatenate([_rows(d_s1, g.ids, g.pad)[:, :, None],
                                   _rows(d_locals1, g.index, g.pad)], axis=2)

@@ -299,10 +299,11 @@ class OracleAdamW:
             p.data -= (eff_lr * update).astype(p.data.dtype)
 
 
-def oracle_trunc_normal(rng, shape, std=0.02, dtype=np.float32):
-    """Truncated normal by whole-array passes: each of up to 16 passes
-    checks every entry and redraws the out-of-range ones, then everything
-    is clipped to two deviations."""
+def oracle_trunc_normal(rng, shape, dtype=np.float32):
+    """Truncated normal N(0, 0.02) by whole-array passes: each of up to 16
+    passes checks every entry and redraws the out-of-range ones, then
+    everything is clipped to two deviations."""
+    std = 0.02
     out = rng.normal(0.0, std, size=shape)
     for _ in range(16):
         bad = np.abs(out) > 2.0 * std

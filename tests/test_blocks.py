@@ -498,7 +498,6 @@ class TestKernelsMatchStagedExpressions:
             assert_same_bytes(got_t, want_t)
             want_d = staged_gelu_backward(x, d_out, want_t)
             assert_same_bytes(gelu_backward(x, d_out, got_t), want_d)
-            assert_same_bytes(gelu_backward(x, d_out), want_d)
 
     @pytest.mark.parametrize("axis", [-1, 0])
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -846,17 +845,16 @@ class TestTruncNormalMatchesWholeArrayPasses:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", [(32,), (32, 32), (512, 512), (64, 8, 3)], ids=str)
-    @pytest.mark.parametrize("std", [0.02, 1.0])
-    def test_bytes_and_next_draw(self, shape, dtype, std):
+    def test_bytes_and_next_draw(self, shape, dtype):
         seed = sum(shape)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert_same_bytes(trunc_normal(got_rng, shape, std=std).astype(dtype),
-                          oracle_trunc_normal(want_rng, shape, std=std).astype(dtype))
+        assert_same_bytes(trunc_normal(got_rng, shape).astype(dtype),
+                          oracle_trunc_normal(want_rng, shape).astype(dtype))
         assert got_rng.normal(size=5).tobytes() == want_rng.normal(size=5).tobytes()
 
     def test_clip_after_sixteen_passes(self):
         got_rng, want_rng = _OutOfRange(), _OutOfRange()
-        got = trunc_normal(got_rng, (5, 3), std=0.5)
-        assert_same_bytes(got, oracle_trunc_normal(want_rng, (5, 3), std=0.5))
+        got = trunc_normal(got_rng, (5, 3))
+        assert_same_bytes(got, oracle_trunc_normal(want_rng, (5, 3)))
         assert got_rng.calls == want_rng.calls == 17
-        assert set(np.abs(got).ravel().tolist()) == {1.0}
+        assert set(np.abs(got).ravel().tolist()) == {float(np.float32(0.04))}

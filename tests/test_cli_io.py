@@ -324,9 +324,10 @@ class TestAtomicWrites:
         assert main(argv + ["--seed", "1"]) == 0
         old = path.read_bytes()
         self.fill_disk_after(monkeypatch, tmp_path, len(old) // 2)
-        with pytest.raises(OSError, match="No space left"):
-            main(argv + ["--seed", "2"])
+        capsys.readouterr()
+        assert main(argv + ["--seed", "2"]) == 2
         monkeypatch.undo()
+        assert capsys.readouterr().err.startswith("error: [Errno 28] No space left")
         assert path.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mask.pbm"]
 
@@ -688,6 +689,38 @@ class TestCLI:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, bad_kind", [
+        (["pretrain", "--data", "{data}", "--out", "{out}", "--steps", "1"], "clip"),
+        (["finetune", "--data", "{data}", "--out", "{out}", "--init", "{bad}",
+          "--steps", "1"], "directory"),
+        (["pretrain", "--config", "{bad}", "--data", "{data}", "--out", "{out}",
+          "--steps", "1"], "directory"),
+        (["pretrain", "--data", "{data}", "--out", "{bad}", "--steps", "1"], "file"),
+        (["gen-data", "--task", "2", "--n", "2", "--out", "{bad}"], "file"),
+    ], ids=["manifest-entry-dir", "init-dir", "config-dir", "out-file", "gen-data-out-file"])
+    def test_os_error_exits_2_naming_path(self, tmp_path, capsys, argv, bad_kind):
+        """A path of the wrong kind, a directory where a file is read or an
+        existing file where ``--out`` is made, exits 2 naming it; a read
+        fault leaves no ``--out`` and an existing file is left as it was."""
+        data, out, bad = tmp_path / "data", tmp_path / "run", tmp_path / "bad"
+        assert main(["gen-data", "--task", "2", "--n", "2", "--out", str(data)]) == 0
+        if bad_kind == "clip":
+            bad = data / "clip_00001.avclip"
+            bad.unlink()
+        if bad_kind == "file":
+            bad.write_text("kept\n")
+        else:
+            bad.mkdir()
+        capsys.readouterr()
+        code = main([arg.format(data=data, out=out, bad=bad) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and str(bad) in err, err
+        if bad_kind == "file":
+            assert bad.read_text() == "kept\n"
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_mixed_clip_shapes_exit_2_naming_file(self, command, tmp_path, capsys):

@@ -11,6 +11,7 @@ from avmae.config import (AUDIO_ENCODER_MASK_RATIO, PRESET_INPUTS,
 from avmae.embedding import grid_coords
 from avmae.encoder import LGIEncoder, LGILayer, partition
 from avmae.masking import random_mask, tube_mask
+from avmae.pretrain import make_mask_pairs
 
 from oracles import (grid_partition, oracle_attention, oracle_layernorm,
                      oracle_lgi_layer, stack_partitions, staged_branch_scales)
@@ -51,19 +52,37 @@ class TestPartition:
         assert len(joined) == 64
         assert len(np.unique(joined)) == 64
 
-    @pytest.mark.parametrize("mask_seed", [None, 0, 11])
-    def test_groups_list_each_region_once_by_size(self, mask_seed):
-        mask = (None if mask_seed is None
-                else tube_mask(4, 4, 4, 0.9, np.random.default_rng(mask_seed)))
-        part = tiny_part((2, 2, 4), mask)
-        sizes = [g.size for g in part.groups]
-        assert sizes == sorted(set(part.counts[0].tolist()))
-        ids = np.concatenate([g.ids[0] for g in part.groups])
-        assert sorted(ids.tolist()) == list(range(part.n_regions))
-        for g in part.groups:
-            assert g.index.shape == (1, g.ids.size, g.size)
-            for region, row in zip(g.ids[0], g.index[0]):
-                assert np.array_equal(row, part.members[region])
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "full"])
+    @pytest.mark.parametrize("n_samples", [1, 3, 8])
+    @pytest.mark.parametrize("name", ["Tiny", "B"])
+    def test_groups_list_each_region_once_by_size(self, name, n_samples, masked):
+        """The write-once rule the LGI layer's puts rely on: over all size
+        groups the real slots hold every token row once and every region row
+        once, and the groups of size > 0 every non-empty region row once."""
+        cfg = preset(name)
+        video_shape, audio_shape = PRESET_INPUTS[name]
+        rng = np.random.default_rng(n_samples)
+        pairs = [make_mask_pairs(cfg, video_shape, audio_shape, rng) for _ in range(n_samples)]
+        for modality, (grid, region) in enumerate([
+                (video_grid(cfg, video_shape), cfg.video_region),
+                (audio_grid(cfg, audio_shape), cfg.audio_region)]):
+            visible = np.stack([pair[modality].visible_indices if masked
+                                else np.arange(math.prod(grid)) for pair in pairs])
+            part = partition(grid, region, visible)
+            sizes = [g.size for g in part.groups]
+            assert sizes == sorted(set(part.counts.ravel().tolist()))
+            real = [np.ones(g.ids.shape, dtype=bool) if g.pad is None else ~g.pad
+                    for g in part.groups]
+            tokens = np.concatenate([g.index[r].ravel() for g, r in zip(part.groups, real)])
+            regions = np.concatenate([g.ids[r] for g, r in zip(part.groups, real)])
+            non_empty = np.concatenate([g.ids[r] for g, r in zip(part.groups, real) if g.size])
+            assert np.array_equal(np.sort(tokens), np.arange(visible.size))
+            assert np.array_equal(np.sort(regions), np.arange(part.counts.size))
+            assert np.array_equal(np.sort(non_empty), np.flatnonzero(part.counts.ravel()))
+            for g, r in zip(part.groups, real):
+                assert g.index.shape == g.ids.shape + (g.size,)
+                for flat, row in zip(g.ids[r], g.index[r]):
+                    assert np.array_equal(row, part.members[flat])
 
     def test_stacked_groups_pad_samples_with_fewer_regions(self):
         """Sizes [0, 4, 0, 4] and [2, 2, 2, 2]: each size group holds every
