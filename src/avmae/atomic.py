@@ -1,7 +1,8 @@
 """Atomic file writes: a reader finds the old file or the whole new one.
 
 The bytes go to a temporary file in the target's directory, which is
-flushed to disk and then renamed over the target with ``os.replace``. If a
+flushed to disk and then renamed over the target with ``os.replace``; the
+directory is flushed after the rename, so a crash cannot lose it. If a
 write fails, the temporary file is removed and the target is untouched.
 """
 
@@ -26,3 +27,8 @@ def write_atomic(path, chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

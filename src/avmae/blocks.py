@@ -711,12 +711,11 @@ class ConvBNPReLU(Block):
     """1x1 convolution (per-token linear) + batch norm over tokens + PReLU.
 
     Inputs are [S, K, C]; each sample is normalised over its own K tokens.
-    The first training batch seeds the running statistics exactly so that an
-    eval pass immediately after one batch reproduces that batch's
-    normalisation; later batches blend with momentum. Each sample of each
-    call is one batch. A training call leaves its statistics pending until
-    ``update_statistics``, which folds them in sample by sample, in call
-    order within a sample.
+    Each sample of each training call is one batch: the call blends the
+    samples' statistics into the running ones as it computes them, in sample
+    order. The first batch seeds them exactly, so that an eval pass right
+    after one batch reproduces that batch's normalisation; later batches
+    blend with momentum.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
@@ -729,7 +728,6 @@ class ConvBNPReLU(Block):
         self.running_mean = Buffer(np.zeros(dim, dtype=DEFAULT_DTYPE))
         self.running_var = Buffer(np.ones(dim, dtype=DEFAULT_DTYPE))
         self.num_batches = Buffer(np.zeros((), dtype=np.int64))
-        self._stats = []   # per training call: (mean, var), each [S, C]
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         y = self.conv.forward(x)
@@ -737,7 +735,7 @@ class ConvBNPReLU(Block):
             mu = _mean_tokens(y)
             yc = y - mu
             var = _mean_tokens(yc * yc)
-            self._stats.append((mu[:, 0], var[:, 0]))
+            self._fold_statistics(mu[:, 0], var[:, 0])
         else:
             if self.num_batches == 0:
                 raise RuntimeError("eval mode before any statistics accumulated")
@@ -751,21 +749,19 @@ class ConvBNPReLU(Block):
         self._save(yhat, inv, z, neg, training)
         return out
 
-    def update_statistics(self) -> None:
-        """Fold the pending batch statistics into the running ones, in place
-        in the buffers; the batch count is written once."""
-        calls, self._stats = self._stats, []
+    def _fold_statistics(self, mu: np.ndarray, var: np.ndarray) -> None:
+        """Blend the per-sample statistics [S, C] in, one sample at a time,
+        in place in the buffers; the batch count is written once."""
         m = BATCHNORM_MOMENTUM
         mean, run_var, count = self.running_mean, self.running_var, int(self.num_batches)
-        for sample in range(len(calls[0][0]) if calls else 0):
-            for mu, var in calls:
-                if count == 0:
-                    mean[...] = mu[sample]
-                    run_var[...] = var[sample]
-                else:
-                    mean[...] = (1 - m) * mean + m * mu[sample]
-                    run_var[...] = (1 - m) * run_var + m * var[sample]
-                count += 1
+        for mu_s, var_s in zip(mu, var):
+            if count == 0:
+                mean[...] = mu_s
+                run_var[...] = var_s
+            else:
+                mean[...] = (1 - m) * mean + m * mu_s
+                run_var[...] = (1 - m) * run_var + m * var_s
+            count += 1
         self.num_batches = count
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:

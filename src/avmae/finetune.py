@@ -39,9 +39,9 @@ class FinetuneModel(Block):
         """A batch of clips through the embeddings, both encoders and the
         head in one pass; returns logits [S, outputs].
 
-        rngs: one generator per clip for stochastic depth, or None. The
-        logits, gradients and batch-norm statistics are bitwise those of the
-        clips run one at a time, forward in order and backward in reverse.
+        rngs: one generator per clip for stochastic depth, or None. Logits
+        and gradients are bitwise those of the clips run one at a time,
+        forward in order and backward in reverse; batch-norm statistics are not.
         The head reads only region tokens, so the encoders skip the final
         local tokens (``keep_locals=False``). Both modalities' clip shapes are
         checked before any block runs.

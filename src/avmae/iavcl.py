@@ -216,7 +216,6 @@ class IAVCLHead(Block):
             preserved_a.append(f2_a)
             preserved_v.append(f2_v)
             f1_a, f1_v = f2_a, f2_v
-        self.er.conv.update_statistics()
 
         f4_a = self.hafe_a.forward(np.stack(preserved_a, axis=1), f_av)
         f4_v = self.hafe_v.forward(np.stack(preserved_v, axis=1), f_av)

@@ -14,19 +14,19 @@ from .blocks import softmax
 
 def masked_mse(predictions: np.ndarray, targets: np.ndarray,
                decoder_ratio: float, n_tokens: int):
-    """Per-element mean squared error over the decoder-targeted patches.
+    """Per-element mean squared error over the decoder-targeted patches of
+    each clip of a batch [S, targets, patch], averaged over the clips.
 
-    The token normaliser is the printed (1 - decoder_ratio) * n_tokens count;
-    the patch dimension divides as well so the value is a per-element mean.
-    Returns (loss, d_predictions).
+    A clip's normaliser is the printed (1 - decoder_ratio) * n_tokens count
+    times the patch dim. Returns (loss, d_predictions).
     """
-    if predictions.shape != targets.shape:
-        raise ValueError(
-            f"prediction shape {predictions.shape} != target shape {targets.shape}")
+    if predictions.shape != targets.shape or predictions.ndim != 3:
+        raise ValueError(f"predictions {predictions.shape} and targets {targets.shape} "
+                         "must be equal [clips, targets, patch]")
     resid = predictions - targets
-    denom = (1.0 - decoder_ratio) * n_tokens * targets.shape[1]
-    loss = float(np.sum(resid * resid) / denom)
-    return loss, (2.0 / denom) * resid
+    denom = (1.0 - decoder_ratio) * n_tokens * targets.shape[-1]
+    per_clip = np.add.reduce(resid * resid, axis=(1, 2)) / denom
+    return float(per_clip.astype(np.float64).mean()), (2.0 / denom) * resid / len(resid)
 
 
 def _normalize_rows(x: np.ndarray):

@@ -371,10 +371,8 @@ def pretrain_step(model: PretrainModel, clips, indices, step: int,
         r = res[modality]
         ratio = (DECODER_MASK_RATIO if dual_masking
                  else 1.0 - r["predictions"].shape[1] / r["n_tokens"])
-        terms = [masked_mse(p, t, ratio, r["n_tokens"])
-                 for p, t in zip(r["predictions"], r["targets"])]
-        mse[modality] = float(np.mean([loss for loss, _ in terms]))
-        d_preds[modality] = np.stack([d_pred for _, d_pred in terms]) / b
+        mse[modality], d_preds[modality] = masked_mse(r["predictions"], r["targets"],
+                                                      ratio, r["n_tokens"])
 
     nce_total = 0.0
     d_pooled = {"video": {}, "audio": {}}

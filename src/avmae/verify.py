@@ -181,7 +181,7 @@ GRAD_CHECKS = {
         forward=lambda head, a, v: head.forward(list(a), list(v), training=True),
         backward=lambda head, w: tuple(map(np.stack, head.backward(w)))), 1e-4, 24),
     "masked_mse": (_loss_check(7, lambda preds, targets: masked_mse(preds, targets, 0.5, 12),
-                               {"preds": (6, 5)}, constants=[(6, 5)]), 1e-6, None),
+                               {"preds": (1, 6, 5)}, constants=[(1, 6, 5)]), 1e-6, None),
     "info_nce": (_loss_check(8, lambda fa, fv: info_nce(fa, fv, 0.07),
                              {"fa": (5, 6), "fv": (5, 6)}), 1e-6, None),
     "cross_entropy": (_loss_check(

@@ -475,14 +475,22 @@ def staged_branch_scales(rngs, rate, dtype):
     return list(scales.T)
 
 
-def staged_update_statistics(block):
-    """ConvBNPReLU.update_statistics as written: the block's buffers are
-    written after each sample of each call."""
+def staged_batch_statistics(block, x):
+    """The per-sample (mean, var) [S, C] of a ConvBNPReLU training forward
+    on x [S, K, C]: its conv output's moments over each sample's K tokens."""
+    y = staged_affine(x, block.conv.weight.data, block.conv.bias.data)
+    return y.mean(axis=1), y.var(axis=1)
+
+
+def staged_update_statistics(block, calls):
+    """The running statistics in call order: each call's per-sample
+    statistics (mean, var) [S, C], in ``calls`` order, blended into the
+    block's buffers one sample at a time, the buffers written after each
+    sample."""
     from avmae.blocks import BATCHNORM_MOMENTUM as m
 
-    calls, block._stats = block._stats, []
-    for sample in range(len(calls[0][0]) if calls else 0):
-        for mu, var in calls:
+    for mu, var in calls:
+        for sample in range(len(mu)):
             if block.num_batches == 0:
                 block.running_mean = mu[sample]
                 block.running_var = var[sample]
@@ -490,6 +498,34 @@ def staged_update_statistics(block):
                 block.running_mean = (1 - m) * block.running_mean + m * mu[sample]
                 block.running_var = (1 - m) * block.running_var + m * var[sample]
             block.num_batches += 1
+
+
+def recording_statistics(block):
+    """Wraps ``block.forward`` so that each training call appends its
+    ``staged_batch_statistics`` to the returned list."""
+    calls, forward = [], block.forward
+
+    def recording(x, training=True):
+        if training:
+            calls.append(staged_batch_statistics(block, x))
+        return forward(x, training=training)
+
+    block.forward = recording
+    return calls
+
+
+def call_order_statistics(block, start, calls, batch, per_clip):
+    """Refolds what the per-sample path recorded into the buffers that
+    batches of ``batch`` clips leave. ``calls`` holds one [1, C] pair per
+    call, ``per_clip`` calls per clip, clip after clip; ``block``'s buffers
+    are reset to ``start`` and ``staged_update_statistics`` takes each
+    batch's calls in order, each over the batch's clips."""
+    for name, value in start.items():
+        setattr(block, name, value)
+    mu, var = (np.concatenate(stat).reshape(-1, batch, per_clip, stat[0].shape[-1])
+               for stat in zip(*calls))
+    staged_update_statistics(block, [(mu[b, :, c], var[b, :, c])
+                                     for b in range(len(mu)) for c in range(per_clip)])
 
 
 def oracle_take_rows(x, index):
@@ -554,7 +590,7 @@ def per_sample_pretrain_step(model, clips, indices, step, tcfg, optimizer, lr,
                              dual_masking=True):
     """``training.pretrain_step`` on the per-sample path."""
     from avmae.config import DECODER_MASK_RATIO
-    from avmae.losses import info_nce, masked_mse
+    from avmae.losses import info_nce
     from avmae.pretrain import make_mask_pairs
     from avmae.training import sample_rng
 
@@ -578,10 +614,11 @@ def per_sample_pretrain_step(model, clips, indices, step, tcfg, optimizer, lr,
             r = res[modality]
             ratio = (DECODER_MASK_RATIO if dual_masking
                      else 1.0 - r["predictions"].shape[0] / r["n_tokens"])
-            loss, d_pred = masked_mse(r["predictions"], r["targets"], ratio,
-                                      r["n_tokens"])
-            mse_terms[modality].append(loss)
-            d_preds[modality].append(d_pred / b)
+            # the clip's masked MSE, as one call per clip computed it
+            resid = r["predictions"] - r["targets"]
+            denom = (1.0 - ratio) * r["n_tokens"] * resid.shape[1]
+            mse_terms[modality].append(float(np.sum(resid * resid) / denom))
+            d_preds[modality].append((2.0 / denom) * resid / b)
     mse_v = float(np.mean(mse_terms["video"]))
     mse_a = float(np.mean(mse_terms["audio"]))
 

@@ -28,7 +28,8 @@ from oracles import (oracle_attention, oracle_batchnorm_prelu_backward,
                      oracle_trunc_normal, staged_accumulate, staged_affine, staged_fold,
                      staged_attention, staged_attention_forward, staged_gelu_backward,
                      staged_gelu_with_cache, staged_layernorm_input_grad,
-                     staged_softmax_backward, staged_update_statistics)
+                     staged_batch_statistics, staged_softmax_backward,
+                     staged_update_statistics)
 from registry_runs import assert_grad_check
 
 
@@ -336,7 +337,6 @@ class TestConvBNPReLU:
         x = rng.normal(size=(16, 6))
         train_out = block.forward(x[None], training=True)
         block.clear_caches()
-        block.update_statistics()
         eval_out = block.forward(x[None], training=False)
         block.clear_caches()
         assert np.max(np.abs(train_out - eval_out)) < 1e-5
@@ -344,6 +344,22 @@ class TestConvBNPReLU:
         y = x @ block.conv.weight.data + block.conv.bias.data
         assert np.allclose(block.running_mean, y.mean(axis=0))
         assert np.allclose(block.running_var, y.var(axis=0))
+
+    def test_training_forward_folds_statistics_at_once(self):
+        """The call that computes a batch's statistics folds them: each
+        sample counts one batch, the first seeds the running mean."""
+        rng = np.random.default_rng(4)
+        block = ConvBNPReLU(6, rng)
+        x = rng.normal(size=(3, 5, 6)).astype(np.float32)
+        block.forward(x, training=True)
+        assert block.num_batches == 3
+        mu, var = staged_batch_statistics(block, x)
+        assert not np.array_equal(block.running_mean, mu[0])
+        fresh = ConvBNPReLU(6, np.random.default_rng(4))
+        fresh.forward(x[:1], training=True)
+        assert fresh.num_batches == 1
+        assert fresh.running_mean.tobytes() == mu[0].tobytes()
+        assert fresh.running_var.tobytes() == var[0].tobytes()
 
     def test_eval_before_any_batch_raises(self):
         block = ConvBNPReLU(6, np.random.default_rng(0))
@@ -438,7 +454,6 @@ class TestKernelsMatchMeanVarReferences:
         d_y, d_scale, d_shift, d_slope = oracle_batchnorm_prelu_backward(
             d_out, yhat, inv, z, block.bn_scale.data, block.prelu_slope.data)
         assert_same_bytes(block.forward(x[None], training=True)[0], want)
-        block.update_statistics()
         assert_same_bytes(block.running_mean, mu)
         assert_same_bytes(block.running_var, var)
         assert_same_bytes(block.backward(d_out[None])[0], d_y @ w.T)
@@ -543,23 +558,18 @@ class TestKernelsMatchStagedExpressions:
     @pytest.mark.parametrize("n_samples", [1, 16])
     def test_batchnorm_running_statistics(self, n_samples, n_calls, dtype):
         """The running statistics are the bytes of writing the buffers after
-        each sample of each call: the first pass seeds them, the next two
-        blend with momentum."""
+        each sample of each call, in call order: the first pass seeds them,
+        the next two blend with momentum."""
         blocks = [in_dtype(ConvBNPReLU(8, np.random.default_rng(3)), dtype) for _ in range(2)]
         rng = np.random.default_rng(n_samples * n_calls)
-        blocks[0].update_statistics()   # nothing pending: nothing changes
-        assert blocks[0].num_batches == 0 and not blocks[0].running_mean.any()
         for _ in range(3):
             for _ in range(n_calls):
                 x = (rng.normal(size=(n_samples, 5, 8)) * 3.0 + 1.0).astype(dtype)
-                for block in blocks:
-                    block.forward(x, training=True)
-            blocks[0].update_statistics()
-            staged_update_statistics(blocks[1])
-            for name in ("running_mean", "running_var", "num_batches"):
-                assert_same_bytes(getattr(blocks[0], name), getattr(blocks[1], name))
-            for block in blocks:
-                block.clear_caches()
+                blocks[0].forward(x, training=True)
+                blocks[0].clear_caches()
+                staged_update_statistics(blocks[1], [staged_batch_statistics(blocks[1], x)])
+                for name in ("running_mean", "running_var", "num_batches"):
+                    assert_same_bytes(getattr(blocks[0], name), getattr(blocks[1], name))
 
 
 def softmax_inputs(rng, shape, dtype):

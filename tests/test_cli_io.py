@@ -5,6 +5,7 @@ import builtins
 import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ import pytest
 
 from avmae import checkpoint as ckpt
 from avmae import verify as verifymod
+from avmae.atomic import write_atomic
 from avmae.cli import build_parser, main
 from avmae.config import desk_train_config, preset
 from avmae.embedding import RawClip, read_clip, write_clip
@@ -330,6 +332,30 @@ class TestAtomicWrites:
         assert capsys.readouterr().err.startswith("error: [Errno 28] No space left")
         assert path.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mask.pbm"]
+
+    def test_rename_is_flushed_with_its_directory(self, tmp_path, monkeypatch):
+        """After the rename the target's directory is fsynced, so a crash
+        cannot lose the new name."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append(("fsync", os.fstat(fd)))
+            real_fsync(fd)
+
+        def recording_replace(src, dst):
+            real_replace(src, dst)
+            events.append(("replace", dst))
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        write_atomic(tmp_path / "out.bin", [b"abc"])
+        monkeypatch.undo()
+        assert [kind for kind, _ in events] == ["fsync", "replace", "fsync"]
+        directory = events[-1][1]
+        assert stat.S_ISDIR(directory.st_mode)
+        assert directory.st_ino == os.stat(tmp_path).st_ino
+        assert (tmp_path / "out.bin").read_bytes() == b"abc"
 
 
 class TestCLI:

@@ -12,8 +12,8 @@ from avmae.losses import cross_entropy_ls
 from avmae.pretrain import PretrainModel, make_mask_pairs
 from avmae.training import SyntheticTask, gen_synthetic, sample_rng, train_accuracy
 
-from oracles import (per_sample_backward, per_sample_forward,
-                     per_sample_supervised_step)
+from oracles import (call_order_statistics, per_sample_backward, per_sample_forward,
+                     per_sample_supervised_step, recording_statistics)
 
 TINY_V, TINY_A = PRESET_INPUTS["Tiny"]
 N_CLASSES = 3
@@ -38,11 +38,24 @@ def bn_state(model):
     return dict(model.named_buffers())
 
 
+def bn_start(model):
+    """A copy of the IAV-CL batch norm's buffers and the list its training
+    calls will be recorded in from now on."""
+    conv = model.iavcl.er.conv
+    start = {name: b.copy() for name, b in conv.named_buffers()}
+    return start, recording_statistics(conv)
+
+
+# batch-norm calls per clip: both modalities of every DiER unit
+PER_CLIP = 2 * preset("Tiny").num_dier_units
+
+
 class TestBatchMatchesPerSample:
     def test_training_step_bytes(self):
-        """S=4, float32, training mode, drop-path 0.5: logits, every
-        parameter gradient and the batch-norm running statistics equal the
-        per-sample loop's."""
+        """S=4, float32, training mode, drop-path 0.5: logits and every
+        parameter gradient equal the per-sample loop's, and the batch-norm
+        running statistics equal its per-call statistics folded in call
+        order."""
         clips, labels = tiny_data(4)
         rate, step = 0.5, 7
         # six branch decisions per layer, video layers then audio layers
@@ -55,6 +68,7 @@ class TestBatchMatchesPerSample:
         for model in (batched, single):   # non-empty running statistics
             model.forward_sample(clips[:2], training=True)
             model.clear_caches()
+        start, calls = bn_start(single)
         rngs = [sample_rng(0, step, i) for i in range(4)]
         logits = batched.forward_sample(clips, rngs=rngs, drop_path=rate)
         rngs = [sample_rng(0, step, i) for i in range(4)]
@@ -68,6 +82,7 @@ class TestBatchMatchesPerSample:
         for (name, p), (_, q) in zip(batched.named_parameters(),
                                      single.named_parameters()):
             assert_same_bytes(p.grad, q.grad, name)
+        call_order_statistics(single.iavcl.er.conv, start, calls, 4, PER_CLIP)
         want_bn = bn_state(single)
         for name, b in bn_state(batched).items():
             assert_same_bytes(b, want_bn[name], name)
@@ -87,11 +102,13 @@ class TestBatchMatchesPerSample:
         training.run_supervised(batched, tcfg, clips, labels, steps=3)
         monkeypatch.setattr(training, "supervised_step", per_sample_supervised_step)
         single = tiny_model()
+        start, calls = bn_start(single)
         training.run_supervised(single, tcfg, clips, labels, steps=3)
         got, want = optimizers
         assert got.t == want.t == 3
         for field in ("data", "grad", "m", "v"):
             assert_same_bytes(getattr(got, field), getattr(want, field), field)
+        call_order_statistics(single.iavcl.er.conv, start, calls, tcfg.batch, PER_CLIP)
         want_bn = bn_state(single)
         for name, b in bn_state(batched).items():
             assert_same_bytes(b, want_bn[name], name)

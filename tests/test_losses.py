@@ -15,7 +15,7 @@ from avmae.training import AdamW, SyntheticTask, pretrain_step, sample_rng
 class TestMaskedMSE:
     def test_perfect_prediction_is_zero(self):
         rng = np.random.default_rng(0)
-        t = rng.normal(size=(6, 8))
+        t = rng.normal(size=(1, 6, 8))
         loss, grad = masked_mse(t.copy(), t, 0.5, 12)
         assert loss == 0.0
         assert np.allclose(grad, 0.0)
@@ -27,27 +27,44 @@ class TestMaskedMSE:
         raw = rng.random((32, 48))
         targets = (raw - raw.mean(axis=1, keepdims=True))
         targets /= np.sqrt(raw.var(axis=1, keepdims=True) + 1e-6)
-        loss, _ = masked_mse(np.zeros_like(targets), targets, 0.5, 64)
+        loss, _ = masked_mse(np.zeros_like(targets)[None], targets[None], 0.5, 64)
         assert abs(loss - 1.0) < 0.05
 
     def test_quadratic_homogeneity(self):
         rng = np.random.default_rng(2)
-        t = rng.normal(size=(5, 7))
-        p = rng.normal(size=(5, 7))
+        t = rng.normal(size=(1, 5, 7))
+        p = rng.normal(size=(1, 5, 7))
         base, _ = masked_mse(p, t, 0.5, 10)
         doubled, _ = masked_mse(t + 2 * (p - t), t, 0.5, 10)
         assert abs(doubled - 4 * base) < 1e-9
 
     def test_printed_normalizer(self):
         """The denominator is (1 - rho_d) * N tokens times the patch dim."""
-        preds = np.ones((4, 3))
-        targets = np.zeros((4, 3))
+        preds = np.ones((1, 4, 3))
+        targets = np.zeros((1, 4, 3))
         loss, _ = masked_mse(preds, targets, 0.5, 8)
         assert abs(loss - 12 / (0.5 * 8 * 3)) < 1e-12
 
+    def test_batch_is_the_mean_of_its_clips(self):
+        """[S, targets, patch]: the mean over clips of each clip's loss, each
+        normalised by the patch dim (the last axis), and the gradient of
+        that mean."""
+        rng = np.random.default_rng(3)
+        preds = rng.normal(size=(3, 4, 5))
+        targets = rng.normal(size=(3, 4, 5))
+        loss, grad = masked_mse(preds, targets, 0.25, 6)
+        denom = 0.75 * 6 * 5
+        per_clip = [np.sum((p - t) ** 2) / denom for p, t in zip(preds, targets)]
+        assert abs(loss - np.mean(per_clip)) < 1e-12
+        assert np.allclose(grad, 2.0 * (preds - targets) / denom / 3, rtol=1e-12, atol=0.0)
+
+    def test_clip_without_sample_axis_rejected(self):
+        with pytest.raises(ValueError, match="clips, targets, patch"):
+            masked_mse(np.zeros((4, 3)), np.zeros((4, 3)), 0.5, 8)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            masked_mse(np.zeros((3, 4)), np.zeros((4, 4)), 0.5, 8)
+            masked_mse(np.zeros((1, 3, 4)), np.zeros((1, 4, 4)), 0.5, 8)
 
 
 class TestInfoNCE:

@@ -35,8 +35,8 @@ DIGESTS = {
 }
 FILE_DIGESTS = {
     "pretrain": "73a2ab48c1e44b6ec21ebbf4f006dc042dbcfd5440292982f902278a77574051",
-    "posttrain": "e729a8b60e4f4e3a71b9aa72a4babba84626830dc4c4b40c64453881a391e07d",
-    "finetune": "04dd83b28e48465cda3627cf1122faeafd30e0f45042830dfbb524f2f0519772",
+    "posttrain": "04873508a04a06227ce5e1de9646baf4ff63722a0a10357ba3b06525eb46bd9f",
+    "finetune": "0a6205ab805eab1506e531d4deeacba47b96437a00a0d82c2740e2acf09b3fc3",
 }
 STEPS = {"pretrain": 6, "posttrain": 4, "finetune": 4}
 

@@ -112,7 +112,7 @@ class TestDecoder:
         for modality in ("video", "audio"):
             r = res[modality]
             assert np.allclose(r["predictions"], 0.0)
-            loss, _ = masked_mse(r["predictions"], r["targets"],
+            loss, _ = masked_mse(r["predictions"][None], r["targets"][None],
                                  DECODER_MASK_RATIO, r["n_tokens"])
             direct = float(np.sum(r["targets"] ** 2)) / (
                 DECODER_MASK_RATIO * r["n_tokens"] * r["targets"].shape[1])
@@ -185,9 +185,9 @@ class TestPretrainForward:
 
         for modality in ("video", "audio"):
             a, b = res1[modality], res2[modality]
-            la, _ = masked_mse(a["predictions"], a["targets"],
+            la, _ = masked_mse(a["predictions"][None], a["targets"][None],
                                DECODER_MASK_RATIO, a["n_tokens"])
-            lb, _ = masked_mse(b["predictions"], b["targets"],
+            lb, _ = masked_mse(b["predictions"][None], b["targets"][None],
                                DECODER_MASK_RATIO, b["n_tokens"])
             assert abs(la - lb) <= 1e-6
             for k in a["pooled"]:
