@@ -557,9 +557,9 @@ class TestKernelsMatchStagedExpressions:
     @pytest.mark.parametrize("n_calls", [1, 3])
     @pytest.mark.parametrize("n_samples", [1, 16])
     def test_batchnorm_running_statistics(self, n_samples, n_calls, dtype):
-        """The running statistics are the bytes of writing the buffers after
-        each sample of each call, in call order: the first pass seeds them,
-        the next two blend with momentum."""
+        """After every call the running statistics are the bytes of writing
+        the buffers after each of its samples: the first sample ever seeds
+        them, every later one blends with momentum."""
         blocks = [in_dtype(ConvBNPReLU(8, np.random.default_rng(3)), dtype) for _ in range(2)]
         rng = np.random.default_rng(n_samples * n_calls)
         for _ in range(3):
