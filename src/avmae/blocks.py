@@ -1,7 +1,8 @@
 """Dense differentiable building blocks with hand-written backward passes.
 
 Every block follows the same protocol: ``forward(...)`` computes the output
-and pushes the activations it will need onto an internal cache stack;
+and pushes the activations it will need onto an internal cache stack, less
+those the backward rebuilds with the forward's own calls on the others;
 ``backward(upstream)`` pops that cache, adds the parameter gradients and
 returns the gradient(s) with respect to the forward inputs.
 Because caches form a stack, a block may be applied several times inside one
@@ -512,17 +513,21 @@ class Linear(Block):
         self.weight = Parameter(trunc_normal(rng, (d_in, d_out)))
         self.bias = Parameter(np.zeros(d_out, dtype=DEFAULT_DTYPE))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, save_input: bool = True) -> np.ndarray:
+        """With ``save_input=False`` the tape keeps no input: the caller
+        rebuilds it bit for bit and passes it to the backward as ``x``."""
         if x.shape[-1] != self.d_in:
             raise ValueError(f"linear expects last dim {self.d_in}, got {x.shape}")
         y = _affine(x, self.weight.data, self.bias.data)
-        self._save(x)
+        self._save(x if save_input else None)
         return y
 
-    def backward(self, d_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, d_out: np.ndarray, input_grad: bool = True,
+                 x: np.ndarray | None = None) -> np.ndarray | None:
         """Returns the input gradient, or None with ``input_grad=False`` (for
         a caller that has no use for it)."""
-        (x,) = self._load()
+        (saved,) = self._load()
+        x = saved if x is None else x
         n = x.shape[0]
         flat_x = x.reshape(n, -1, self.d_in)
         flat_d = d_out.reshape(n, -1, self.d_out)
@@ -621,7 +626,7 @@ class Attention(Block):
         merged = np.empty(q_in.shape, dtype=probs.dtype)   # [S, (G,) Tq, C]
         np.matmul(probs, v, out=self._split(merged))
         out = _affine(merged, self.w_o.data, self.b_o.data)
-        self._save(q_in, kv_in, q, k, v, probs, merged, shared)
+        self._save(q_in, kv_in, q, k, v, probs, shared)
         return out
 
     def last_probs(self) -> np.ndarray:
@@ -636,16 +641,20 @@ class Attention(Block):
         The head products are written straight into their merged [.., T, C]
         layouts: d_q, d_k and d_v side by side in one [.., 3C] array when the
         queries and keys have the same rows, else d_k and d_v in one
-        [.., 2C], so each set of bias gradients is one reduce.
+        [.., 2C], so each set of bias gradients is one reduce. The merged
+        head products are rebuilt by the forward's own call, not taped.
         """
-        q_in, kv_in, q, k, v, probs, merged, shared = self._load()
+        q_in, kv_in, q, k, v, probs, shared = self._load()
         n, c = len(d_out), self.dim
         row = self._grad_row(n)
         g_w = row[:, :4 * c * c].reshape(n, 4, c, c)   # w_q, w_k, w_v, w_o
         g_b = row[:, 4 * c * c:]                       # b_q, b_k, b_v, b_o
+        merged = np.empty(q_in.shape, dtype=probs.dtype)
+        np.matmul(probs, v, out=self._split(merged))
         # [S, ..., C] -> [S, rows, C]: a sample's rows, never samples merged
         d_rows = d_out.reshape(n, -1, c)
         np.matmul(merged.reshape(n, -1, c).transpose(0, 2, 1), d_rows, out=g_w[:, 3])
+        del merged
         np.add.reduce(d_rows, axis=1, out=g_b[:, 3 * c:])
         d_ctx = self._split(d_out @ self.w_o.data.T)
         d_probs = d_ctx @ v.swapaxes(-1, -2)
@@ -686,7 +695,9 @@ class Attention(Block):
 
 
 class FeedForward(Block):
-    """Two linear maps with a gelu in between; the hidden width is 4 * dim."""
+    """Two linear maps with a gelu in between; the hidden width is 4 * dim.
+    The tape keeps the pre-activation h only: the backward rebuilds the gelu
+    value, which ``fc2`` did not keep, and its tanh term from h."""
 
     def __init__(self, dim: int, rng: np.random.Generator):
         super().__init__()
@@ -696,13 +707,14 @@ class FeedForward(Block):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = self.fc1.forward(x)
-        a, t = gelu_with_cache(h)
-        self._save(h, t)
-        return self.fc2.forward(a)
+        self._save(h)
+        return self.fc2.forward(gelu_with_cache(h)[0], save_input=False)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        h, t = self._load()
-        d_a = self.fc2.backward(d_out)
+        (h,) = self._load()
+        a, t = gelu_with_cache(h)
+        d_a = self.fc2.backward(d_out, x=a)
+        del a
         d_h = gelu_backward(h, d_a, t)
         return self.fc1.backward(d_h)
 

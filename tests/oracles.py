@@ -541,6 +541,28 @@ def oracle_put_rows(n, index, values):
     return full
 
 
+def taped_arrays(entry):
+    """The arrays of one tape entry, and those in its tuples and lists."""
+    for value in entry:
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            yield from taped_arrays(value)
+
+
+def tape_bytes(model):
+    """Bytes held by every tape of the model's tree: each array that owns
+    the memory of a taped array counted once, however many views reach it."""
+    owners = {}
+    for block in model._walk():
+        for entry in block._tape:
+            for array in taped_arrays(entry):
+                while isinstance(array.base, np.ndarray):
+                    array = array.base
+                owners[id(array)] = array.nbytes
+    return sum(owners.values())
+
+
 # ---------------------------------------------------------------------------
 # The per-sample fine-tune path: FinetuneModel fed one clip per call (a batch
 # of one), forward in sample order and backward in reverse, with a

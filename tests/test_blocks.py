@@ -10,14 +10,14 @@ from avmae.blocks import (BATCHNORM_EPS, LAYERNORM_EPS, Attention, Block, ConvBN
                           FeedForward, GradientStateError, LayerNorm, Linear, Parameter,
                           gelu_backward, gelu_with_cache, no_tape, sigmoid, softmax,
                           softmax_backward, trunc_normal)
-from avmae.config import desk_train_config, preset
+from avmae.config import PRESET_INPUTS, desk_train_config, preset
 from avmae.embedding import VideoEmbed, grid_codes, positional_encoding, sincos_1d
 from avmae.encoder import LGIEncoder
 from avmae.finetune import FinetuneModel
 from avmae.gradcheck import grad_check
 from avmae.iavcl import DiERUnit, IAVCLHead
 from avmae.losses import info_nce
-from avmae.pretrain import FusionBlock, PretrainModel
+from avmae.pretrain import FusionBlock, PretrainModel, make_mask_pairs
 from avmae.training import (AdamW, SyntheticTask, gen_synthetic, optimizer_for,
                             pretrain_step, sample_rng, supervised_step)
 
@@ -29,7 +29,7 @@ from oracles import (oracle_attention, oracle_batchnorm_prelu_backward,
                      staged_attention, staged_attention_forward, staged_gelu_backward,
                      staged_gelu_with_cache, staged_layernorm_input_grad,
                      staged_batch_statistics, staged_softmax_backward,
-                     staged_update_statistics)
+                     staged_update_statistics, tape_bytes, taped_arrays)
 from registry_runs import assert_grad_check
 
 
@@ -554,6 +554,38 @@ class TestKernelsMatchStagedExpressions:
             assert_same_bytes(att.forward(x), staged_attention_forward(att, x, x))
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n_samples", [1, 3])
+    def test_feedforward(self, n_samples, dtype):
+        """Two calls per pass in LGI order (locals then regions forward,
+        regions then locals backward): the block, which keeps only h and
+        rebuilds the gelu value and tanh term, gives the bytes of a reference
+        that keeps h, t and a, for the outputs, the input gradients and
+        both Linears' folded parameter gradients."""
+        rng = np.random.default_rng([n_samples, 15])
+        ffn = in_dtype(FeedForward(8, rng), dtype)
+        for lin in (ffn.fc1, ffn.fc2):
+            lin.bias.data[...] = rng.normal(size=lin.bias.shape)
+        xs = [(rng.normal(size=(n_samples, t, 8)) * 2.0).astype(dtype) for t in (17, 5)]
+        d_outs = [rng.normal(size=x.shape).astype(dtype) for x in xs]
+        outs = [ffn.forward(x) for x in xs]
+        d_ins = [ffn.backward(d_out) for d_out in reversed(d_outs)][::-1]
+        w1, b1, w2, b2 = (ffn.fc1.weight.data, ffn.fc1.bias.data,
+                          ffn.fc2.weight.data, ffn.fc2.bias.data)
+        per_call = {name: [] for name, _ in ffn.named_parameters()}
+        for x, d_out, out, d_in in reversed(list(zip(xs, d_outs, outs, d_ins))):
+            h = staged_affine(x, w1, b1)
+            a, t = staged_gelu_with_cache(h)
+            assert_same_bytes(out, staged_affine(a, w2, b2))
+            d_h = staged_gelu_backward(h, d_out @ w2.T, t)
+            assert_same_bytes(d_in, d_h @ w1.T)
+            per_call["fc1.weight"].append(x.transpose(0, 2, 1) @ d_h)
+            per_call["fc1.bias"].append(np.add.reduce(d_h, axis=1))
+            per_call["fc2.weight"].append(a.transpose(0, 2, 1) @ d_out)
+            per_call["fc2.bias"].append(np.add.reduce(d_out, axis=1))
+        for name, p in ffn.named_parameters():
+            assert_same_bytes(p.grad, staged_fold(np.zeros_like(p.grad), per_call[name]))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("n_calls", [1, 3])
     @pytest.mark.parametrize("n_samples", [1, 16])
     def test_batchnorm_running_statistics(self, n_samples, n_calls, dtype):
@@ -660,6 +692,52 @@ class TestAttentionMatchesMergeCopies:
         assert_same_bytes(d_kv_in, want_dkv)
         for name, p in att.named_parameters():
             assert_same_bytes(p.grad, staged_accumulate(np.zeros_like(p.grad), want_grads[name]))
+
+
+def assert_no_rebuildable_activations(model):
+    """No FeedForward tape holds a [.., 4C] array but h and no fc2 tape one
+    at all; no Attention tape holds the merged head products."""
+    blocks = list(model._walk())
+    for ffn in (b for b in blocks if isinstance(b, FeedForward)):
+        hidden = ffn.fc1.d_out
+        for block, want in ((ffn, 1), (ffn.fc2, 0)):
+            for entry in block._tape:
+                assert sum(a.shape[-1] == hidden for a in taped_arrays(entry)) == want
+    for att in (b for b in blocks if isinstance(b, Attention)):
+        for entry in att._tape:
+            q_in, v, probs = entry[0], entry[4], entry[5]
+            merged = np.empty(q_in.shape, dtype=probs.dtype)
+            np.matmul(probs, v, out=att._split(merged))
+            assert not any(a.shape == merged.shape and np.array_equal(a, merged)
+                           for a in taped_arrays(entry))
+
+
+class TestTapeSize:
+    """What one taped Tiny forward leaves on the tapes: only what a backward
+    cannot rebuild bit for bit from the rest."""
+
+    MIB = 1 << 20
+
+    def test_finetune_batch_of_16(self):
+        video_shape, audio_shape = PRESET_INPUTS["Tiny"]
+        clips, _ = gen_synthetic(SyntheticTask(4, video_shape, audio_shape), 16)
+        model = FinetuneModel(preset("Tiny"), video_shape, audio_shape, 4,
+                              rng=sample_rng(0))
+        model.forward_sample(clips, rngs=[sample_rng(0, 1, i) for i in range(16)],
+                             drop_path=desk_train_config("finetune").drop_path)
+        assert tape_bytes(model) <= 15.6 * self.MIB   # 21.15 MiB with a, t and merged taped
+        assert_no_rebuildable_activations(model)
+
+    def test_pretrain_batch_of_8(self):
+        cfg = preset("Tiny")
+        video_shape, audio_shape = PRESET_INPUTS["Tiny"]
+        clips, _ = gen_synthetic(SyntheticTask(4, video_shape, audio_shape), 8)
+        model = PretrainModel(cfg, video_shape, audio_shape, rng=sample_rng(0))
+        pairs_v, pairs_a = zip(*(make_mask_pairs(cfg, video_shape, audio_shape,
+                                                 sample_rng(0, 1, i)) for i in range(8)))
+        model.forward_sample(clips, pairs_v, pairs_a)
+        assert tape_bytes(model) <= 3.25 * self.MIB   # 4.26 MiB with a, t and merged taped
+        assert_no_rebuildable_activations(model)
 
 
 def spread_gradients(rng, shape, dtype):
