@@ -2,9 +2,11 @@
 
 Every block follows the same protocol: ``forward(...)`` computes the output
 and pushes the activations it will need onto an internal cache stack, less
-those the backward rebuilds with the forward's own calls on the others;
-``backward(upstream)`` pops that cache, adds the parameter gradients and
-returns the gradient(s) with respect to the forward inputs.
+those the backward rebuilds with the forward's own calls on the others and
+the inputs its caller hands back (a LayerNorm's output, which
+``LayerNorm.output`` rebuilds); ``backward(upstream)`` pops that cache, adds
+the parameter gradients and returns the gradient(s) with respect to the
+forward inputs.
 Because caches form a stack, a block may be applied several times inside one
 composite forward pass (e.g. the same attention parameters over K regions)
 as long as the composite backward runs in exact reverse order.
@@ -339,24 +341,31 @@ class BlockList(Block):
 
 # Softmax rows are reduced from one copy of the array with the rows innermost
 # ([keys, rows], ``_rows_innermost``) where that was measured faster than one
-# short reduce per row (see the README): rows along the last axis, of 2 to 16
-# keys at any size and of up to 48 keys in arrays of up to 1 MiB, in arrays of
-# at least 256 rows. Past 1 MiB numpy's transposed copy, which is not blocked,
-# rereads the array about once per key; below 256 rows, or at more keys, the
-# copy and the whole-row adds cost more than the per-row reduces save.
+# short reduce per row (see the README): rows along the last axis, in arrays
+# of at least 256 rows, of 2 to 16 keys at any size (in the backward, of 9 to
+# 16 keys in arrays of up to 2 MiB) and of up to 48 keys in arrays of up to 1
+# MiB. Past 1 MiB numpy's transposed copy, which is not blocked, rereads the
+# array about once per key; the backward, which does less per entry than the
+# forward, was measured slower with the copy past 1.5 MiB at 16 keys, 2 MiB
+# at 13 and 3 MiB at 9. Below 256 rows, or at more keys, the copy and the
+# whole-row adds cost more than the per-row reduces save.
 _COPY_MIN_ROWS = 256
 _COPY_SHORT_KEYS = 16
+_COPY_BACKWARD_SHORT_KEYS = 8
 _COPY_KEYS = 48
 _COPY_BYTES = 1 << 20
+_COPY_SHORT_BYTES = 2 << 20
 
 
-def _rows_innermost(x: np.ndarray, axis: int) -> bool:
+def _rows_innermost(x: np.ndarray, axis: int, any_size_keys: int = _COPY_SHORT_KEYS) -> bool:
     """Whether softmax reduces x's rows along ``axis`` from a rows-innermost
-    copy. Only array attributes are read: the test runs on every call."""
+    copy: rows of up to ``any_size_keys`` keys at any size. Only array
+    attributes are read: the test runs on every call."""
     keys = x.shape[axis]
+    cap = (math.inf if keys <= any_size_keys
+           else _COPY_SHORT_BYTES if keys <= _COPY_SHORT_KEYS else _COPY_BYTES)
     return (1 < keys <= _COPY_KEYS and x.size >= _COPY_MIN_ROWS * keys
-            and axis in (-1, x.ndim - 1)
-            and (keys <= _COPY_SHORT_KEYS or x.nbytes <= _COPY_BYTES))
+            and axis in (-1, x.ndim - 1) and x.nbytes <= cap)
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -416,7 +425,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def softmax_backward(out: np.ndarray, d_out: np.ndarray, axis: int = -1) -> np.ndarray:
     d_in = d_out * out
-    if _rows_innermost(d_in, axis):
+    if _rows_innermost(d_in, axis, _COPY_BACKWARD_SHORT_KEYS):
         dots = _column_sums(_columns(d_in)).reshape(d_in.shape[:-1] + (1,))
     else:
         dots = np.add.reduce(d_in, axis=axis, keepdims=True)
@@ -557,9 +566,20 @@ class LayerNorm(Block):
         np.divide(1.0, inv, out=inv)
         xhat *= inv
         self._save(xhat, inv)
+        return self._scale_shift(xhat)
+
+    def _scale_shift(self, xhat: np.ndarray) -> np.ndarray:
         out = xhat * self.scale.data
         out += self.shift.data
         return out
+
+    def output(self) -> np.ndarray:
+        """The output of the forward whose entry tops the tape, rebuilt bit
+        for bit from its ``xhat`` with the forward's own ops, for a consumer
+        that did not tape it; the entry stays for the backward."""
+        if not self._tape:
+            raise GradientStateError("LayerNorm.output called before forward")
+        return self._scale_shift(self._tape[-1][0])
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         xhat, inv = self._load()
@@ -607,7 +627,10 @@ class Attention(Block):
         """[..., T, C] -> [..., H, T, d]"""
         return x.reshape(x.shape[:-1] + (self.heads, self.head_dim)).swapaxes(-2, -3)
 
-    def forward(self, q_in: np.ndarray, kv_in: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, q_in: np.ndarray, kv_in: np.ndarray | None = None,
+                save_inputs: bool = True) -> np.ndarray:
+        """With ``save_inputs=False`` the tape keeps neither input: the caller
+        rebuilds them bit for bit and hands them to the backward."""
         if kv_in is None:
             kv_in = q_in
         if q_in.shape[-1] != self.dim or kv_in.shape[-1] != self.dim:
@@ -626,6 +649,8 @@ class Attention(Block):
         merged = np.empty(q_in.shape, dtype=probs.dtype)   # [S, (G,) Tq, C]
         np.matmul(probs, v, out=self._split(merged))
         out = _affine(merged, self.w_o.data, self.b_o.data)
+        if not save_inputs:
+            q_in = kv_in = None
         self._save(q_in, kv_in, q, k, v, probs, shared)
         return out
 
@@ -635,16 +660,23 @@ class Attention(Block):
             raise GradientStateError("no recorded forward")
         return self._tape[-1][5]
 
-    def backward(self, d_out: np.ndarray):
+    def backward(self, d_out: np.ndarray, q_in: np.ndarray | None = None,
+                 kv_in: np.ndarray | None = None):
         """Returns (d_q_in, d_kv_in); callers add them when q is kv.
 
-        The head products are written straight into their merged [.., T, C]
-        layouts: d_q, d_k and d_v side by side in one [.., 3C] array when the
-        queries and keys have the same rows, else d_k and d_v in one
-        [.., 2C], so each set of bias gradients is one reduce. The merged
-        head products are rebuilt by the forward's own call, not taped.
+        After a forward that kept no inputs, ``q_in`` and ``kv_in`` are that
+        forward's inputs, handed back; a self-attention hands back ``q_in``
+        only. The head products are written straight into their merged
+        [.., T, C] layouts: d_q, d_k and d_v side by side in one [.., 3C]
+        array when the queries and keys have the same rows, else d_k and d_v
+        in one [.., 2C], so each set of bias gradients is one reduce. The
+        merged head products are rebuilt by the forward's own call, not taped.
         """
-        q_in, kv_in, q, k, v, probs, shared = self._load()
+        taped_q, taped_kv, q, k, v, probs, shared = self._load()
+        if taped_q is not None:
+            q_in, kv_in = taped_q, taped_kv
+        elif kv_in is None:
+            kv_in = q_in
         n, c = len(d_out), self.dim
         row = self._grad_row(n)
         g_w = row[:, :4 * c * c].reshape(n, 4, c, c)   # w_q, w_k, w_v, w_o
@@ -697,7 +729,9 @@ class Attention(Block):
 class FeedForward(Block):
     """Two linear maps with a gelu in between; the hidden width is 4 * dim.
     The tape keeps the pre-activation h only: the backward rebuilds the gelu
-    value, which ``fc2`` did not keep, and its tanh term from h."""
+    value, which ``fc2`` did not keep, and its tanh term from h, and takes
+    the input, which ``fc1`` did not keep, back from the caller (every caller
+    feeds a LayerNorm's output and rebuilds it with ``LayerNorm.output``)."""
 
     def __init__(self, dim: int, rng: np.random.Generator):
         super().__init__()
@@ -706,17 +740,18 @@ class FeedForward(Block):
         self.fc2 = Linear(hidden, dim, rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = self.fc1.forward(x)
+        h = self.fc1.forward(x, save_input=False)
         self._save(h)
         return self.fc2.forward(gelu_with_cache(h)[0], save_input=False)
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """x: the forward's input, handed back."""
         (h,) = self._load()
         a, t = gelu_with_cache(h)
         d_a = self.fc2.backward(d_out, x=a)
         del a
         d_h = gelu_backward(h, d_a, t)
-        return self.fc1.backward(d_h)
+        return self.fc1.backward(d_h, x=x)
 
 
 class ConvBNPReLU(Block):

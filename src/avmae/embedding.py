@@ -122,13 +122,19 @@ class PatchEmbed(Block):
                                  f"from the model's {self.shape}")
         return self.patchify(np.stack(arrays), self.patch)
 
+    def _proj_input(self, patches: np.ndarray) -> np.ndarray:
+        return patches.astype(self.proj.weight.data.dtype, copy=False)
+
     def forward(self, patches: np.ndarray) -> np.ndarray:
-        """patches [S, N, patch] -> tokens [S, N, C]."""
-        tokens = self.proj.forward(patches.astype(self.proj.weight.data.dtype, copy=False))
+        """patches [S, N, patch] -> tokens [S, N, C]. The tape keeps no
+        patches: the backward takes them back from the caller, which holds
+        the clips and re-patches them with ``patches``."""
+        tokens = self.proj.forward(self._proj_input(patches), save_input=False)
         return tokens + self.codes
 
-    def backward(self, d_tokens: np.ndarray) -> None:
-        self.proj.backward(d_tokens, input_grad=False)
+    def backward(self, d_tokens: np.ndarray, patches: np.ndarray) -> None:
+        """patches: the forward's, handed back."""
+        self.proj.backward(d_tokens, input_grad=False, x=self._proj_input(patches))
 
 
 class VideoEmbed(PatchEmbed):

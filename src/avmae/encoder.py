@@ -229,12 +229,14 @@ class LGILayer(Block):
         for g in part.groups:
             # [S, G, size+1, C]: each region's token, then its locals
             x = np.concatenate([_rows(s, g.ids)[:, :, None], _rows(locals_, g.index)], axis=2)
-            x = _residual(x, _scaled(c1, self.attn_local.forward(self.norm1.forward(x))))
+            x = _residual(x, _scaled(c1, self.attn_local.forward(self.norm1.forward(x),
+                                                                  save_inputs=False)))
             _put(s1, g.ids, x[:, :, 0], g.pad)
             _put(locals1, g.index, x[:, :, 1:], g.pad)
 
         # stage II: exchange information across region tokens
-        s2 = _residual(s1, _scaled(c2, self.attn_region.forward(self.norm2.forward(s1))))
+        s2 = _residual(s1, _scaled(c2, self.attn_region.forward(self.norm2.forward(s1),
+                                                                save_inputs=False)))
 
         # stage III: locals read the globally-aware region tokens; empty
         # regions have no queries (and in stage IV no keys), so they skip,
@@ -245,7 +247,8 @@ class LGILayer(Block):
         for g in part.groups:
             if g.size == 0:
                 continue
-            out = self.cross_local.forward(_rows(q_all, g.index), kv)  # kv shared by the G regions
+            # kv is shared by the G regions
+            out = self.cross_local.forward(_rows(q_all, g.index), kv, save_inputs=False)
             _put(locals2, g.index, _residual(_rows(locals1, g.index), _scaled(c3, out)), g.pad)
 
         # stage IV: region tokens read local tokens back
@@ -256,7 +259,7 @@ class LGILayer(Block):
             if g.size == 0:
                 continue
             out = self.cross_region.forward(_rows(q_all, g.ids)[:, :, None],
-                                            _rows(kv_all, g.index))
+                                            _rows(kv_all, g.index), save_inputs=False)
             _put(s3, g.ids, _rows(s2, g.ids) + _scaled(c4, out[:, :, 0]), g.pad)
 
         # shared feed-forward on locals, then on region tokens
@@ -272,22 +275,26 @@ class LGILayer(Block):
         groups, scales, local_ffn = self._load()
         c1, c2, c3, c4, cfl, cfs = scales
 
-        d_h = self.ffn.backward(_scaled(cfs, d_s4))
+        # every attention and feed-forward input is a LayerNorm's output,
+        # rebuilt by that norm (``LayerNorm.output``) before its backward
+        d_h = self.ffn.backward(_scaled(cfs, d_s4), self.norm_ffn.output())
         d_s3 = d_s4 + self.norm_ffn.backward(d_h)
         d_locals2 = d_locals3
         if local_ffn:
-            d_h = self.ffn.backward(_scaled(cfl, d_locals3))
+            d_h = self.ffn.backward(_scaled(cfl, d_locals3), self.norm_ffn.output())
             d_locals2 = d_locals3 + self.norm_ffn.backward(d_h)
 
         # the puts write each gradient row once, so the buffers start empty;
         # only stage IV's region rows start at zero: empty regions skip it
         d_q_all = np.zeros_like(d_s3)
         d_kv_all = np.empty_like(d_locals2)
+        q_all, kv_all = self.norm4_q.output(), self.norm4_kv.output()
         for g in reversed(groups):
             if g.size == 0:
                 continue
             d_q, d_kv = self.cross_region.backward(
-                _scaled(c4, _rows(d_s3, g.ids, g.pad))[:, :, None])
+                _scaled(c4, _rows(d_s3, g.ids, g.pad))[:, :, None],
+                _rows(q_all, g.ids)[:, :, None], _rows(kv_all, g.index))
             _put(d_q_all, g.ids, d_q[:, :, 0], g.pad)
             _put(d_kv_all, g.index, d_kv, g.pad)
         d_locals2 = d_locals2 + self.norm4_kv.backward(d_kv_all)
@@ -295,17 +302,18 @@ class LGILayer(Block):
 
         d_q_all = np.empty_like(d_locals2)
         d_kv_total = 0.0  # the first group's += makes the array
+        q_all, kv = self.norm3_q.output(), self.norm3_kv.output()
         for g in reversed(groups):
             if g.size == 0:
                 continue
             d_q, d_kv = self.cross_local.backward(
-                _scaled(c3, _rows(d_locals2, g.index, g.pad)))
+                _scaled(c3, _rows(d_locals2, g.index, g.pad)), _rows(q_all, g.index), kv)
             _put(d_q_all, g.index, d_q, g.pad)
             d_kv_total += d_kv
         d_s2 = d_s2 + self.norm3_kv.backward(d_kv_total)
         d_locals1 = d_locals2 + self.norm3_q.backward(d_q_all)
 
-        d_q, d_kv = self.attn_region.backward(_scaled(c2, d_s2))
+        d_q, d_kv = self.attn_region.backward(_scaled(c2, d_s2), self.norm2.output())
         d_s1 = d_s2 + self.norm2.backward(d_q + d_kv)
 
         d_locals = np.empty_like(d_locals1)
@@ -313,7 +321,7 @@ class LGILayer(Block):
         for g in reversed(groups):
             d_x = np.concatenate([_rows(d_s1, g.ids, g.pad)[:, :, None],
                                   _rows(d_locals1, g.index, g.pad)], axis=2)
-            d_q, d_kv = self.attn_local.backward(_scaled(c1, d_x))
+            d_q, d_kv = self.attn_local.backward(_scaled(c1, d_x), self.norm1.output())
             d_x = d_x + self.norm1.backward(d_q + d_kv)
             _put(d_s, g.ids, d_x[:, :, 0], g.pad)
             _put(d_locals, g.index, d_x[:, :, 1:], g.pad)

@@ -56,7 +56,8 @@ class FinetuneModel(Block):
         snaps_a, _, _, _ = self.audio_encoder.encode(
             tokens_a, layout_a, rngs=rngs, drop_path=drop_path, keep_locals=False)
         logits = self.iavcl.forward(snaps_a, snaps_v, training=training)
-        self._save(tokens_v.shape, tokens_a.shape)
+        # the clips, not their patches: the caller holds them already
+        self._save(tokens_v.shape, tokens_a.shape, clips)
         return logits
 
     def _layout(self, n: int):
@@ -70,14 +71,16 @@ class FinetuneModel(Block):
 
     def backward_sample(self, d_logits: np.ndarray) -> None:
         """Backward of the last ``forward_sample``; d_logits is [S, outputs]."""
-        locals_v_shape, locals_a_shape = self._load()
+        locals_v_shape, locals_a_shape, clips = self._load()
         d_snaps_a, d_snaps_v = self.iavcl.backward(d_logits)
         d_tokens_a = self.audio_encoder.backward(
             np.zeros(locals_a_shape, d_logits.dtype), d_snapshots=d_snaps_a)
-        self.audio_embed.backward(d_tokens_a)
+        self.audio_embed.backward(d_tokens_a,
+                                  self.audio_embed.patches([clip.audio for clip in clips]))
         d_tokens_v = self.video_encoder.backward(
             np.zeros(locals_v_shape, d_logits.dtype), d_snapshots=d_snaps_v)
-        self.video_embed.backward(d_tokens_v)
+        self.video_embed.backward(d_tokens_v,
+                                  self.video_embed.patches([clip.video for clip in clips]))
 
     def predict(self, clip: RawClip) -> np.ndarray:
         """Inference forward of one clip: no stochastic depth, frozen

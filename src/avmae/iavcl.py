@@ -39,9 +39,9 @@ class DenseInteraction(Block):
         self.gate_cross = Linear(2 * dim, dim, rng)
 
     def forward(self, own: np.ndarray, partner: np.ndarray) -> np.ndarray:
-        f_s = own + self.attn_self.forward(self.norm_self.forward(own))
+        f_s = own + self.attn_self.forward(self.norm_self.forward(own), save_inputs=False)
         f_c = own + self.attn_cross.forward(self.norm_cq.forward(own),
-                                            self.norm_ckv.forward(partner))
+                                            self.norm_ckv.forward(partner), save_inputs=False)
         f_sc = np.concatenate([f_s, f_c], axis=-1)
         g_s = sigmoid(self.gate_self.forward(f_sc))
         g_c = sigmoid(self.gate_cross.forward(f_sc))
@@ -58,10 +58,11 @@ class DenseInteraction(Block):
         d_fsc = self.gate_cross.backward(d_gc) + self.gate_self.backward(d_gs)
         d_fs = d_fs + d_fsc[..., :self.dim]
         d_fc = d_fc + d_fsc[..., self.dim:]
-        d_q, d_kv = self.attn_cross.backward(d_fc)
+        d_q, d_kv = self.attn_cross.backward(d_fc, self.norm_cq.output(),
+                                             self.norm_ckv.output())
         d_own = d_fc + self.norm_cq.backward(d_q)
         d_partner = self.norm_ckv.backward(d_kv)
-        d_sq, d_skv = self.attn_self.backward(d_fs)
+        d_sq, d_skv = self.attn_self.backward(d_fs, self.norm_self.output())
         d_own = d_own + d_fs + self.norm_self.backward(d_sq + d_skv)
         return d_own, d_partner
 
@@ -136,29 +137,32 @@ class HAFELayer(Block):
         """stack: [S, n_units, K, C]; f_av: [S, K, C] -> [S, K, C]."""
         normed = self.norm_units.forward(stack)
         # unit-axis attention, batched over token positions
-        att = self.attn_units.forward(normed.swapaxes(1, 2))
+        att = self.attn_units.forward(normed.swapaxes(1, 2), save_inputs=False)
         h = stack + att.swapaxes(1, 2)
         gamma = h + self.ffn1.forward(self.norm_ffn1.forward(h))
         g = sigmoid(self.gate.forward(gamma))
         f3 = np.sum(g * gamma, axis=1)
         f4 = f3 + self.cross.forward(self.norm_fq.forward(f3),
-                                     self.norm_fkv.forward(f_av))
+                                     self.norm_fkv.forward(f_av), save_inputs=False)
         out = f4 + self.ffn2.forward(self.norm_ffn2.forward(f4))
         self._save(gamma, g)
         return out
 
     def backward(self, d_out: np.ndarray):
         gamma, g = self._load()
-        d_f4 = d_out + self.norm_ffn2.backward(self.ffn2.backward(d_out))
-        d_q, d_kv = self.cross.backward(d_f4)
+        d_f4 = d_out + self.norm_ffn2.backward(
+            self.ffn2.backward(d_out, self.norm_ffn2.output()))
+        d_q, d_kv = self.cross.backward(d_f4, self.norm_fq.output(), self.norm_fkv.output())
         d_f3 = d_f4 + self.norm_fq.backward(d_q)
         d_fav = self.norm_fkv.backward(d_kv)
         d_gamma = g * d_f3[:, None]
         d_g = sigmoid_backward(g, gamma * d_f3[:, None])
         d_gamma = d_gamma + self.gate.backward(d_g)
-        d_h = d_gamma + self.norm_ffn1.backward(self.ffn1.backward(d_gamma))
+        d_h = d_gamma + self.norm_ffn1.backward(
+            self.ffn1.backward(d_gamma, self.norm_ffn1.output()))
         d_stack = d_h.copy()
-        d_aq, d_akv = self.attn_units.backward(d_h.swapaxes(1, 2))
+        d_aq, d_akv = self.attn_units.backward(d_h.swapaxes(1, 2),
+                                               self.norm_units.output().swapaxes(1, 2))
         d_normed = (d_aq + d_akv).swapaxes(1, 2)
         d_stack += self.norm_units.backward(d_normed)
         return d_stack, d_fav

@@ -50,17 +50,23 @@ class FusionBlock(Block):
         self.ffn_a = FeedForward(dim, rng)
 
     def forward(self, v: np.ndarray, a: np.ndarray):
-        v_mid = v + self.attn_v.forward(self.norm_vq.forward(v), self.norm_vkv.forward(a))
-        a_mid = a + self.attn_a.forward(self.norm_aq.forward(a), self.norm_akv.forward(v))
+        v_mid = v + self.attn_v.forward(self.norm_vq.forward(v), self.norm_vkv.forward(a),
+                                        save_inputs=False)
+        a_mid = a + self.attn_a.forward(self.norm_aq.forward(a), self.norm_akv.forward(v),
+                                        save_inputs=False)
         v_out = v_mid + self.ffn_v.forward(self.norm_vf.forward(v_mid))
         a_out = a_mid + self.ffn_a.forward(self.norm_af.forward(a_mid))
         return v_out, a_out
 
     def backward(self, d_v_out: np.ndarray, d_a_out: np.ndarray):
-        d_a_mid = d_a_out + self.norm_af.backward(self.ffn_a.backward(d_a_out))
-        d_v_mid = d_v_out + self.norm_vf.backward(self.ffn_v.backward(d_v_out))
-        d_qa, d_kv_v = self.attn_a.backward(d_a_mid)
-        d_qv, d_kv_a = self.attn_v.backward(d_v_mid)
+        d_a_mid = d_a_out + self.norm_af.backward(
+            self.ffn_a.backward(d_a_out, self.norm_af.output()))
+        d_v_mid = d_v_out + self.norm_vf.backward(
+            self.ffn_v.backward(d_v_out, self.norm_vf.output()))
+        d_qa, d_kv_v = self.attn_a.backward(d_a_mid, self.norm_aq.output(),
+                                            self.norm_akv.output())
+        d_qv, d_kv_a = self.attn_v.backward(d_v_mid, self.norm_vq.output(),
+                                            self.norm_vkv.output())
         d_v = d_v_mid + self.norm_vq.backward(d_qv) + self.norm_akv.backward(d_kv_v)
         d_a = d_a_mid + self.norm_aq.backward(d_qa) + self.norm_vkv.backward(d_kv_a)
         return d_v, d_a
@@ -91,12 +97,12 @@ class DecoderBlock(Block):
         self.ffn = FeedForward(dim, rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = x + self.attn.forward(self.norm1.forward(x))
+        x = x + self.attn.forward(self.norm1.forward(x), save_inputs=False)
         return x + self.ffn.forward(self.norm2.forward(x))
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        d_mid = d_out + self.norm2.backward(self.ffn.backward(d_out))
-        d_q, d_kv = self.attn.backward(d_mid)
+        d_mid = d_out + self.norm2.backward(self.ffn.backward(d_out, self.norm2.output()))
+        d_q, d_kv = self.attn.backward(d_mid, self.norm1.output())
         return d_mid + self.norm1.backward(d_q + d_kv)
 
 
@@ -131,14 +137,14 @@ class Decoder(Block):
         for block in self.blocks:
             x = block.forward(x)
         x = self.norm.forward(x)
-        preds = self.head.forward(x[:, n_vis:])
+        preds = self.head.forward(x[:, n_vis:], save_input=False)
         self._save(n_vis, x.shape)
         return preds
 
     def backward(self, d_preds: np.ndarray):
         n_vis, x_shape = self._load()
         d_x = np.zeros(x_shape, dtype=d_preds.dtype)
-        d_x[:, n_vis:] = self.head.backward(d_preds)
+        d_x[:, n_vis:] = self.head.backward(d_preds, x=self.norm.output()[:, n_vis:])
         d_x = self.norm.backward(d_x)
         for block in reversed(list(self.blocks)):
             d_x = block.backward(d_x)
@@ -244,8 +250,9 @@ class PretrainModel(Block):
                 n_tokens=pairs[0].n_tokens,
                 combined_len=combined.tokens.shape[1],
             )
+        # the clips, not their patches: the caller holds them already
         self._save(out["video"]["visible"], out["audio"]["visible"],
-                   pairs_v[0].n_tokens, pairs_a[0].n_tokens)
+                   pairs_v[0].n_tokens, pairs_a[0].n_tokens, clips)
         return result
 
     def backward_sample(self, d_preds_v: np.ndarray, d_preds_a: np.ndarray,
@@ -253,7 +260,7 @@ class PretrainModel(Block):
                         d_pooled_a: dict[int, np.ndarray] | None):
         """Backward of the last ``forward_sample``: prediction gradients
         [S, targets, patch], pooled-feature gradients {skip layer: [S, C]}."""
-        visible_v, visible_a, n_tokens_v, n_tokens_a = self._load()
+        visible_v, visible_a, n_tokens_v, n_tokens_a, clips = self._load()
         d_fused = {}
         g_token_v, g_token_a = self._grad_slots(len(d_preds_v))
         for modality, decoder, g_token, d_preds, visible in (
@@ -277,7 +284,7 @@ class PretrainModel(Block):
             full = np.zeros((len(d_visible), n_tokens, d_visible.shape[-1]),
                             dtype=d_visible.dtype)
             put_sample_rows(full, visible, d_visible)
-            embed.backward(full)
+            embed.backward(full, embed.patches([getattr(clip, modality) for clip in clips]))
 
 
 def _check_pairs(modality: str, pairs: list[MaskPair], n_clips: int,

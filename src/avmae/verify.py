@@ -62,10 +62,11 @@ def _block_check(seed, build, shapes, forward=None, backward=None):
     input per entry of ``shapes`` (name -> shape, or a function returning
     that mapping), and at the first forward a normal weight per output: the
     scalar sums each output times its weight. ``forward(block, *inputs)``
-    and ``backward(block, *weights)``, one gradient per input, stand in for
-    the block's own calls where its signature needs it."""
+    and ``backward(block, inputs, *weights)``, one gradient per input, stand
+    in for the block's own calls where its signature needs it; ``inputs``
+    is the forward's, for a backward that takes them back."""
     forward = forward or (lambda block, *xs: block.forward(*xs))
-    backward = backward or (lambda block, *ws: block.backward(*ws))
+    backward = backward or (lambda block, xs, *ws: block.backward(*ws))
 
     def check(tol, probes):
         rng = np.random.default_rng(seed)
@@ -81,7 +82,7 @@ def _block_check(seed, build, shapes, forward=None, backward=None):
                 weights.extend(rng.normal(size=out.shape) for out in outs)
 
             def back():
-                grads = backward(block, *(w.copy() for w in weights))
+                grads = backward(block, tuple(xs.values()), *(w.copy() for w in weights))
                 return _by_name(inputs, grads if isinstance(grads, tuple) else (grads,))
             return float(sum(np.sum(out * w) for out, w in zip(outs, weights))), back
 
@@ -159,14 +160,22 @@ def _smooth_iavcl(rng):
 
 _SNAPS = (_TINY.encoder_depth, 1, 4, _TINY.encoder_dim)
 
+# the linear, attention and feed-forward rows tape no inputs and hand them
+# back to the backward, as their LayerNorm-fed callers do
 GRAD_CHECKS = {
-    "linear": (_block_check(0, lambda rng: Linear(6, 4, rng), {"x": (1, 5, 6)}), 1e-6, None),
+    "linear": (_block_check(0, lambda rng: Linear(6, 4, rng), {"x": (1, 5, 6)},
+                            forward=lambda lin, x: lin.forward(x, save_input=False),
+                            backward=lambda lin, xs, w: lin.backward(w, x=xs[0])), 1e-6, None),
     "layernorm": (_block_check(1, lambda rng: LayerNorm(8), {"x": (1, 5, 8)}), 1e-6, None),
     "mhsa": (_block_check(2, lambda rng: Attention(8, 2, rng), {"q": (1, 3, 8)},
-                          backward=lambda att, w: np.add(*att.backward(w))), 1e-6, None),
+                          forward=lambda att, q: att.forward(q, save_inputs=False),
+                          backward=lambda att, xs, w: np.add(*att.backward(w, *xs))), 1e-6, None),
     "mhca": (_block_check(2, lambda rng: Attention(8, 2, rng),
-                          {"q": (1, 3, 8), "kv": (1, 5, 8)}), 1e-6, None),
-    "ffn": (_block_check(3, lambda rng: FeedForward(8, rng), {"x": (1, 5, 8)}), 1e-6, None),
+                          {"q": (1, 3, 8), "kv": (1, 5, 8)},
+                          forward=lambda att, q, kv: att.forward(q, kv, save_inputs=False),
+                          backward=lambda att, xs, w: att.backward(w, *xs)), 1e-6, None),
+    "ffn": (_block_check(3, lambda rng: FeedForward(8, rng), {"x": (1, 5, 8)},
+                         backward=lambda ffn, xs, w: ffn.backward(w, *xs)), 1e-6, None),
     "conv_bn_prelu": (_check_conv_bn_prelu, 1e-6, None),
     "lgi_layer": (_block_check(
         4, lambda rng: LGILayer(_TINY.encoder_dim, _TINY.encoder_heads, rng),
@@ -179,7 +188,7 @@ GRAD_CHECKS = {
     "iavcl": (_block_check(
         3, _smooth_iavcl, {"snaps_a": _SNAPS, "snaps_v": _SNAPS},
         forward=lambda head, a, v: head.forward(list(a), list(v), training=True),
-        backward=lambda head, w: tuple(map(np.stack, head.backward(w)))), 1e-4, 24),
+        backward=lambda head, xs, w: tuple(map(np.stack, head.backward(w)))), 1e-4, 24),
     "masked_mse": (_loss_check(7, lambda preds, targets: masked_mse(preds, targets, 0.5, 12),
                                {"preds": (1, 6, 5)}, constants=[(1, 6, 5)]), 1e-6, None),
     "info_nce": (_loss_check(8, lambda fa, fv: info_nce(fa, fv, 0.07),

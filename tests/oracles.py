@@ -550,17 +550,36 @@ def taped_arrays(entry):
             yield from taped_arrays(value)
 
 
-def tape_bytes(model):
-    """Bytes held by every tape of the model's tree: each array that owns
-    the memory of a taped array counted once, however many views reach it."""
-    owners = {}
+def tape_breakdown(model):
+    """Bytes held by every tape of the model's tree, by block class and tape
+    slot: {"Attention[5]": bytes, ...}, slot i being item i of the class's
+    tape entries. Each array that owns the memory of a taped array counts
+    once, however many views reach it, under the first class and slot that
+    reach it in ``_walk`` order. Clips a model tapes are the caller's, and
+    ``taped_arrays`` does not look into them."""
+    owners, table = set(), {}
     for block in model._walk():
         for entry in block._tape:
-            for array in taped_arrays(entry):
-                while isinstance(array.base, np.ndarray):
-                    array = array.base
-                owners[id(array)] = array.nbytes
-    return sum(owners.values())
+            for slot, value in enumerate(entry):
+                for array in taped_arrays((value,)):
+                    while isinstance(array.base, np.ndarray):
+                        array = array.base
+                    if id(array) not in owners:
+                        owners.add(id(array))
+                        key = f"{type(block).__name__}[{slot}]"
+                        table[key] = table.get(key, 0) + array.nbytes
+    return table
+
+
+def tape_bytes(model):
+    """The sum of ``tape_breakdown``: every owning array counted once."""
+    return sum(tape_breakdown(model).values())
+
+
+def format_tape_breakdown(table):
+    """One line per class and slot, largest first, in MiB."""
+    return "\n".join(f"{key:24s} {nbytes / (1 << 20):8.3f} MiB"
+                     for key, nbytes in sorted(table.items(), key=lambda kv: -kv[1]))
 
 
 # ---------------------------------------------------------------------------
