@@ -4,9 +4,9 @@ Every block follows the same protocol: ``forward(...)`` computes the output
 and pushes the activations it will need onto an internal cache stack, less
 those the backward rebuilds with the forward's own calls on the others and
 the inputs its caller hands back (a LayerNorm's output, which
-``LayerNorm.output`` rebuilds); ``backward(upstream)`` pops that cache, adds
-the parameter gradients and returns the gradient(s) with respect to the
-forward inputs.
+``LayerNorm.output`` rebuilds, or an array the caller tapes itself);
+``backward(upstream)`` pops that cache, adds the parameter gradients and
+returns the gradient(s) with respect to the forward inputs.
 Because caches form a stack, a block may be applied several times inside one
 composite forward pass (e.g. the same attention parameters over K regions)
 as long as the composite backward runs in exact reverse order.
@@ -341,31 +341,24 @@ class BlockList(Block):
 
 # Softmax rows are reduced from one copy of the array with the rows innermost
 # ([keys, rows], ``_rows_innermost``) where that was measured faster than one
-# short reduce per row (see the README): rows along the last axis, in arrays
-# of at least 256 rows, of 2 to 16 keys at any size (in the backward, of 9 to
-# 16 keys in arrays of up to 2 MiB) and of up to 48 keys in arrays of up to 1
-# MiB. Past 1 MiB numpy's transposed copy, which is not blocked, rereads the
-# array about once per key; the backward, which does less per entry than the
-# forward, was measured slower with the copy past 1.5 MiB at 16 keys, 2 MiB
-# at 13 and 3 MiB at 9. Below 256 rows, or at more keys, the copy and the
-# whole-row adds cost more than the per-row reduces save.
+# short reduce per row (see the README): rows along the last axis, of 2 to 16
+# keys at any size and of up to 48 keys in arrays of up to 1 MiB, in arrays of
+# at least 256 rows. Past 1 MiB numpy's transposed copy, which is not blocked,
+# rereads the array about once per key; below 256 rows, or at more keys, the
+# copy and the whole-row adds cost more than the per-row reduces save.
 _COPY_MIN_ROWS = 256
 _COPY_SHORT_KEYS = 16
-_COPY_BACKWARD_SHORT_KEYS = 8
 _COPY_KEYS = 48
 _COPY_BYTES = 1 << 20
-_COPY_SHORT_BYTES = 2 << 20
 
 
-def _rows_innermost(x: np.ndarray, axis: int, any_size_keys: int = _COPY_SHORT_KEYS) -> bool:
+def _rows_innermost(x: np.ndarray, axis: int) -> bool:
     """Whether softmax reduces x's rows along ``axis`` from a rows-innermost
-    copy: rows of up to ``any_size_keys`` keys at any size. Only array
-    attributes are read: the test runs on every call."""
+    copy. Only array attributes are read: the test runs on every call."""
     keys = x.shape[axis]
-    cap = (math.inf if keys <= any_size_keys
-           else _COPY_SHORT_BYTES if keys <= _COPY_SHORT_KEYS else _COPY_BYTES)
     return (1 < keys <= _COPY_KEYS and x.size >= _COPY_MIN_ROWS * keys
-            and axis in (-1, x.ndim - 1) and x.nbytes <= cap)
+            and axis in (-1, x.ndim - 1)
+            and (keys <= _COPY_SHORT_KEYS or x.nbytes <= _COPY_BYTES))
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -425,7 +418,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def softmax_backward(out: np.ndarray, d_out: np.ndarray, axis: int = -1) -> np.ndarray:
     d_in = d_out * out
-    if _rows_innermost(d_in, axis, _COPY_BACKWARD_SHORT_KEYS):
+    if _rows_innermost(d_in, axis):
         dots = _column_sums(_columns(d_in)).reshape(d_in.shape[:-1] + (1,))
     else:
         dots = np.add.reduce(d_in, axis=axis, keepdims=True)
@@ -627,10 +620,9 @@ class Attention(Block):
         """[..., T, C] -> [..., H, T, d]"""
         return x.reshape(x.shape[:-1] + (self.heads, self.head_dim)).swapaxes(-2, -3)
 
-    def forward(self, q_in: np.ndarray, kv_in: np.ndarray | None = None,
-                save_inputs: bool = True) -> np.ndarray:
-        """With ``save_inputs=False`` the tape keeps neither input: the caller
-        rebuilds them bit for bit and hands them to the backward."""
+    def forward(self, q_in: np.ndarray, kv_in: np.ndarray | None = None) -> np.ndarray:
+        """The tape keeps neither input: the caller hands them back to the
+        backward."""
         if kv_in is None:
             kv_in = q_in
         if q_in.shape[-1] != self.dim or kv_in.shape[-1] != self.dim:
@@ -649,33 +641,29 @@ class Attention(Block):
         merged = np.empty(q_in.shape, dtype=probs.dtype)   # [S, (G,) Tq, C]
         np.matmul(probs, v, out=self._split(merged))
         out = _affine(merged, self.w_o.data, self.b_o.data)
-        if not save_inputs:
-            q_in = kv_in = None
-        self._save(q_in, kv_in, q, k, v, probs, shared)
+        self._save(q, k, v, probs, shared)
         return out
 
     def last_probs(self) -> np.ndarray:
         """Attention probabilities of the most recent forward (inspection)."""
         if not self._tape:
             raise GradientStateError("no recorded forward")
-        return self._tape[-1][5]
+        return self._tape[-1][3]
 
-    def backward(self, d_out: np.ndarray, q_in: np.ndarray | None = None,
+    def backward(self, d_out: np.ndarray, q_in: np.ndarray,
                  kv_in: np.ndarray | None = None):
         """Returns (d_q_in, d_kv_in); callers add them when q is kv.
 
-        After a forward that kept no inputs, ``q_in`` and ``kv_in`` are that
-        forward's inputs, handed back; a self-attention hands back ``q_in``
-        only. The head products are written straight into their merged
-        [.., T, C] layouts: d_q, d_k and d_v side by side in one [.., 3C]
-        array when the queries and keys have the same rows, else d_k and d_v
-        in one [.., 2C], so each set of bias gradients is one reduce. The
-        merged head products are rebuilt by the forward's own call, not taped.
+        ``q_in`` and ``kv_in`` are the forward's inputs, handed back; a
+        self-attention hands back ``q_in`` only. The head products are
+        written straight into their merged [.., T, C] layouts: d_q, d_k and
+        d_v side by side in one [.., 3C] array when the queries and keys have
+        the same rows, else d_k and d_v in one [.., 2C], so each set of bias
+        gradients is one reduce. The merged head products are rebuilt by the
+        forward's own call, not taped.
         """
-        taped_q, taped_kv, q, k, v, probs, shared = self._load()
-        if taped_q is not None:
-            q_in, kv_in = taped_q, taped_kv
-        elif kv_in is None:
+        q, k, v, probs, shared = self._load()
+        if kv_in is None:
             kv_in = q_in
         n, c = len(d_out), self.dim
         row = self._grad_row(n)

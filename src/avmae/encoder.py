@@ -229,14 +229,12 @@ class LGILayer(Block):
         for g in part.groups:
             # [S, G, size+1, C]: each region's token, then its locals
             x = np.concatenate([_rows(s, g.ids)[:, :, None], _rows(locals_, g.index)], axis=2)
-            x = _residual(x, _scaled(c1, self.attn_local.forward(self.norm1.forward(x),
-                                                                  save_inputs=False)))
+            x = _residual(x, _scaled(c1, self.attn_local.forward(self.norm1.forward(x))))
             _put(s1, g.ids, x[:, :, 0], g.pad)
             _put(locals1, g.index, x[:, :, 1:], g.pad)
 
         # stage II: exchange information across region tokens
-        s2 = _residual(s1, _scaled(c2, self.attn_region.forward(self.norm2.forward(s1),
-                                                                save_inputs=False)))
+        s2 = _residual(s1, _scaled(c2, self.attn_region.forward(self.norm2.forward(s1))))
 
         # stage III: locals read the globally-aware region tokens; empty
         # regions have no queries (and in stage IV no keys), so they skip,
@@ -247,8 +245,7 @@ class LGILayer(Block):
         for g in part.groups:
             if g.size == 0:
                 continue
-            # kv is shared by the G regions
-            out = self.cross_local.forward(_rows(q_all, g.index), kv, save_inputs=False)
+            out = self.cross_local.forward(_rows(q_all, g.index), kv)  # kv shared by the G regions
             _put(locals2, g.index, _residual(_rows(locals1, g.index), _scaled(c3, out)), g.pad)
 
         # stage IV: region tokens read local tokens back
@@ -259,7 +256,7 @@ class LGILayer(Block):
             if g.size == 0:
                 continue
             out = self.cross_region.forward(_rows(q_all, g.ids)[:, :, None],
-                                            _rows(kv_all, g.index), save_inputs=False)
+                                            _rows(kv_all, g.index))
             _put(s3, g.ids, _rows(s2, g.ids) + _scaled(c4, out[:, :, 0]), g.pad)
 
         # shared feed-forward on locals, then on region tokens
@@ -297,6 +294,7 @@ class LGILayer(Block):
                 _rows(q_all, g.ids)[:, :, None], _rows(kv_all, g.index))
             _put(d_q_all, g.ids, d_q[:, :, 0], g.pad)
             _put(d_kv_all, g.index, d_kv, g.pad)
+        del q_all, kv_all   # rebuilt whole-layer inputs: free before stage III
         d_locals2 = d_locals2 + self.norm4_kv.backward(d_kv_all)
         d_s2 = d_s3 + self.norm4_q.backward(d_q_all)
 
@@ -310,6 +308,7 @@ class LGILayer(Block):
                 _scaled(c3, _rows(d_locals2, g.index, g.pad)), _rows(q_all, g.index), kv)
             _put(d_q_all, g.index, d_q, g.pad)
             d_kv_total += d_kv
+        del q_all, kv
         d_s2 = d_s2 + self.norm3_kv.backward(d_kv_total)
         d_locals1 = d_locals2 + self.norm3_q.backward(d_q_all)
 

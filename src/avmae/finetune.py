@@ -44,7 +44,9 @@ class FinetuneModel(Block):
         forward in order and backward in reverse; batch-norm statistics are not.
         The head reads only region tokens, so the encoders skip the final
         local tokens (``keep_locals=False``). Both modalities' clip shapes are
-        checked before any block runs.
+        checked before any block runs. The tape keeps the clips, not their
+        patches, and ``backward_sample`` makes the patches again: the clips
+        and their arrays must stay unchanged until then.
         """
         patches_v = self.video_embed.patches([clip.video for clip in clips])
         patches_a = self.audio_embed.patches([clip.audio for clip in clips])
@@ -57,7 +59,7 @@ class FinetuneModel(Block):
             tokens_a, layout_a, rngs=rngs, drop_path=drop_path, keep_locals=False)
         logits = self.iavcl.forward(snaps_a, snaps_v, training=training)
         # the clips, not their patches: the caller holds them already
-        self._save(tokens_v.shape, tokens_a.shape, clips)
+        self._save(tokens_v.shape, tokens_a.shape, tuple(clips))
         return logits
 
     def _layout(self, n: int):

@@ -39,9 +39,9 @@ class DenseInteraction(Block):
         self.gate_cross = Linear(2 * dim, dim, rng)
 
     def forward(self, own: np.ndarray, partner: np.ndarray) -> np.ndarray:
-        f_s = own + self.attn_self.forward(self.norm_self.forward(own), save_inputs=False)
+        f_s = own + self.attn_self.forward(self.norm_self.forward(own))
         f_c = own + self.attn_cross.forward(self.norm_cq.forward(own),
-                                            self.norm_ckv.forward(partner), save_inputs=False)
+                                            self.norm_ckv.forward(partner))
         f_sc = np.concatenate([f_s, f_c], axis=-1)
         g_s = sigmoid(self.gate_self.forward(f_sc))
         g_c = sigmoid(self.gate_cross.forward(f_sc))
@@ -106,14 +106,18 @@ class RefinementLayer(Block):
                training: bool = True) -> np.ndarray:
         r_a = self.conv.forward(self.shca.forward(f_av, f2_a), training=training)
         r_v = self.conv.forward(self.shca.forward(f_av, f2_v), training=training)
+        # shca's inputs, for its backward: f_av is the input projection's
+        # output in the first unit, so no LayerNorm rebuilds it there
+        self._save(f_av, f2_a, f2_v)
         return self.norm.forward(f_av + r_a + r_v)
 
     def refine_backward(self, d_out: np.ndarray):
+        f_av, f2_a, f2_v = self._load()
         d_sum = self.norm.backward(d_out)
         d_hv = self.conv.backward(d_sum)
-        d_qv, d_f2_v = self.shca.backward(d_hv)
+        d_qv, d_f2_v = self.shca.backward(d_hv, f_av, f2_v)
         d_ha = self.conv.backward(d_sum)
-        d_qa, d_f2_a = self.shca.backward(d_ha)
+        d_qa, d_f2_a = self.shca.backward(d_ha, f_av, f2_a)
         return d_sum + d_qv + d_qa, d_f2_a, d_f2_v
 
 
@@ -137,13 +141,13 @@ class HAFELayer(Block):
         """stack: [S, n_units, K, C]; f_av: [S, K, C] -> [S, K, C]."""
         normed = self.norm_units.forward(stack)
         # unit-axis attention, batched over token positions
-        att = self.attn_units.forward(normed.swapaxes(1, 2), save_inputs=False)
+        att = self.attn_units.forward(normed.swapaxes(1, 2))
         h = stack + att.swapaxes(1, 2)
         gamma = h + self.ffn1.forward(self.norm_ffn1.forward(h))
         g = sigmoid(self.gate.forward(gamma))
         f3 = np.sum(g * gamma, axis=1)
         f4 = f3 + self.cross.forward(self.norm_fq.forward(f3),
-                                     self.norm_fkv.forward(f_av), save_inputs=False)
+                                     self.norm_fkv.forward(f_av))
         out = f4 + self.ffn2.forward(self.norm_ffn2.forward(f4))
         self._save(gamma, g)
         return out

@@ -50,10 +50,8 @@ class FusionBlock(Block):
         self.ffn_a = FeedForward(dim, rng)
 
     def forward(self, v: np.ndarray, a: np.ndarray):
-        v_mid = v + self.attn_v.forward(self.norm_vq.forward(v), self.norm_vkv.forward(a),
-                                        save_inputs=False)
-        a_mid = a + self.attn_a.forward(self.norm_aq.forward(a), self.norm_akv.forward(v),
-                                        save_inputs=False)
+        v_mid = v + self.attn_v.forward(self.norm_vq.forward(v), self.norm_vkv.forward(a))
+        a_mid = a + self.attn_a.forward(self.norm_aq.forward(a), self.norm_akv.forward(v))
         v_out = v_mid + self.ffn_v.forward(self.norm_vf.forward(v_mid))
         a_out = a_mid + self.ffn_a.forward(self.norm_af.forward(a_mid))
         return v_out, a_out
@@ -97,7 +95,7 @@ class DecoderBlock(Block):
         self.ffn = FeedForward(dim, rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = x + self.attn.forward(self.norm1.forward(x), save_inputs=False)
+        x = x + self.attn.forward(self.norm1.forward(x))
         return x + self.ffn.forward(self.norm2.forward(x))
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
@@ -211,6 +209,9 @@ class PretrainModel(Block):
 
         The batch is checked whole before any block runs: a mismatched clip
         shape, mask size or count is a ValueError that leaves no tape behind.
+        The tape keeps the clips, not their patches, and ``backward_sample``
+        makes the patches again: the clips and their arrays must stay
+        unchanged until then.
         """
         patches = {}
         for modality, embed, pairs in (("video", self.video_embed, pairs_v),
@@ -252,7 +253,7 @@ class PretrainModel(Block):
             )
         # the clips, not their patches: the caller holds them already
         self._save(out["video"]["visible"], out["audio"]["visible"],
-                   pairs_v[0].n_tokens, pairs_a[0].n_tokens, clips)
+                   pairs_v[0].n_tokens, pairs_a[0].n_tokens, tuple(clips))
         return result
 
     def backward_sample(self, d_preds_v: np.ndarray, d_preds_a: np.ndarray,

@@ -168,11 +168,9 @@ GRAD_CHECKS = {
                             backward=lambda lin, xs, w: lin.backward(w, x=xs[0])), 1e-6, None),
     "layernorm": (_block_check(1, lambda rng: LayerNorm(8), {"x": (1, 5, 8)}), 1e-6, None),
     "mhsa": (_block_check(2, lambda rng: Attention(8, 2, rng), {"q": (1, 3, 8)},
-                          forward=lambda att, q: att.forward(q, save_inputs=False),
                           backward=lambda att, xs, w: np.add(*att.backward(w, *xs))), 1e-6, None),
     "mhca": (_block_check(2, lambda rng: Attention(8, 2, rng),
                           {"q": (1, 3, 8), "kv": (1, 5, 8)},
-                          forward=lambda att, q, kv: att.forward(q, kv, save_inputs=False),
                           backward=lambda att, xs, w: att.backward(w, *xs)), 1e-6, None),
     "ffn": (_block_check(3, lambda rng: FeedForward(8, rng), {"x": (1, 5, 8)},
                          backward=lambda ffn, xs, w: ffn.backward(w, *xs)), 1e-6, None),

@@ -7,7 +7,7 @@ import pytest
 
 from avmae import verify
 from avmae.blocks import (BATCHNORM_EPS, LAYERNORM_EPS, Attention, Block, ConvBNPReLU,
-                          FeedForward, GradientStateError, LayerNorm, Linear, Parameter, _columns,
+                          FeedForward, GradientStateError, LayerNorm, Linear, Parameter,
                           gelu_backward, gelu_with_cache, no_tape, sigmoid, softmax,
                           softmax_backward, trunc_normal)
 from avmae.config import PRESET_INPUTS, desk_train_config, preset
@@ -16,7 +16,7 @@ from avmae.embedding import (AudioEmbed, PatchEmbed, VideoEmbed, grid_codes,
 from avmae.encoder import LGIEncoder
 from avmae.finetune import FinetuneModel
 from avmae.gradcheck import grad_check
-from avmae.iavcl import DiERUnit, IAVCLHead, RefinementLayer
+from avmae.iavcl import DiERUnit, IAVCLHead
 from avmae.losses import info_nce
 from avmae.pretrain import FusionBlock, PretrainModel, make_mask_pairs
 from avmae.training import (AdamW, SyntheticTask, gen_synthetic, optimizer_for,
@@ -196,7 +196,7 @@ class TestBackwardProtocol:
         for _ in range(2):
             att.zero_grad()
             att.forward(x[None])
-            outs.append(att.backward(g.copy()[None]))
+            outs.append(att.backward(g.copy()[None], x[None]))
         assert np.array_equal(outs[0][0], outs[1][0])
 
 
@@ -627,37 +627,12 @@ class TestRowMaxima:
     rows from one rows-innermost copy, and of the rest by one reduce per row:
     either way the bytes of the ``np.max`` / ``np.sum`` formulation, on every
     rank and on rows of one. The copy takes rows along the last axis, at
-    least 256 of them, of 2 to 16 keys at any size (in the backward, of 9 to
-    16 keys in arrays of up to 2 MiB) or of up to 48 keys in arrays of up to
-    1 MiB. Past the small shapes: the Tiny fine-tune scores; 255 rows, one
-    below the row bound; (2048, 2, 8, 16) in float64 and (129, 2, 32, 32)
-    past the byte bounds, rows of 16 still copied in the forward but reduced
-    per row in the backward, rows of 32 reduced per row; then 256 rows of 1
-    to 65 keys, across both key bounds, the blocks of 8 the copy's sums add
-    in and the tails after them."""
-
-    @pytest.mark.parametrize("keys", [9, 16])
-    def test_backward_reduces_short_rows_per_row_past_its_byte_cap(self, keys, monkeypatch):
-        """Rows of 9 to 16 keys: past 2 MiB the backward reduces per row,
-        which was measured faster there; the forward still copies. Rows of 8
-        keys copy at any size."""
-        copies = []
-
-        def recording(x):
-            copies.append(x.nbytes)
-            return _columns(x)
-
-        monkeypatch.setattr("avmae.blocks._columns", recording)
-        rng = np.random.default_rng(keys)
-        rows = (2 << 20) // (4 * keys)   # the most rows within 2 MiB
-        for shape, copied in (((rows, keys), True), ((rows + 1, keys), False),
-                              ((4 * rows, 8), True)):
-            x = rng.normal(size=shape).astype(np.float32)
-            out = softmax(x)
-            assert copies == [x.nbytes]
-            softmax_backward(out, x)
-            assert copies == [x.nbytes] * (1 + copied)
-            copies.clear()
+    least 256 of them, of 2 to 16 keys at any size or of up to 48 keys in
+    arrays of up to 1 MiB. Past the small shapes: the Tiny fine-tune scores;
+    255 rows, one below the row bound; (2048, 2, 8, 16) and (129, 2, 32, 32)
+    past the byte bound, rows of 16 still copied and rows of 32 reduced per
+    row; then 256 rows of 1 to 65 keys, across both key bounds, the blocks
+    of 8 the copy's sums add in and the tails after them."""
 
     SHAPES = [(1,), (9,), (6, 1), (1, 7), (5, 4), (3, 4, 6), (2, 3, 1, 17), (2, 2, 3, 4, 5),
               (4, 2, 2, 17, 17), (3, 64), (3, 2, 65), (2, 101), (64, 4, 4, 16, 17),
@@ -694,8 +669,9 @@ class TestAttentionMatchesMergeCopies:
     """Attention writes its head products straight into their merged layouts
     and reduces each set of bias gradients once: the bytes of the
     merge-copy formulation with one reduce per bias, for the output, both
-    input gradients and every parameter gradient, whether the forward tapes
-    its inputs or the backward takes copies of them back."""
+    input gradients and every parameter gradient. The backward takes its
+    inputs back as copies laid out like the forward's, not the arrays the
+    forward saw."""
 
     # "units" is a self-attention over a swapaxes view, as HAFE's unit attention
     CASES = {"self": ((16, 4, 17, 32), None),
@@ -709,15 +685,6 @@ class TestAttentionMatchesMergeCopies:
     @pytest.mark.parametrize("samples", [16, 1])
     @pytest.mark.parametrize("case", list(CASES))
     def test_bytes(self, case, samples, dtype):
-        self.check(case, samples, dtype, hand_back=False)
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("samples", [16, 1])
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_handed_back_bytes(self, case, samples, dtype):
-        self.check(case, samples, dtype, hand_back=True)
-
-    def check(self, case, samples, dtype, hand_back):
         q_shape, kv_shape = self.CASES[case]
         rng = np.random.default_rng([len(case), samples])
         att = in_dtype(Attention(32, 4, rng), dtype)
@@ -731,11 +698,9 @@ class TestAttentionMatchesMergeCopies:
         d_out = spread_gradients(rng, q_in.shape, dtype)
         want_out, want_dq, want_dkv, want_grads = staged_attention(att, q_in, kv_in, d_out)
         kv_arg = None if kv_shape is None else kv_in
-        assert_same_bytes(att.forward(q_in, kv_arg, save_inputs=not hand_back), want_out)
-        back = []
-        if hand_back:   # copies in the inputs' layouts, not the arrays the forward saw
-            back = [x.swapaxes(1, 2).copy().swapaxes(1, 2) if case == "units" else x.copy()
-                    for x in (q_in, kv_arg) if x is not None]
+        assert_same_bytes(att.forward(q_in, kv_arg), want_out)
+        back = [x.swapaxes(1, 2).copy().swapaxes(1, 2) if case == "units" else x.copy()
+                for x in (q_in, kv_arg) if x is not None]
         d_q_in, d_kv_in = att.backward(d_out, *back)
         assert_same_bytes(d_q_in, want_dq)
         assert_same_bytes(d_kv_in, want_dkv)
@@ -837,9 +802,7 @@ def assert_no_rebuildable_activations(model):
     """No FeedForward tape holds a [.., 4C] array but h, and neither Linear
     of one an input; no Attention tape holds the merged head products; no
     Attention or Linear tape holds an array all of whose rows are rows of a
-    LayerNorm's output, but ``RefinementLayer.shca``, whose queries come
-    from the refinement's LayerNorm only after its first call; no patch
-    embedding tapes its patches."""
+    LayerNorm's output; no patch embedding tapes its patches."""
     blocks = list(model._walk())
     for ffn in (b for b in blocks if isinstance(b, FeedForward)):
         hidden = ffn.fc1.d_out
@@ -851,15 +814,14 @@ def assert_no_rebuildable_activations(model):
         assert all(not list(taped_arrays(entry)) for entry in embed.proj._tape)
     for att in (b for b in blocks if isinstance(b, Attention)):
         for entry in att._tape:
-            q, v, probs = entry[2], entry[4], entry[5]
+            q, v, probs = entry[0], entry[2], entry[3]
             merged = np.empty(q.shape[:-3] + (q.shape[-2], att.dim), dtype=probs.dtype)
             np.matmul(probs, v, out=att._split(merged))
             assert not any(a.shape == merged.shape and np.array_equal(a, merged)
                            for a in taped_arrays(entry))
     rows = layernorm_rows(model)
-    shca = {id(b.shca) for b in blocks if isinstance(b, RefinementLayer)}
     for block in blocks:
-        if isinstance(block, (Attention, Linear)) and id(block) not in shca:
+        if isinstance(block, (Attention, Linear)):
             for entry in block._tape:
                 for a in taped_arrays(entry):
                     assert not all(row.tobytes() in rows
