@@ -4,8 +4,9 @@ Every block follows the same protocol: ``forward(...)`` computes the output
 and pushes the activations it will need onto an internal cache stack, less
 those the backward rebuilds with the forward's own calls on the others and
 the inputs its caller hands back (a LayerNorm's output, which
-``LayerNorm.output`` rebuilds, or an array the caller tapes itself);
-``backward(upstream)`` pops that cache, adds the parameter gradients and
+``LayerNorm.output`` rebuilds, or an array the caller tapes itself; a
+``Linear`` tapes nothing, and the block that owns it hands its input back);
+``backward(upstream, ...)`` pops that cache, adds the parameter gradients and
 returns the gradient(s) with respect to the forward inputs.
 Because caches form a stack, a block may be applied several times inside one
 composite forward pass (e.g. the same attention parameters over K regions)
@@ -515,21 +516,18 @@ class Linear(Block):
         self.weight = Parameter(trunc_normal(rng, (d_in, d_out)))
         self.bias = Parameter(np.zeros(d_out, dtype=DEFAULT_DTYPE))
 
-    def forward(self, x: np.ndarray, save_input: bool = True) -> np.ndarray:
-        """With ``save_input=False`` the tape keeps no input: the caller
-        rebuilds it bit for bit and passes it to the backward as ``x``."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Tapes no input: the block that owns the Linear hands it back."""
         if x.shape[-1] != self.d_in:
             raise ValueError(f"linear expects last dim {self.d_in}, got {x.shape}")
-        y = _affine(x, self.weight.data, self.bias.data)
-        self._save(x if save_input else None)
-        return y
+        self._save()
+        return _affine(x, self.weight.data, self.bias.data)
 
-    def backward(self, d_out: np.ndarray, input_grad: bool = True,
-                 x: np.ndarray | None = None) -> np.ndarray | None:
-        """Returns the input gradient, or None with ``input_grad=False`` (for
-        a caller that has no use for it)."""
-        (saved,) = self._load()
-        x = saved if x is None else x
+    def backward(self, d_out: np.ndarray, x: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """x: the forward's input, handed back. Returns its gradient, or None
+        with ``input_grad=False`` (for a caller that has no use for it)."""
+        self._load()
         n = x.shape[0]
         flat_x = x.reshape(n, -1, self.d_in)
         flat_d = d_out.reshape(n, -1, self.d_out)
@@ -537,9 +535,7 @@ class Linear(Block):
         np.matmul(flat_x.transpose(0, 2, 1), flat_d, out=g_weight)
         np.add.reduce(flat_d, axis=1, out=g_bias)
         self._fold_grads()
-        if input_grad:
-            return (flat_d @ self.weight.data.T).reshape(x.shape)
-        return None
+        return (flat_d @ self.weight.data.T).reshape(x.shape) if input_grad else None
 
 
 class LayerNorm(Block):
@@ -728,18 +724,18 @@ class FeedForward(Block):
         self.fc2 = Linear(hidden, dim, rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = self.fc1.forward(x, save_input=False)
+        h = self.fc1.forward(x)
         self._save(h)
-        return self.fc2.forward(gelu_with_cache(h)[0], save_input=False)
+        return self.fc2.forward(gelu_with_cache(h)[0])
 
     def backward(self, d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
         """x: the forward's input, handed back."""
         (h,) = self._load()
         a, t = gelu_with_cache(h)
-        d_a = self.fc2.backward(d_out, x=a)
+        d_a = self.fc2.backward(d_out, a)
         del a
         d_h = gelu_backward(h, d_a, t)
-        return self.fc1.backward(d_h, x=x)
+        return self.fc1.backward(d_h, x)
 
 
 class ConvBNPReLU(Block):
@@ -781,7 +777,7 @@ class ConvBNPReLU(Block):
         z = yhat * self.bn_scale.data + self.bn_shift.data
         neg = z < 0
         out = np.where(neg, z * self.prelu_slope.data, z)
-        self._save(yhat, inv, z, neg, training)
+        self._save(x, yhat, inv, training)
         return out
 
     def _fold_statistics(self, mu: np.ndarray, var: np.ndarray) -> None:
@@ -800,7 +796,9 @@ class ConvBNPReLU(Block):
         self.num_batches = count
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        yhat, inv, z, neg, training = self._load()
+        x, yhat, inv, training = self._load()
+        z = yhat * self.bn_scale.data + self.bn_shift.data   # the forward's own ops
+        neg = z < 0
         d_z = np.where(neg, d_out * self.prelu_slope.data, d_out)
         g_scale, g_shift, g_slope = self._grad_slots(len(d_out))
         np.add.reduce(np.where(neg, d_out * z, 0.0), axis=1, out=g_slope)
@@ -815,4 +813,4 @@ class ConvBNPReLU(Block):
             d_y *= inv
         else:
             d_y = d_yhat * inv
-        return self.conv.backward(d_y)
+        return self.conv.backward(d_y, x)

@@ -129,12 +129,12 @@ class PatchEmbed(Block):
         """patches [S, N, patch] -> tokens [S, N, C]. The tape keeps no
         patches: the backward takes them back from the caller, which holds
         the clips and re-patches them with ``patches``."""
-        tokens = self.proj.forward(self._proj_input(patches), save_input=False)
+        tokens = self.proj.forward(self._proj_input(patches))
         return tokens + self.codes
 
     def backward(self, d_tokens: np.ndarray, patches: np.ndarray) -> None:
         """patches: the forward's, handed back."""
-        self.proj.backward(d_tokens, input_grad=False, x=self._proj_input(patches))
+        self.proj.backward(d_tokens, self._proj_input(patches), input_grad=False)
 
 
 class VideoEmbed(PatchEmbed):

@@ -55,7 +55,9 @@ class DenseInteraction(Block):
         d_fc = d_out * g_c
         d_gc = sigmoid_backward(g_c, d_out * f_c)
         d_gs = sigmoid_backward(g_s, d_out * f_s)
-        d_fsc = self.gate_cross.backward(d_gc) + self.gate_self.backward(d_gs)
+        f_sc = np.concatenate([f_s, f_c], axis=-1)   # the gates' input, rebuilt
+        d_fsc = self.gate_cross.backward(d_gc, f_sc) + self.gate_self.backward(d_gs, f_sc)
+        del f_sc
         d_fs = d_fs + d_fsc[..., :self.dim]
         d_fc = d_fc + d_fsc[..., self.dim:]
         d_q, d_kv = self.attn_cross.backward(d_fc, self.norm_cq.output(),
@@ -161,7 +163,7 @@ class HAFELayer(Block):
         d_fav = self.norm_fkv.backward(d_kv)
         d_gamma = g * d_f3[:, None]
         d_g = sigmoid_backward(g, gamma * d_f3[:, None])
-        d_gamma = d_gamma + self.gate.backward(d_g)
+        d_gamma = d_gamma + self.gate.backward(d_g, gamma)
         d_h = d_gamma + self.norm_ffn1.backward(
             self.ffn1.backward(d_gamma, self.norm_ffn1.output()))
         d_stack = d_h.copy()
@@ -229,12 +231,12 @@ class IAVCLHead(Block):
         f4_v = self.hafe_v.forward(np.stack(preserved_v, axis=1), f_av)
         pooled = np.concatenate([f4_a.mean(axis=1), f4_v.mean(axis=1)], axis=-1)
         out = self.head.forward(pooled[:, None])[:, 0]
-        self._save(stack_a, stack_v, alpha_a, alpha_v, k)
+        self._save(stack_a, stack_v, alpha_a, alpha_v, k, f_av0, pooled)
         return out
 
     def backward(self, d_out: np.ndarray):
-        stack_a, stack_v, alpha_a, alpha_v, k = self._load()
-        d_pooled = self.head.backward(d_out[:, None])[:, 0]
+        stack_a, stack_v, alpha_a, alpha_v, k, f_av0, pooled = self._load()
+        d_pooled = self.head.backward(d_out[:, None], pooled[:, None])[:, 0]
         dim = d_pooled.shape[-1] // 2
         d_f4_a = np.repeat(d_pooled[:, None, :dim] / k, k, axis=1)
         d_f4_v = np.repeat(d_pooled[:, None, dim:] / k, k, axis=1)
@@ -252,7 +254,7 @@ class IAVCLHead(Block):
             d_f2_v = d_f2_v + d_stack_pv[:, idx] + d_f1_v
             d_f1_a, d_f1_v = self.units[idx].backward(d_f2_a, d_f2_v)
 
-        d_f_av0 = self.er.input_linear.backward(d_fav)
+        d_f_av0 = self.er.input_linear.backward(d_fav, f_av0)
         d_agg_a = d_f_av0[..., :dim]
         d_agg_v = d_f_av0[..., dim:]
 

@@ -135,22 +135,23 @@ class Decoder(Block):
         for block in self.blocks:
             x = block.forward(x)
         x = self.norm.forward(x)
-        preds = self.head.forward(x[:, n_vis:], save_input=False)
-        self._save(n_vis, x.shape)
+        preds = self.head.forward(x[:, n_vis:])
+        skips = [skip_locals[idx] for idx in self.cfg.skip_indices]   # skip_projs' inputs
+        self._save(n_vis, x.shape, combined.tokens, skips)
         return preds
 
     def backward(self, d_preds: np.ndarray):
-        n_vis, x_shape = self._load()
+        n_vis, x_shape, tokens, skips = self._load()
         d_x = np.zeros(x_shape, dtype=d_preds.dtype)
-        d_x[:, n_vis:] = self.head.backward(d_preds, x=self.norm.output()[:, n_vis:])
+        d_x[:, n_vis:] = self.head.backward(d_preds, self.norm.output()[:, n_vis:])
         d_x = self.norm.backward(d_x)
         for block in reversed(list(self.blocks)):
             d_x = block.backward(d_x)
         d_skips = {}
-        for j in reversed(range(len(self.cfg.skip_indices))):
+        for j, idx in reversed(list(enumerate(self.cfg.skip_indices))):
             if n_vis:
-                d_skips[self.cfg.skip_indices[j]] = self.skip_projs[j].backward(d_x[:, :n_vis])
-        d_tokens = self.input_proj.backward(d_x)
+                d_skips[idx] = self.skip_projs[j].backward(d_x[:, :n_vis], skips[j])
+        d_tokens = self.input_proj.backward(d_x, tokens)
         return d_tokens, d_skips
 
 

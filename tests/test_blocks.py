@@ -11,12 +11,12 @@ from avmae.blocks import (BATCHNORM_EPS, LAYERNORM_EPS, Attention, Block, ConvBN
                           gelu_backward, gelu_with_cache, no_tape, sigmoid, softmax,
                           softmax_backward, trunc_normal)
 from avmae.config import PRESET_INPUTS, desk_train_config, preset
-from avmae.embedding import (AudioEmbed, PatchEmbed, VideoEmbed, grid_codes,
+from avmae.embedding import (AudioEmbed, VideoEmbed, grid_codes,
                              positional_encoding, sincos_1d)
 from avmae.encoder import LGIEncoder
 from avmae.finetune import FinetuneModel
 from avmae.gradcheck import grad_check
-from avmae.iavcl import DiERUnit, IAVCLHead
+from avmae.iavcl import DenseInteraction, DiERUnit, IAVCLHead
 from avmae.losses import info_nce
 from avmae.pretrain import FusionBlock, PretrainModel, make_mask_pairs
 from avmae.training import (AdamW, SyntheticTask, gen_synthetic, optimizer_for,
@@ -128,7 +128,7 @@ class TestBackwardProtocol:
         x = rng.normal(size=(5, 4))
         lin.forward(x[None])
         ones = np.ones((5, 3))
-        lin.backward(ones[None])
+        lin.backward(ones[None], x[None])
         assert np.allclose(lin.weight.grad, x.T @ ones)
         assert np.allclose(lin.bias.grad, ones.sum(axis=0))
 
@@ -143,7 +143,8 @@ class TestBackwardProtocol:
     def test_backward_before_forward_raises(self):
         lin = Linear(3, 3, np.random.default_rng(0))
         with pytest.raises(GradientStateError):
-            lin.backward(np.ones((1, 2, 3), dtype=np.float32))
+            lin.backward(np.ones((1, 2, 3), dtype=np.float32),
+                         np.ones((1, 2, 3), dtype=np.float32))
 
     def test_cache_stack_handles_repeated_application(self):
         """Two forwards, then backwards in reverse order, accumulate both."""
@@ -155,8 +156,8 @@ class TestBackwardProtocol:
         lin.forward(x2[None])
         g2 = np.ones((4, 3))
         g1 = np.ones((2, 3))
-        lin.backward(g2[None])
-        lin.backward(g1[None])
+        lin.backward(g2[None], x2[None])
+        lin.backward(g1[None], x1[None])
         assert np.allclose(lin.weight.grad, x1.T @ g1 + x2.T @ g2)
 
     def test_no_tape_forward_leaves_pending_tape(self):
@@ -169,10 +170,10 @@ class TestBackwardProtocol:
         with no_tape():
             out = lin.forward(x)
         assert np.array_equal(out, x @ lin.weight.data + lin.bias.data)
-        lin.backward(np.ones((1, 5, 2)))
+        lin.backward(np.ones((1, 5, 2)), y)
         assert np.array_equal(lin.weight.grad, y[0].T @ np.ones((5, 2)))
         with pytest.raises(GradientStateError):
-            lin.backward(np.ones((1, 4, 2)))
+            lin.backward(np.ones((1, 4, 2)), x)
 
     def test_no_tape_restores_taping_on_exit_and_error(self):
         lin = Linear(3, 3, np.random.default_rng(0))
@@ -225,7 +226,7 @@ class TestGradChecks:
             out = lin.forward(x)
 
             def back():
-                d_x = lin.backward(w.copy())
+                d_x = lin.backward(w.copy(), x)
                 lin.weight.grad *= -1.0  # deliberate corruption
                 return {"x": d_x}
             return float(np.sum(out * w)), back
@@ -256,7 +257,7 @@ class TestGradChecks:
 
         def fwd(x):
             out = lin.forward(x)
-            return float(np.sum(out)), lambda: (lin.backward(np.ones_like(out)), {})[1]
+            return float(np.sum(out)), lambda: (lin.backward(np.ones_like(out), x), {})[1]
 
         with pytest.raises(ValueError, match=r"returned 0 gradients for 1 inputs "
                                              r"\['x'\]; missing \['x'\]"):
@@ -709,14 +710,13 @@ class TestAttentionMatchesMergeCopies:
 
 
 class TestHandBack:
-    """A Linear or patch-embedding backward fed its input back by the caller
-    gives the bytes of the path that tapes the input: the input gradient
-    and every folded parameter gradient, over two calls per pass (forward in
-    order, backward in reverse). The handed-back inputs are rebuilt, not the
-    arrays the forward saw. (Attention's and FeedForward's hand-back are
-    checked against their staged references above.) ``LayerNorm.output``,
-    which rebuilds what the LayerNorm-fed callers hand back, gives the bytes
-    of the forward's return."""
+    """A patch-embedding backward fed patches made again from the clips
+    gives the bytes of its projection run on the patches the forward saw:
+    every folded parameter gradient, over two calls per pass (forward in
+    order, backward in reverse). (Attention's and FeedForward's hand-back
+    are checked against their staged references above.)
+    ``LayerNorm.output``, which rebuilds what the LayerNorm-fed callers hand
+    back, gives the bytes of the forward's return."""
 
     @staticmethod
     def twins(build, dtype):
@@ -728,40 +728,26 @@ class TestHandBack:
             assert_same_bytes(p.grad, q.grad)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_linear(self, dtype):
-        rng = np.random.default_rng(21)
-        taped, handed = self.twins(lambda r: Linear(32, 24, r), dtype)
-        xs = [rng.normal(size=(3, 4, 7, 32)).astype(dtype) for _ in range(2)]
-        d_outs = [rng.normal(size=(3, 4, 7, 24)).astype(dtype) for _ in xs]
-        for x in xs:
-            assert_same_bytes(handed.forward(x, save_input=False), taped.forward(x))
-        for x, d_out in reversed(list(zip(xs, d_outs))):
-            assert_same_bytes(handed.backward(d_out, x=x.copy()), taped.backward(d_out))
-        self.assert_same_grads(handed, taped)
-
-    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("modality", ["video", "audio"])
     def test_patch_embed(self, modality, dtype):
-        """The taped path is the projection taping the patches; the handed-
-        back patches are made again from the clip arrays."""
         video_shape, audio_shape = PRESET_INPUTS["Tiny"]
         cls, clip_shape = ((VideoEmbed, video_shape) if modality == "video"
                            else (AudioEmbed, audio_shape))
         rng = np.random.default_rng(23)
-        handed, taped = self.twins(lambda r: cls(preset("Tiny"), clip_shape, r), dtype)
+        handed, direct = self.twins(lambda r: cls(preset("Tiny"), clip_shape, r), dtype)
         batches = [[rng.random(handed.shape).astype(np.float32) for _ in range(3)]
                    for _ in range(2)]
-        d_outs = []
+        d_outs, seen = [], []
         for arrays in batches:
             patches = handed.patches(arrays)
             tokens = handed.forward(patches)
-            want = taped.proj.forward(patches.astype(dtype)) + taped.codes
-            assert_same_bytes(tokens, want)
+            seen.append(patches.astype(dtype))
+            assert_same_bytes(tokens, direct.proj.forward(seen[-1]) + direct.codes)
             d_outs.append(rng.normal(size=tokens.shape).astype(dtype))
-        for arrays, d_out in reversed(list(zip(batches, d_outs))):
+        for arrays, d_out, x in reversed(list(zip(batches, d_outs, seen))):
             handed.backward(d_out, handed.patches(arrays))
-            taped.proj.backward(d_out, input_grad=False)
-        self.assert_same_grads(handed, taped)
+            direct.proj.backward(d_out, x, input_grad=False)
+        self.assert_same_grads(handed, direct)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_layernorm_output_is_the_forward_return(self, dtype):
@@ -799,19 +785,28 @@ def layernorm_rows(model):
 
 
 def assert_no_rebuildable_activations(model):
-    """No FeedForward tape holds a [.., 4C] array but h, and neither Linear
-    of one an input; no Attention tape holds the merged head products; no
-    Attention or Linear tape holds an array all of whose rows are rows of a
-    LayerNorm's output; no patch embedding tapes its patches."""
+    """Every Linear tape entry is empty; no FeedForward tape holds a [.., 4C]
+    array but h; no DenseInteraction tape holds its gates' input f_sc; no
+    ConvBNPReLU tape holds z or neg, so of its [S, K, C] arrays only the
+    input and yhat; no Attention tape holds the merged head products, or an
+    array all of whose rows are rows of a LayerNorm's output."""
     blocks = list(model._walk())
+    for lin in (b for b in blocks if isinstance(b, Linear)):
+        assert all(entry == () for entry in lin._tape)
     for ffn in (b for b in blocks if isinstance(b, FeedForward)):
         hidden = ffn.fc1.d_out
         for entry in ffn._tape:
             assert sum(a.shape[-1] == hidden for a in taped_arrays(entry)) == 1
-        for lin in (ffn.fc1, ffn.fc2):
-            assert all(not list(taped_arrays(entry)) for entry in lin._tape)
-    for embed in (b for b in blocks if isinstance(b, PatchEmbed)):
-        assert all(not list(taped_arrays(entry)) for entry in embed.proj._tape)
+    for dense in (b for b in blocks if isinstance(b, DenseInteraction)):
+        for entry in dense._tape:
+            f_sc = np.concatenate(entry[:2], axis=-1)
+            assert not any(a.shape == f_sc.shape and np.array_equal(a, f_sc)
+                           for a in taped_arrays(entry))
+    for conv in (b for b in blocks if isinstance(b, ConvBNPReLU)):
+        for entry in conv._tape:
+            arrays = list(taped_arrays(entry))
+            assert not any(a.dtype == bool for a in arrays)
+            assert sum(a.shape == entry[0].shape for a in arrays) == 2
     for att in (b for b in blocks if isinstance(b, Attention)):
         for entry in att._tape:
             q, v, probs = entry[0], entry[2], entry[3]
@@ -821,7 +816,7 @@ def assert_no_rebuildable_activations(model):
                            for a in taped_arrays(entry))
     rows = layernorm_rows(model)
     for block in blocks:
-        if isinstance(block, (Attention, Linear)):
+        if isinstance(block, Attention):
             for entry in block._tape:
                 for a in taped_arrays(entry):
                     assert not all(row.tobytes() in rows
@@ -847,9 +842,10 @@ class TestTapeSize:
                               rng=sample_rng(0))
         model.forward_sample(clips, rngs=[sample_rng(0, 1, i) for i in range(16)],
                              drop_path=desk_train_config("finetune").drop_path)
-        # 11.30 MiB; 15.45 with the LayerNorm-fed inputs and the patches
-        # taped, 21.15 with a, t and the merged products taped as well
-        self.assert_tapes(model, 11.3)
+        # 11.19 MiB; 11.30 with f_sc, z and neg taped, 15.45 with the
+        # LayerNorm-fed inputs and the patches taped as well, 21.15 with a,
+        # t and the merged products taped too
+        self.assert_tapes(model, 11.2)
 
     def test_pretrain_batch_of_8(self):
         cfg = preset("Tiny")
@@ -963,12 +959,12 @@ class TestAccumulate:
         x = rng.normal(size=(1, 4, 3))
         lin.forward(x)
         lin.forward(x)
-        lin.backward(np.ones((1, 4, 2)))
+        lin.backward(np.ones((1, 4, 2)), x)
         with no_tape():
             lin.forward(x)
         with pytest.raises(GradientStateError):
             lin.forward(x)
-        lin.backward(np.ones((1, 4, 2)))
+        lin.backward(np.ones((1, 4, 2)), x)
         assert lin._slab is None
         assert np.array_equal(lin.weight.grad, 2 * (x[0].T @ np.ones((4, 2))))
 
@@ -978,11 +974,11 @@ class TestAccumulate:
         x = rng.normal(size=(2, 4, 3))
         lin.forward(x)
         lin.forward(x)
-        lin.backward(np.ones((2, 4, 2)))
+        lin.backward(np.ones((2, 4, 2)), x)
         lin.clear_caches()
         assert lin._slab is None and not lin.weight.grad.any()
         lin.forward(x[:1])
-        lin.backward(np.ones((1, 4, 2)))
+        lin.backward(np.ones((1, 4, 2)), x[:1])
         assert np.array_equal(lin.weight.grad, x[0].T @ np.ones((4, 2)))
 
     def test_linear_without_input_grad(self):
@@ -994,8 +990,8 @@ class TestAccumulate:
         d_out = rng.normal(size=(2, 4, 3)).astype(np.float32)
         for lin in (full, part):
             lin.forward(x)
-        assert full.backward(d_out) is not None
-        assert part.backward(d_out, input_grad=False) is None
+        assert full.backward(d_out, x) is not None
+        assert part.backward(d_out, x, input_grad=False) is None
         for name in ("weight", "bias"):
             assert_same_bytes(getattr(part, name).grad, getattr(full, name).grad)
 
